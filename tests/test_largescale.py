@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erdosavoid.enclosures import sqrt_enclosure
 from erdosavoid.errors import (
@@ -28,6 +30,8 @@ from erdosavoid.largescale import (
     sweep_linear_escape,
     sweep_log_escape,
     validate_linear_escape,
+    _point_escapes_digit,
+    _seq_escape_index,
 )
 from erdosavoid.sequences import linear
 
@@ -124,6 +128,24 @@ def test_width_rule_soundness_structural():
                 if img.lo <= shifted.lo and shifted.hi <= img.hi:
                     found = True
         assert found, start
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(3, 6),
+    x=st.fractions(min_value=-4, max_value=4, max_denominator=24),
+    y=st.fractions(min_value=0, max_value=4, max_denominator=24).filter(lambda q: q > 0),
+)
+def test_escape_predicates_agree_on_linear_trajectories(m, x, y):
+    # the scan over x + n*y, the sequence scan with a_n = n, and the
+    # single-point test must name the same first escape step
+    e = digit_avoider(m, 8)
+    n_max = 48
+    n = point_escape_index(e, x, y, n_max)
+    assert _seq_escape_index(e, x, y, linear(), n_max) == n
+    last = n if n is not None else n_max
+    for step in range(1, last + 1):
+        assert _point_escapes_digit(e, x + step * y) == (step == n)
 
 
 def test_sweep_certifies_and_validates():
