@@ -14,12 +14,8 @@ from .intervals import (
     Interval,
     IntervalSet,
     ParamBox,
-    affine_image,
     box_image,
     ivl,
-    measure,
-    normalize,
-    set_ops,
 )
 from .gaptree import (
     GapTree,
@@ -41,7 +37,7 @@ from .intersect import (
     perturbation_delta,
 )
 from .enclosures import ln2_enclosure, ln_enclosure, ln_interval, root_enclosure, sqrt_enclosure
-from .rationals import Rational, as_rational, format_rational, parse_rational
+from .rationals import as_rational, format_rational, parse_rational
 from .sequences import (
     SequenceSpec,
     custom,

@@ -27,16 +27,12 @@ from . import largescale, sequences, smallscale, sumsets
 from .enclosures import sqrt_enclosure
 from .errors import ErdosAvoidError
 from .gaptree import from_middle_ratio, thickness, to_interval_set, tree_to_json
-from .intervals import Interval, ParamBox
+from .intervals import Grid, Interval, ParamBox
 from .rationals import as_rational, format_rational
 
 EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
-
-
-def _parse_rational(text: str) -> Fraction:
-    return as_rational(text)
 
 
 def _parse_range(text: str) -> Interval:
@@ -107,9 +103,10 @@ def _sequence_from_args(args) -> sequences.SequenceSpec:
 
 def _workers() -> int:
     try:
-        return max(1, int(os.environ.get("ERDOSAVOID_WORKERS", "1")))
+        requested = int(os.environ.get("ERDOSAVOID_WORKERS", "1"))
     except ValueError:
         return 1
+    return max(1, min(requested, os.cpu_count() or 1))
 
 
 # ---------------------------------------------------------------------------
@@ -179,27 +176,12 @@ def _cmd_construct(args) -> int:
 
 
 def _digit_sweep_rows(job) -> list[dict]:
-    (m, window, x_lo, x_hi, y_lo, y_hi, x_cells, y_cells, box_ids, nmax, cap,
-     validate, samples, seed) = job
+    m, window, grid, box_ids, nmax, cap, validate, samples, seed = job
     e = largescale.digit_avoider(m, window)
-    x_range = Interval(x_lo, x_hi)
-    y_range = Interval(y_lo, y_hi)
     rows = []
     for box_id in box_ids:
-        i, j = divmod(box_id, y_cells)
-        bx = Interval(
-            x_range.lo + x_range.length * Fraction(i, x_cells),
-            x_range.lo + x_range.length * Fraction(i + 1, x_cells),
-        )
-        by = Interval(
-            y_range.lo + y_range.length * Fraction(j, y_cells),
-            y_range.lo + y_range.length * Fraction(j + 1, y_cells),
-        )
-        n_max = nmax
-        cert = largescale.certify_linear_escape(e, bx, by, n_max)
-        while cert.status != "certified" and n_max < cap:
-            n_max = min(2 * n_max, cap)
-            cert = largescale.certify_linear_escape(e, bx, by, n_max)
+        bx, by = grid.cell(box_id)
+        cert = largescale.certify_linear_escape_to_cap(e, bx, by, nmax, cap)
         ok = True
         if validate and cert.status == "certified":
             ok = largescale.validate_linear_escape(
@@ -237,8 +219,8 @@ def _load_resume_rows(path: str) -> dict[int, dict]:
 def _cmd_certify(args) -> int:
     target = args.target
     if target == "digit-avoider":
-        x_cells, y_cells = args.grid
-        total = x_cells * y_cells
+        grid = Grid(args.x_range, args.y_range, *args.grid)
+        total = len(grid)
         journal = f"{args.out}.partial" if args.out else None
         done: dict[int, dict] = {}
         if args.resume and args.out:
@@ -253,10 +235,7 @@ def _cmd_certify(args) -> int:
         for w in range(0, len(todo), chunk):
             jobs.append(
                 (
-                    args.m, window,
-                    args.x_range.lo, args.x_range.hi,
-                    args.y_range.lo, args.y_range.hi,
-                    x_cells, y_cells, todo[w : w + chunk],
+                    args.m, window, grid, todo[w : w + chunk],
                     args.nmax, args.nmax_cap, args.validate, args.samples, args.seed,
                 )
             )
@@ -505,14 +484,14 @@ def build_parser() -> argparse.ArgumentParser:
     ])
     common(c)
     c.add_argument("--seq", default="reciprocal")
-    c.add_argument("--ratio", type=_parse_rational, default=None)
-    c.add_argument("--base", type=_parse_rational, default=None)
+    c.add_argument("--ratio", type=as_rational, default=None)
+    c.add_argument("--base", type=as_rational, default=None)
     c.add_argument("--levels", type=int, default=4)
     c.add_argument("--window", type=int, default=1_000_000)
     c.add_argument("--max-components", type=int, default=100_000)
     c.add_argument("--m", type=int, default=4)
-    c.add_argument("--p", type=_parse_rational, default=Fraction(1, 2))
-    c.add_argument("--y", type=_parse_rational, default=Fraction(2))
+    c.add_argument("--p", type=as_rational, default=Fraction(1, 2))
+    c.add_argument("--y", type=as_rational, default=Fraction(2))
     c.add_argument("--ratio-n", type=int, default=1, dest="ratio_n")
     c.add_argument("--depth", type=int, default=6)
     c.add_argument("--n-range", type=_parse_int_range, default=(-1, 1), dest="n_range")
@@ -535,8 +514,8 @@ def build_parser() -> argparse.ArgumentParser:
     z.add_argument("--lambda-range", type=_parse_range, default=Interval(Fraction(1), Fraction(2)), dest="lambda_range")
     z.add_argument("--t-range", type=_parse_range, default=Interval(Fraction(-1), Fraction(1)), dest="t_range")
     z.add_argument("--seq", default="reciprocal")
-    z.add_argument("--ratio", type=_parse_rational, default=None)
-    z.add_argument("--base", type=_parse_rational, default=None)
+    z.add_argument("--ratio", type=as_rational, default=None)
+    z.add_argument("--base", type=as_rational, default=None)
     z.add_argument("--levels", type=int, default=4)
     z.add_argument("--validate", action="store_true")
     z.add_argument("--samples", type=int, default=100)
@@ -554,15 +533,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("kind", choices=["mod1", "dubickas", "ell-bound", "kolountzakis"])
     common(p)
     p.add_argument("--seq", default="linear")
-    p.add_argument("--ratio", type=_parse_rational, default=None)
-    p.add_argument("--base", type=_parse_rational, default=None)
+    p.add_argument("--ratio", type=as_rational, default=None)
+    p.add_argument("--base", type=as_rational, default=None)
     p.add_argument("--y", default="1/2")
     p.add_argument("--N", type=int, default=100, dest="n")
     p.add_argument("--bits", type=int, default=1100)
     p.add_argument("--f", default="-2,1")
     p.add_argument("--max-deg", type=int, default=4, dest="max_deg")
-    p.add_argument("--step", type=_parse_rational, default=Fraction(1, 16))
-    p.add_argument("--bound", type=_parse_rational, default=Fraction(1))
+    p.add_argument("--step", type=as_rational, default=Fraction(1, 16))
+    p.add_argument("--bound", type=as_rational, default=Fraction(1))
     p.set_defaults(func=_cmd_probe)
 
     r = sub.add_parser("report", help="aggregate artifact files")
@@ -572,7 +551,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _apply_config(args, argv: Sequence[str]) -> None:
+def _apply_config(parser, args, argv: Sequence[str]) -> None:
     if not args.config:
         return
     overrides = {}
@@ -588,21 +567,31 @@ def _apply_config(args, argv: Sequence[str]) -> None:
         for a in argv
         if a.startswith("--")
     }
-    casts = {
-        "seed": int, "levels": int, "window": int, "m": int, "n": int,
-        "nmax": int, "nmax_cap": int, "depth": int, "count": int,
-        "samples": int, "bits": int, "max_deg": int, "max_components": int,
-        "grid": _parse_grid, "x_range": _parse_range, "y_range": _parse_range,
-        "b_range": _parse_range, "lambda_range": _parse_range, "t_range": _parse_range,
-        "n_range": _parse_int_range, "l_range": _parse_int_range,
-        "p": as_rational, "step": as_rational, "bound": as_rational,
-        "ratio": as_rational, "base": as_rational,
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    actions = {
+        a.dest: a
+        for a in commands.choices[args.command]._actions
+        if a.option_strings and hasattr(args, a.dest)
     }
-    for key, value in overrides.items():
-        if key in explicit or not hasattr(args, key):
+    for key, text in overrides.items():
+        if key not in actions or key in explicit:
             continue
-        cast = casts.get(key, str)
-        setattr(args, key, cast(value))
+        try:
+            setattr(args, key, _config_value(actions[key], text))
+        except (ValueError, argparse.ArgumentTypeError) as exc:
+            raise ErdosAvoidError(f"config key {key!r}: bad value {text!r} ({exc})") from exc
+
+
+def _config_value(action: argparse.Action, text: str):
+    """Parse a config value the way its command-line flag would be parsed."""
+    if action.nargs == 0:  # a store_true flag
+        if text.lower() not in ("true", "false"):
+            raise ValueError("expected true or false")
+        return text.lower() == "true"
+    value = action.type(text) if action.type else text
+    if action.choices is not None and value not in action.choices:
+        raise ValueError(f"expected one of {', '.join(action.choices)}")
+    return value
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -610,7 +599,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        _apply_config(args, argv)
+        _apply_config(parser, args, argv)
         return args.func(args)
     except ErdosAvoidError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -32,16 +32,14 @@ def _iroot(n: int, k: int) -> int:
         raise InvalidParameterError("integer root of a negative number")
     if n == 0:
         return 0
-    if k == 1:
-        return n
-    if k == 2:
-        return math.isqrt(n)
-    r = int(round(n ** (1.0 / k)))
-    while r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
+    # Newton's step on integers decreases strictly from any start at or
+    # above the root until it reaches the floor root
+    r = 1 << -(-n.bit_length() // k)
+    while True:
+        s = ((k - 1) * r + n // r ** (k - 1)) // k
+        if s >= r:
+            return r
+        r = s
 
 
 def root_enclosure(q: RationalLike, k: int, bits: int = 64) -> Interval:

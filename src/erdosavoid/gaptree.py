@@ -90,10 +90,6 @@ class GapTree:
     def is_leaf(self) -> bool:
         return self.gap is None
 
-    @property
-    def hull(self) -> Interval:
-        return self.interval
-
     def min_depth(self) -> int:
         """Number of complete split levels below this node."""
         if self.is_leaf:
@@ -119,9 +115,6 @@ class GapTree:
                 )
             gaps.append(node.gap)
         return gaps
-
-    def contains_point_at_level(self, x: RationalLike, level: int) -> bool:
-        return to_interval_set(self, level).contains(as_rational(x))
 
 
 def from_middle_ratio(
@@ -242,11 +235,6 @@ def affine_tree(tree: GapTree, lam: RationalLike, t: RationalLike) -> GapTree:
         return GapTree(iv, gap, left, right, self_similar=node.self_similar)
 
     return rec(tree)
-
-
-def largest_gap(tree: GapTree) -> Optional[Interval]:
-    """Largest recorded gap (the root gap, by construction)."""
-    return tree.gap
 
 
 def tree_to_json(tree: GapTree) -> dict:

@@ -14,7 +14,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterable, Iterator, Optional, Sequence
 
-from .errors import DegenerateMapError, MalformedIntervalError, SchemaError
+from .errors import (
+    DegenerateMapError,
+    InvalidParameterError,
+    MalformedIntervalError,
+    SchemaError,
+)
 from .rationals import RationalLike, as_rational, format_rational
 
 
@@ -54,11 +59,6 @@ class Interval:
     def intersects(self, other: "Interval") -> bool:
         return self.lo <= other.hi and other.lo <= self.hi
 
-    def intersect(self, other: "Interval") -> Optional["Interval"]:
-        lo = max(self.lo, other.lo)
-        hi = min(self.hi, other.hi)
-        return Interval(lo, hi) if lo <= hi else None
-
     def translate(self, t: RationalLike) -> "Interval":
         t = as_rational(t)
         return Interval(self.lo + t, self.hi + t)
@@ -86,10 +86,6 @@ class Gap:
 
     lo: Optional[Fraction]
     hi: Optional[Fraction]
-
-    @property
-    def is_bounded(self) -> bool:
-        return self.lo is not None and self.hi is not None
 
     def strictly_contains(self, iv: Interval) -> bool:
         if self.lo is not None and not (self.lo < iv.lo):
@@ -149,12 +145,6 @@ class IntervalSet:
 
     def __repr__(self) -> str:
         return "IntervalSet([" + ", ".join(str(iv) for iv in self.intervals) + "])"
-
-    @property
-    def hull(self) -> Optional[Interval]:
-        if not self.intervals:
-            return None
-        return Interval(self.intervals[0].lo, self.intervals[-1].hi)
 
     def measure(self) -> Fraction:
         return sum((iv.length for iv in self.intervals), Fraction(0))
@@ -265,21 +255,6 @@ class IntervalSet:
             mapped.reverse()
         return IntervalSet(mapped, _canonical=True)
 
-    def distance_to_point(self, x: RationalLike) -> Fraction:
-        x = as_rational(x)
-        if self.contains(x):
-            return Fraction(0)
-        best = None
-        i = bisect_right(self._los, x) - 1
-        for k in (i, i + 1):
-            if 0 <= k < len(self.intervals):
-                iv = self.intervals[k]
-                d = max(iv.lo - x, x - iv.hi, Fraction(0))
-                best = d if best is None else min(best, d)
-        if best is None:
-            raise MalformedIntervalError("distance to empty set is undefined")
-        return best
-
     def to_json(self) -> dict:
         return {
             "intervals": [
@@ -323,31 +298,6 @@ def _normalize_intervals(items: Sequence[Interval]) -> tuple[Interval, ...]:
     return tuple(out)
 
 
-def normalize(raw: Iterable[Interval]) -> IntervalSet:
-    """Canonicalize an arbitrary list of closed intervals."""
-    return IntervalSet(raw)
-
-
-def measure(s: IntervalSet) -> Fraction:
-    return s.measure()
-
-
-def set_ops(a: IntervalSet, b: IntervalSet, op: str) -> IntervalSet:
-    """Pointwise union / intersection / difference with closed semantics."""
-    if op == "union":
-        return a.union(b)
-    if op == "intersection":
-        return a.intersection(b)
-    if op == "difference":
-        return a.difference(b)
-    raise SchemaError(f"unknown set operation {op!r}")
-
-
-def affine_image(s: IntervalSet, lam: RationalLike, t: RationalLike) -> IntervalSet:
-    """Image set lam*S + t; measure scales by |lam| exactly."""
-    return s.affine(lam, t)
-
-
 @dataclass(frozen=True)
 class ParamBox:
     """Rational rectangle of affine parameters; the scale range avoids 0."""
@@ -364,10 +314,6 @@ class ParamBox:
             for b in (self.t.lo, self.t.hi):
                 yield a, b
 
-    @property
-    def is_point(self) -> bool:
-        return self.lam.lo == self.lam.hi and self.t.lo == self.t.hi
-
     def to_json(self) -> dict:
         return {
             "lambda": [format_rational(self.lam.lo), format_rational(self.lam.hi)],
@@ -381,3 +327,40 @@ def box_image(x: RationalLike, box: ParamBox) -> Interval:
     lo = min(box.lam.lo * x, box.lam.hi * x) + box.t.lo
     hi = max(box.lam.lo * x, box.lam.hi * x) + box.t.hi
     return Interval(lo, hi)
+
+
+@dataclass(frozen=True)
+class Grid:
+    """A rectangle cut into x_cells by y_cells closed cells.
+
+    Cells are numbered row-major with the second axis fastest: cell
+    `box_id` sits at (i, j) = divmod(box_id, y_cells).
+    """
+
+    x_range: Interval
+    y_range: Interval
+    x_cells: int
+    y_cells: int
+
+    def __post_init__(self):
+        if self.x_cells < 1 or self.y_cells < 1:
+            raise InvalidParameterError(
+                f"a grid needs at least one cell per axis, got {self.x_cells}x{self.y_cells}"
+            )
+
+    def __len__(self) -> int:
+        return self.x_cells * self.y_cells
+
+    def __iter__(self) -> Iterator[tuple[Interval, Interval]]:
+        return map(self.cell, range(len(self)))
+
+    def cell(self, box_id: int) -> tuple[Interval, Interval]:
+        i, j = divmod(box_id, self.y_cells)
+        return (
+            _grid_slice(self.x_range, i, self.x_cells),
+            _grid_slice(self.y_range, j, self.y_cells),
+        )
+
+
+def _grid_slice(r: Interval, i: int, cells: int) -> Interval:
+    return Interval(r.lo + r.length * Fraction(i, cells), r.lo + r.length * Fraction(i + 1, cells))

@@ -31,7 +31,7 @@ from .errors import (
     PrecisionError,
     ResourceLimitError,
 )
-from .intervals import Interval, IntervalSet
+from .intervals import Grid, Interval, IntervalSet
 from .rationals import (
     RationalLike,
     as_rational,
@@ -75,13 +75,6 @@ class DigitSchedule:
 
     def prefix(self, count: int) -> list[int]:
         return [self.digit(i) for i in range(count)]
-
-    def block_of(self, i: int) -> int:
-        c = self.m - 1
-        r = 1
-        while c * r * (r + 1) // 2 <= i:
-            r += 1
-        return r
 
 
 # ---------------------------------------------------------------------------
@@ -319,10 +312,6 @@ class LinearEscapeCertificate:
         }
 
 
-def _digit_of(gen: DigitGenerator, k: int) -> int:
-    return gen.removed_digits(k)[0]
-
-
 def point_escape_index(
     e: PLargeSet, x: RationalLike, y: RationalLike, n_max: int
 ) -> Optional[int]:
@@ -336,29 +325,38 @@ def point_escape_index(
     if not isinstance(gen, DigitGenerator):
         raise InvalidParameterError("point escape needs a digit-style set")
     x, y = as_rational(x), as_rational(y)
-    m = gen.m
     den = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
     ax = x.numerator * (den // x.denominator)
     ay = y.numerator * (den // y.denominator)
     guard = e.guard
     for n in range(1, n_max + 1):
-        t = ax + n * ay
-        k, r = divmod(t, den)
+        k, r = divmod(ax + n * ay, den)
         if abs(k) > guard:
             raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
-        if r == 0:
-            # offset 1 in cell k-1 is always removed; cell k needs digit 0
-            if _digit_of(gen, k) == 0:
-                return n
-            continue
-        rm = r * m
-        j = rm // den
-        removed = (_digit_of(gen, k), m - 1)
-        if j in removed:
-            return n
-        if rm % den == 0 and (j - 1) in removed:
+        if _offset_escapes(gen, k, r, den):
             return n
     return None
+
+
+def _offset_escapes(gen: DigitGenerator, k: int, r: int, den: int) -> bool:
+    """Whether the point k + r/den, with 0 <= r < den, lies in a closed
+    removed part of every cell containing it."""
+    digit = gen.removed_digits(k)[0]
+    if r == 0:
+        # offset 1 in cell k-1 is always removed; cell k needs digit 0
+        return digit == 0
+    m = gen.m
+    rm = r * m
+    j = rm // den
+    if j == digit or j == m - 1:
+        return True
+    # on the boundary of parts j-1 and j; part j-1 is never the top one
+    return rm % den == 0 and j - 1 == digit
+
+
+def _point_escapes_digit(e: PLargeSet, s: Fraction) -> bool:
+    k, r = divmod(s.numerator, s.denominator)
+    return _offset_escapes(e.generator, k, r, s.denominator)
 
 
 def certify_linear_escape(
@@ -390,7 +388,6 @@ def certify_linear_escape(
         if n is None:
             return LinearEscapeCertificate(x_box, y_box, "inconclusive")
         return LinearEscapeCertificate(x_box, y_box, "certified", n, "point")
-    m = gen.m
     for n in range(1, n_max + 1):
         img = Interval(x_box.lo + n * y_box.lo, x_box.hi + n * y_box.hi)
         k_lo = floor_rational(img.lo)
@@ -458,21 +455,22 @@ def sweep_linear_escape(
     """Grid sweep with per-box adaptive depth (doubling up to the cap)."""
     if y_range.lo <= 0:
         raise InvalidParameterError("step range must be strictly positive")
-    out = []
-    for i in range(x_cells):
-        x_lo = x_range.lo + x_range.length * Fraction(i, x_cells)
-        x_hi = x_range.lo + x_range.length * Fraction(i + 1, x_cells)
-        for j in range(y_cells):
-            y_lo = y_range.lo + y_range.length * Fraction(j, y_cells)
-            y_hi = y_range.lo + y_range.length * Fraction(j + 1, y_cells)
-            box_x, box_y = Interval(x_lo, x_hi), Interval(y_lo, y_hi)
-            n_max = n_max_start
-            cert = certify_linear_escape(e, box_x, box_y, n_max)
-            while cert.status != "certified" and n_max < n_max_cap:
-                n_max = min(2 * n_max, n_max_cap)
-                cert = certify_linear_escape(e, box_x, box_y, n_max)
-            out.append(cert)
-    return out
+    return [
+        certify_linear_escape_to_cap(e, box_x, box_y, n_max_start, n_max_cap)
+        for box_x, box_y in Grid(x_range, y_range, x_cells, y_cells)
+    ]
+
+
+def certify_linear_escape_to_cap(
+    e: PLargeSet, x_box: Interval, y_box: Interval, n_max: int, n_max_cap: int
+) -> LinearEscapeCertificate:
+    """certify_linear_escape with n_max doubled, up to the cap, until the
+    box certifies."""
+    cert = certify_linear_escape(e, x_box, y_box, n_max)
+    while cert.status != "certified" and n_max < n_max_cap:
+        n_max = min(2 * n_max, n_max_cap)
+        cert = certify_linear_escape(e, x_box, y_box, n_max)
+    return cert
 
 
 # ---------------------------------------------------------------------------
@@ -545,22 +543,8 @@ def countable_dilation_avoider(
 def _seq_escape_index(
     e: PLargeSet, x: Fraction, y: Fraction, seq: SequenceSpec, n_max: int
 ) -> Optional[int]:
-    gen = e.generator
-    m = gen.m
     for n in range(1, n_max + 1):
-        t = x + y * seq.term(n)
-        k = floor_rational(t)
-        r = t - k
-        if r == 0:
-            if _digit_of(gen, k) == 0:
-                return n
-            continue
-        jm = r * m
-        j = floor_rational(jm)
-        removed = (_digit_of(gen, k), m - 1)
-        if j in removed:
-            return n
-        if jm.denominator == 1 and (j - 1) in removed:
+        if _point_escapes_digit(e, x + y * seq.term(n)):
             return n
     return None
 
@@ -883,21 +867,6 @@ def geometric_escape_via_log(
     return LogEscapeCertificate(y_box, b_box, "inconclusive")
 
 
-def _point_escapes_digit(e: PLargeSet, s: Fraction) -> bool:
-    gen = e.generator
-    m = gen.m
-    k = floor_rational(s)
-    r = s - k
-    if r == 0:
-        return _digit_of(gen, k) == 0
-    jm = r * m
-    j = floor_rational(jm)
-    removed = (_digit_of(gen, k), m - 1)
-    if j in removed:
-        return True
-    return jm.denominator == 1 and (j - 1) in removed
-
-
 def _interval_avoids(e: PLargeSet, s: Interval) -> bool:
     """Every point of s lies in closed removed parts of all its cells.
 
@@ -941,31 +910,23 @@ def sweep_log_escape(
         raise InvalidParameterError(f"unknown sweep mode {mode!r}")
     certs = []
     first_pass = 0
-    for i in range(y_cells):
-        y_lo = y_range.lo + y_range.length * Fraction(i, y_cells)
-        y_hi = y_range.lo + y_range.length * Fraction(i + 1, y_cells)
-        for j in range(b_cells):
-            b_lo = b_range.lo + b_range.length * Fraction(j, b_cells)
-            b_hi = b_range.lo + b_range.length * Fraction(j + 1, b_cells)
-            if mode == "points":
-                ym = (y_lo + y_hi) / 2
-                bm = (b_lo + b_hi) / 2
-                y_box, b_box = Interval(ym, ym), Interval(bm, bm)
-            else:
-                y_box, b_box = Interval(y_lo, y_hi), Interval(b_lo, b_hi)
-            cert = geometric_escape_via_log(f_set, y_box, b_box, n_max, bits=bits)
+    for y_box, b_box in Grid(y_range, b_range, y_cells, b_cells):
+        if mode == "points":
+            ym, bm = y_box.midpoint, b_box.midpoint
+            y_box, b_box = Interval(ym, ym), Interval(bm, bm)
+        cert = geometric_escape_via_log(f_set, y_box, b_box, n_max, bits=bits)
+        if cert.status == "certified":
+            first_pass += 1
+        else:
+            split = refine if mode == "cells" else 0
+            cert = geometric_escape_via_log(
+                f_set, y_box, b_box, n_max, bits=bits + 32, refine=split
+            )
             if cert.status == "certified":
-                first_pass += 1
-            else:
-                split = refine if mode == "cells" else 0
-                cert = geometric_escape_via_log(
-                    f_set, y_box, b_box, n_max, bits=bits + 32, refine=split
+                cert = LogEscapeCertificate(
+                    y_box, b_box, "certified", cert.witness_index, cert.route, True
                 )
-                if cert.status == "certified":
-                    cert = LogEscapeCertificate(
-                        y_box, b_box, "certified", cert.witness_index, cert.route, True
-                    )
-            certs.append(cert)
+        certs.append(cert)
     certified = sum(c.status == "certified" for c in certs)
     stats = {
         "boxes": len(certs),

@@ -11,8 +11,6 @@ from typing import Union
 
 from .errors import SchemaError
 
-Rational = Fraction
-
 RationalLike = Union[Fraction, int, str]
 
 
@@ -51,7 +49,3 @@ def ceil_rational(q: Fraction) -> int:
 def frac_part(q: Fraction) -> Fraction:
     """Fractional part in [0, 1)."""
     return q - floor_rational(q)
-
-
-def is_integral(q: Fraction) -> bool:
-    return q.denominator == 1

@@ -66,15 +66,9 @@ class SequenceSpec:
         t = self.term(n)
         return Interval(t, t)
 
-    def terms(self, count: int, start: int = 1) -> list[Fraction]:
-        return [self.term(n) for n in range(start, start + count)]
-
     def diff(self, n: int) -> Fraction:
         """a_n - a_{n+1} for down sequences (positive by monotonicity)."""
         return self.term(n) - self.term(n + 1)
-
-    def max_index(self) -> Optional[int]:
-        return self.length
 
     def sup_tail_difference(self, n: int) -> Fraction:
         """Exact sup over p >= n of a_p - a_{p+1}.

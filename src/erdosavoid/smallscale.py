@@ -25,7 +25,7 @@ from .errors import (
     NeedsLongerWindowError,
     ResourceLimitError,
 )
-from .intervals import Gap, Interval, IntervalSet, ParamBox, box_image
+from .intervals import Gap, Grid, Interval, IntervalSet, ParamBox, box_image
 from .rationals import RationalLike, as_rational, ceil_rational, format_rational
 from .sequences import DOWN, SequenceSpec
 
@@ -349,15 +349,7 @@ def grid_boxes(
     lam_range: Interval, t_range: Interval, lam_cells: int, t_cells: int
 ) -> list[ParamBox]:
     """Closed cell decomposition of a parameter rectangle."""
-    boxes = []
-    for i in range(lam_cells):
-        lam_lo = lam_range.lo + lam_range.length * Fraction(i, lam_cells)
-        lam_hi = lam_range.lo + lam_range.length * Fraction(i + 1, lam_cells)
-        for j in range(t_cells):
-            t_lo = t_range.lo + t_range.length * Fraction(j, t_cells)
-            t_hi = t_range.lo + t_range.length * Fraction(j + 1, t_cells)
-            boxes.append(ParamBox(Interval(lam_lo, lam_hi), Interval(t_lo, t_hi)))
-    return boxes
+    return [ParamBox(lam, t) for lam, t in Grid(lam_range, t_range, lam_cells, t_cells)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,12 @@ import json
 import os
 from fractions import Fraction
 
-from erdosavoid.cli import main
+import pytest
+
+from erdosavoid import largescale
+from erdosavoid.cli import _workers, main
+from erdosavoid.errors import InvalidParameterError
+from erdosavoid.intervals import Interval
 
 F = Fraction
 
@@ -205,3 +210,53 @@ def test_report_two_disjoint_sweeps_additive(tmp_path):
     obj = json.loads(read(rep))
     assert obj["rows"] == 4 + 6
     assert obj["certified"] == sum(f["certified"] for f in obj["files"])
+
+
+def test_config_store_true_flag_parses_true_and_false(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_validate(e, cert, samples=100, seed=0):
+        calls.append(seed)
+        return True
+
+    monkeypatch.setattr(largescale, "validate_linear_escape", fake_validate)
+    cfg = tmp_path / "cfg"
+    argv = ["--config", str(cfg), "certify", "digit-avoider", "--grid", "2x2", "--Nmax", "32"]
+    cfg.write_text("validate = false\n")
+    assert main(argv) == 0
+    assert calls == []
+    cfg.write_text("validate = true\n")
+    assert main(argv) == 0
+    assert len(calls) == 4
+    cfg.write_text("validate = maybe\n")
+    assert main(argv) == 1
+
+
+def test_config_values_take_the_flag_type(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    cfg.write_text("ratio_n = 2\n")
+    assert main(["--config", str(cfg), "construct", "middle-cantor", "--depth", "3"]) == 0
+    from_config = capsys.readouterr().out
+    assert main(["construct", "middle-cantor", "--depth", "3", "--ratio-n", "2"]) == 0
+    assert from_config == capsys.readouterr().out
+    cfg.write_text("ratio_n = two\n")
+    assert main(["--config", str(cfg), "construct", "middle-cantor"]) == 1
+
+
+def test_empty_grid_is_rejected(tmp_path):
+    out = tmp_path / "sweep.csv"
+    code = main(["certify", "digit-avoider", "--grid", "0x5", "--out", str(out)])
+    assert code == 1
+    assert not out.exists()
+    assert not os.path.exists(str(out) + ".partial")
+    e = largescale.digit_avoider(4, 8)
+    with pytest.raises(InvalidParameterError):
+        largescale.sweep_linear_escape(e, Interval(F(0), F(1)), Interval(F(1), F(2)), 3, 0)
+
+
+def test_workers_capped_at_cpu_count(monkeypatch):
+    # _workers only reads the variable; no pool is started here
+    monkeypatch.setenv("ERDOSAVOID_WORKERS", "100000")
+    assert _workers() == (os.cpu_count() or 1)
+    monkeypatch.setenv("ERDOSAVOID_WORKERS", "0")
+    assert _workers() == 1

@@ -1,8 +1,12 @@
+import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from erdosavoid.enclosures import (
+    _iroot,
     ln2_enclosure,
     ln_enclosure,
     ln_interval,
@@ -82,3 +86,24 @@ def test_domain_errors():
         sqrt_enclosure(F(-1), 32)
     with pytest.raises(InvalidParameterError):
         ln_interval(ivl(0, 1), 32)
+
+
+def test_root_enclosure_high_precision_returns_quickly():
+    # a float-seeded root search hangs at 96 bits and overflows at 400
+    for bits in (96, 400):
+        start = time.perf_counter()
+        enc = root_enclosure(F(2), 3, bits)
+        assert time.perf_counter() - start < 1
+        assert enc.lo**3 <= 2 <= enc.hi**3
+        assert enc.hi - enc.lo == F(1, 2**bits)
+
+
+@settings(max_examples=300, deadline=None)
+@given(n=st.integers(0, 2**1500), k=st.integers(1, 12))
+def test_integer_root_brackets(n, k):
+    r = _iroot(n, k)
+    assert r**k <= n < (r + 1) ** k
+    # a perfect power and its predecessor sit on either side of a root step
+    p = (r + 1) ** k
+    assert _iroot(p, k) == r + 1
+    assert _iroot(p - 1, k) == r

@@ -14,7 +14,7 @@ from erdosavoid.gaptree import (
     tree_from_json,
     tree_to_json,
 )
-from erdosavoid.intervals import IntervalSet, ivl, measure
+from erdosavoid.intervals import IntervalSet, ivl
 from helpers import random_decreasing_gap_tree
 
 F = Fraction
@@ -38,7 +38,7 @@ def test_middle_ratio_piece_lengths():
 def test_level_measure_closed_form(n_ratio, depth):
     t = from_middle_ratio(n_ratio, depth, ivl(0, 1))
     for d in range(depth + 1):
-        got = measure(to_interval_set(t, d))
+        got = to_interval_set(t, d).measure()
         assert got == F(2 * n_ratio, 2 * n_ratio + 1) ** d
 
 

@@ -10,12 +10,8 @@ from erdosavoid.intervals import (
     Interval,
     IntervalSet,
     ParamBox,
-    affine_image,
     box_image,
     ivl,
-    measure,
-    normalize,
-    set_ops,
 )
 from helpers import brute_member, grid_points, random_interval_list
 
@@ -43,19 +39,19 @@ def test_malformed_interval_rejected():
 
 
 def test_normalize_empty():
-    assert normalize([]) == IntervalSet.empty()
-    assert measure(IntervalSet.empty()) == 0
+    assert IntervalSet([]) == IntervalSet.empty()
+    assert IntervalSet.empty().measure() == 0
 
 
 def test_normalize_touching_merge():
-    s = normalize([ivl(0, 1), ivl(1, 2)])
+    s = IntervalSet([ivl(0, 1), ivl(1, 2)])
     assert s == IntervalSet.of((0, 2))
 
 
 def test_normalize_matches_brute_force_membership():
     rng = random.Random(20240811)
     raw = random_interval_list(rng, 50)
-    s = normalize(raw)
+    s = IntervalSet(raw)
     for x in grid_points(0, 10, 1000):
         assert s.contains(x) == brute_member(raw, x)
     # canonical invariants
@@ -64,26 +60,26 @@ def test_normalize_matches_brute_force_membership():
 
 
 def test_measure_basics():
-    assert measure(IntervalSet.of((0, 1))) == 1
-    assert measure(IntervalSet.of((0, F(1, 4)), (F(1, 2), F(3, 4)))) == F(1, 2)
+    assert IntervalSet.of((0, 1)).measure() == 1
+    assert IntervalSet.of((0, F(1, 4)), (F(1, 2), F(3, 4))).measure() == F(1, 2)
 
 
 def test_intersection_example():
     a = IntervalSet.of((0, 1))
     b = IntervalSet.of((F(1, 2), 2))
-    assert set_ops(a, b, "intersection") == IntervalSet.of((F(1, 2), 1))
+    assert a.intersection(b) == IntervalSet.of((F(1, 2), 1))
 
 
 def test_difference_keeps_endpoints():
     a = IntervalSet.of((0, 1))
     b = IntervalSet.of((F(1, 3), F(2, 3)))
-    assert set_ops(a, b, "difference") == IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
+    assert a.difference(b) == IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
 
 
 def test_difference_degenerate_points():
     a = IntervalSet.of((0, 0), (1, 2))
     b = IntervalSet.of((0, 0), (F(3, 2), F(3, 2)))
-    d = set_ops(a, b, "difference")
+    d = a.difference(b)
     # the isolated point is removed; the interior cut keeps its endpoints
     assert d == IntervalSet.of((1, 2))
 
@@ -93,9 +89,9 @@ def test_set_ops_against_grid_oracle():
     for _ in range(20):
         raw_a = random_interval_list(rng, 8)
         raw_b = random_interval_list(rng, 8)
-        a, b = normalize(raw_a), normalize(raw_b)
-        u = set_ops(a, b, "union")
-        i = set_ops(a, b, "intersection")
+        a, b = IntervalSet(raw_a), IntervalSet(raw_b)
+        u = a.union(b)
+        i = a.intersection(b)
         for x in grid_points(0, 10, 500):
             ma, mb = brute_member(raw_a, x), brute_member(raw_b, x)
             assert u.contains(x) == (ma or mb)
@@ -106,29 +102,29 @@ def test_set_ops_against_grid_oracle():
 @given(intervals_strategy(), intervals_strategy())
 def test_inclusion_exclusion_identity(raw_a, raw_b):
     a, b = IntervalSet(raw_a), IntervalSet(raw_b)
-    lhs = measure(a.union(b)) + measure(a.intersection(b))
-    assert lhs == measure(a) + measure(b)
+    lhs = a.union(b).measure() + a.intersection(b).measure()
+    assert lhs == a.measure() + b.measure()
 
 
 @settings(max_examples=100, deadline=None)
 @given(intervals_strategy())
 def test_measure_zero_iff_points(raw):
     s = IntervalSet(raw)
-    assert (measure(s) == 0) == all(iv.lo == iv.hi for iv in s.intervals)
+    assert (s.measure() == 0) == all(iv.lo == iv.hi for iv in s.intervals)
 
 
 def test_affine_identity_and_reflection():
     s = IntervalSet.of((0, 1), (2, 3))
-    assert affine_image(s, 1, 0) == s
-    assert affine_image(IntervalSet.of((0, 1)), -1, 0) == IntervalSet.of((-1, 0))
+    assert s.affine(1, 0) == s
+    assert IntervalSet.of((0, 1)).affine(-1, 0) == IntervalSet.of((-1, 0))
 
 
 def test_affine_measure_scaling():
     s = IntervalSet.of((0, F(1, 3)), (F(1, 2), 1))
-    img = affine_image(s, F(3, 2), -7)
-    assert measure(img) == F(3, 2) * measure(s)
+    img = s.affine(F(3, 2), -7)
+    assert img.measure() == F(3, 2) * s.measure()
     with pytest.raises(DegenerateMapError):
-        affine_image(s, 0, 0)
+        s.affine(0, 0)
 
 
 @settings(max_examples=150, deadline=None)
@@ -141,8 +137,8 @@ def test_affine_measure_scaling():
 )
 def test_affine_group_action(raw, l1, t1, l2, t2):
     s = IntervalSet(raw)
-    once = affine_image(affine_image(s, l1, t1), l2, t2)
-    composed = affine_image(s, l2 * l1, l2 * t1 + t2)
+    once = s.affine(l1, t1).affine(l2, t2)
+    composed = s.affine(l2 * l1, l2 * t1 + t2)
     assert once == composed
 
 
@@ -192,7 +188,7 @@ def test_complement_components():
 def test_difference_measure_identity(raw_a, raw_b):
     a, b = IntervalSet(raw_a), IntervalSet(raw_b)
     # closures add only measure zero, so the identity is exact
-    assert measure(a.difference(b)) == measure(a) - measure(a.intersection(b))
+    assert a.difference(b).measure() == a.measure() - a.intersection(b).measure()
 
 
 @settings(max_examples=150, deadline=None)
@@ -202,4 +198,4 @@ def test_difference_disjoint_from_interior(raw_a, raw_b):
     d = a.difference(b)
     # the difference never meets the open interior of the subtrahend
     inner = d.intersection(b)
-    assert measure(inner) == 0
+    assert inner.measure() == 0
