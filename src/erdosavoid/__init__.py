@@ -92,7 +92,6 @@ from .sumsets import (
     FrameCertifier,
     FrameTrace,
     build_dyadic_family,
-    certify_frame_intersection,
     escape_to_coverage_params,
     select_frame,
     set_distance,

@@ -115,6 +115,8 @@ def _workers() -> int:
 
 def _cmd_construct(args) -> int:
     obj = args.object
+    if args.window is None:  # a search window, or the number of cells to build
+        args.window = 1_000_000 if obj == "sublacunary-avoider" else 64
     if obj == "sublacunary-avoider":
         seq = _sequence_from_args(args)
         result = smallscale.build_sublacunary_avoider(seq, args.levels, args.window)
@@ -209,11 +211,28 @@ _DIGIT_FIELDS = [
 ]
 
 
-def _load_resume_rows(path: str) -> dict[int, dict]:
+def _load_resume_rows(path: str, grid: Grid) -> dict[int, dict]:
+    """Rows of an earlier run of this sweep, by box id.  A row without the
+    sweep columns, or not matching its cell of `grid`, is refused."""
     if not os.path.exists(path):
         return {}
+    rows = {}
     with open(path, newline="") as fh:
-        return {int(row["box_id"]): row for row in csv.DictReader(fh)}
+        for line, row in enumerate(csv.DictReader(fh), 2):
+            box = row.get("box_id") or ""
+            box_id = int(box) if box.isdecimal() else -1
+            ok = None not in map(row.get, _DIGIT_FIELDS) and 0 <= box_id < len(grid)
+            if ok:
+                bx, by = grid.cell(box_id)
+                cell = [format_rational(v) for v in (bx.lo, bx.hi, by.lo, by.hi)]
+                ok = [row[k] for k in ("x_lo", "x_hi", "y_lo", "y_hi")] == cell
+            if not ok:
+                raise ErdosAvoidError(
+                    f"{path}:{line}: not a row of this sweep (columns, grid or "
+                    "ranges differ); cannot resume"
+                )
+            rows[box_id] = row
+    return rows
 
 
 def _cmd_certify(args) -> int:
@@ -224,9 +243,9 @@ def _cmd_certify(args) -> int:
         journal = f"{args.out}.partial" if args.out else None
         done: dict[int, dict] = {}
         if args.resume and args.out:
-            done = _load_resume_rows(args.out)
+            done = _load_resume_rows(args.out, grid)
             if not done and journal:
-                done = _load_resume_rows(journal)
+                done = _load_resume_rows(journal, grid)
         todo = [b for b in range(total) if b not in done]
         window = args.window
         jobs = []
@@ -487,7 +506,7 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--ratio", type=as_rational, default=None)
     c.add_argument("--base", type=as_rational, default=None)
     c.add_argument("--levels", type=int, default=4)
-    c.add_argument("--window", type=int, default=1_000_000)
+    c.add_argument("--window", type=int, default=None)
     c.add_argument("--max-components", type=int, default=100_000)
     c.add_argument("--m", type=int, default=4)
     c.add_argument("--p", type=as_rational, default=Fraction(1, 2))

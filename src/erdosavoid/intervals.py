@@ -175,24 +175,17 @@ class IntervalSet:
 
     def find_gap_containing(self, iv: Interval) -> Optional[Gap]:
         """Complement component strictly containing iv, if any."""
-        if not self.intervals:
-            return Gap(None, None)
-        i = bisect_right(self._los, iv.lo) - 1
-        # candidate components around member i
-        for gap in self._components_near(i):
-            if gap.strictly_contains(iv):
-                return gap
-        return None
-
-    def _components_near(self, i: int) -> Iterator[Gap]:
         items = self.intervals
-        if i < 0:
-            yield Gap(None, items[0].lo)
-            return
-        if i + 1 < len(items):
-            yield Gap(items[i].hi, items[i + 1].lo)
-        else:
-            yield Gap(items[-1].hi, None)
+        if not items:
+            return Gap(None, None)
+        # the only candidate is the gap right of the last member starting
+        # at or before iv.lo
+        i = bisect_right(self._los, iv.lo) - 1
+        gap = Gap(
+            items[i].hi if i >= 0 else None,
+            items[i + 1].lo if i + 1 < len(items) else None,
+        )
+        return gap if gap.strictly_contains(iv) else None
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(tuple(self.intervals) + tuple(other.intervals))

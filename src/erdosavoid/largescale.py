@@ -21,7 +21,7 @@ import math
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from .enclosures import ln_interval
 from .errors import (
@@ -372,9 +372,10 @@ def certify_linear_escape(
       containment  some box image sits inside one open removed part,
                    so every trajectory in the box escapes at that step;
       width        the box image is at least one unit long and contains
-                   a whole removed part (the classical stretching
-                   argument); certificates on this route are backed by
-                   the sampling validator.
+                   a whole removed part: only some trajectory in the box
+                   is shown to meet it at step n.  Sampling such boxes
+                   (`validate_linear_escape`) is an audit, not evidence;
+                   ROADMAP.md item 2 replaces this route.
     """
     gen = e.generator
     if not isinstance(gen, DigitGenerator):
@@ -574,6 +575,25 @@ class Mod1Profile:
         }
 
 
+def _enclosure_fractions(
+    y: Interval, factors: Iterable[Union[int, Fraction]], hint: str = ""
+) -> tuple[list[Fraction], Fraction]:
+    """Midpoints of the fractional parts of y*a over the factors a (n = 1,
+    2, ...) and the widest width; PrecisionError if one straddles an integer."""
+    mids = []
+    max_width = Fraction(0)
+    for n, a in enumerate(factors, 1):
+        lo, hi = y.lo * a, y.hi * a
+        f = floor_rational(lo)
+        if f != floor_rational(hi):
+            raise PrecisionError(
+                f"enclosure too wide to resolve the fractional part at n = {n}{hint}"
+            )
+        mids.append((lo - f + hi - f) / 2)
+        max_width = max(max_width, hi - lo)
+    return mids, max_width
+
+
 def _circular_max_gap(fracs: list[Fraction]) -> Fraction:
     pts = sorted(set(fracs))
     if len(pts) == 1:
@@ -593,18 +613,9 @@ def density_mod1(
     if seq.direction != UP:
         raise InvalidParameterError("density probes take increasing sequences")
     if isinstance(y, Interval) and y.lo != y.hi:
-        mids = []
-        max_width = Fraction(0)
-        for n in range(1, count + 1):
-            a = seq.term(n)
-            lo, hi = y.lo * a, y.hi * a
-            if floor_rational(lo) != floor_rational(hi):
-                raise PrecisionError(
-                    f"enclosure too wide to resolve the fractional part at n = {n}"
-                )
-            f = floor_rational(lo)
-            mids.append((lo - f + hi - f) / 2)
-            max_width = max(max_width, hi - lo)
+        mids, max_width = _enclosure_fractions(
+            y, (seq.term(n) for n in range(1, count + 1))
+        )
         gap = _circular_max_gap(mids) + 2 * max_width
         return Mod1Profile(count, tuple(sorted(mids)), min(gap, Fraction(1)), True, max_width)
     yq = y.lo if isinstance(y, Interval) else as_rational(y)
@@ -645,18 +656,11 @@ def dubickas_gap_check(
     if isinstance(y, Interval) and y.lo != y.hi:
         if y.lo <= 0 <= y.hi:
             raise InvalidParameterError("dilate enclosure must exclude 0")
-        mids = []
-        max_width = Fraction(0)
-        for n in range(1, count + 1):
-            lo, hi = y.lo * 2**n, y.hi * 2**n
-            if floor_rational(lo) != floor_rational(hi):
-                raise PrecisionError(
-                    f"enclosure too wide to resolve the fractional part at n = {n}; "
-                    f"supply roughly {count + 60} bits"
-                )
-            f = floor_rational(lo)
-            mids.append((lo - f + hi - f) / 2)
-            max_width = max(max_width, hi - lo)
+        mids, max_width = _enclosure_fractions(
+            y,
+            (2**n for n in range(1, count + 1)),
+            f"; supply roughly {count + 60} bits",
+        )
         gap_ub = _circular_max_gap(mids) + 2 * max_width
         covering_lb = max(1 - gap_ub, Fraction(0))
         return ClusterCheck(count, covering_lb, True, excluded)

@@ -39,7 +39,8 @@ from .rationals import RationalLike, as_rational, format_rational
 
 
 class DyadicFamily:
-    """Lazily materialized members 2^n (K + l) of a middle-ratio base."""
+    """Members 2^n (K + l) of a middle-ratio base K; only K is stored and
+    members are its images under x -> 2^n x + 2^n l."""
 
     def __init__(
         self,
@@ -55,8 +56,6 @@ class DyadicFamily:
         self.n_range = n_range
         self.l_range = l_range
         self.base = from_middle_ratio(n_ratio, depth)
-        self._trees: dict[tuple[int, int], GapTree] = {}
-        self._sets: dict[tuple[int, int, int], IntervalSet] = {}
         self._union: dict[int, IntervalSet] = {}
 
     def frames(self) -> list[tuple[int, int]]:
@@ -74,26 +73,20 @@ class DyadicFamily:
         )
 
     def member(self, n: int, l: int) -> GapTree:
-        key = (n, l)
-        if key not in self._trees:
-            scale = Fraction(2) ** n
-            self._trees[key] = affine_tree(self.base, scale, scale * l)
-        return self._trees[key]
+        return affine_tree(self.base, *_frame_map(n, l))
 
     def member_set(self, n: int, l: int, level: Optional[int] = None) -> IntervalSet:
         level = self.depth if level is None else level
-        key = (n, l, level)
-        if key not in self._sets:
-            self._sets[key] = to_interval_set(self.member(n, l), level)
-        return self._sets[key]
+        return to_interval_set(self.base, level).affine(*_frame_map(n, l))
 
     def union_set(self, level: Optional[int] = None) -> IntervalSet:
+        """All members at a level, normalized once and cached per level."""
         level = self.depth if level is None else level
         if level not in self._union:
-            acc = IntervalSet.empty()
-            for n, l in self.frames():
-                acc = acc.union(self.member_set(n, l, level))
-            self._union[level] = acc
+            base = to_interval_set(self.base, level)
+            self._union[level] = IntervalSet(
+                iv for n, l in self.frames() for iv in base.affine(*_frame_map(n, l))
+            )
         return self._union[level]
 
     def level_measure(self, level: int) -> Fraction:
@@ -144,6 +137,12 @@ def _pow2(n: int) -> Fraction:
     return Fraction(2**n) if n >= 0 else Fraction(1, 2**-n)
 
 
+def _frame_map(n: int, l: int) -> tuple[Fraction, Fraction]:
+    """Scale and shift of the map x -> 2^n x + 2^n l onto frame (n, l)."""
+    scale = _pow2(n)
+    return scale, scale * l
+
+
 @dataclass(frozen=True)
 class FrameTrace:
     """Outcome of one framed intersection attempt."""
@@ -154,7 +153,6 @@ class FrameTrace:
     verdicts: tuple[GapLemmaVerdict, ...] = ()
     witness: Optional[Fraction] = None
     children: tuple["FrameTrace", ...] = ()
-    level_measure: Optional[Fraction] = None
 
     def to_json(self) -> dict:
         return {
@@ -167,17 +165,21 @@ class FrameTrace:
 
 
 class FrameCertifier:
-    """Reusable certifier for parameter sweeps.
+    """Reusable certifier for parameter sweeps, working on the base tree
+    of the family alone.
 
     Every member is an affine image of the family base and every check
-    commutes with affine maps, so the base analyses are computed once
-    and member quantities are produced by O(1) coordinate changes; no
-    member tree is materialized on the certification path.
+    commutes with affine maps, so the base analyses (thickness, gaps in
+    decreasing length, the deepest level both trees reach) are computed
+    once and member quantities are produced by O(1) coordinate changes.
+    No member tree or member level set is built on the certification
+    path.
     """
 
     def __init__(self, x_tree: GapTree, family: DyadicFamily):
         self.x_tree = x_tree
         self.family = family
+        self.max_depth = min(x_tree.min_depth(), family.depth)
         self.x_thick = thickness(x_tree)
         self.x_gaps_desc = sorted(
             _all_gaps(x_tree), key=lambda g: g.length, reverse=True
@@ -186,12 +188,6 @@ class FrameCertifier:
         self.base_gaps_desc = sorted(
             _all_gaps(family.base), key=lambda g: g.length, reverse=True
         )
-
-    @staticmethod
-    def _frame_map(frame: tuple[int, int]) -> tuple[Fraction, Fraction]:
-        n, l = frame
-        scale = _pow2(n)
-        return scale, scale * l
 
     def corner_verdict(
         self, frame: tuple[int, int], lam: Fraction, t: Fraction
@@ -205,7 +201,7 @@ class FrameCertifier:
         """
         if not thickness_product_at_least_one(self.x_thick, self.base_thick):
             return GapLemmaVerdict(False, REASON_THIN, self.x_thick, self.base_thick)
-        ms, mt = self._frame_map(frame)
+        ms, mt = _frame_map(*frame)
         hull1 = self.x_tree.interval.scale(lam).translate(t)
         hull2 = self.family.base.interval.scale(ms).translate(mt)
         for gap in self.base_gaps_desc:
@@ -228,22 +224,25 @@ class FrameCertifier:
     def find_common_point(
         self, lam: Fraction, t: Fraction, frame: tuple[int, int], depth: int
     ) -> Optional[Fraction]:
-        """Exact common point of the level sets of lam*X + t and the
-        framed member, by synchronized descent into overlapping node
-        pairs with both affine maps applied on the fly.
+        """Leftmost common point of the level sets of lam*X + t and the
+        framed member at `depth` (clamped to the depth both trees
+        reach), or None when the level sets are disjoint.
 
-        Equivalent to intersecting the full level sets but prunes
-        disjoint branches, so a hit normally costs O(depth) visits; a
-        visit budget falls back to the full intersection.
+        Synchronized descent through node pairs with both affine maps
+        applied on the fly; pairs whose hulls are disjoint are pruned.
+        The children of a node are disjoint and visited left to right
+        (the X children swap when lam < 0), so every common point under
+        an earlier pair lies left of every common point under a later
+        one, and the first hit is the leftmost point of the exact
+        level-set intersection.  At each level at most n_a + n_b - 1 of
+        the pairs overlap, n_a and n_b being the node counts there.
         """
-        depth = min(depth, self.x_tree.min_depth(), self.family.depth)
-        ms, mt = self._frame_map(frame)
-        budget = [16 * (depth + 1) ** 2]
+        if depth < 0:
+            raise InvalidParameterError("depth must be >= 0")
+        depth = min(depth, self.max_depth)
+        ms, mt = _frame_map(*frame)
 
         def dfs(a: GapTree, b: GapTree, d: int) -> Optional[Fraction]:
-            if budget[0] <= 0:
-                return None
-            budget[0] -= 1
             a_lo = lam * a.interval.lo + t
             a_hi = lam * a.interval.hi + t
             if lam < 0:
@@ -252,7 +251,7 @@ class FrameCertifier:
             b_hi = ms * b.interval.hi + mt
             if a_hi < b_lo or b_hi < a_lo:
                 return None
-            if d == depth or a.is_leaf or b.is_leaf:
+            if d == depth:
                 return max(a_lo, b_lo)
             for ac in (a.left, a.right) if lam > 0 else (a.right, a.left):
                 for bc in (b.left, b.right):
@@ -261,15 +260,18 @@ class FrameCertifier:
                         return hit
             return None
 
-        hit = dfs(self.x_tree, self.family.base, 0)
-        if hit is not None or budget[0] > 0:
-            return hit
-        x_set = to_interval_set(self.x_tree, depth).affine(lam, t)
-        m_set = self.family.member_set(*frame, level=depth)
-        common = x_set.intersection(m_set)
-        return common.intervals[0].lo if common else None
+        return dfs(self.x_tree, self.family.base, 0)
 
     def certify(self, box: ParamBox, depth: int, split_budget: int = 16) -> FrameTrace:
+        """Frame an affine copy of X against the family and try to meet it.
+
+        The frame must be constant on the box (the box splits automatically
+        up to a budget).  Gap-lemma applicability is checked at the four
+        corners, and a constructive common point is sought at the box
+        center by exact descent through the level sets.  Certified traces
+        carry an exact common point; applicable-but-unwitnessed means the
+        hypotheses hold but this depth exhibited no common component.
+        """
         corners = list(box.corners())
         frames = {select_frame(lam, t) for lam, t in corners}
         # the midpoint frame is tried first even when corners disagree:
@@ -278,10 +280,9 @@ class FrameCertifier:
         frame = select_frame(box.lam.midpoint, box.t.midpoint)
         if not self.family.in_range(frame):
             raise InvalidParameterError(
-                f"frame {frame} outside the materialized family ranges"
+                f"frame {frame} outside the family ranges"
             )
         verdicts = tuple(self.corner_verdict(frame, lam, t) for lam, t in corners)
-        level_measure = self.family.level_measure(depth)
         if not all(v.applicable for v in verdicts):
             if len(frames) > 1:
                 if split_budget <= 0:
@@ -309,38 +310,13 @@ class FrameCertifier:
                     else "split"
                 )
                 return FrameTrace(box, None, status, children=children)
-            return FrameTrace(
-                box, frame, "not_applicable", verdicts, level_measure=level_measure
-            )
+            return FrameTrace(box, frame, "not_applicable", verdicts)
         witness = self.find_common_point(
             box.lam.midpoint, box.t.midpoint, frame, depth
         )
         if witness is not None:
-            return FrameTrace(
-                box, frame, "certified", verdicts, witness, level_measure=level_measure
-            )
-        return FrameTrace(
-            box, frame, "applicable_unwitnessed", verdicts, level_measure=level_measure
-        )
-
-
-def certify_frame_intersection(
-    x_tree: GapTree,
-    family: DyadicFamily,
-    box: ParamBox,
-    depth: int,
-    split_budget: int = 16,
-) -> FrameTrace:
-    """Frame an affine copy of X against the family and try to meet it.
-
-    The frame must be constant on the box (the box splits automatically
-    up to a budget).  Gap-lemma applicability is checked at the four
-    corners, and a constructive common point is sought at the box
-    center by exact descent through the level sets.  Certified traces
-    carry an exact common point; applicable-but-unwitnessed means the
-    hypotheses hold but this depth exhibited no common component.
-    """
-    return FrameCertifier(x_tree, family).certify(box, depth, split_budget)
+            return FrameTrace(box, frame, "certified", verdicts, witness)
+        return FrameTrace(box, frame, "applicable_unwitnessed", verdicts)
 
 
 # ---------------------------------------------------------------------------

@@ -260,3 +260,42 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert _workers() == (os.cpu_count() or 1)
     monkeypatch.setenv("ERDOSAVOID_WORKERS", "0")
     assert _workers() == 1
+
+
+def _digit_sweep(out, grid, *extra):
+    return ["certify", "digit-avoider", "--m", "4", "--grid", grid,
+            "--Nmax", "32", "--out", str(out), *extra]
+
+
+def test_resume_refuses_a_foreign_csv(tmp_path):
+    out = tmp_path / "sweep.csv"
+    out.write_text("foo,bar\n1,2\n")
+    assert main(_digit_sweep(out, "2x2", "--resume")) == 1
+    assert out.read_text() == "foo,bar\n1,2\n"
+
+
+def test_resume_refuses_box_ids_outside_the_grid(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(_digit_sweep(out, "3x3")) == 0
+    finished = out.read_text()
+    assert main(_digit_sweep(out, "2x2", "--resume")) == 1
+    assert out.read_text() == finished
+
+
+def test_resume_refuses_rows_of_other_cells(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(_digit_sweep(out, "2x2")) == 0
+    finished = out.read_text()
+    # box ids 0-3 exist in both grids, but their cells differ
+    assert main(_digit_sweep(out, "3x3", "--y-range", "1:2", "--resume")) == 1
+    assert main(_digit_sweep(out, "2x2", "--y-range", "1:2", "--resume")) == 1
+    assert out.read_text() == finished
+    assert not os.path.exists(str(out) + ".partial")
+
+
+def test_construct_cell_object_default_window(tmp_path):
+    out = tmp_path / "digit.json"
+    assert main(["construct", "digit-avoider", "--out", str(out)]) == 0
+    obj = json.loads(out.read_text())
+    assert obj["window"] == 64
+    assert len(obj["cells"]) == 64

@@ -5,14 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_decreasing_gap_tree
+
 from erdosavoid.errors import InvalidParameterError
-from erdosavoid.gaptree import affine_tree, from_middle_ratio, thickness, to_interval_set
-from erdosavoid.intersect import check_gap_lemma
-from erdosavoid.intervals import ParamBox, ivl
+from erdosavoid.gaptree import (
+    affine_tree,
+    decompose,
+    from_middle_ratio,
+    thickness,
+    to_interval_set,
+)
+from erdosavoid.intersect import REASON_THIN, check_gap_lemma
+from erdosavoid.intervals import IntervalSet, ParamBox, ivl
 from erdosavoid.sumsets import (
     FrameCertifier,
     build_dyadic_family,
-    certify_frame_intersection,
     escape_to_coverage_params,
     select_frame,
     set_distance,
@@ -103,20 +110,71 @@ def test_sweep_all_applicable_and_witnessed():
 def test_frame_boundary_box_still_certifies():
     x = from_middle_ratio(2, 8)
     fam = build_dyadic_family(1, 8, (-3, 3), (-34, 34))
-    tr = certify_frame_intersection(
-        x, fam, ParamBox(ivl(F(3, 2), F(5, 2)), ivl(F(1, 4), F(1, 4))), 8
+    tr = FrameCertifier(x, fam).certify(
+        ParamBox(ivl(F(3, 2), F(5, 2)), ivl(F(1, 4), F(1, 4))), 8
     )
     assert tr.status == "certified"
 
 
-def test_thin_tree_not_applicable():
-    # thickness 1/3 against the unit family: product below one
+def test_unit_thickness_product_still_certifies():
+    # thickness 1 against the unit family: the product is exactly one
     x = from_middle_ratio(1, 4)
-    thin_fam = build_dyadic_family(1, 4, (-3, 3), (-34, 34))
-    certifier = FrameCertifier(x, thin_fam)
-    certifier.x_thick = thickness(from_middle_ratio(1, 1))  # keep real trees
-    tr = certifier.certify(ParamBox(ivl(1, 1), ivl(0, 0)), 4)
-    assert tr.status == "certified"  # product 1*1 >= 1 still applies
+    fam = build_dyadic_family(1, 4, (-3, 3), (-34, 34))
+    tr = FrameCertifier(x, fam).certify(ParamBox(ivl(1, 1), ivl(0, 0)), 4)
+    assert tr.status == "certified"
+
+
+def test_thin_tree_not_applicable():
+    # thickness 1/2 against the unit family: product below one
+    x = decompose(IntervalSet.of((0, 1), (3, 4)), 1)
+    assert thickness(x).value == F(1, 2)
+    fam = build_dyadic_family(1, 4, (-3, 3), (-34, 34))
+    certifier = FrameCertifier(x, fam)
+    lam, t = F(3, 4), F(1, 2)
+    tr = certifier.certify(ParamBox(ivl(lam, lam), ivl(t, t)), 4)
+    assert tr.status == "not_applicable"
+    assert tr.witness is None
+    assert len(tr.verdicts) == 4
+    assert all(v.reason == REASON_THIN for v in tr.verdicts)
+    generic = check_gap_lemma(affine_tree(x, lam, t), fam.member(*tr.frame))
+    assert not generic.applicable and generic.reason == REASON_THIN
+
+
+def _leftmost_common_point(x, fam, lam, t, frame, depth):
+    common = (
+        to_interval_set(x, depth)
+        .affine(lam, t)
+        .intersection(fam.member_set(*frame, level=depth))
+    )
+    return common.intervals[0].lo if common else None
+
+
+def test_common_point_is_leftmost_of_level_set_intersection():
+    rng = random.Random(41)
+    fam = build_dyadic_family(1, 6, (-2, 2), (-5, 4))
+    trees = [
+        from_middle_ratio(2, 6),
+        from_middle_ratio(1, 7),
+        random_decreasing_gap_tree(rng, 5, ivl(-1, 2)),
+    ]
+    hits = misses = 0
+    for x in trees:
+        certifier = FrameCertifier(x, fam)
+        reach = min(x.min_depth(), fam.depth)
+        for i in range(80):
+            lam = F(rng.randrange(8, 257), 64) * (1 if i % 2 else -1)
+            t = F(rng.randrange(-256, 257), 64)
+            frame = select_frame(lam, t)
+            if i % 4 >= 2 or not fam.in_range(frame):
+                frame = rng.choice(fam.frames())  # mostly frames that miss
+            depth = rng.randint(0, reach)
+            got = certifier.find_common_point(lam, t, frame, depth)
+            assert got == _leftmost_common_point(x, fam, lam, t, frame, depth)
+            hits += got is not None
+            misses += got is None
+    assert hits >= 60 and misses >= 60
+    with pytest.raises(InvalidParameterError):
+        certifier.find_common_point(F(1), F(0), (0, 0), -1)
 
 
 def test_coverage_probe_endpoint_target():
