@@ -124,10 +124,6 @@ class IntervalSet:
     def of(cls, *pairs: Sequence[RationalLike]) -> "IntervalSet":
         return cls(Interval(as_rational(a), as_rational(b)) for a, b in pairs)
 
-    @classmethod
-    def empty(cls) -> "IntervalSet":
-        return cls((), _canonical=True)
-
     def __iter__(self) -> Iterator[Interval]:
         return iter(self.intervals)
 
@@ -161,16 +157,6 @@ class IntervalSet:
         out = []
         for a, b in zip(self.intervals, self.intervals[1:]):
             out.append(Interval(a.hi, b.lo))
-        return out
-
-    def complement_components(self) -> list[Gap]:
-        """All complement components, the two unbounded rays included."""
-        if not self.intervals:
-            return [Gap(None, None)]
-        out = [Gap(None, self.intervals[0].lo)]
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            out.append(Gap(a.hi, b.lo))
-        out.append(Gap(self.intervals[-1].hi, None))
         return out
 
     def find_gap_containing(self, iv: Interval) -> Optional[Gap]:

@@ -115,13 +115,19 @@ class DigitGenerator:
         self.m = m
         self.tracks = tracks
         self.schedule = DigitSchedule(m)
+        self._digits: dict[int, int] = {}
 
-    def _schedule_index(self, k: int) -> int:
-        i = k // self.tracks
-        return i if i >= 0 else -i - 1
+    def scheduled_digit(self, k: int) -> int:
+        """The scheduled part removed from cell k, memoized per cell:
+        escape scans revisit the same few cells many times."""
+        digit = self._digits.get(k)
+        if digit is None:
+            i = k // self.tracks
+            digit = self._digits[k] = self.schedule.digit(i if i >= 0 else -i - 1)
+        return digit
 
     def removed_digits(self, k: int) -> tuple[int, int]:
-        return self.schedule.digit(self._schedule_index(k)), self.m - 1
+        return self.scheduled_digit(k), self.m - 1
 
     def removed_parts(self, k: int) -> list[Interval]:
         m = self.m
@@ -321,16 +327,31 @@ def point_escape_index(
     every cell containing it; integer points are checked against both
     neighboring cells.  Runs on plain integers.
     """
-    gen = e.generator
-    if not isinstance(gen, DigitGenerator):
-        raise InvalidParameterError("point escape needs a digit-style set")
+    gen = _digit_generator(e, "point escape")
     x, y = as_rational(x), as_rational(y)
     den = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
     ax = x.numerator * (den // x.denominator)
     ay = y.numerator * (den // y.denominator)
-    guard = e.guard
+    return _escape_index(gen, ax, ay, den, n_max, e.guard)
+
+
+def _digit_generator(e: PLargeSet, what: str) -> DigitGenerator:
+    gen = e.generator
+    if not isinstance(gen, DigitGenerator):
+        raise InvalidParameterError(f"{what} needs a digit-style set")
+    return gen
+
+
+def _escape_index(
+    gen: DigitGenerator, ax: int, ay: int, den: int, n_max: int, guard: int
+) -> Optional[int]:
+    """Least n <= n_max with (ax + n*ay)/den escaping: the one scan of
+    x + n*y.  `den` > 0 need not be the lowest common denominator, since
+    the escape test reads only the value of each point."""
+    s = ax
     for n in range(1, n_max + 1):
-        k, r = divmod(ax + n * ay, den)
+        s += ay
+        k, r = divmod(s, den)
         if abs(k) > guard:
             raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
         if _offset_escapes(gen, k, r, den):
@@ -341,7 +362,7 @@ def point_escape_index(
 def _offset_escapes(gen: DigitGenerator, k: int, r: int, den: int) -> bool:
     """Whether the point k + r/den, with 0 <= r < den, lies in a closed
     removed part of every cell containing it."""
-    digit = gen.removed_digits(k)[0]
+    digit = gen.scheduled_digit(k)
     if r == 0:
         # offset 1 in cell k-1 is always removed; cell k needs digit 0
         return digit == 0
@@ -376,10 +397,14 @@ def certify_linear_escape(
                    is shown to meet it at step n.  Sampling such boxes
                    (`validate_linear_escape`) is an audit, not evidence;
                    ROADMAP.md item 2 replaces this route.
+
+    The image of step n and the parts of every cell are compared as
+    integers over the common denominator L*m, where L is the lcm of the
+    box's four denominators: part t = k*m + j is [t*L, (t+1)*L].  Parts
+    are tried left to right, which is cell by cell and, within a cell,
+    the scheduled part before the top one.
     """
-    gen = e.generator
-    if not isinstance(gen, DigitGenerator):
-        raise InvalidParameterError("escape certification needs a digit-style set")
+    gen = _digit_generator(e, "escape certification")
     if x_box.lo < 0 or x_box.hi > 1:
         raise InvalidParameterError("offset box must sit inside [0, 1]")
     if y_box.lo <= 0:
@@ -389,27 +414,36 @@ def certify_linear_escape(
         if n is None:
             return LinearEscapeCertificate(x_box, y_box, "inconclusive")
         return LinearEscapeCertificate(x_box, y_box, "certified", n, "point")
+    ends = (x_box.lo, x_box.hi, y_box.lo, y_box.hi)
+    L = math.lcm(*(v.denominator for v in ends))
+    xl, xh, yl, yh = (v.numerator * (L // v.denominator) for v in ends)
+    m = gen.m
+    unit = L * m
+
+    def removed(t: int) -> bool:
+        k, j = divmod(t, m)
+        return j == m - 1 or j == gen.scheduled_digit(k)
+
+    def certificate(n: int, route: str, t: int) -> LinearEscapeCertificate:
+        k, j = divmod(t, m)
+        part = Interval(Fraction(j, m), Fraction(j + 1, m))
+        return LinearEscapeCertificate(x_box, y_box, "certified", n, route, k, part)
+
     for n in range(1, n_max + 1):
-        img = Interval(x_box.lo + n * y_box.lo, x_box.hi + n * y_box.hi)
-        k_lo = floor_rational(img.lo)
-        k_hi = floor_rational(img.hi)
-        if abs(k_hi) > e.guard:
+        lo = (xl + n * yl) * m  # the image of step n, in units of 1/(L*m)
+        hi = (xh + n * yh) * m
+        if abs(hi // unit) > e.guard:
             raise ResourceLimitError(f"image left the cell guard at n = {n}")
-        for k in range(k_lo, k_hi + 1):
-            for part in gen.removed_parts(k):
-                shifted = part.translate(k)
-                if shifted.lo < img.lo and img.hi < shifted.hi:
-                    return LinearEscapeCertificate(
-                        x_box, y_box, "certified", n, "containment", k, part
-                    )
-        if img.length >= 1:
-            for k in range(k_lo, k_hi + 1):
-                for part in gen.removed_parts(k):
-                    shifted = part.translate(k)
-                    if img.lo <= shifted.lo and shifted.hi <= img.hi:
-                        return LinearEscapeCertificate(
-                            x_box, y_box, "certified", n, "width", k, part
-                        )
+        # the only part that can hold the image in its interior
+        t, rest = divmod(lo, L)
+        if rest and hi < (t + 1) * L and removed(t):
+            return certificate(n, "containment", t)
+        if hi - lo >= unit:
+            t = -(-lo // L)  # leftmost part starting inside the image
+            while (t + 1) * L <= hi:
+                if removed(t):
+                    return certificate(n, "width", t)
+                t += 1
     return LinearEscapeCertificate(x_box, y_box, "inconclusive")
 
 
@@ -424,24 +458,35 @@ def validate_linear_escape(
 
     Samples are interior rationals; each must reach a removed part
     within the limit (default: generous multiple of the witness step).
+    Sample (a, b) is x = x_lo + wx*a/128, y = y_lo + wy*b/128, carried
+    as integer numerators over dx = 128*den(x_lo)*den(wx) and dy.
     """
+    if samples < 1:
+        raise InvalidParameterError("validation needs at least one sample")
     if cert.status != "certified":
         return True
+    gen = _digit_generator(e, "escape validation")
     if n_limit is None:
         n_limit = max(4096, 8 * (cert.witness_index or 1))
     rng = random.Random(seed)
-    wx = cert.x_box.length
-    wy = cert.y_box.length
+    x0, sx, dx = _sample_axis(cert.x_box)
+    y0, sy, dy = _sample_axis(cert.y_box)
+    den = dx * dy
     for _ in range(samples):
-        x = cert.x_box.lo + wx * Fraction(rng.randrange(1, 128), 128)
-        y = cert.y_box.lo + wy * Fraction(rng.randrange(1, 128), 128)
-        if wx == 0:
-            x = cert.x_box.lo
-        if wy == 0:
-            y = cert.y_box.lo
-        if point_escape_index(e, x, y, n_limit) is None:
+        a = rng.randrange(1, 128)
+        b = rng.randrange(1, 128)
+        ax = (x0 + a * sx) * dy
+        ay = (y0 + b * sy) * dx
+        if _escape_index(gen, ax, ay, den, n_limit, e.guard) is None:
             return False
     return True
+
+
+def _sample_axis(box: Interval) -> tuple[int, int, int]:
+    """(lo, step, den) with box.lo = lo/den and box.length/128 = step/den."""
+    lo, w = box.lo, box.length
+    den = 128 * lo.denominator * w.denominator
+    return lo.numerator * 128 * w.denominator, w.numerator * lo.denominator, den
 
 
 def sweep_linear_escape(
@@ -467,6 +512,8 @@ def certify_linear_escape_to_cap(
 ) -> LinearEscapeCertificate:
     """certify_linear_escape with n_max doubled, up to the cap, until the
     box certifies."""
+    if n_max < 1:
+        raise InvalidParameterError("the scan depth n_max must be at least 1")
     cert = certify_linear_escape(e, x_box, y_box, n_max)
     while cert.status != "certified" and n_max < n_max_cap:
         n_max = min(2 * n_max, n_max_cap)

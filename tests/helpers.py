@@ -10,8 +10,11 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
+from erdosavoid.errors import ResourceLimitError
 from erdosavoid.gaptree import GapTree
 from erdosavoid.intervals import Interval, IntervalSet
+from erdosavoid.largescale import LinearEscapeCertificate, _point_escapes_digit
+from erdosavoid.rationals import floor_rational
 
 
 def grid_points(lo, hi, steps=1000):
@@ -86,3 +89,65 @@ def random_interval_set(rng: random.Random, components: int, span=(0, 1)) -> Int
         if len(pieces) == components:
             break
     return IntervalSet(pieces)
+
+
+def reference_point_escape_index(e, x: Fraction, y: Fraction, n_max: int):
+    """First escape step of x + n*y, stepping a Fraction point by point.
+    The escape references below share only the single-point predicate
+    `_point_escapes_digit` and `removed_parts` with the library."""
+    for n in range(1, n_max + 1):
+        s = x + n * y
+        if abs(floor_rational(s)) > e.guard:
+            raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
+        if _point_escapes_digit(e, s):
+            return n
+    return None
+
+
+def reference_certify_linear_escape(e, x_box: Interval, y_box: Interval, n_max: int):
+    """Escape certificate by Interval images and the cells' removed parts,
+    in Fraction arithmetic throughout."""
+    if x_box.lo == x_box.hi and y_box.lo == y_box.hi:
+        n = reference_point_escape_index(e, x_box.lo, y_box.lo, n_max)
+        if n is None:
+            return LinearEscapeCertificate(x_box, y_box, "inconclusive")
+        return LinearEscapeCertificate(x_box, y_box, "certified", n, "point")
+    for n in range(1, n_max + 1):
+        img = Interval(x_box.lo + n * y_box.lo, x_box.hi + n * y_box.hi)
+        k_lo = floor_rational(img.lo)
+        k_hi = floor_rational(img.hi)
+        if abs(k_hi) > e.guard:
+            raise ResourceLimitError(f"image left the cell guard at n = {n}")
+        for k in range(k_lo, k_hi + 1):
+            for part in e.removed_parts(k):
+                shifted = part.translate(k)
+                if shifted.lo < img.lo and img.hi < shifted.hi:
+                    return LinearEscapeCertificate(
+                        x_box, y_box, "certified", n, "containment", k, part
+                    )
+        if img.length >= 1:
+            for k in range(k_lo, k_hi + 1):
+                for part in e.removed_parts(k):
+                    shifted = part.translate(k)
+                    if img.lo <= shifted.lo and shifted.hi <= img.hi:
+                        return LinearEscapeCertificate(
+                            x_box, y_box, "certified", n, "width", k, part
+                        )
+    return LinearEscapeCertificate(x_box, y_box, "inconclusive")
+
+
+def reference_validate_linear_escape(e, cert, samples=100, seed=0, n_limit=None):
+    """Sampling audit building one Fraction point per sample."""
+    if cert.status != "certified":
+        return True
+    if n_limit is None:
+        n_limit = max(4096, 8 * (cert.witness_index or 1))
+    rng = random.Random(seed)
+    wx = cert.x_box.length
+    wy = cert.y_box.length
+    for _ in range(samples):
+        x = cert.x_box.lo + wx * Fraction(rng.randrange(1, 128), 128)
+        y = cert.y_box.lo + wy * Fraction(rng.randrange(1, 128), 128)
+        if reference_point_escape_index(e, x, y, n_limit) is None:
+            return False
+    return True

@@ -299,3 +299,22 @@ def test_construct_cell_object_default_window(tmp_path):
     obj = json.loads(out.read_text())
     assert obj["window"] == 64
     assert len(obj["cells"]) == 64
+
+
+def test_scan_depth_below_one_exits_one(tmp_path):
+    # doubling from n_max < 1 never reaches the cap, so it is refused
+    out = tmp_path / "sweep.csv"
+    for nmax in ("0", "-3"):
+        argv = ["certify", "digit-avoider", "--grid", "2x2", "--Nmax", nmax, "--out", str(out)]
+        assert main(argv) == 1
+        assert not out.exists()
+        assert not os.path.exists(str(out) + ".partial")
+
+
+def test_validation_without_samples_exits_one(tmp_path):
+    # drawing no sample must not read as every box validated
+    out = tmp_path / "sweep.csv"
+    for samples in ("0", "-5"):
+        assert main(_digit_sweep(out, "2x2", "--validate", "--samples", samples)) == 1
+        assert not out.exists()
+        assert not os.path.exists(str(out) + ".partial")

@@ -39,8 +39,11 @@ def test_malformed_interval_rejected():
 
 
 def test_normalize_empty():
-    assert IntervalSet([]) == IntervalSet.empty()
-    assert IntervalSet.empty().measure() == 0
+    empty = IntervalSet([])
+    assert empty.intervals == ()
+    assert not empty and len(empty) == 0
+    assert empty.measure() == 0
+    assert IntervalSet([ivl(0, 1)]).intersection(IntervalSet.of((2, 3))) == empty
 
 
 def test_normalize_touching_merge():
@@ -174,13 +177,14 @@ def test_json_round_trip_and_rejection():
         IntervalSet.from_json({"intervals": [["2", "3"], ["0", "1"]]})
 
 
-def test_complement_components():
+def test_find_gap_containing():
     s = IntervalSet.of((0, 1), (2, 3))
-    comps = s.complement_components()
-    assert [(g.lo, g.hi) for g in comps] == [(None, F(0)), (F(1), F(2)), (F(3), None)]
     gap = s.find_gap_containing(ivl(F(3, 2), F(7, 4)))
     assert gap is not None and gap.lo == 1 and gap.hi == 2
     assert s.find_gap_containing(ivl(F(1, 2), F(3, 2))) is None
+    # the unbounded rays are complement components too
+    left, right = s.find_gap_containing(ivl(-2, -1)), s.find_gap_containing(ivl(4, 5))
+    assert (left.lo, left.hi) == (None, F(0)) and (right.lo, right.hi) == (F(3), None)
 
 
 @settings(max_examples=150, deadline=None)

@@ -9,12 +9,16 @@ from erdosavoid.errors import (
     ConstructionAuditError,
     InvalidParameterError,
     PrecisionError,
+    ResourceLimitError,
 )
 from erdosavoid.intervals import Interval, IntervalSet, ivl
 from erdosavoid.largescale import (
+    DigitGenerator,
     DigitSchedule,
+    LinearEscapeCertificate,
     PLargeSet,
     certify_linear_escape,
+    certify_linear_escape_to_cap,
     countable_dilation_avoider,
     density_mod1,
     digit_avoider,
@@ -34,6 +38,8 @@ from erdosavoid.largescale import (
     _seq_escape_index,
 )
 from erdosavoid.sequences import linear
+
+from helpers import reference_certify_linear_escape, reference_validate_linear_escape
 
 F = Fraction
 
@@ -146,6 +152,92 @@ def test_escape_predicates_agree_on_linear_trajectories(m, x, y):
     last = n if n is not None else n_max
     for step in range(1, last + 1):
         assert _point_escapes_digit(e, x + step * y) == (step == n)
+
+
+unit_points = st.fractions(min_value=0, max_value=1, max_denominator=24)
+steps = st.fractions(min_value=0, max_value=6, max_denominator=24).filter(lambda q: q > 0)
+
+
+@st.composite
+def escape_boxes(draw):
+    """(x_box, y_box) with either side possibly a single point."""
+    x_lo, x_hi = sorted([draw(unit_points), draw(unit_points)])
+    if draw(st.booleans()):
+        x_hi = x_lo
+    y_lo, y_hi = sorted([draw(steps), draw(steps)])
+    if draw(st.booleans()):
+        y_hi = y_lo
+    return Interval(x_lo, x_hi), Interval(y_lo, y_hi)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except ResourceLimitError as exc:
+        return ("ResourceLimitError", str(exc))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    m=st.integers(3, 6),
+    boxes=escape_boxes(),
+    n_max=st.integers(1, 24),
+    guard=st.sampled_from([3, 12, 1_000_000]),
+)
+def test_certify_matches_fraction_reference(m, boxes, n_max, guard):
+    # every field: status, witness n, route, witness cell and part; a
+    # guard overrun must name the same step
+    e = PLargeSet(F(m - 2, m), 4, DigitGenerator(m), guard=guard)
+    x_box, y_box = boxes
+    got = _outcome(certify_linear_escape, e, x_box, y_box, n_max)
+    want = _outcome(reference_certify_linear_escape, e, x_box, y_box, n_max)
+    assert got == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(3, 6),
+    boxes=escape_boxes(),
+    witness=st.integers(1, 8),
+    samples=st.integers(1, 6),
+    seed=st.integers(0, 2**32),
+    n_limit=st.one_of(st.none(), st.integers(1, 6)),
+    guard=st.sampled_from([4, 1_000_000]),
+)
+def test_validate_matches_fraction_reference(m, boxes, witness, samples, seed, n_limit, guard):
+    # a small n_limit forces False verdicts; both sides draw the same samples
+    e = PLargeSet(F(m - 2, m), 4, DigitGenerator(m), guard=guard)
+    cert = LinearEscapeCertificate(*boxes, "certified", witness, "width")
+    args = (e, cert, samples, seed, n_limit)
+    got = _outcome(validate_linear_escape, *args)
+    assert got == _outcome(reference_validate_linear_escape, *args)
+
+
+def test_validate_reference_sees_false_verdicts():
+    # the property above is not vacuous: n_limit = 1 fails these boxes
+    e = digit_avoider(4, 8)
+    cert = LinearEscapeCertificate(ivl(0, F(1, 2)), ivl(1, 2), "certified", 1, "width")
+    assert not validate_linear_escape(e, cert, samples=20, n_limit=1)
+    assert not reference_validate_linear_escape(e, cert, samples=20, n_limit=1)
+
+
+def test_scan_depth_below_one_is_rejected():
+    e = digit_avoider(4, 8)
+    for n_max in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            certify_linear_escape_to_cap(e, ivl(0, 1), ivl(1, 2), n_max, 4096)
+        with pytest.raises(InvalidParameterError):
+            sweep_linear_escape(e, ivl(0, 1), ivl(1, 2), 2, 2, n_max_start=n_max)
+
+
+def test_validation_needs_a_sample():
+    e = digit_avoider(4, 8)
+    certified = certify_linear_escape(e, ivl(0, 1), ivl(1, 2), 16)
+    inconclusive = LinearEscapeCertificate(ivl(0, 1), ivl(1, 2), "inconclusive")
+    for samples in (0, -5):
+        for cert in (certified, inconclusive):
+            with pytest.raises(InvalidParameterError):
+                validate_linear_escape(e, cert, samples=samples)
 
 
 def test_sweep_certifies_and_validates():
