@@ -9,6 +9,8 @@ rational arithmetic so every reported quantity is a certificate rather
 than an approximation.
 """
 
+__version__ = "0.1.0"
+
 from .intervals import (
     Gap,
     Interval,
@@ -94,7 +96,6 @@ from .sumsets import (
     build_dyadic_family,
     escape_to_coverage_params,
     select_frame,
-    set_distance,
     sumset_cover_probe,
 )
 

@@ -23,7 +23,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional, Sequence
 
-from . import largescale, sequences, smallscale, sumsets
+from . import __version__, largescale, sequences, smallscale, sumsets
 from .enclosures import sqrt_enclosure
 from .errors import ErdosAvoidError
 from .gaptree import from_middle_ratio, thickness, to_interval_set, tree_to_json
@@ -488,6 +488,7 @@ def build_parser() -> argparse.ArgumentParser:
         description="exact constructions and finite-scale certification of "
         "pattern-avoiding sets",
     )
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="flat key=value defaults file")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -4,14 +4,23 @@ Closed-interval semantics throughout: set difference returns the
 closure of the pointwise difference (boundary points that are limits of
 the difference are kept), and touching intervals merge during
 normalization so each point set has one canonical representation.
-No floating point is used on any code path in this module.
+
+The kernels `IntervalSet.affine` and `IntervalSet.intersection` (and the
+sumset coverage probe in `sumsets`) run on a set's lattice view: every
+endpoint written as an integer numerator over one shared denominator,
+the lcm of the endpoint denominators.  The view is exact, computed
+lazily on the first kernel call and kept; a set produced by a kernel
+carries only its view and builds its `Interval` members when they are
+first read.  No floating point is used on any code path in this module.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
+from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -23,7 +32,7 @@ from .errors import (
 from .rationals import RationalLike, as_rational, format_rational
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Interval:
     """Closed interval [lo, hi] with rational endpoints; points allowed."""
 
@@ -101,6 +110,9 @@ class Gap:
         ]
 
 
+_lo = attrgetter("lo")
+
+
 class IntervalSet:
     """Canonical finite union of closed intervals.
 
@@ -108,17 +120,54 @@ class IntervalSet:
     are separated by a gap of positive length.
     """
 
-    __slots__ = ("intervals", "_los")
+    __slots__ = ("_items", "_view")
 
     def __init__(self, intervals: Iterable[Interval] = (), *, _canonical: bool = False):
         items = tuple(intervals)
         if not _canonical:
             items = _normalize_intervals(items)
-        object.__setattr__(self, "intervals", items)
-        object.__setattr__(self, "_los", [iv.lo for iv in items])
+        object.__setattr__(self, "_items", items)
+        object.__setattr__(self, "_view", None)
+
+    @classmethod
+    def _from_lattice(cls, den: int, los: list[int], his: list[int]) -> "IntervalSet":
+        """The canonical set with members [los[i]/den, his[i]/den]; the
+        members are built when first read."""
+        s = object.__new__(cls)
+        object.__setattr__(s, "_items", None)
+        object.__setattr__(s, "_view", (den, los, his))
+        return s
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("IntervalSet is immutable")
+
+    @property
+    def intervals(self) -> tuple[Interval, ...]:
+        """The members in order; a kernel output builds them on first read."""
+        items = self._items
+        if items is None:
+            den, los, his = self._view
+            items = tuple(
+                Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his)
+            )
+            object.__setattr__(self, "_items", items)
+        return items
+
+    def _lattice(self) -> tuple[int, list[int], list[int]]:
+        """The lattice view (den, lo numerators, hi numerators): member i
+        is [los[i]/den, his[i]/den], den the lcm of the endpoint
+        denominators.  Computed on first use and kept."""
+        view = self._view
+        if view is None:
+            items = self._items
+            den = lcm(*{iv.lo.denominator for iv in items}, *{iv.hi.denominator for iv in items})
+            view = (
+                den,
+                [iv.lo.numerator * (den // iv.lo.denominator) for iv in items],
+                [iv.hi.numerator * (den // iv.hi.denominator) for iv in items],
+            )
+            object.__setattr__(self, "_view", view)
+        return view
 
     @classmethod
     def of(cls, *pairs: Sequence[RationalLike]) -> "IntervalSet":
@@ -128,10 +177,8 @@ class IntervalSet:
         return iter(self.intervals)
 
     def __len__(self) -> int:
-        return len(self.intervals)
-
-    def __bool__(self) -> bool:
-        return bool(self.intervals)
+        items = self._items
+        return len(self._view[1]) if items is None else len(items)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, IntervalSet) and self.intervals == other.intervals
@@ -147,7 +194,7 @@ class IntervalSet:
 
     def contains(self, x: RationalLike) -> bool:
         x = as_rational(x)
-        i = bisect_right(self._los, x) - 1
+        i = bisect_right(self.intervals, x, key=_lo) - 1
         return i >= 0 and x <= self.intervals[i].hi
 
     __contains__ = contains
@@ -166,7 +213,7 @@ class IntervalSet:
             return Gap(None, None)
         # the only candidate is the gap right of the last member starting
         # at or before iv.lo
-        i = bisect_right(self._los, iv.lo) - 1
+        i = bisect_right(items, iv.lo, key=_lo) - 1
         gap = Gap(
             items[i].hi if i >= 0 else None,
             items[i + 1].lo if i + 1 < len(items) else None,
@@ -177,19 +224,43 @@ class IntervalSet:
         return IntervalSet(tuple(self.intervals) + tuple(other.intervals))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
-        out = []
-        a, b = self.intervals, other.intervals
+        """Pointwise intersection, merged on the lattice views.
+
+        Each output piece is a[i] & b[j] for one member of each input,
+        and the merge emits the pairs in increasing order of i and of j.
+        Two successive pieces differ in i or in j, so they lie in two
+        distinct members of one input, which a gap of positive length
+        separates: the output is canonical because both inputs are, and
+        it is not normalized again.  Members that cannot meet the other
+        set's hull are skipped by bisection before the merge.
+        """
+        da, alo, ahi = self._lattice()
+        db, blo, bhi = other._lattice()
+        den = lcm(da, db)
+        los: list[int] = []
+        his: list[int] = []
+        if not (alo and blo):
+            return IntervalSet._from_lattice(den, los, his)
+        # a.hi >= b.lo[0] iff a.hi >= ceil(b.lo[0]*da/db), and likewise
+        i0, i1 = bisect_left(ahi, -(-blo[0] * da // db)), bisect_right(alo, bhi[-1] * da // db)
+        j0, j1 = bisect_left(bhi, -(-alo[0] * db // da)), bisect_right(blo, ahi[-1] * db // da)
+        ka, kb = den // da, den // db
+        a_lo = [n * ka for n in alo[i0:i1]]
+        a_hi = [n * ka for n in ahi[i0:i1]]
+        b_lo = [n * kb for n in blo[j0:j1]]
+        b_hi = [n * kb for n in bhi[j0:j1]]
         i = j = 0
-        while i < len(a) and j < len(b):
-            lo = max(a[i].lo, b[j].lo)
-            hi = min(a[i].hi, b[j].hi)
+        while i < len(a_lo) and j < len(b_lo):
+            lo = max(a_lo[i], b_lo[j])
+            hi = min(a_hi[i], b_hi[j])
             if lo <= hi:
-                out.append(Interval(lo, hi))
-            if a[i].hi < b[j].hi:
+                los.append(lo)
+                his.append(hi)
+            if a_hi[i] < b_hi[j]:
                 i += 1
             else:
                 j += 1
-        return IntervalSet(out)
+        return IntervalSet._from_lattice(den, los, his)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
         """Closure of the pointwise difference self minus other.
@@ -225,14 +296,24 @@ class IntervalSet:
         return IntervalSet(out)
 
     def affine(self, lam: RationalLike, t: RationalLike) -> "IntervalSet":
+        """Image under x -> lam*x + t, computed on the lattice view.
+
+        With lam = p/q and t = r/s the endpoint n/den maps to
+        (n*p*s + r*den*q) / (den*q*s), so the image's view needs no gcd;
+        a negative scale reverses the members and swaps their ends.
+        """
         lam = as_rational(lam)
         t = as_rational(t)
         if lam == 0:
             raise DegenerateMapError("affine image requires a nonzero scale")
-        mapped = [iv.scale(lam).translate(t) for iv in self.intervals]
-        if lam < 0:
-            mapped.reverse()
-        return IntervalSet(mapped, _canonical=True)
+        den, los, his = self._lattice()
+        p, q = lam.numerator, lam.denominator
+        ps, shift = p * t.denominator, t.numerator * den * q
+        if p < 0:
+            los, his = his[::-1], los[::-1]
+        return IntervalSet._from_lattice(
+            den * q * t.denominator, [n * ps + shift for n in los], [n * ps + shift for n in his]
+        )
 
     def to_json(self) -> dict:
         return {

@@ -13,6 +13,7 @@ a constructive witness.
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
@@ -369,26 +370,6 @@ class CoverageReport:
         }
 
 
-def set_distance(a: IntervalSet, b: IntervalSet) -> Fraction:
-    """Minimal distance between two nonempty interval sets (0 = meet)."""
-    if not a or not b:
-        raise InvalidParameterError("distance needs nonempty sets")
-    best: Optional[Fraction] = None
-    i = j = 0
-    ai, bj = a.intervals, b.intervals
-    while i < len(ai) and j < len(bj):
-        x, y = ai[i], bj[j]
-        if x.intersects(y):
-            return Fraction(0)
-        gap = y.lo - x.hi if x.hi < y.lo else x.lo - y.hi
-        best = gap if best is None else min(best, gap)
-        if x.hi < y.lo:
-            i += 1
-        else:
-            j += 1
-    return best if best is not None else Fraction(0)
-
-
 def sumset_cover_probe(
     x_tree: GapTree,
     family: DyadicFamily,
@@ -399,49 +380,55 @@ def sumset_cover_probe(
     """Check which targets are hit by X + lam*M at a finite level.
 
     A target r is covered exactly when (r - lam*M) meets the level set
-    of X, i.e. when some member interval meets (r - X)/lam; the check
+    of X, i.e. when some member interval meets T = (r - X)/lam; the check
     walks the X components with a binary search into the member union,
     so no affine image is materialized per target.  The witness is an
     exact common point; misses report their nearest-miss distance.
-    """
-    from bisect import bisect_right
 
+    Everything runs on the lattice views of the two level sets.  With
+    lam = p/q and r = a/b, the ends of T over den_t = b*den_x*|p| have
+    numerators sign(p)*q*(a*den_x - n*b) for the X endpoints n/den_x, so
+    every comparison with a member endpoint m/den_m cross-multiplies and
+    the distances are compared as numerators over den_t*den_m.
+    """
     lam = as_rational(lam)
     if lam == 0:
         raise InvalidParameterError("coverage probes need a nonzero scale")
     level = min(depth, family.depth, x_tree.min_depth())
-    x_set = to_interval_set(x_tree, level)
-    m_union = family.union_set(level)
-    m_items = m_union.intervals
-    m_los = [iv.lo for iv in m_items]
-    inv = 1 / lam
-    x_div = [(iv.lo * inv, iv.hi * inv) for iv in x_set.intervals]
-    scale = abs(lam)
+    den_x, x_los, x_his = to_interval_set(x_tree, level)._lattice()
+    den_m, m_los, m_his = family.union_set(level)._lattice()
+    p, q = lam.numerator, lam.denominator
+    sign = 1 if p > 0 else -1
+    # the X endpoints whose images are the lower and the upper end of T
+    ends = list(zip(x_his, x_los) if p > 0 else zip(x_los, x_his))
     records = []
     for raw in targets:
         r = as_rational(raw)
-        rq = r * inv
+        den_t = r.denominator * den_x * abs(p)
+        base = sign * q * r.numerator * den_x
+        step = sign * q * r.denominator
         witness = None
-        best: Optional[Fraction] = None
-        for xlo, xhi in x_div:
-            t_lo, t_hi = rq - xhi, rq - xlo
-            if t_lo > t_hi:
-                t_lo, t_hi = t_hi, t_lo
-            i = bisect_right(m_los, t_hi) - 1
-            if i >= 0 and m_items[i].hi >= t_lo:
-                mm = max(t_lo, m_items[i].lo)
-                witness = r - lam * mm
-                break
+        best: Optional[int] = None
+        for n_lo, n_hi in ends:
+            t_lo = base - n_lo * step
+            t_hi = base - n_hi * step
+            # last member with m_lo <= t_hi, as m_lo is an integer numerator
+            i = bisect_right(m_los, t_hi * den_m // den_t) - 1
             if i >= 0:
-                d = (t_lo - m_items[i].hi) * scale
+                d = t_lo * den_m - m_his[i] * den_t
+                if d <= 0:
+                    mm = max(t_lo * den_m, m_los[i] * den_t)
+                    witness = r - lam * Fraction(mm, den_t * den_m)
+                    break
                 best = d if best is None else min(best, d)
-            if i + 1 < len(m_items):
-                d = (m_items[i + 1].lo - t_hi) * scale
+            if i + 1 < len(m_los):
+                d = m_los[i + 1] * den_t - t_hi * den_m
                 best = d if best is None else min(best, d)
         if witness is not None:
             records.append(CoverageRecord(r, True, witness))
         else:
-            records.append(CoverageRecord(r, False, None, best))
+            miss = None if best is None else Fraction(best, den_t * den_m) * abs(lam)
+            records.append(CoverageRecord(r, False, None, miss))
     return CoverageReport(lam, tuple(records))
 
 

@@ -8,13 +8,15 @@ by a direct recursive generator.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from fractions import Fraction
 
 from erdosavoid.errors import ResourceLimitError
-from erdosavoid.gaptree import GapTree
+from erdosavoid.gaptree import GapTree, to_interval_set
 from erdosavoid.intervals import Interval, IntervalSet
 from erdosavoid.largescale import LinearEscapeCertificate, _point_escapes_digit
 from erdosavoid.rationals import floor_rational
+from erdosavoid.sumsets import CoverageRecord, CoverageReport
 
 
 def grid_points(lo, hi, steps=1000):
@@ -151,3 +153,58 @@ def reference_validate_linear_escape(e, cert, samples=100, seed=0, n_limit=None)
         if reference_point_escape_index(e, x, y, n_limit) is None:
             return False
     return True
+
+
+def reference_intersection(a: IntervalSet, b: IntervalSet) -> IntervalSet:
+    """Two-pointer merge of the members in Fraction arithmetic,
+    normalizing its output."""
+    out = []
+    ai, bj = a.intervals, b.intervals
+    i = j = 0
+    while i < len(ai) and j < len(bj):
+        lo = max(ai[i].lo, bj[j].lo)
+        hi = min(ai[i].hi, bj[j].hi)
+        if lo <= hi:
+            out.append(Interval(lo, hi))
+        if ai[i].hi < bj[j].hi:
+            i += 1
+        else:
+            j += 1
+    return IntervalSet(out)
+
+
+def reference_affine(s: IntervalSet, lam: Fraction, t: Fraction) -> IntervalSet:
+    """Member-wise Interval scale and translate, normalizing the image."""
+    return IntervalSet(iv.scale(lam).translate(t) for iv in s.intervals)
+
+
+def reference_sumset_cover_probe(x_tree, family, lam, targets, depth) -> CoverageReport:
+    """Coverage probe by Fraction bisection of (r - X)/lam into the
+    member union; shares only the level sets with the library."""
+    lam = Fraction(lam)
+    level = min(depth, family.depth, x_tree.min_depth())
+    x_set = to_interval_set(x_tree, level)
+    m_items = family.union_set(level).intervals
+    m_los = [iv.lo for iv in m_items]
+    records = []
+    for raw in targets:
+        r = Fraction(raw)
+        witness = None
+        best = None
+        for xv in x_set:
+            t_lo, t_hi = sorted(((r - xv.hi) / lam, (r - xv.lo) / lam))
+            i = bisect_right(m_los, t_hi) - 1
+            if i >= 0 and m_items[i].hi >= t_lo:
+                witness = r - lam * max(t_lo, m_items[i].lo)
+                break
+            if i >= 0:
+                d = (t_lo - m_items[i].hi) * abs(lam)
+                best = d if best is None else min(best, d)
+            if i + 1 < len(m_items):
+                d = (m_items[i + 1].lo - t_hi) * abs(lam)
+                best = d if best is None else min(best, d)
+        if witness is not None:
+            records.append(CoverageRecord(r, True, witness))
+        else:
+            records.append(CoverageRecord(r, False, None, best))
+    return CoverageReport(lam, tuple(records))

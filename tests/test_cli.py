@@ -1,13 +1,18 @@
 import json
 import os
+import sys
+import tomllib
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import erdosavoid
 from erdosavoid import largescale
 from erdosavoid.cli import _workers, main
-from erdosavoid.errors import InvalidParameterError
+from erdosavoid.errors import InvalidParameterError, ResourceLimitError
 from erdosavoid.intervals import Interval
+from erdosavoid.rationals import format_rational, parse_rational
 
 F = Fraction
 
@@ -318,3 +323,46 @@ def test_validation_without_samples_exits_one(tmp_path):
         assert main(_digit_sweep(out, "2x2", "--validate", "--samples", samples)) == 1
         assert not out.exists()
         assert not os.path.exists(str(out) + ".partial")
+
+
+@pytest.fixture
+def digit_limit():
+    """Python's default int-to-str digit limit, set for the test."""
+    old = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        yield 4300
+    finally:
+        sys.set_int_max_str_digits(old)
+
+
+def test_huge_rationals_exit_one_without_a_file(tmp_path, capsys, digit_limit):
+    # one exponent past the limit is refused as it is parsed; 10^limit
+    # parses but has one digit more than may be printed
+    out = tmp_path / "ell.json"
+    for coeff in (f"1e{digit_limit + 1}", f"1e{digit_limit}"):
+        argv = ["probe", "ell-bound", f"--f=-2,{coeff}", "--max-deg", "1",
+                "--step", "1/2", "--bound", "1", "--out", str(out)]
+        assert main(argv) == 1
+        assert list(tmp_path.iterdir()) == []
+        assert capsys.readouterr().err.startswith("error: ")
+
+
+def test_rationals_past_the_digit_limit_are_resource_limits(digit_limit):
+    for literal in (f"1e{digit_limit + 1}", f"-3.5E-{digit_limit + 1}", f"2e+{digit_limit + 7}"):
+        with pytest.raises(ResourceLimitError):
+            parse_rational(literal)
+    assert parse_rational(f"1e{digit_limit}") == 10**digit_limit
+    with pytest.raises(ResourceLimitError):
+        format_rational(Fraction(1, 10**digit_limit))
+    assert format_rational(Fraction(10 ** (digit_limit - 1))) == "1" + "0" * (digit_limit - 1)
+
+
+def test_version_flag_reads_the_one_version_source(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out.strip() == f"erdosavoid {erdosavoid.__version__}"
+    pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
+    assert pyproject["project"]["dynamic"] == ["version"] and "version" not in pyproject["project"]
+    assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "erdosavoid.__version__"}

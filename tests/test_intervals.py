@@ -13,13 +13,32 @@ from erdosavoid.intervals import (
     box_image,
     ivl,
 )
-from helpers import brute_member, grid_points, random_interval_list
+from helpers import (
+    brute_member,
+    grid_points,
+    random_interval_list,
+    reference_affine,
+    reference_intersection,
+)
 
 F = Fraction
 
 small_rationals = st.fractions(
     min_value=-4, max_value=4, max_denominator=16
 )
+
+
+nonzero_rationals = small_rationals.filter(lambda q: q != 0)
+
+
+def canonical_sets(max_count=8):
+    """Canonical sets normalized from members with mixed denominators,
+    single points among them; an empty list gives the empty set."""
+    member = st.one_of(
+        st.tuples(small_rationals, small_rationals).map(lambda p: Interval(min(p), max(p))),
+        small_rationals.map(lambda x: Interval(x, x)),
+    )
+    return st.lists(member, max_size=max_count).map(IntervalSet)
 
 
 def intervals_strategy(max_count=6):
@@ -145,6 +164,28 @@ def test_affine_group_action(raw, l1, t1, l2, t2):
     assert once == composed
 
 
+@settings(max_examples=300, deadline=None)
+@given(canonical_sets(), nonzero_rationals, small_rationals)
+def test_affine_matches_fraction_reference(s, lam, t):
+    got = s.affine(lam, t)
+    assert got == reference_affine(s, lam, t)
+    assert len(got) == len(s) and bool(got) == bool(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(canonical_sets(), canonical_sets(), nonzero_rationals, small_rationals)
+def test_intersection_matches_fraction_reference(a, b, lam, t):
+    # an affine image carries only its lattice view, on either side
+    image, ref_image = a.affine(lam, t), reference_affine(a, lam, t)
+    cases = ((a, b, a, b), (image, b, ref_image, b), (b, image, b, ref_image))
+    for x, y, ref_x, ref_y in cases:
+        got = x.intersection(y)
+        assert len(got) == len(reference_intersection(ref_x, ref_y))
+        assert got == reference_intersection(ref_x, ref_y)
+        # canonical without normalizing: renormalizing changes nothing
+        assert got == IntervalSet(got.intervals)
+
+
 def test_box_image_examples():
     box = ParamBox(ivl(1, 2), ivl(0, 0))
     assert box_image(0, ParamBox(ivl(1, 2), ivl(-3, 5))) == ivl(-3, 5)
@@ -175,6 +216,13 @@ def test_json_round_trip_and_rejection():
         IntervalSet.from_json({"intervals": [["0", "1"], ["1/2", "2"]]})
     with pytest.raises(SchemaError):
         IntervalSet.from_json({"intervals": [["2", "3"], ["0", "1"]]})
+
+
+def test_json_refuses_booleans():
+    # bool is an int subclass; true must not read as 1
+    for pair in ([True, "2"], ["0", False]):
+        with pytest.raises(SchemaError):
+            IntervalSet.from_json({"intervals": [pair]})
 
 
 def test_find_gap_containing():

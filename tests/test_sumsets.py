@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_decreasing_gap_tree
+from helpers import random_decreasing_gap_tree, reference_sumset_cover_probe
 
 from erdosavoid.errors import InvalidParameterError
 from erdosavoid.gaptree import (
@@ -22,7 +22,6 @@ from erdosavoid.sumsets import (
     build_dyadic_family,
     escape_to_coverage_params,
     select_frame,
-    set_distance,
     sumset_cover_probe,
 )
 
@@ -248,11 +247,48 @@ def test_non_escape_translates_to_coverage():
     assert rep.certified == 1
 
 
-def test_set_distance():
-    a = to_interval_set(from_middle_ratio(1, 2), 2)
-    assert set_distance(a, a) == 0
-    b = a.affine(1, 10)
-    assert set_distance(a, b) == 9
+PROBE_TREES = (from_middle_ratio(2, 5), random_decreasing_gap_tree(random.Random(3), 5))
+PROBE_FAMILY = build_dyadic_family(1, 5, (-1, 1), (-2, 2))
+PROBE_GAPS = [g for g in PROBE_FAMILY.union_set(5).gaps() if g.length > 0]
+sixty_fourths = st.integers(1, 63).map(lambda k: F(k, 64))
+# positions in a component, both ends included
+positions = st.integers(0, 4).map(lambda k: F(k, 4))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(PROBE_TREES),
+    st.integers(0, len(PROBE_GAPS) - 1),
+    st.booleans(),
+    sixty_fourths,
+    sixty_fourths,
+    st.integers(0, 10**6),
+    st.integers(0, 10**6),
+    positions,
+    positions,
+    st.integers(2, 5),
+)
+def test_coverage_probe_matches_fraction_reference(
+    x, gap_index, flip, u, v, x_pick, m_pick, w, z, depth
+):
+    # an escape lam'X + t inside a gap of the union gives a target that
+    # is not covered; x + lam*m, x in X and m in the union, is covered
+    gap = PROBE_GAPS[gap_index]
+    size = gap.length * u / 2
+    lam_prime, t = (-size, gap.hi - (gap.length - size) * v) if flip else (
+        size, gap.lo + (gap.length - size) * v)
+    lam, missed = escape_to_coverage_params(lam_prime, t)
+    level = min(depth, x.min_depth())
+    x_parts = to_interval_set(x, level).intervals
+    m_parts = PROBE_FAMILY.union_set(level).intervals
+    x_part, m_part = x_parts[x_pick % len(x_parts)], m_parts[m_pick % len(m_parts)]
+    hit = x_part.lo + x_part.length * w + lam * (m_part.lo + m_part.length * z)
+    rep = sumset_cover_probe(x, PROBE_FAMILY, lam, [missed, hit], depth)
+    assert rep == reference_sumset_cover_probe(x, PROBE_FAMILY, lam, [missed, hit], depth)
+    if depth == 5:
+        assert [r.covered for r in rep.records] == [False, True]
+    else:
+        assert rep.records[1].covered
 
 
 def test_zero_scale_rejected():
