@@ -5,8 +5,8 @@ Outputs are deterministic byte-for-byte given the same configuration
 and seed: files are written atomically, sweeps are resumable by box id,
 and worker parallelism (ERDOSAVOID_WORKERS) never reorders results.
 Exit codes: 0 = everything constructed / certified, 2 = inconclusive
-items remain (files are still written), 1 = configuration or resource
-error.
+items remain (files are still written), 1 = usage, configuration or
+resource error.
 """
 
 from __future__ import annotations
@@ -482,8 +482,18 @@ def _cmd_report(args) -> int:
 # parser plumbing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises usage errors as ErdosAvoidError, so they exit 1 like every
+    other refusal; exit 2 stays with inconclusive items.  Subparsers
+    inherit the class."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ErdosAvoidError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="erdosavoid",
         description="exact constructions and finite-scale certification of "
         "pattern-avoiding sets",

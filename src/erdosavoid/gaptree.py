@@ -16,6 +16,7 @@ and the `Thickness.label` field records which case applies.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 from fractions import Fraction
 from typing import Optional
 
@@ -90,31 +91,32 @@ class GapTree:
     def is_leaf(self) -> bool:
         return self.gap is None
 
+    @cached_property
+    def levels(self) -> "_LevelIndex":
+        """The nodes of each depth, built by one breadth-first pass on first use."""
+        rows = [(self,)]
+        while below := tuple(c for n in rows[-1] if n.gap is not None for c in (n.left, n.right)):
+            rows.append(below)
+        return _LevelIndex(rows)
+
+    def __getstate__(self):
+        # copies and unpickled trees build their own level index
+        return {k: v for k, v in self.__dict__.items() if k != "levels"}
+
     def min_depth(self) -> int:
         """Number of complete split levels below this node."""
-        if self.is_leaf:
-            return 0
-        return 1 + min(self.left.min_depth(), self.right.min_depth())
+        return self.levels.min_depth
 
-    def nodes_at_level(self, level: int) -> list["GapTree"]:
-        if level == 0:
-            return [self]
-        if self.is_leaf:
-            raise InvalidParameterError(
-                f"tree has no level {level} below interval {self.interval}"
-            )
-        return self.left.nodes_at_level(level - 1) + self.right.nodes_at_level(level - 1)
 
-    def level_gaps(self, level: int) -> list[Interval]:
-        """Gaps splitting the level-`level` intervals (one per node)."""
-        gaps = []
-        for node in self.nodes_at_level(level):
-            if node.is_leaf:
-                raise InvalidParameterError(
-                    f"no gap recorded at level {level} inside {node.interval}"
-                )
-            gaps.append(node.gap)
-        return gaps
+class _LevelIndex(tuple):
+    """The node tuple of each depth, left to right.  `min_depth` is the first
+    depth holding a leaf (the next has fewer than twice its nodes), and
+    `sets` keeps each complete level's canonical set once built."""
+
+    def __init__(self, rows):
+        sizes = [len(row) for row in rows] + [0]
+        self.min_depth = next(d for d, n in enumerate(sizes) if sizes[d + 1] < 2 * n)
+        self.sets: dict[int, IntervalSet] = {}
 
 
 def from_middle_ratio(
@@ -186,33 +188,26 @@ def decompose(s: IntervalSet, depth: int) -> GapTree:
 
 def thickness(tree: GapTree) -> Thickness:
     """Exact minimum of min(|left|, |right|)/|gap| over recorded nodes."""
-    best: Optional[Fraction] = None
-
-    def visit(node: GapTree):
-        nonlocal best
-        if node.is_leaf:
-            return
-        ratio = min(node.left.interval.length, node.right.interval.length) / node.gap.length
-        if best is None or ratio < best:
-            best = ratio
-        visit(node.left)
-        visit(node.right)
-
-    visit(tree)
-    if best is None:
+    ratios = [
+        min(n.left.interval.length, n.right.interval.length) / n.gap.length
+        for row in tree.levels for n in row if n.gap is not None
+    ]
+    if not ratios:
         return Thickness(None, "exact")
-    return Thickness(best, "exact" if tree.self_similar else "upper_bound")
+    return Thickness(min(ratios), "exact" if tree.self_similar else "upper_bound")
 
 
 def to_interval_set(tree: GapTree, level: int) -> IntervalSet:
-    """The 2^level level intervals as a normalized set."""
-    if level < 0 or level > tree.min_depth():
+    """The 2^level level intervals as a normalized set, built once per
+    level and kept with the tree's level index."""
+    levels = tree.levels
+    if level < 0 or level > levels.min_depth:
         raise InvalidParameterError(
-            f"level {level} out of range for tree of depth {tree.min_depth()}"
+            f"level {level} out of range for tree of depth {levels.min_depth}"
         )
-    return IntervalSet(
-        [node.interval for node in tree.nodes_at_level(level)], _canonical=True
-    )
+    if level not in levels.sets:
+        levels.sets[level] = IntervalSet([n.interval for n in levels[level]], _canonical=True)
+    return levels.sets[level]
 
 
 def affine_tree(tree: GapTree, lam: RationalLike, t: RationalLike) -> GapTree:
@@ -252,9 +247,16 @@ def tree_to_json(tree: GapTree) -> dict:
 def tree_from_json(obj: dict) -> GapTree:
     if not isinstance(obj, dict) or "interval" not in obj:
         raise SchemaError("gap-tree JSON must carry an 'interval' field")
-    iv = Interval(as_rational(obj["interval"][0]), as_rational(obj["interval"][1]))
-    gap = obj.get("gap")
-    if gap is None:
+    iv = _interval_from_json(obj["interval"])
+    if obj.get("gap") is None:
         return GapTree(iv)
-    gap_iv = Interval(as_rational(gap[0]), as_rational(gap[1]))
-    return GapTree(iv, gap_iv, tree_from_json(obj["left"]), tree_from_json(obj["right"]))
+    if "left" not in obj or "right" not in obj:
+        raise SchemaError("a gap-tree split node needs 'left' and 'right' fields")
+    gap = _interval_from_json(obj["gap"])
+    return GapTree(iv, gap, tree_from_json(obj["left"]), tree_from_json(obj["right"]))
+
+
+def _interval_from_json(pair) -> Interval:
+    if not isinstance(pair, list) or len(pair) != 2:
+        raise SchemaError(f"gap-tree interval must be a [lo, hi] list, got {pair!r}")
+    return Interval(as_rational(pair[0]), as_rational(pair[1]))

@@ -46,17 +46,9 @@ class GapLemmaVerdict:
 
 
 def _all_gaps(tree: GapTree) -> list[Interval]:
-    out = []
-
-    def visit(node: GapTree):
-        if node.is_leaf:
-            return
-        out.append(node.gap)
-        visit(node.left)
-        visit(node.right)
-
-    visit(tree)
-    return out
+    """Every recorded gap, level by level.  The order carries no meaning:
+    the gap-lemma scans only ask whether some gap contains a hull."""
+    return [n.gap for row in tree.levels for n in row if n.gap is not None]
 
 
 def check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
@@ -102,7 +94,13 @@ class WalkTrace:
         }
 
 
-def _check_walk_preconditions(inner: GapTree, outer: GapTree, depth: int) -> None:
+def _level_gap_lengths(tree: GapTree, depth: int, pick) -> list[Fraction]:
+    """`pick` (min or max) of each level's gap lengths, levels 0 to depth - 1."""
+    return [pick(n.gap.length for n in tree.levels[level]) for level in range(depth)]
+
+
+def _check_walk_preconditions(inner: GapTree, outer: GapTree, depth: int) -> tuple[list, list]:
+    """Refuse a walk that cannot run; else return both level gap extremes."""
     if depth < 1:
         raise InvalidParameterError("walk depth must be >= 1")
     if not outer.interval.contains_interval(inner.interval):
@@ -114,11 +112,12 @@ def _check_walk_preconditions(inner: GapTree, outer: GapTree, depth: int) -> Non
             f"both trees must be complete to depth {depth} "
             f"(have {inner.min_depth()} and {outer.min_depth()})"
         )
+    inner_min = _level_gap_lengths(inner, depth, min)
+    outer_max = _level_gap_lengths(outer, depth, max)
     for n in range(depth):
-        outer_max = max(g.length for g in outer.level_gaps(n))
-        inner_min = min(g.length for g in inner.level_gaps(n))
-        if not outer_max < inner_min:
-            raise GapConditionError(n, outer_max, inner_min)
+        if not outer_max[n] < inner_min[n]:
+            raise GapConditionError(n, outer_max[n], inner_min[n])
+    return inner_min, outer_max
 
 
 def containment_walk(inner: GapTree, outer: GapTree, depth: int) -> WalkTrace:
@@ -177,7 +176,7 @@ def build_tilde(tree: GapTree, depth: int, margin: RationalLike) -> GapTree:
         raise InvalidParameterError(
             f"inner tree must be complete to depth {depth}, has {tree.min_depth()}"
         )
-    min_gaps = [min(g.length for g in tree.level_gaps(n)) for n in range(depth)]
+    min_gaps = _level_gap_lengths(tree, depth, min)
     hull = Interval(tree.interval.lo - margin, tree.interval.hi + margin)
 
     def build(iv: Interval, level: int) -> GapTree:
@@ -205,15 +204,13 @@ def perturbation_delta(inner: GapTree, outer: GapTree, depth: int) -> Fraction:
     evaluated at box corners; they are monotone in lam and t, so they
     hold throughout the box.
     """
-    _check_walk_preconditions(inner, outer, depth)
+    min_gaps, max_gaps = _check_walk_preconditions(inner, outer, depth)
     a, b = inner.interval.lo, inner.interval.hi
     c, d = outer.interval.lo, outer.interval.hi
     margin_left = a - c
     margin_right = d - b
     if margin_left <= 0 or margin_right <= 0:
         raise ZeroSlackError("outer hull must strictly contain the inner hull")
-    min_gaps = [min(g.length for g in inner.level_gaps(n)) for n in range(depth)]
-    max_gaps = [max(g.length for g in outer.level_gaps(n)) for n in range(depth)]
     for n in range(depth):
         if not max_gaps[n] < min_gaps[n] / 2:
             raise ZeroSlackError(

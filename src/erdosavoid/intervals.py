@@ -65,9 +65,6 @@ class Interval:
     def strictly_contains_interval(self, other: "Interval") -> bool:
         return self.lo < other.lo and other.hi < self.hi
 
-    def intersects(self, other: "Interval") -> bool:
-        return self.lo <= other.hi and other.lo <= self.hi
-
     def translate(self, t: RationalLike) -> "Interval":
         t = as_rational(t)
         return Interval(self.lo + t, self.hi + t)
@@ -140,6 +137,11 @@ class IntervalSet:
 
     def __setattr__(self, name, value):  # immutable value type
         raise AttributeError("IntervalSet is immutable")
+
+    def __reduce__(self):
+        # copy and pickle rebuild the set from its lattice view, since
+        # __setattr__ refuses the slot state they would restore
+        return IntervalSet._from_lattice, self._lattice()
 
     @property
     def intervals(self) -> tuple[Interval, ...]:

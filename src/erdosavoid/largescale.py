@@ -877,9 +877,7 @@ def geometric_escape_via_log(
         raise InvalidParameterError("dilate box must be strictly positive")
     if b_box.lo <= 1:
         raise InvalidParameterError("base box must exceed 1")
-    gen = f_set.generator
-    if not isinstance(gen, DigitGenerator):
-        raise InvalidParameterError("log escape needs a digit-style avoider")
+    _digit_generator(f_set, "log escape")
     ly = log_y if log_y is not None else ln_interval(y_box, bits)
     lb = log_b if log_b is not None else ln_interval(b_box, bits)
     for n in range(1, n_max + 1):

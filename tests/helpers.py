@@ -12,7 +12,7 @@ from bisect import bisect_right
 from fractions import Fraction
 
 from erdosavoid.errors import ResourceLimitError
-from erdosavoid.gaptree import GapTree, to_interval_set
+from erdosavoid.gaptree import GapTree, Thickness, to_interval_set
 from erdosavoid.intervals import Interval, IntervalSet
 from erdosavoid.largescale import LinearEscapeCertificate, _point_escapes_digit
 from erdosavoid.rationals import floor_rational
@@ -76,6 +76,52 @@ def random_decreasing_gap_tree(
         )
 
     return build(hull, 0)
+
+
+def reference_min_depth(tree: GapTree) -> int:
+    """Complete split levels below a node, recursing into both children."""
+    if tree.gap is None:
+        return 0
+    return 1 + min(reference_min_depth(tree.left), reference_min_depth(tree.right))
+
+
+def reference_level_nodes(tree: GapTree, level: int) -> list[GapTree]:
+    """Every node at depth `level`, left to right, by a recursive walk;
+    branches ending above the level contribute nothing."""
+    if level == 0:
+        return [tree]
+    if tree.gap is None:
+        return []
+    return reference_level_nodes(tree.left, level - 1) + reference_level_nodes(
+        tree.right, level - 1
+    )
+
+
+def reference_thickness(tree: GapTree) -> Thickness:
+    """Minimum Newhouse ratio over the split nodes by a recursive visitor."""
+    best = None
+
+    def visit(node: GapTree):
+        nonlocal best
+        if node.gap is None:
+            return
+        ratio = min(node.left.interval.length, node.right.interval.length) / node.gap.length
+        if best is None or ratio < best:
+            best = ratio
+        visit(node.left)
+        visit(node.right)
+
+    visit(tree)
+    if best is None:
+        return Thickness(None, "exact")
+    return Thickness(best, "exact" if tree.self_similar else "upper_bound")
+
+
+def reference_all_gaps(tree: GapTree) -> list[Interval]:
+    """Every recorded gap, in preorder."""
+    if tree.gap is None:
+        return []
+    return [tree.gap] + reference_all_gaps(tree.left) + reference_all_gaps(tree.right)
 
 
 def random_interval_set(rng: random.Random, components: int, span=(0, 1)) -> IntervalSet:
@@ -182,7 +228,7 @@ def reference_sumset_cover_probe(x_tree, family, lam, targets, depth) -> Coverag
     """Coverage probe by Fraction bisection of (r - X)/lam into the
     member union; shares only the level sets with the library."""
     lam = Fraction(lam)
-    level = min(depth, family.depth, x_tree.min_depth())
+    level = min(depth, family.depth, reference_min_depth(x_tree))
     x_set = to_interval_set(x_tree, level)
     m_items = family.union_set(level).intervals
     m_los = [iv.lo for iv in m_items]

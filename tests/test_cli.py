@@ -366,3 +366,23 @@ def test_version_flag_reads_the_one_version_source(capsys):
     pyproject = tomllib.loads((Path(__file__).parents[1] / "pyproject.toml").read_text())
     assert pyproject["project"]["dynamic"] == ["version"] and "version" not in pyproject["project"]
     assert pyproject["tool"]["setuptools"]["dynamic"]["version"] == {"attr": "erdosavoid.__version__"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["certify", "digit-avoider", "--grid", "axb"],
+        ["certify", "digit-avoider", "--bogus", "1"],
+        ["construct", "middle-cantor", "--depth", "x"],
+    ],
+)
+def test_usage_errors_exit_1(argv, capsys):
+    assert main(argv) == 1
+    assert "error:" in capsys.readouterr().err
+
+
+def test_help_exits_0(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["certify", "--help"])
+    assert exc.value.code == 0
+    assert "digit-avoider" in capsys.readouterr().out

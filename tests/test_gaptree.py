@@ -1,9 +1,14 @@
+import copy
+import pickle
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from erdosavoid.errors import InvalidParameterError, NotEnoughStructureError
+from erdosavoid.errors import InvalidParameterError, NotEnoughStructureError, SchemaError
 from erdosavoid.gaptree import (
     GapTree,
     affine_tree,
@@ -14,8 +19,15 @@ from erdosavoid.gaptree import (
     tree_from_json,
     tree_to_json,
 )
+from erdosavoid.intersect import _all_gaps
 from erdosavoid.intervals import IntervalSet, ivl
-from helpers import random_decreasing_gap_tree
+from helpers import (
+    random_decreasing_gap_tree,
+    reference_all_gaps,
+    reference_level_nodes,
+    reference_min_depth,
+    reference_thickness,
+)
 
 F = Fraction
 
@@ -29,7 +41,7 @@ def test_middle_thirds_level_one():
 
 def test_middle_ratio_piece_lengths():
     t = from_middle_ratio(2, 2, ivl(0, 1))
-    for node in t.nodes_at_level(1):
+    for node in t.levels[1]:
         assert node.interval.length == F(2, 5)
     assert t.gap.length == F(1, 5)
 
@@ -161,3 +173,89 @@ def test_affine_tree_thickness_invariance():
 def test_tree_json_round_trip():
     t = from_middle_ratio(2, 3, ivl(-1, 2))
     assert tree_from_json(tree_to_json(t)) == t
+
+
+@pytest.mark.parametrize(
+    "obj",
+    [
+        {"interval": [1]},
+        {"interval": "01"},
+        {"interval": [0, 1, 2]},
+        {"interval": ["0", "1"], "gap": ["1/3"], "left": None, "right": None},
+        {"interval": ["0", "1"], "gap": ["1/3", "2/3"], "right": {"interval": ["2/3", "1"]}},
+        {"interval": ["0", "1"], "gap": ["1/3", "2/3"], "left": {"interval": ["0", "1/3"]}},
+        {"interval": ["0", "1"], "gap": ["1/3", "2/3"], "left": None, "right": None},
+        [0, 1],
+    ],
+)
+def test_tree_from_json_refuses_malformed_nodes(obj):
+    with pytest.raises(SchemaError):
+        tree_from_json(obj)
+
+
+# a tree shape: None for a leaf, or (left shape, left weight, gap weight,
+# right weight, right shape); the weights share out the node interval
+shapes = st.recursive(
+    st.none(),
+    lambda kids: st.tuples(kids, st.integers(1, 4), st.integers(1, 4), st.integers(1, 4), kids),
+    max_leaves=24,
+)
+
+
+def tree_of_shape(shape, iv) -> GapTree:
+    if shape is None:
+        return GapTree(iv)
+    left, a, b, c, right = shape
+    unit = iv.length / (a + b + c)
+    gap = ivl(iv.lo + a * unit, iv.hi - c * unit)
+    return GapTree(
+        iv,
+        gap,
+        tree_of_shape(left, ivl(iv.lo, gap.lo)),
+        tree_of_shape(right, ivl(gap.hi, iv.hi)),
+    )
+
+
+trees = st.one_of(
+    st.builds(tree_of_shape, shapes, st.just(ivl(0, 1))),
+    st.builds(from_middle_ratio, st.integers(1, 4), st.integers(1, 5)),
+    st.builds(
+        affine_tree,
+        st.builds(from_middle_ratio, st.integers(1, 3), st.integers(1, 4)),
+        st.sampled_from([F(-1), F(-3, 2), F(2)]),
+        st.just(F(1, 3)),
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees)
+def test_level_index_matches_recursive_walks(tree):
+    depth = reference_min_depth(tree)
+    assert tree.min_depth() == depth
+    height = max(d for d in range(64) if reference_level_nodes(tree, d))
+    assert len(tree.levels) == height + 1
+    for d, row in enumerate(tree.levels):
+        assert list(map(id, row)) == list(map(id, reference_level_nodes(tree, d)))
+    th, ref = thickness(tree), reference_thickness(tree)
+    assert (th.value, th.label) == (ref.value, ref.label)
+    assert Counter(_all_gaps(tree)) == Counter(reference_all_gaps(tree))
+    for d in range(depth + 1):
+        expected = IntervalSet([n.interval for n in reference_level_nodes(tree, d)])
+        assert to_interval_set(tree, d) == expected
+        assert to_interval_set(tree, d) is to_interval_set(tree, d)
+    for bad in (-1, depth + 1):
+        with pytest.raises(InvalidParameterError):
+            to_interval_set(tree, bad)
+
+
+def test_tree_with_built_index_copies_and_pickles():
+    t = from_middle_ratio(2, 3, ivl(-1, 2))
+    level_set = to_interval_set(t, 2)
+    for back in (copy.copy(t), copy.deepcopy(t), pickle.loads(pickle.dumps(t))):
+        assert back == t and hash(back) == hash(t)
+        assert back.levels[0][0] is back
+        assert back.min_depth() == 3
+        assert to_interval_set(back, 2) == level_set
+    # the index is derived data and leaves the pickled bytes alone
+    assert pickle.dumps(t) == pickle.dumps(from_middle_ratio(2, 3, ivl(-1, 2)))

@@ -151,8 +151,8 @@ def test_build_tilde_gap_bound():
     k = from_middle_ratio(1, 3)
     tilde = build_tilde(k, 3, F(1, 10))
     for n in range(3):
-        inner_min = min(g.length for g in k.level_gaps(n))
-        outer_max = max(g.length for g in tilde.level_gaps(n))
+        inner_min = min(node.gap.length for node in k.levels[n])
+        outer_max = max(node.gap.length for node in tilde.levels[n])
         assert outer_max < inner_min / 2
     th = thickness(tilde)
     assert not th.is_infinite and th.value > 0

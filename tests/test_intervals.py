@@ -1,3 +1,5 @@
+import copy
+import pickle
 import random
 from fractions import Fraction
 
@@ -251,3 +253,19 @@ def test_difference_disjoint_from_interior(raw_a, raw_b):
     # the difference never meets the open interior of the subtrahend
     inner = d.intersection(b)
     assert inner.measure() == 0
+
+
+def test_copies_and_pickles_round_trip():
+    s = IntervalSet.of((0, F(1, 3)), (F(1, 2), 2))
+    kernel = s.affine(F(-3, 7), F(1, 5)).intersection(IntervalSet.of((-1, 0)))
+    assert kernel._items is None  # members never read
+    for original in (s, IntervalSet(), kernel):
+        for back in (
+            copy.copy(original),
+            copy.deepcopy(original),
+            pickle.loads(pickle.dumps(original)),
+        ):
+            assert back == original and hash(back) == hash(original)
+    assert kernel == reference_intersection(
+        reference_affine(s, F(-3, 7), F(1, 5)), IntervalSet.of((-1, 0))
+    )
