@@ -25,7 +25,7 @@ from typing import Optional, Sequence
 
 from . import __version__, largescale, sequences, smallscale, sumsets
 from .enclosures import sqrt_enclosure
-from .errors import ErdosAvoidError
+from .errors import ErdosAvoidError, InvalidParameterError
 from .gaptree import from_middle_ratio, thickness, to_interval_set, tree_to_json
 from .intervals import Grid, Interval, ParamBox
 from .rationals import as_rational, format_rational
@@ -35,11 +35,20 @@ EXIT_ERROR = 1
 EXIT_INCONCLUSIVE = 2
 
 
-def _parse_range(text: str) -> Interval:
-    lo, _, hi = text.partition(":")
-    if not _:
+def _split_range(text: str, convert) -> tuple:
+    """The two ends of lo:hi, each read by `convert`."""
+    lo, sep, hi = text.partition(":")
+    if not sep:
         raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    return Interval(as_rational(lo), as_rational(hi))
+    return convert(lo), convert(hi)
+
+
+def _parse_range(text: str) -> Interval:
+    return Interval(*_split_range(text, as_rational))
+
+
+def _parse_int_range(text: str) -> tuple[int, int]:
+    return _split_range(text, int)
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -47,13 +56,6 @@ def _parse_grid(text: str) -> tuple[int, int]:
     if not _:
         raise argparse.ArgumentTypeError(f"expected AxB, got {text!r}")
     return int(a), int(b)
-
-
-def _parse_int_range(text: str) -> tuple[int, int]:
-    lo, _, hi = text.partition(":")
-    if not _:
-        raise argparse.ArgumentTypeError(f"expected lo:hi, got {text!r}")
-    return int(lo), int(hi)
 
 
 def _json_bytes(obj) -> str:
@@ -346,6 +348,8 @@ def _cmd_certify(args) -> int:
         return EXIT_OK if stats["certified"] == stats["boxes"] else EXIT_INCONCLUSIVE
 
     if target == "frame-intersection":
+        if args.count < 1:
+            raise InvalidParameterError("--count must be at least 1")
         x_tree = from_middle_ratio(args.x_ratio, args.depth)
         fam = sumsets.build_dyadic_family(
             args.ratio_n, args.depth, args.n_range, args.l_range

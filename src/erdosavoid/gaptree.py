@@ -244,7 +244,16 @@ def tree_to_json(tree: GapTree) -> dict:
     return obj
 
 
-def tree_from_json(obj: dict) -> GapTree:
+# Deepest split chain read from JSON: tree_to_json, affine_tree and ==
+# recurse once per level, so deeper trees are refused at the input.
+JSON_DEPTH_LIMIT = 256
+
+
+def tree_from_json(obj: dict, _depth: int = 0) -> GapTree:
+    if _depth > JSON_DEPTH_LIMIT:
+        raise SchemaError(
+            f"gap-tree JSON nests deeper than the limit of {JSON_DEPTH_LIMIT} levels"
+        )
     if not isinstance(obj, dict) or "interval" not in obj:
         raise SchemaError("gap-tree JSON must carry an 'interval' field")
     iv = _interval_from_json(obj["interval"])
@@ -253,7 +262,8 @@ def tree_from_json(obj: dict) -> GapTree:
     if "left" not in obj or "right" not in obj:
         raise SchemaError("a gap-tree split node needs 'left' and 'right' fields")
     gap = _interval_from_json(obj["gap"])
-    return GapTree(iv, gap, tree_from_json(obj["left"]), tree_from_json(obj["right"]))
+    left = tree_from_json(obj["left"], _depth + 1)
+    return GapTree(iv, gap, left, tree_from_json(obj["right"], _depth + 1))
 
 
 def _interval_from_json(pair) -> Interval:

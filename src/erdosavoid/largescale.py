@@ -10,9 +10,11 @@ Two membership razors coexist by design.  Materialized cells remove the
 larger set and keeps cell measures exact.  Escape verdicts instead use
 the construction's set-difference semantics: a trajectory point escapes
 when, in every cell containing it, its offset lies inside a *closed*
-removed part.  Certificates therefore witness escape from the
-constructed set, while the conservative closure is what p-largeness is
-audited on; the closure is never smaller.
+removed part.  `_offset_escapes` decides this for one point and
+`_span_escapes` for a closed span, both on integer numerators.
+Certificates therefore witness escape from the constructed set, while
+the conservative closure is what p-largeness is audited on; the
+closure is never smaller.
 """
 
 from __future__ import annotations
@@ -129,13 +131,6 @@ class DigitGenerator:
     def removed_digits(self, k: int) -> tuple[int, int]:
         return self.scheduled_digit(k), self.m - 1
 
-    def removed_parts(self, k: int) -> list[Interval]:
-        m = self.m
-        return [
-            Interval(Fraction(j, m), Fraction(j + 1, m))
-            for j in sorted(set(self.removed_digits(k)))
-        ]
-
     def cell(self, k: int) -> IntervalSet:
         m = self.m
         removed = set(self.removed_digits(k))
@@ -248,13 +243,6 @@ class PLargeSet:
         if x == k and self.cell(k - 1).contains(Fraction(1)):
             return True
         return False
-
-    def removed_parts(self, k: int) -> list[Interval]:
-        if not hasattr(self.generator, "removed_parts"):
-            raise InvalidParameterError(
-                f"{self.generator.kind} cells carry no removed-part structure"
-            )
-        return self.generator.removed_parts(k)
 
     def to_json(self) -> dict:
         return {
@@ -375,9 +363,27 @@ def _offset_escapes(gen: DigitGenerator, k: int, r: int, den: int) -> bool:
     return rm % den == 0 and j - 1 == digit
 
 
-def _point_escapes_digit(e: PLargeSet, s: Fraction) -> bool:
-    k, r = divmod(s.numerator, s.denominator)
-    return _offset_escapes(e.generator, k, r, s.denominator)
+def _span_escapes(gen: DigitGenerator, lo: Fraction, hi: Fraction) -> bool:
+    """Whether every point of the closed span [lo, hi] escapes: hi passes
+    `_offset_escapes` and every part whose interior meets the span is
+    removed.  lo needs no test of its own, since it lies in the first of
+    those parts.  The ends are compared as integers over L*m, where L is
+    the lcm of their denominators: part t = k*m + j is [t*L, (t+1)*L]."""
+    L = math.lcm(lo.denominator, hi.denominator)
+    a = lo.numerator * (L // lo.denominator)
+    b = hi.numerator * (L // hi.denominator)
+    if not _offset_escapes(gen, *divmod(b, L), L):
+        return False
+    if a == b:
+        return True
+    m = gen.m
+    t = a * m // L  # the part whose interior holds lo, or that starts at lo
+    while t * L < b * m:
+        k, j = divmod(t, m)
+        if j != m - 1 and j != gen.scheduled_digit(k):
+            return False
+        t += 1
+    return True
 
 
 def certify_linear_escape(
@@ -591,8 +597,10 @@ def countable_dilation_avoider(
 def _seq_escape_index(
     e: PLargeSet, x: Fraction, y: Fraction, seq: SequenceSpec, n_max: int
 ) -> Optional[int]:
+    gen = _digit_generator(e, "sequence escape")
     for n in range(1, n_max + 1):
-        if _point_escapes_digit(e, x + y * seq.term(n)):
+        s = x + y * seq.term(n)
+        if _span_escapes(gen, s, s):
             return n
     return None
 
@@ -865,10 +873,11 @@ def geometric_escape_via_log(
 
     The term y*b^-n belongs to exp(-F) exactly when n*ln(b) - ln(y)
     belongs to F, so the check runs in log coordinates on rational
-    enclosures with outward rounding: an enclosure landing inside a
-    complement gap of F certifies escape for every parameter in the
-    box.  Exact (injected) log enclosures of width zero switch to the
-    pointwise digit test, which handles the integer-sequence case.
+    enclosures with outward rounding: an enclosure whose every point
+    escapes F (`_span_escapes`) certifies escape for every parameter in
+    the box.  The route is "point" when the enclosure has width zero,
+    as with exact (injected) logs in the integer-sequence case, and
+    "gap" otherwise.
 
     With refine > 0 an inconclusive box is split into four children
     with tighter enclosures; the box certifies when all children do.
@@ -877,18 +886,17 @@ def geometric_escape_via_log(
         raise InvalidParameterError("dilate box must be strictly positive")
     if b_box.lo <= 1:
         raise InvalidParameterError("base box must exceed 1")
-    _digit_generator(f_set, "log escape")
+    if n_max < 1:
+        raise InvalidParameterError("the scan depth n_max must be at least 1")
+    gen = _digit_generator(f_set, "log escape")
     ly = log_y if log_y is not None else ln_interval(y_box, bits)
     lb = log_b if log_b is not None else ln_interval(b_box, bits)
     for n in range(1, n_max + 1):
         s_lo = n * lb.lo - ly.hi
         s_hi = n * lb.hi - ly.lo
-        if s_lo == s_hi:
-            if _point_escapes_digit(f_set, s_lo):
-                return LogEscapeCertificate(y_box, b_box, "certified", n, "point")
-            continue
-        if _interval_avoids(f_set, Interval(s_lo, s_hi)):
-            return LogEscapeCertificate(y_box, b_box, "certified", n, "gap")
+        if _span_escapes(gen, s_lo, s_hi):
+            route = "point" if s_lo == s_hi else "gap"
+            return LogEscapeCertificate(y_box, b_box, "certified", n, route)
     if refine > 0 and (y_box.length > 0 or b_box.length > 0):
         ym, bm = y_box.midpoint, b_box.midpoint
         children_y = (
@@ -914,26 +922,6 @@ def geometric_escape_via_log(
             y_box, b_box, "certified", max(indices), "gap", refined=True
         )
     return LogEscapeCertificate(y_box, b_box, "inconclusive")
-
-
-def _interval_avoids(e: PLargeSet, s: Interval) -> bool:
-    """Every point of s lies in closed removed parts of all its cells.
-
-    Adjacent removed parts merge, so a gap can span up to two part
-    lengths; containment is per overlapped cell, which also covers
-    integer boundary points via the neighboring cell's clip.
-    """
-    k_lo = floor_rational(s.lo)
-    k_hi = floor_rational(s.hi)
-    for k in range(k_lo, k_hi + 1):
-        lo = max(s.lo - k, Fraction(0))
-        hi = min(s.hi - k, Fraction(1))
-        if lo > hi:
-            continue
-        merged = IntervalSet(e.removed_parts(k))
-        if not any(p.lo <= lo and hi <= p.hi for p in merged.intervals):
-            return False
-    return True
 
 
 def sweep_log_escape(

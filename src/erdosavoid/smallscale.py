@@ -311,6 +311,8 @@ def certify_no_affine_copy(
     no witness at this depth are reported inconclusive, which is not a
     disproof.
     """
+    if max_n < 1:
+        raise InvalidParameterError("the scan depth max_n must be at least 1")
     out = []
     for box in boxes:
         cert = EscapeCertificate(box, "inconclusive")
@@ -593,25 +595,13 @@ def erdos_point_probe(
     x = as_rational(x)
     if not k_set.contains(x):
         raise InvalidParameterError("base point must belong to the set")
-    records = []
-    cert_len = Fraction(0)
-    total_len = Fraction(0)
-    count = 0
-    for box in t_boxes:
-        if box.lo <= 0 <= box.hi:
-            raise InvalidParameterError("t-box must not straddle 0")
-        total_len += box.length
-        rec = PointProbeRecord(box, "inconclusive")
-        for n in range(1, max_n + 1):
-            a = seq.term(n)
-            img = Interval(
-                x + min(box.lo * a, box.hi * a), x + max(box.lo * a, box.hi * a)
-            )
-            gap = k_set.find_gap_containing(img)
-            if gap is not None:
-                rec = PointProbeRecord(box, "certified", n, gap)
-                count += 1
-                cert_len += box.length
-                break
-        records.append(rec)
-    return PointProbeReport(tuple(records), count, cert_len, total_len)
+    if any(box.lo <= 0 <= box.hi for box in t_boxes):
+        raise InvalidParameterError("t-box must not straddle 0")
+    boxes = [ParamBox(box, Interval(x, x)) for box in t_boxes]
+    records = tuple(
+        PointProbeRecord(c.box.lam, c.status, c.witness_index, c.witness_gap)
+        for c in certify_no_affine_copy(k_set, seq, boxes, max_n)
+    )
+    certified = [r.t_box.length for r in records if r.status == "certified"]
+    total = sum((box.length for box in t_boxes), Fraction(0))
+    return PointProbeReport(records, len(certified), sum(certified, Fraction(0)), total)

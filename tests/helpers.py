@@ -14,7 +14,7 @@ from fractions import Fraction
 from erdosavoid.errors import ResourceLimitError
 from erdosavoid.gaptree import GapTree, Thickness, to_interval_set
 from erdosavoid.intervals import Interval, IntervalSet
-from erdosavoid.largescale import LinearEscapeCertificate, _point_escapes_digit
+from erdosavoid.largescale import LinearEscapeCertificate
 from erdosavoid.rationals import floor_rational
 from erdosavoid.sumsets import CoverageRecord, CoverageReport
 
@@ -139,15 +139,51 @@ def random_interval_set(rng: random.Random, components: int, span=(0, 1)) -> Int
     return IntervalSet(pieces)
 
 
+def reference_removed_parts(e, k: int) -> list[Interval]:
+    """The closed removed parts of digit cell k, in Fraction arithmetic:
+    the scheduled part and the top one.  The escape references below
+    share only the digit schedule with the library."""
+    m = e.generator.m
+    digits = sorted({e.generator.scheduled_digit(k), m - 1})
+    return [Interval(Fraction(j, m), Fraction(j + 1, m)) for j in digits]
+
+
+def reference_point_escapes(e, s: Fraction) -> bool:
+    """s lies in a closed removed part of every cell containing it; an
+    integer point lies in two cells."""
+    k = floor_rational(s)
+    cells = [k - 1, k] if s == k else [k]
+    return all(
+        any(p.lo <= s - c <= p.hi for p in reference_removed_parts(e, c))
+        for c in cells
+    )
+
+
+def reference_span_escapes(e, lo: Fraction, hi: Fraction) -> bool:
+    """Every point of [lo, hi] lies in closed removed parts of all its cells.
+
+    Adjacent removed parts merge, so a gap can span up to two part
+    lengths; containment is per overlapped cell, which also covers
+    integer boundary points via the neighboring cell's clip.
+    """
+    for k in range(floor_rational(lo), floor_rational(hi) + 1):
+        c_lo = max(lo - k, Fraction(0))
+        c_hi = min(hi - k, Fraction(1))
+        if c_lo > c_hi:
+            continue
+        merged = IntervalSet(reference_removed_parts(e, k))
+        if not any(p.lo <= c_lo and c_hi <= p.hi for p in merged.intervals):
+            return False
+    return True
+
+
 def reference_point_escape_index(e, x: Fraction, y: Fraction, n_max: int):
-    """First escape step of x + n*y, stepping a Fraction point by point.
-    The escape references below share only the single-point predicate
-    `_point_escapes_digit` and `removed_parts` with the library."""
+    """First escape step of x + n*y, stepping a Fraction point by point."""
     for n in range(1, n_max + 1):
         s = x + n * y
         if abs(floor_rational(s)) > e.guard:
             raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
-        if _point_escapes_digit(e, s):
+        if reference_point_escapes(e, s):
             return n
     return None
 
@@ -167,7 +203,7 @@ def reference_certify_linear_escape(e, x_box: Interval, y_box: Interval, n_max: 
         if abs(k_hi) > e.guard:
             raise ResourceLimitError(f"image left the cell guard at n = {n}")
         for k in range(k_lo, k_hi + 1):
-            for part in e.removed_parts(k):
+            for part in reference_removed_parts(e, k):
                 shifted = part.translate(k)
                 if shifted.lo < img.lo and img.hi < shifted.hi:
                     return LinearEscapeCertificate(
@@ -175,7 +211,7 @@ def reference_certify_linear_escape(e, x_box: Interval, y_box: Interval, n_max: 
                     )
         if img.length >= 1:
             for k in range(k_lo, k_hi + 1):
-                for part in e.removed_parts(k):
+                for part in reference_removed_parts(e, k):
                     shifted = part.translate(k)
                     if img.lo <= shifted.lo and shifted.hi <= img.hi:
                         return LinearEscapeCertificate(

@@ -307,13 +307,24 @@ def test_construct_cell_object_default_window(tmp_path):
 
 
 def test_scan_depth_below_one_exits_one(tmp_path):
-    # doubling from n_max < 1 never reaches the cap, so it is refused
+    # doubling from n_max < 1 never reaches the cap, so it is refused;
+    # so are the other scans with no step and a frame run with no box
     out = tmp_path / "sweep.csv"
     for nmax in ("0", "-3"):
         argv = ["certify", "digit-avoider", "--grid", "2x2", "--Nmax", nmax, "--out", str(out)]
         assert main(argv) == 1
         assert not out.exists()
         assert not os.path.exists(str(out) + ".partial")
+    refused = [
+        ["sublacunary-avoider", "--levels", "1", "--grid", "2x2", "--Nmax", "0"],
+        ["log-escape", "--grid", "2x2", "--Nmax", "0"],
+        ["log-escape", "--grid", "2x2", "--Nmax", "-3"],
+        ["frame-intersection", "--depth", "3", "--count", "-5"],
+        ["frame-intersection", "--depth", "3", "--count", "0"],
+    ]
+    for args in refused:
+        assert main(["certify", *args, "--out", str(out)]) == 1, args
+        assert not out.exists(), args
 
 
 def test_validation_without_samples_exits_one(tmp_path):

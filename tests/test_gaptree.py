@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from erdosavoid.errors import InvalidParameterError, NotEnoughStructureError, SchemaError
 from erdosavoid.gaptree import (
+    JSON_DEPTH_LIMIT,
     GapTree,
     affine_tree,
     decompose,
@@ -191,6 +192,29 @@ def test_tree_json_round_trip():
 def test_tree_from_json_refuses_malformed_nodes(obj):
     with pytest.raises(SchemaError):
         tree_from_json(obj)
+
+
+def _left_chain_json(splits: int) -> dict:
+    """A valid tree whose every split keeps splitting on the left."""
+    root = node = {"interval": ["0", "1"]}
+    for i in range(splits):
+        hi = F(1, 3**i)
+        node["gap"] = [str(hi / 3), str(2 * hi / 3)]
+        node["right"] = {"interval": [str(2 * hi / 3), str(hi)]}
+        node["left"] = {"interval": ["0", str(hi / 3)]}
+        node = node["left"]
+    return root
+
+
+def test_tree_from_json_refuses_deep_nesting():
+    # deeper trees would overflow the recursive walks, so they are
+    # refused at the input; a chain at the limit still round-trips
+    with pytest.raises(SchemaError, match=f"limit of {JSON_DEPTH_LIMIT} levels"):
+        tree_from_json(_left_chain_json(1200))
+    t = tree_from_json(_left_chain_json(JSON_DEPTH_LIMIT))
+    assert t.min_depth() == 1
+    assert tree_from_json(tree_to_json(t)) == t
+    assert affine_tree(t, F(-2), F(1)).interval == ivl(-1, 1)
 
 
 # a tree shape: None for a leaf, or (left shape, left weight, gap weight,

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -34,12 +35,18 @@ from erdosavoid.largescale import (
     sweep_linear_escape,
     sweep_log_escape,
     validate_linear_escape,
-    _point_escapes_digit,
     _seq_escape_index,
+    _span_escapes,
 )
 from erdosavoid.sequences import linear
 
-from helpers import reference_certify_linear_escape, reference_validate_linear_escape
+from helpers import (
+    reference_certify_linear_escape,
+    reference_point_escapes,
+    reference_removed_parts,
+    reference_span_escapes,
+    reference_validate_linear_escape,
+)
 
 F = Fraction
 
@@ -129,7 +136,7 @@ def test_width_rule_soundness_structural():
         img = Interval(start, start + 1)
         found = False
         for k in range(int(start) - 1, int(start) + 3):
-            for part in e.removed_parts(k):
+            for part in reference_removed_parts(e, k):
                 shifted = part.translate(k)
                 if img.lo <= shifted.lo and shifted.hi <= img.hi:
                     found = True
@@ -151,7 +158,64 @@ def test_escape_predicates_agree_on_linear_trajectories(m, x, y):
     assert _seq_escape_index(e, x, y, linear(), n_max) == n
     last = n if n is not None else n_max
     for step in range(1, last + 1):
-        assert _point_escapes_digit(e, x + step * y) == (step == n)
+        assert reference_point_escapes(e, x + step * y) == (step == n)
+
+
+@st.composite
+def digit_spans(draw):
+    """(set, lo, hi): ends anywhere, on part boundaries or on integers,
+    spans up to three cells wide, some degenerate, and spans hugging a
+    removed part so that a fair share of them escape."""
+    m = draw(st.sampled_from([3, 4, 5, 7]))
+    gen = DigitGenerator(m, tracks=draw(st.integers(1, 3)))
+    e = PLargeSet(F(m - 2, m), 4, gen)
+
+    def end(low, high):
+        kind = draw(st.sampled_from([1, m, None]))  # integer, part boundary, any
+        if kind is not None and math.ceil(low * kind) <= math.floor(high * kind):
+            return F(draw(st.integers(math.ceil(low * kind), math.floor(high * kind))), kind)
+        return draw(st.fractions(min_value=low, max_value=high, max_denominator=60))
+
+    if draw(st.booleans()):
+        lo = end(-6, 7)
+        hi = lo if draw(st.integers(0, 3)) == 0 else end(lo, lo + 3)
+    else:
+        # around a removed part of cell k: its scheduled part or its top one
+        k = draw(st.integers(-6, 6))
+        j = draw(st.sampled_from([gen.scheduled_digit(k), m - 1]))
+        t = F(k * m + j, m)
+        lo = end(t - F(1, 2 * m), t + F(1, m))
+        hi = end(lo, t + F(3, 2 * m))
+    return e, lo, hi
+
+
+@settings(max_examples=600, deadline=None)
+@given(span=digit_spans())
+def test_span_escapes_matches_fraction_reference(span):
+    e, lo, hi = span
+    assert _span_escapes(e.generator, lo, hi) == reference_span_escapes(e, lo, hi)
+
+
+def test_span_escapes_over_adjacent_removed_parts():
+    # m = 4, one track: cells 2, 3, 4 take digits 2, 0, 0, so cell 2
+    # removes parts 2 and 3 together and cells 2-3, 3-4 join at integers
+    e = digit_avoider(4, 8)
+    gen = e.generator
+    assert [gen.scheduled_digit(k) for k in range(1, 5)] == [1, 2, 0, 0]
+    cases = [
+        (F(5, 2), F(3), True),  # digit m-2 plus the top part, up to the integer
+        (F(5, 2), F(23, 8), True),
+        (F(19, 8), F(23, 8), False),  # reaches into the kept part 1
+        (F(11, 4), F(13, 4), True),  # top of cell 2 plus digit 0 of cell 3
+        (F(15, 4), F(17, 4), True),  # top of cell 3 plus digit 0 of cell 4
+        (F(3, 4), F(5, 4), False),  # cell 1 removes digit 1, not 0
+        (F(11, 4), F(7, 2), False),  # past digit 0 of cell 3
+        (F(1), F(1), False),  # integer point of a cell without digit 0
+        (F(3), F(3), True),
+    ]
+    for lo, hi, escapes in cases:
+        assert _span_escapes(gen, lo, hi) == escapes, (lo, hi)
+        assert reference_span_escapes(e, lo, hi) == escapes, (lo, hi)
 
 
 unit_points = st.fractions(min_value=0, max_value=1, max_denominator=24)
@@ -434,6 +498,9 @@ def test_log_escape_rejects_bad_ranges():
         geometric_escape_via_log(e, ivl(0, 1), ivl(2, 2), 8)
     with pytest.raises(InvalidParameterError):
         geometric_escape_via_log(e, ivl(1, 1), ivl(F(1, 2), 1), 8)
+    for n_max in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            geometric_escape_via_log(e, ivl(1, 1), ivl(2, 2), n_max)
 
 
 def test_log_sweep_point_mode_full():

@@ -79,6 +79,14 @@ def test_certify_no_internal_gaps_is_inconclusive():
     assert certs[0].status == "inconclusive"
 
 
+def test_certify_scan_depth_below_one_is_rejected():
+    e = IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
+    box = ParamBox(ivl(1, 1), ivl(0, 0))
+    for max_n in (0, -3):
+        with pytest.raises(InvalidParameterError):
+            certify_no_affine_copy(e, reciprocal(), [box], max_n)
+
+
 def test_certify_direct_witness():
     e = IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
     box = ParamBox(ivl(1, 1), ivl(0, 0))
