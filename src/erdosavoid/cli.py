@@ -295,11 +295,13 @@ def _cmd_certify(args) -> int:
 
     if target == "sublacunary-avoider":
         seq = _sequence_from_args(args)
-        result = smallscale.build_sublacunary_avoider(seq, args.levels, args.window)
-        e = result.interval_set()
+        # refuse a bad grid or scan depth before the avoider is built
         lam_cells, t_cells = args.grid
         boxes = smallscale.grid_boxes(args.lambda_range, args.t_range, lam_cells, t_cells)
-        certs = smallscale.certify_no_affine_copy(e, seq, boxes, args.nmax)
+        if args.nmax < 1:
+            raise InvalidParameterError("--Nmax must be at least 1")
+        result = smallscale.build_sublacunary_avoider(seq, args.levels, args.window)
+        certs = smallscale.certify_no_affine_copy(result.interval_set(), seq, boxes, args.nmax)
         rows = []
         for box_id, cert in enumerate(certs):
             rows.append(

@@ -20,6 +20,7 @@ closure is never smaller.
 from __future__ import annotations
 
 import math
+import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
@@ -788,49 +789,62 @@ def ell_upper_bound(
     if step <= 0 or bound <= 0 or max_deg < 0:
         raise InvalidParameterError("need positive step, bound, and degree")
     reach = floor_rational(bound / step)
-    grid = [j * step for j in range(-reach, reach + 1)]
-    one = [Fraction(1)]
-
-    best: Optional[tuple[Fraction, tuple[Fraction, ...]]] = None
-
-    def consider(value: Fraction, witness: tuple[Fraction, ...]):
-        nonlocal best
-        if best is None or value < best[0]:
-            best = (value, witness)
-
+    # integer grid: f scaled by the lcm D of its denominators, cofactor
+    # values in units of 1/den(step), costs in units of 1/(D*den(step))
+    scale = math.lcm(*(c.denominator for c in f))
+    f_int = [c.numerator * (scale // c.denominator) for c in f]
+    unit = step.denominator
+    grid = [j * step.numerator for j in range(-reach, reach + 1)]
+    one = [unit]
     # constant coefficient pinned to 1, degree max_deg (zero tail covers less)
-    consider(*_min_mass_dp(f, [one] + [grid] * max_deg))
+    families = [[one] + [grid] * max_deg]
     # leading coefficient pinned to 1, every degree up to max_deg
-    for m in range(max_deg + 1):
-        consider(*_min_mass_dp(f, [grid] * m + [one]))
-    value, witness = best
-    return CoefficientMassBound(value, witness, max_deg)
+    families += [[grid] * m + [one] for m in range(max_deg + 1)]
+    # the first family reaching the least mass wins, as does its witness
+    cost, witness = min((_min_mass_dp(f_int, fam) for fam in families), key=lambda t: t[0])
+    return CoefficientMassBound(
+        Fraction(cost, scale * unit), tuple(Fraction(g, unit) for g in witness), max_deg
+    )
 
 
-def _min_mass_dp(
-    f: list[Fraction], allowed: list[list[Fraction]]
-) -> tuple[Fraction, tuple[Fraction, ...]]:
-    """Exact min of sum |(f*g)_i| over g with per-position value sets."""
+def _min_mass_dp(f: list[int], allowed: list[list[int]]) -> tuple[int, list[int]]:
+    """Exact min of sum |(f*g)_i| over integer g with per-position value
+    sets.
+
+    A state is the last len(f) - 1 values of g.  Each layer keeps the
+    cost of every state and a pointer to the state it came from; on
+    equal cost the state reached first wins.  The zero layers that
+    flush the trailing coefficients leave the zero state alone, and the
+    witness is read back from it along the pointers.
+    """
     df = len(f) - 1
-    layers = allowed + [[Fraction(0)]] * df  # flush the trailing coefficients
-    zero_state = (Fraction(0),) * df
-    dp: dict[tuple, tuple[Fraction, tuple]] = {zero_state: (Fraction(0), ())}
-    for values in layers:
-        ndp: dict[tuple, tuple[Fraction, tuple]] = {}
-        for state, (cost, hist) in dp.items():
+    f0, f_rev = f[0], f[:0:-1]  # f_rev[i] multiplies state[i]
+    dp = {(0,) * df: 0}
+    back = []
+    for values in allowed + [[0]] * df:
+        ndp: dict[tuple, int] = {}
+        came: dict[tuple, tuple] = {}
+        for state, cost in dp.items():
+            base = sum(map(operator.mul, f_rev, state))
+            rest = state[1:]
             for g in values:
-                c = f[0] * g
-                for j in range(1, df + 1):
-                    c += f[j] * state[df - j]
+                c = f0 * g + base
                 ncost = cost + abs(c)
-                nstate = state[1:] + (g,) if df else state
+                nstate = rest + (g,) if df else state
                 prev = ndp.get(nstate)
-                if prev is None or ncost < prev[0]:
-                    ndp[nstate] = (ncost, hist + (g,))
+                if prev is None or ncost < prev:
+                    ndp[nstate] = ncost
+                    came[nstate] = (state, g)
+        back.append(came)
         dp = ndp
-    cost, hist = min(dp.values(), key=lambda t: t[0])
-    witness = hist[: len(allowed)]
-    return cost, witness
+    state = (0,) * df
+    cost = dp[state]
+    hist = []
+    for came in reversed(back):
+        state, g = came[state]
+        hist.append(g)
+    hist.reverse()
+    return cost, hist[: len(allowed)]
 
 
 # ---------------------------------------------------------------------------

@@ -89,34 +89,34 @@ class AvoiderLevel:
 
 
 class AvoiderResult:
-    """Finite-level avoider: exact measure, construction log, and the
-    interval set itself (materialized on demand; high levels produce
-    hundreds of thousands of components)."""
+    """Finite-level avoider: exact measure, component count and
+    construction log.  The interval set itself is built on first read
+    (high levels produce hundreds of thousands of components)."""
 
-    def __init__(self, levels, measure, lower_bound, punch_union, denominators):
+    def __init__(self, levels, measure, lower_bound, components, older, dens, lattice):
         self.levels: tuple[AvoiderLevel, ...] = tuple(levels)
         self.measure: Fraction = measure
         self.lower_bound: Fraction = lower_bound
-        self._punches = punch_union  # (lo_num, lo_lvl, hi_num, hi_lvl) lists
-        self._dens = denominators
+        self.components: int = components
+        self._older = older  # punch union of every level but the last
+        self._dens = dens
+        self._lattice = lattice  # (parts, q, shift) of the last level, or None
         self._set: Optional[IntervalSet] = None
-
-    @property
-    def components(self) -> int:
-        n = len(self._punches[0])
-        return max(n - 1, 1) if n else 1
 
     def interval_set(self) -> IntervalSet:
         if self._set is None:
-            los, lo_lvl, his, hi_lvl = self._punches
-            if not los:
+            if self._lattice is None:
                 self._set = IntervalSet.of((0, 1))
             else:
-                pieces = []
-                for i in range(len(los) - 1):
-                    a = Fraction(his[i], self._dens[hi_lvl[i]])
-                    b = Fraction(los[i + 1], self._dens[lo_lvl[i + 1]])
-                    pieces.append(Interval(a, b))
+                union = ([], [], [], [])
+                _punch_level(self._older, self._dens, len(self._dens) - 1, self._lattice, union)
+                los, lo_lvl, his, hi_lvl = union
+                dens = self._dens
+                pieces = [
+                    Interval(Fraction(his[i], dens[hi_lvl[i]]),
+                             Fraction(los[i + 1], dens[lo_lvl[i + 1]]))
+                    for i in range(len(los) - 1)
+                ]
                 self._set = IntervalSet(pieces, _canonical=True)
         return self._set
 
@@ -152,8 +152,13 @@ def build_sublacunary_avoider(
     parts_k * delta_k stays below 2*4^-k, so the intersection keeps
     measure at least 1 - sum_k 2*4^-k > 1/3.
 
-    The punch bookkeeping runs on integers with one denominator per
-    level; the exact measure comes out of a single sorted sweep.
+    The avoider is counted on the punch lattice: level k's punch j is
+    [j*q_k - s_k, j*q_k + s_k] over parts_k * q_k, so floor division
+    tells which punches each interval of the older union touches.  The
+    union of levels 1..K-1 is kept as integer numerators tagged with
+    their level; level K is only counted, giving the exact measure and
+    component count.  `interval_set()` builds the last union on first
+    read.
     """
     if seq.direction != DOWN:
         raise InvalidParameterError("the avoider is built for decreasing sequences")
@@ -161,7 +166,7 @@ def build_sublacunary_avoider(
         raise InvalidParameterError("levels must be >= 0")
 
     level_records = []
-    union = ([], [], [], [])  # lo_num, lo_lvl, hi_num, hi_lvl
+    lattices = []
     dens: list[int] = []
     prev_index = 0
     total_parts = 0
@@ -188,78 +193,123 @@ def build_sublacunary_avoider(
             AvoiderLevel(k, n, a, seq.term(n + 1), delta, parts, removed, budget)
         )
         half = delta / 2
-        p_num, q = half.numerator, half.denominator
-        den = parts * q
-        shift = p_num * parts
-        los, his = [], []
-        for j in range(parts + 1):
-            lo = j * q - shift
-            hi = j * q + shift
-            los.append(lo if lo > 0 else 0)
-            his.append(hi if hi < den else den)
-        dens.append(den)
-        union = _merge_punches(union, (los, his), dens, len(dens) - 1)
+        lattices.append((parts, half.denominator, half.numerator * parts))
+        dens.append(parts * half.denominator)
 
     lower_bound = 1 - sum((Fraction(2, 4**k) for k in range(1, levels + 1)), Fraction(0))
-    removed_total = Fraction(0)
-    lo_num, lo_lvl, hi_num, hi_lvl = union
-    per_level_hi = [0] * len(dens)
-    per_level_lo = [0] * len(dens)
-    for i in range(len(lo_num)):
-        per_level_hi[hi_lvl[i]] += hi_num[i]
-        per_level_lo[lo_lvl[i]] += lo_num[i]
-    for lvl, den in enumerate(dens):
-        removed_total += Fraction(per_level_hi[lvl] - per_level_lo[lvl], den)
+    older = ([], [], [], [])  # lo_num, lo_lvl, hi_num, hi_lvl
+    for lvl, lattice in enumerate(lattices[:-1]):
+        union = ([], [], [], [])
+        _punch_level(older, dens, lvl, lattice, union)
+        older = union
+    if not lattices:
+        return AvoiderResult(level_records, Fraction(1), lower_bound, 1, older, dens, None)
+    count, net = _punch_level(older, dens, levels - 1, lattices[-1])
+    removed_total = sum((Fraction(s, den) for s, den in zip(net, dens)), Fraction(0))
     measure = 1 - removed_total
     if measure < lower_bound:
         raise ConstructionAuditError(
             f"measure {measure} fell below the removal bound {lower_bound}"
         )
-    return AvoiderResult(level_records, measure, lower_bound, union, dens)
+    return AvoiderResult(
+        level_records, measure, lower_bound, max(count - 1, 1), older, dens, lattices[-1]
+    )
 
 
-def _merge_punches(union, level_punches, dens, lvl):
-    """Union of the running punch list with one level's punches.
+def _punch_level(older, dens, lvl, lattice, out=None):
+    """Union of the older punch union with level lvl's punches.
 
-    Endpoints stay as integer numerators tagged with their level, so
-    comparisons are cross multiplications and no Fraction is built.
+    Endpoints are integer numerators tagged with their level.  Punch j
+    of level lvl is [j*q - shift, j*q + shift] over den = parts*q,
+    clipped to [0, den].  An older interval [L, H] touches exactly the
+    punches jlo..jhi with jlo = ceil((L*den - shift)/q) and jhi =
+    floor((H*den + shift)/q), so one pass over the older union places
+    every punch.  Two punches of one level never touch (parts*delta <
+    1), so consecutive older intervals share at most one punch, which
+    bridges them into one cluster; punches that no older interval
+    touches stay as they are.
+
+    With `out` (four lists) the union is appended there in order.
+    Without it the union is only counted: the result is its interval
+    count and, per level, the sum of its hi numerators minus its lo
+    numerators.
     """
-    lo_num, lo_lvl, hi_num, hi_lvl = union
-    los, his = level_punches
-    den_new = dens[lvl]
-    out_lo, out_lo_l, out_hi, out_hi_l = [], [], [], []
-    i = j = 0
-    na, nb = len(lo_num), len(los)
-    cur = None  # (lo, lo_l, hi, hi_l)
-    while i < na or j < nb:
-        if i < na and (
-            j >= nb or lo_num[i] * den_new <= los[j] * dens[lo_lvl[i]]
-        ):
-            nxt = (lo_num[i], lo_lvl[i], hi_num[i], hi_lvl[i])
-            i += 1
-        else:
-            nxt = (los[j], lvl, his[j], lvl)
-            j += 1
-        if cur is None:
-            cur = list(nxt)
-            continue
-        # touching punches merge: nxt.lo <= cur.hi ?
-        if nxt[0] * dens[cur[3]] <= cur[2] * dens[nxt[1]]:
-            # extend if nxt reaches further right
-            if nxt[2] * dens[cur[3]] > cur[2] * dens[nxt[3]]:
-                cur[2], cur[3] = nxt[2], nxt[3]
-        else:
-            out_lo.append(cur[0])
-            out_lo_l.append(cur[1])
-            out_hi.append(cur[2])
-            out_hi_l.append(cur[3])
-            cur = list(nxt)
-    if cur is not None:
-        out_lo.append(cur[0])
-        out_lo_l.append(cur[1])
-        out_hi.append(cur[2])
-        out_hi_l.append(cur[3])
-    return out_lo, out_lo_l, out_hi, out_hi_l
+    lo_num, lo_lvl, hi_num, hi_lvl = older
+    parts, q, shift = lattice
+    den = parts * q
+    sd = [shift * d for d in dens]
+    qd = [q * d for d in dens]
+    count = 0
+    net = [0] * len(dens)
+    free = 0  # the first punch not yet placed
+    last_j = -1  # the last punch the open cluster touches
+    clo = cll = chi = chl = None  # the open cluster
+    n = len(lo_num)
+    for i in range(n + 1):
+        if i < n:
+            lo, ll, hi, hl = lo_num[i], lo_lvl[i], hi_num[i], hi_lvl[i]
+            jlo = (lo * den - sd[ll] + qd[ll] - 1) // qd[ll]
+            jhi = (hi * den + sd[hl]) // qd[hl]
+        else:  # past the last punch: close the open cluster, place the rest
+            jlo = parts + 1
+        if jlo != last_j:
+            if clo is not None:
+                if out is None:
+                    count += 1
+                    net[chl] += chi
+                    net[cll] -= clo
+                else:
+                    out[0].append(clo)
+                    out[1].append(cll)
+                    out[2].append(chi)
+                    out[3].append(chl)
+            if free < jlo:  # untouched punches; 0 and parts are clipped to half
+                if out is None:
+                    count += jlo - free
+                    net[lvl] += shift * (2 * (jlo - free) - (free == 0) - (jlo > parts))
+                else:
+                    _place_punches(out, free, jlo, lvl, lattice)
+            if i == n:
+                break
+            clo, cll = lo, ll
+            if jlo <= jhi:
+                p = jlo * q - shift
+                if p < 0:
+                    p = 0
+                if p * dens[ll] < lo * den:
+                    clo, cll = p, lvl
+        # else: punch jlo = last_j bridges this interval into the open cluster
+        chi, chl = hi, hl
+        if jlo <= jhi:
+            p = jhi * q + shift
+            if p > den:
+                p = den
+            if p * dens[hl] > hi * den:
+                chi, chl = p, lvl
+        free = jhi + 1
+        last_j = jhi
+    return count, net
+
+
+def _place_punches(out, a, b, lvl, lattice):
+    """Append punches a..b-1 of level lvl to the four lists `out`."""
+    parts, q, shift = lattice
+    los, lo_lvl, his, hi_lvl = out
+    start, stop = a, b
+    if a == 0:
+        los.append(0)
+        his.append(shift)
+        start = 1
+    if b == parts + 1:
+        stop = parts
+    if start < stop:
+        los.extend(range(start * q - shift, stop * q - shift, q))
+        his.extend(range(start * q + shift, stop * q + shift, q))
+    if b == parts + 1:
+        los.append(parts * q - shift)
+        his.append(parts * q)
+    lo_lvl.extend([lvl] * (b - a))
+    hi_lvl.extend([lvl] * (b - a))
 
 
 def avoider_level_set(seq: SequenceSpec, k: int, window: int = 1_000_000) -> IntervalSet:

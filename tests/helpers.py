@@ -11,11 +11,17 @@ import random
 from bisect import bisect_right
 from fractions import Fraction
 
-from erdosavoid.errors import ResourceLimitError
+from erdosavoid.errors import (
+    ConstructionAuditError,
+    InvalidParameterError,
+    NeedsLongerWindowError,
+    ResourceLimitError,
+)
 from erdosavoid.gaptree import GapTree, Thickness, to_interval_set
 from erdosavoid.intervals import Interval, IntervalSet
 from erdosavoid.largescale import LinearEscapeCertificate
-from erdosavoid.rationals import floor_rational
+from erdosavoid.rationals import as_rational, floor_rational
+from erdosavoid.smallscale import AvoiderLevel, AvoiderResult, _level_parameters
 from erdosavoid.sumsets import CoverageRecord, CoverageReport
 
 
@@ -290,3 +296,166 @@ def reference_sumset_cover_probe(x_tree, family, lam, targets, depth) -> Coverag
         else:
             records.append(CoverageRecord(r, False, None, best))
     return CoverageReport(lam, tuple(records))
+
+
+class ReferenceAvoider:
+    """The sublacunary avoider as the sorted merge of every level's
+    punches; `interval_set()` reads the merged union.  It has the
+    reading interface of `AvoiderResult`, so the CLI can be run on it."""
+
+    log_json = AvoiderResult.log_json
+
+    def __init__(self, levels, measure, lower_bound, union, dens):
+        self.levels = tuple(levels)
+        self.measure = measure
+        self.lower_bound = lower_bound
+        self._union = union
+        self._dens = dens
+        n = len(union[0])
+        self.components = max(n - 1, 1) if n else 1
+
+    def interval_set(self) -> IntervalSet:
+        los, lo_lvl, his, hi_lvl = self._union
+        if not los:
+            return IntervalSet.of((0, 1))
+        pieces = [
+            Interval(Fraction(his[i], self._dens[hi_lvl[i]]),
+                     Fraction(los[i + 1], self._dens[lo_lvl[i + 1]]))
+            for i in range(len(los) - 1)
+        ]
+        return IntervalSet(pieces, _canonical=True)
+
+
+def reference_sublacunary_avoider(seq, levels: int, window: int = 1_000_000):
+    """Every level's punches listed one by one and merged into the
+    running union; shares only the level parameters with the library."""
+    if levels < 0:
+        raise InvalidParameterError("levels must be >= 0")
+    records = []
+    lattices = []
+    prev_index = 0
+    total_parts = 0
+    for k in range(1, levels + 1):
+        try:
+            n, a, delta, parts = _level_parameters(seq, k, prev_index + 1, window)
+        except NeedsLongerWindowError as exc:
+            raise NeedsLongerWindowError(f"level {k}: {exc}", level=k) from exc
+        prev_index = n
+        total_parts += parts
+        if total_parts > 20_000_000:
+            raise ResourceLimitError(f"level {k} would need {total_parts} punches")
+        removed, budget = parts * delta, Fraction(2, 4**k)
+        if removed > budget:
+            raise InvalidParameterError(f"level {k} removal exceeds its budget")
+        records.append(AvoiderLevel(k, n, a, seq.term(n + 1), delta, parts, removed, budget))
+        lattices.append((parts, delta / 2))
+
+    # every level's parameters are checked before any punch is listed
+    union = ([], [], [], [])  # lo_num, lo_lvl, hi_num, hi_lvl
+    dens: list[int] = []
+    for parts, half in lattices:
+        p_num, q = half.numerator, half.denominator
+        den = parts * q
+        shift = p_num * parts
+        los, his = [], []
+        for j in range(parts + 1):
+            lo = j * q - shift
+            hi = j * q + shift
+            los.append(lo if lo > 0 else 0)
+            his.append(hi if hi < den else den)
+        dens.append(den)
+        union = _reference_merge_punches(union, (los, his), dens, len(dens) - 1)
+
+    lower_bound = 1 - sum((Fraction(2, 4**k) for k in range(1, levels + 1)), Fraction(0))
+    lo_num, lo_lvl, hi_num, hi_lvl = union
+    per_level_hi = [0] * len(dens)
+    per_level_lo = [0] * len(dens)
+    for i in range(len(lo_num)):
+        per_level_hi[hi_lvl[i]] += hi_num[i]
+        per_level_lo[lo_lvl[i]] += lo_num[i]
+    removed_total = Fraction(0)
+    for lvl, den in enumerate(dens):
+        removed_total += Fraction(per_level_hi[lvl] - per_level_lo[lvl], den)
+    measure = 1 - removed_total
+    if measure < lower_bound:
+        raise ConstructionAuditError(f"measure {measure} fell below {lower_bound}")
+    return ReferenceAvoider(records, measure, lower_bound, union, dens)
+
+
+def _reference_merge_punches(union, level_punches, dens, lvl):
+    """Sorted merge of the running punch union with one level's punches;
+    endpoints compare by cross multiplication."""
+    lo_num, lo_lvl, hi_num, hi_lvl = union
+    los, his = level_punches
+    den_new = dens[lvl]
+    out_lo, out_lo_l, out_hi, out_hi_l = [], [], [], []
+    i = j = 0
+    na, nb = len(lo_num), len(los)
+    cur = None  # [lo, lo_l, hi, hi_l]
+    while i < na or j < nb:
+        if i < na and (j >= nb or lo_num[i] * den_new <= los[j] * dens[lo_lvl[i]]):
+            nxt = (lo_num[i], lo_lvl[i], hi_num[i], hi_lvl[i])
+            i += 1
+        else:
+            nxt = (los[j], lvl, his[j], lvl)
+            j += 1
+        if cur is None:
+            cur = list(nxt)
+            continue
+        if nxt[0] * dens[cur[3]] <= cur[2] * dens[nxt[1]]:  # touching: merge
+            if nxt[2] * dens[cur[3]] > cur[2] * dens[nxt[3]]:
+                cur[2], cur[3] = nxt[2], nxt[3]
+        else:
+            out_lo.append(cur[0])
+            out_lo_l.append(cur[1])
+            out_hi.append(cur[2])
+            out_hi_l.append(cur[3])
+            cur = list(nxt)
+    if cur is not None:
+        out_lo.append(cur[0])
+        out_lo_l.append(cur[1])
+        out_hi.append(cur[2])
+        out_hi_l.append(cur[3])
+    return out_lo, out_lo_l, out_hi, out_hi_l
+
+
+def reference_min_mass_dp(f, allowed):
+    """Exact min of sum |(f*g)_i| over g with per-position value sets,
+    in Fraction arithmetic, copying each state's history."""
+    df = len(f) - 1
+    layers = allowed + [[Fraction(0)]] * df  # flush the trailing coefficients
+    zero_state = (Fraction(0),) * df
+    dp = {zero_state: (Fraction(0), ())}
+    for values in layers:
+        ndp = {}
+        for state, (cost, hist) in dp.items():
+            for g in values:
+                c = f[0] * g
+                for j in range(1, df + 1):
+                    c += f[j] * state[df - j]
+                ncost = cost + abs(c)
+                nstate = state[1:] + (g,) if df else state
+                prev = ndp.get(nstate)
+                if prev is None or ncost < prev[0]:
+                    ndp[nstate] = (ncost, hist + (g,))
+        dp = ndp
+    cost, hist = min(dp.values(), key=lambda t: t[0])
+    return cost, hist[: len(allowed)]
+
+
+def reference_ell_upper_bound(f_coeffs, max_deg, step, bound):
+    """`ell_upper_bound`'s search over the same cofactor families, each
+    solved by `reference_min_mass_dp`; returns (value, witness)."""
+    f = [as_rational(c) for c in f_coeffs]
+    while f and f[-1] == 0:
+        f.pop()
+    step, bound = as_rational(step), as_rational(bound)
+    reach = floor_rational(bound / step)
+    grid = [j * step for j in range(-reach, reach + 1)]
+    one = [Fraction(1)]
+    best = reference_min_mass_dp(f, [one] + [grid] * max_deg)
+    for m in range(max_deg + 1):
+        cand = reference_min_mass_dp(f, [grid] * m + [one])
+        if cand[0] < best[0]:
+            best = cand
+    return best

@@ -8,11 +8,13 @@ from pathlib import Path
 import pytest
 
 import erdosavoid
-from erdosavoid import largescale
+from erdosavoid import largescale, smallscale
 from erdosavoid.cli import _workers, main
 from erdosavoid.errors import InvalidParameterError, ResourceLimitError
 from erdosavoid.intervals import Interval
 from erdosavoid.rationals import format_rational, parse_rational
+
+from helpers import reference_sublacunary_avoider
 
 F = Fraction
 
@@ -325,6 +327,41 @@ def test_scan_depth_below_one_exits_one(tmp_path):
     for args in refused:
         assert main(["certify", *args, "--out", str(out)]) == 1, args
         assert not out.exists(), args
+
+
+def test_sublacunary_refusals_build_no_avoider(tmp_path, monkeypatch):
+    # a bad scan depth or grid is refused before the avoider is built
+    def no_build(*args, **kwargs):
+        raise AssertionError("the avoider was built")
+
+    monkeypatch.setattr(smallscale, "build_sublacunary_avoider", no_build)
+    out = tmp_path / "small.csv"
+    for extra in (["--Nmax", "0"], ["--Nmax", "-2"], ["--grid", "0x4"], ["--grid", "4x0"]):
+        argv = ["certify", "sublacunary-avoider", "--levels", "6", "--grid", "2x2",
+                *extra, "--out", str(out)]
+        assert main(argv) == 1, extra
+        assert not out.exists(), extra
+
+
+def test_sublacunary_cli_bytes_match_merge_reference(tmp_path, monkeypatch):
+    # the lattice count and the lazily built interval set give the
+    # artifacts of the sorted punch merge, byte for byte
+    runs = {
+        "levels3.json": ["construct", "sublacunary-avoider", "--levels", "3"],
+        "levels6.json": ["construct", "sublacunary-avoider", "--levels", "6"],
+        "certify.csv": ["certify", "sublacunary-avoider", "--levels", "3", "--grid", "4x4",
+                        "--lambda-range", "1:2", "--t-range=-1:1"],
+    }
+    got = {}
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / name)]) in (0, 2)
+        got[name] = read(tmp_path / name)
+    assert len(json.loads(got["levels3.json"])["intervals"]) == 1308
+    assert "intervals" not in json.loads(got["levels6.json"])
+    monkeypatch.setattr(smallscale, "build_sublacunary_avoider", reference_sublacunary_avoider)
+    for name, argv in runs.items():
+        assert main([*argv, "--out", str(tmp_path / f"ref-{name}")]) in (0, 2)
+        assert read(tmp_path / f"ref-{name}") == got[name], name
 
 
 def test_validation_without_samples_exits_one(tmp_path):

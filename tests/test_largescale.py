@@ -42,6 +42,7 @@ from erdosavoid.sequences import linear
 
 from helpers import (
     reference_certify_linear_escape,
+    reference_ell_upper_bound,
     reference_point_escapes,
     reference_removed_parts,
     reference_span_escapes,
@@ -471,6 +472,25 @@ def test_ell_telescoping_witness_is_geometric():
     res = ell_upper_bound([-2, 1], 3, F(1, 8), 1)
     assert res.value == 2 + F(1, 8)
     assert res.witness == (F(1), F(1, 2), F(1, 4), F(1, 8))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    f=st.lists(
+        st.fractions(min_value=-2, max_value=2, max_denominator=6), min_size=1, max_size=3
+    ).filter(any),
+    max_deg=st.integers(0, 3),
+    step=st.sampled_from([F(2, 3), F(3, 8), F(1, 2), F(5, 4)]),
+    bound=st.sampled_from([F(1), F(3, 2)]),
+)
+def test_ell_integer_dp_matches_fraction_reference(f, max_deg, step, bound):
+    # 1/step is not an integer for 2/3, 3/8 and 5/4, so the pinned 1 is
+    # off the cofactor grid; small coefficients make ties common, and
+    # the witness pins the tie-break order
+    res = ell_upper_bound(f, max_deg, step, bound)
+    value, witness = reference_ell_upper_bound(f, max_deg, step, bound)
+    assert res.value == value
+    assert res.witness == witness
 
 
 # --- log-domain escape ---------------------------------------------------------

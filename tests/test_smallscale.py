@@ -2,11 +2,25 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from erdosavoid.errors import DensityPointViolationError, InvalidParameterError
+from erdosavoid.errors import (
+    DensityPointViolationError,
+    ErdosAvoidError,
+    InvalidParameterError,
+)
 from erdosavoid.intervals import IntervalSet, ParamBox, ivl
-from erdosavoid.sequences import explicit, geometric_down, reciprocal
+from erdosavoid.sequences import (
+    DOWN,
+    custom,
+    explicit,
+    geometric_down,
+    reciprocal,
+    reciprocal_power,
+)
 from erdosavoid.smallscale import (
+    _punch_level,
     avoider_level_set,
     build_sublacunary_avoider,
     certify_no_affine_copy,
@@ -18,6 +32,8 @@ from erdosavoid.smallscale import (
     steinhaus_embed,
     validate_certificate,
 )
+
+from helpers import _reference_merge_punches, reference_sublacunary_avoider
 
 F = Fraction
 
@@ -67,6 +83,106 @@ def test_avoider_frozen_exact_measures():
     assert r4.measure == F(13867583, 20092800)
     assert [lvl.index for lvl in r4.levels] == [3, 63, 575, 4095]
     assert [lvl.parts for lvl in r4.levels] == [3, 126, 1725, 16380]
+
+
+# Sequences and the levels the lattice count is checked at.  Only the
+# closed-form index search of `reciprocal` reaches level 5 quickly; the
+# other kinds scan their terms one by one.  n^-2 past level 2 and n^-3
+# past level 1 need millions of punches, which the oracle lists one by
+# one, so they are checked where the 20M-punch guard fires; n^-3/2 has
+# no exact terms.
+AVOIDER_CASES = (
+    (reciprocal(), range(6)),
+    (reciprocal_power(1), range(5)),
+    (reciprocal_power(2), (0, 1, 2, 4)),
+    (reciprocal_power(3), (0, 1, 3)),
+    (reciprocal_power(F(3, 2)), (0, 1)),
+)
+
+
+@st.composite
+def avoider_inputs(draw):
+    if draw(st.booleans()):
+        seq, levels = draw(st.sampled_from(AVOIDER_CASES))
+        return seq, draw(st.sampled_from(tuple(levels)))
+    c = draw(st.fractions(min_value=F(-1, 2), max_value=6, max_denominator=4))
+    return custom(lambda n: 1 / (n + c), DOWN, 1), draw(st.integers(0, 4))
+
+
+def _build_or_error(build, seq, levels):
+    try:
+        return build(seq, levels)
+    except ErdosAvoidError as exc:
+        return type(exc)
+
+
+@settings(max_examples=25, deadline=None)
+@given(avoider_inputs())
+def test_avoider_lattice_count_matches_merge_reference(case):
+    seq, levels = case
+    got = _build_or_error(build_sublacunary_avoider, seq, levels)
+    want = _build_or_error(reference_sublacunary_avoider, seq, levels)
+    if isinstance(want, type):
+        assert got is want
+        return
+    assert got.measure == want.measure
+    assert got.components == want.components
+    assert got.interval_set() == want.interval_set()
+
+
+@st.composite
+def punch_levels(draw):
+    """A random older union (separated intervals in [0, 1] with endpoints
+    on one to three level denominators) and a new punch lattice."""
+    dens = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
+    ends = draw(st.lists(
+        st.integers(0, len(dens) - 1).flatmap(
+            lambda lvl: st.tuples(st.integers(0, dens[lvl]), st.just(lvl))),
+        max_size=16,
+    ))
+    ends = sorted({F(num, dens[lvl]): (num, lvl) for num, lvl in ends}.items())
+    older = ([], [], [], [])
+    for (_, (lo, ll)), (_, (hi, hl)) in zip(ends[::2], ends[1::2]):
+        for column, value in zip(older, (lo, ll, hi, hl)):
+            column.append(value)
+    parts, q = draw(st.integers(1, 12)), draw(st.integers(3, 30))
+    shift = draw(st.integers(1, (q - 1) // 2))  # two punches never touch
+    return older, dens + [parts * q], (parts, q, shift)
+
+
+def _values(union, dens):
+    los, lo_lvl, his, hi_lvl = union
+    return [(F(los[i], dens[lo_lvl[i]]), F(his[i], dens[hi_lvl[i]])) for i in range(len(los))]
+
+
+@settings(max_examples=400, deadline=None)
+@given(punch_levels())
+def test_punch_level_matches_sorted_merge(case):
+    # random unions reach what the avoider's own levels rarely do: a
+    # punch bridging two older intervals, and punches at 0 and 1
+    # meeting older endpoints
+    older, dens, (parts, q, shift) = case
+    lvl = len(dens) - 1
+    den = parts * q
+    punches = (
+        [max(j * q - shift, 0) for j in range(parts + 1)],
+        [min(j * q + shift, den) for j in range(parts + 1)],
+    )
+    want = _values(_reference_merge_punches(older, punches, dens, lvl), dens)
+    union = ([], [], [], [])
+    _punch_level(older, dens, lvl, (parts, q, shift), union)
+    assert _values(union, dens) == want
+    count, net = _punch_level(older, dens, lvl, (parts, q, shift))
+    assert count == len(want)
+    assert sum(F(s, d) for s, d in zip(net, dens)) == sum(hi - lo for lo, hi in want)
+
+
+def test_avoider_punch_guard_fires_at_its_level():
+    # n^-2 at level 4 would need 272,376,634 punches in all
+    from erdosavoid.errors import ResourceLimitError
+
+    with pytest.raises(ResourceLimitError, match="level 4 would need 272376634 punches"):
+        build_sublacunary_avoider(reciprocal_power(2), 4)
 
 
 # --- escape certification ---------------------------------------------------
