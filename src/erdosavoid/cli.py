@@ -1,6 +1,11 @@
 """Command-line front door: construct named objects, run certification
 sweeps, probe statistics, and aggregate reports.
 
+Every target (`construct digit-avoider`, `certify log-escape`, ...) is
+its own sub-parser that declares only the flags its runner reads.  A
+runner returns a `Result`, and `_write` renders it, writes it and picks
+the exit code, so every artifact leaves the same way.
+
 Outputs are deterministic byte-for-byte given the same configuration
 and seed: files are written atomically, sweeps are resumable by box id,
 and worker parallelism (ERDOSAVOID_WORKERS) never reorders results.
@@ -12,16 +17,19 @@ resource error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
+import functools
 import io
 import json
 import os
+import random
 import sys
 import tempfile
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import __version__, largescale, sequences, smallscale, sumsets
 from .enclosures import sqrt_enclosure
@@ -58,8 +66,13 @@ def _parse_grid(text: str) -> tuple[int, int]:
     return int(a), int(b)
 
 
-def _json_bytes(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2) + "\n"
+def _read_text(path: str) -> str:
+    """The whole text of an input file, which must be UTF-8."""
+    try:
+        with open(path, encoding="utf-8", newline="") as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ErdosAvoidError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def write_atomic(path: str, text: str) -> None:
@@ -77,29 +90,45 @@ def write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _emit(args, payload_obj, rows: Optional[list[dict]] = None, fieldnames=None) -> None:
-    if args.format == "csv":
-        if rows is None:
-            raise ErdosAvoidError("this command has no CSV representation")
+class Table(NamedTuple):
+    """A CSV artifact: the header and the rows, every value a string."""
+
+    fields: list[str]
+    rows: list[dict[str, str]]
+
+
+class Result(NamedTuple):
+    """What a runner hands to `_write`: its artifact (a JSON payload or a
+    `Table`), whether every item certified, and the resume journal that
+    the written artifact supersedes."""
+
+    artifact: Union[dict, Table]
+    ok: bool = True
+    journal: Optional[str] = None
+
+
+def _write(out: Optional[str], result: Result) -> int:
+    """Render the artifact, write it to `out` (stdout if None) and map the
+    outcome to an exit code."""
+    if isinstance(result.artifact, Table):
         buf = io.StringIO()
-        writer = csv.DictWriter(buf, fieldnames=fieldnames, lineterminator="\n")
+        writer = csv.DictWriter(buf, fieldnames=result.artifact.fields, lineterminator="\n")
         writer.writeheader()
-        writer.writerows(rows)
+        writer.writerows(result.artifact.rows)
         text = buf.getvalue()
     else:
-        text = _json_bytes(payload_obj)
-    if args.out:
-        write_atomic(args.out, text)
+        text = json.dumps(result.artifact, sort_keys=True, indent=2) + "\n"
+    if out:
+        write_atomic(out, text)
     else:
         sys.stdout.write(text)
+    if result.journal and os.path.exists(result.journal):
+        os.unlink(result.journal)
+    return EXIT_OK if result.ok else EXIT_INCONCLUSIVE
 
 
 def _sequence_from_args(args) -> sequences.SequenceSpec:
-    kwargs = {}
-    if getattr(args, "ratio", None) is not None:
-        kwargs["ratio"] = args.ratio
-    if getattr(args, "base", None) is not None:
-        kwargs["base"] = args.base
+    kwargs = {k: getattr(args, k) for k in ("ratio", "base") if getattr(args, k) is not None}
     return sequences.from_name(args.seq, **kwargs)
 
 
@@ -115,95 +144,81 @@ def _workers() -> int:
 # construct
 
 
-def _cmd_construct(args) -> int:
-    obj = args.object
-    if args.window is None:  # a search window, or the number of cells to build
-        args.window = 1_000_000 if obj == "sublacunary-avoider" else 64
-    if obj == "sublacunary-avoider":
-        seq = _sequence_from_args(args)
-        result = smallscale.build_sublacunary_avoider(seq, args.levels, args.window)
-        payload = {
-            "object": obj,
-            "seq": args.seq,
-            "levels": args.levels,
-            "log": result.log_json(),
-            "measure": format_rational(result.measure),
-        }
-        if result.components <= args.max_components:
-            payload["intervals"] = result.interval_set().to_json()["intervals"]
-        _emit(args, payload)
-        return EXIT_OK
-    if obj == "digit-avoider":
-        e = largescale.digit_avoider(args.m, args.window)
-        payload = {"object": obj, "m": args.m, **e.to_json()}
-        _emit(args, payload)
-        return EXIT_OK
-    if obj == "fractional-set":
-        e = largescale.fractional_set(args.p, args.window)
-        _emit(args, {"object": obj, **e.to_json()})
-        return EXIT_OK
-    if obj == "quotient-avoider":
-        e = largescale.quotient_avoider(args.y, args.p, args.window)
-        _emit(args, {"object": obj, "y": format_rational(args.y), **e.to_json()})
-        return EXIT_OK
-    if obj == "middle-cantor":
-        tree = from_middle_ratio(args.ratio_n, args.depth)
-        payload = {
-            "object": obj,
-            "thickness": format_rational(thickness(tree).value),
-            "level_measure": format_rational(
-                to_interval_set(tree, args.depth).measure()
-            ),
-            "tree": tree_to_json(tree),
-        }
-        _emit(args, payload)
-        return EXIT_OK
-    if obj == "dyadic-family":
-        fam = sumsets.build_dyadic_family(
-            args.ratio_n, args.depth, args.n_range, args.l_range
-        )
-        payload = {
-            "object": obj,
-            **fam.describe(),
-            "level_measures": {
-                str(d): format_rational(fam.level_measure(d))
-                for d in range(args.depth + 1)
-            },
-        }
-        _emit(args, payload)
-        return EXIT_OK
-    raise ErdosAvoidError(f"unknown object {obj!r}")
+def _construct_sublacunary_avoider(args) -> Result:
+    result = smallscale.build_sublacunary_avoider(_sequence_from_args(args), args.levels, args.window)
+    payload = {
+        "object": args.target,
+        "seq": args.seq,
+        "levels": args.levels,
+        "log": result.log_json(),
+        "measure": format_rational(result.measure),
+    }
+    if result.components <= args.max_components:
+        payload["intervals"] = result.interval_set().to_json()["intervals"]
+    return Result(payload)
+
+
+def _construct_digit_avoider(args) -> Result:
+    e = largescale.digit_avoider(args.m, args.window)
+    return Result({"object": args.target, "m": args.m, **e.to_json()})
+
+
+def _construct_fractional_set(args) -> Result:
+    e = largescale.fractional_set(args.p, args.window)
+    return Result({"object": args.target, **e.to_json()})
+
+
+def _construct_quotient_avoider(args) -> Result:
+    y = as_rational(args.y)
+    e = largescale.quotient_avoider(y, args.p, args.window)
+    return Result({"object": args.target, "y": format_rational(y), **e.to_json()})
+
+
+def _construct_middle_cantor(args) -> Result:
+    tree = from_middle_ratio(args.ratio_n, args.depth)
+    return Result({
+        "object": args.target,
+        "thickness": format_rational(thickness(tree).value),
+        "level_measure": format_rational(to_interval_set(tree, args.depth).measure()),
+        "tree": tree_to_json(tree),
+    })
+
+
+def _construct_dyadic_family(args) -> Result:
+    fam = sumsets.build_dyadic_family(args.ratio_n, args.depth, args.n_range, args.l_range)
+    return Result({
+        "object": args.target,
+        **fam.describe(),
+        "level_measures": {
+            str(d): format_rational(fam.level_measure(d)) for d in range(args.depth + 1)
+        },
+    })
 
 
 # ---------------------------------------------------------------------------
 # certify
 
 
-def _digit_sweep_rows(job) -> list[dict]:
-    m, window, grid, box_ids, nmax, cap, validate, samples, seed = job
-    e = largescale.digit_avoider(m, window)
+def _digit_sweep_rows(args, grid: Grid, box_ids: list[int]) -> list[dict]:
+    e = largescale.digit_avoider(args.m, args.window)
     rows = []
     for box_id in box_ids:
         bx, by = grid.cell(box_id)
-        cert = largescale.certify_linear_escape_to_cap(e, bx, by, nmax, cap)
-        ok = True
-        if validate:
-            ok = largescale.validate_linear_escape(
-                e, cert, samples=samples, seed=seed * 1000003 + box_id
-            )
-        rows.append(
-            {
-                "box_id": box_id,
-                "x_lo": format_rational(bx.lo),
-                "x_hi": format_rational(bx.hi),
-                "y_lo": format_rational(by.lo),
-                "y_hi": format_rational(by.hi),
-                "status": cert.status if ok else "validation-failed",
-                "witness_n": cert.witness_index if cert.witness_index else "",
-                "route": cert.route or "",
-                "witness_cell": cert.witness_cell if cert.witness_cell is not None else "",
-            }
+        cert = largescale.certify_linear_escape_to_cap(e, bx, by, args.nmax, args.nmax_cap)
+        ok = not args.validate or largescale.validate_linear_escape(
+            e, cert, samples=args.samples, seed=args.seed * 1000003 + box_id
         )
+        rows.append({
+            "box_id": str(box_id),
+            "x_lo": format_rational(bx.lo),
+            "x_hi": format_rational(bx.hi),
+            "y_lo": format_rational(by.lo),
+            "y_hi": format_rational(by.hi),
+            "status": cert.status if ok else "validation-failed",
+            "witness_n": str(cert.witness_index or ""),
+            "route": cert.route or "",
+            "witness_cell": "" if cert.witness_cell is None else str(cert.witness_cell),
+        })
     return rows
 
 
@@ -219,230 +234,174 @@ def _load_resume_rows(path: str, grid: Grid) -> dict[int, dict]:
     if not os.path.exists(path):
         return {}
     rows = {}
-    with open(path, newline="") as fh:
-        for line, row in enumerate(csv.DictReader(fh), 2):
-            box = row.get("box_id") or ""
-            box_id = int(box) if box.isdecimal() else -1
-            ok = None not in map(row.get, _DIGIT_FIELDS) and 0 <= box_id < len(grid)
-            if ok:
-                bx, by = grid.cell(box_id)
-                cell = [format_rational(v) for v in (bx.lo, bx.hi, by.lo, by.hi)]
-                ok = [row[k] for k in ("x_lo", "x_hi", "y_lo", "y_hi")] == cell
-            if not ok:
-                raise ErdosAvoidError(
-                    f"{path}:{line}: not a row of this sweep (columns, grid or "
-                    "ranges differ); cannot resume"
-                )
-            rows[box_id] = row
+    for line, row in enumerate(csv.DictReader(io.StringIO(_read_text(path), newline="")), 2):
+        box = row.get("box_id") or ""
+        box_id = int(box) if box.isdecimal() else -1
+        ok = None not in map(row.get, _DIGIT_FIELDS) and 0 <= box_id < len(grid)
+        if ok:
+            bx, by = grid.cell(box_id)
+            cell = [format_rational(v) for v in (bx.lo, bx.hi, by.lo, by.hi)]
+            ok = [row[k] for k in ("x_lo", "x_hi", "y_lo", "y_hi")] == cell
+        if not ok:
+            raise ErdosAvoidError(
+                f"{path}:{line}: not a row of this sweep (columns, grid or "
+                "ranges differ); cannot resume"
+            )
+        rows[box_id] = row
     return rows
 
 
-def _cmd_certify(args) -> int:
-    target = args.target
-    if target == "digit-avoider":
-        grid = Grid(args.x_range, args.y_range, *args.grid)
-        total = len(grid)
-        journal = f"{args.out}.partial" if args.out else None
-        done: dict[int, dict] = {}
-        if args.resume and args.out:
-            done = _load_resume_rows(args.out, grid)
-            if not done and journal:
-                done = _load_resume_rows(journal, grid)
-        todo = [b for b in range(total) if b not in done]
-        window = args.window
-        jobs = []
-        workers = min(_workers(), max(1, len(todo)))
-        chunk = max(1, min((len(todo) + workers - 1) // workers, 256)) if todo else 1
-        for w in range(0, len(todo), chunk):
-            jobs.append(
-                (
-                    args.m, window, grid, todo[w : w + chunk],
-                    args.nmax, args.nmax_cap, args.validate, args.samples, args.seed,
-                )
-            )
+def _append_journal(path: str, rows: list[dict]) -> None:
+    fresh = not os.path.exists(path)
+    with open(path, "a", newline="") as fh:
+        writer = csv.DictWriter(fh, fieldnames=_DIGIT_FIELDS, lineterminator="\n")
+        if fresh:
+            writer.writeheader()
+        writer.writerows(rows)
 
-        def journal_chunk(part: list[dict]) -> None:
-            if journal is None:
-                return
-            fresh = not os.path.exists(journal)
-            with open(journal, "a", newline="") as fh:
-                writer = csv.DictWriter(fh, fieldnames=_DIGIT_FIELDS, lineterminator="\n")
-                if fresh:
-                    writer.writeheader()
-                writer.writerows([{k: str(v) for k, v in row.items()} for row in part])
 
-        new_rows: list[dict] = []
-        if workers > 1 and len(jobs) > 1:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for part in pool.map(_digit_sweep_rows, jobs):
-                    journal_chunk(part)
-                    new_rows.extend(part)
-        else:
-            for job in jobs:
-                part = _digit_sweep_rows(job)
-                journal_chunk(part)
-                new_rows.extend(part)
-        merged = {**{int(k): v for k, v in done.items()},
-                  **{int(row["box_id"]): row for row in new_rows}}
-        rows = [merged[b] for b in sorted(merged)]
-        rows = [{k: str(v) for k, v in row.items()} for row in rows]
-        args.format = "csv"
-        _emit(args, None, rows, _DIGIT_FIELDS)
-        if journal and os.path.exists(journal):
-            os.unlink(journal)
-        bad = sum(r["status"] != "certified" for r in rows)
-        return EXIT_OK if bad == 0 else EXIT_INCONCLUSIVE
+def _certify_digit_avoider(args) -> Result:
+    grid = Grid(args.x_range, args.y_range, *args.grid)
+    journal = f"{args.out}.partial" if args.out else None
+    rows: dict[int, dict] = {}
+    if args.resume and journal:
+        rows = _load_resume_rows(args.out, grid) or _load_resume_rows(journal, grid)
+    todo = [b for b in range(len(grid)) if b not in rows]
+    workers = min(_workers(), max(1, len(todo)))
+    chunk = max(1, min((len(todo) + workers - 1) // workers, 256))
+    chunks = [todo[w : w + chunk] for w in range(0, len(todo), chunk)]
+    sweep = functools.partial(_digit_sweep_rows, args, grid)
+    parallel = workers > 1 and len(chunks) > 1
+    with ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext() as pool:
+        for part in (pool.map if parallel else map)(sweep, chunks):
+            if journal:
+                _append_journal(journal, part)
+            rows.update((int(row["box_id"]), row) for row in part)
+    ok = all(row["status"] == "certified" for row in rows.values())
+    return Result(Table(_DIGIT_FIELDS, [rows[b] for b in sorted(rows)]), ok, journal)
 
-    if target == "sublacunary-avoider":
-        seq = _sequence_from_args(args)
-        # refuse a bad grid or scan depth before the avoider is built
-        lam_cells, t_cells = args.grid
-        boxes = smallscale.grid_boxes(args.lambda_range, args.t_range, lam_cells, t_cells)
-        if args.nmax < 1:
-            raise InvalidParameterError("--Nmax must be at least 1")
-        result = smallscale.build_sublacunary_avoider(seq, args.levels, args.window)
-        certs = smallscale.certify_no_affine_copy(result.interval_set(), seq, boxes, args.nmax)
-        rows = []
-        for box_id, cert in enumerate(certs):
-            rows.append(
-                {
-                    "box_id": box_id,
-                    "lambda_lo": format_rational(cert.box.lam.lo),
-                    "lambda_hi": format_rational(cert.box.lam.hi),
-                    "t_lo": format_rational(cert.box.t.lo),
-                    "t_hi": format_rational(cert.box.t.hi),
-                    "status": cert.status,
-                    "witness_n": cert.witness_index if cert.witness_index else "",
-                }
-            )
-        rows = [{k: str(v) for k, v in row.items()} for row in rows]
-        args.format = "csv"
-        _emit(args, None, rows, ["box_id", "lambda_lo", "lambda_hi", "t_lo", "t_hi", "status", "witness_n"])
-        bad = sum(r["status"] != "certified" for r in rows)
-        return EXIT_OK if bad == 0 else EXIT_INCONCLUSIVE
 
-    if target == "log-escape":
-        e = largescale.digit_avoider(args.m, args.window)
-        y_cells, b_cells = args.grid
-        certs, stats = largescale.sweep_log_escape(
-            e, args.y_range, args.b_range, y_cells, b_cells,
-            n_max=args.nmax, mode=args.mode,
-        )
-        payload = {"target": target, "stats": stats}
-        rows = [
-            {
-                "box_id": i,
-                "y_lo": format_rational(c.y_box.lo),
-                "y_hi": format_rational(c.y_box.hi),
-                "b_lo": format_rational(c.b_box.lo),
-                "b_hi": format_rational(c.b_box.hi),
-                "status": c.status,
-                "witness_n": c.witness_index if c.witness_index else "",
-                "route": c.route or "",
-            }
-            for i, c in enumerate(certs)
-        ]
-        rows = [{k: str(v) for k, v in row.items()} for row in rows]
-        if args.format == "csv":
-            _emit(args, None, rows, ["box_id", "y_lo", "y_hi", "b_lo", "b_hi", "status", "witness_n", "route"])
-        else:
-            _emit(args, payload)
-        return EXIT_OK if stats["certified"] == stats["boxes"] else EXIT_INCONCLUSIVE
+def _certify_sublacunary_avoider(args) -> Result:
+    seq = _sequence_from_args(args)
+    # refuse a bad grid or scan depth before the avoider is built
+    boxes = smallscale.grid_boxes(args.lambda_range, args.t_range, *args.grid)
+    if args.nmax < 1:
+        raise InvalidParameterError("--Nmax must be at least 1")
+    result = smallscale.build_sublacunary_avoider(seq, args.levels, args.window)
+    certs = smallscale.certify_no_affine_copy(result.interval_set(), seq, boxes, args.nmax)
+    rows = [
+        {
+            "box_id": str(box_id),
+            "lambda_lo": format_rational(cert.box.lam.lo),
+            "lambda_hi": format_rational(cert.box.lam.hi),
+            "t_lo": format_rational(cert.box.t.lo),
+            "t_hi": format_rational(cert.box.t.hi),
+            "status": cert.status,
+            "witness_n": str(cert.witness_index or ""),
+        }
+        for box_id, cert in enumerate(certs)
+    ]
+    fields = ["box_id", "lambda_lo", "lambda_hi", "t_lo", "t_hi", "status", "witness_n"]
+    return Result(Table(fields, rows), all(c.status == "certified" for c in certs))
 
-    if target == "frame-intersection":
-        if args.count < 1:
-            raise InvalidParameterError("--count must be at least 1")
-        x_tree = from_middle_ratio(args.x_ratio, args.depth)
-        fam = sumsets.build_dyadic_family(
-            args.ratio_n, args.depth, args.n_range, args.l_range
-        )
-        certifier = sumsets.FrameCertifier(x_tree, fam)
-        import random as _random
 
-        rng = _random.Random(args.seed)
-        rows = []
-        certified = 0
-        for box_id in range(args.count):
-            lam = args.lambda_range.lo + args.lambda_range.length * Fraction(
-                rng.randrange(1, 257), 256
-            )
-            if rng.random() < 0.5:
-                lam = -lam
-            t = args.t_range.lo + args.t_range.length * Fraction(
-                rng.randrange(0, 257), 256
-            )
-            trace = certifier.certify(ParamBox(Interval(lam, lam), Interval(t, t)), args.depth)
-            certified += trace.status == "certified"
-            rows.append(
-                {
-                    "box_id": box_id,
-                    "lambda": format_rational(lam),
-                    "t": format_rational(t),
-                    "frame": f"{trace.frame[0]}|{trace.frame[1]}" if trace.frame else "",
-                    "status": trace.status,
-                    "witness": format_rational(trace.witness) if trace.witness is not None else "",
-                }
-            )
-        rows = [{k: str(v) for k, v in row.items()} for row in rows]
-        if args.format == "csv":
-            _emit(args, None, rows, ["box_id", "lambda", "t", "frame", "status", "witness"])
-        else:
-            _emit(args, {"target": target, "count": args.count, "certified": certified})
-        return EXIT_OK if certified == args.count else EXIT_INCONCLUSIVE
+def _certify_log_escape(args) -> Result:
+    e = largescale.digit_avoider(args.m, args.window)
+    certs, stats = largescale.sweep_log_escape(
+        e, args.y_range, args.b_range, *args.grid, n_max=args.nmax, mode=args.mode
+    )
+    ok = stats["certified"] == stats["boxes"]
+    if args.format == "json":
+        return Result({"target": args.target, "stats": stats}, ok)
+    rows = [
+        {
+            "box_id": str(box_id),
+            "y_lo": format_rational(c.y_box.lo),
+            "y_hi": format_rational(c.y_box.hi),
+            "b_lo": format_rational(c.b_box.lo),
+            "b_hi": format_rational(c.b_box.hi),
+            "status": c.status,
+            "witness_n": str(c.witness_index or ""),
+            "route": c.route or "",
+        }
+        for box_id, c in enumerate(certs)
+    ]
+    fields = ["box_id", "y_lo", "y_hi", "b_lo", "b_hi", "status", "witness_n", "route"]
+    return Result(Table(fields, rows), ok)
 
-    raise ErdosAvoidError(f"unknown certify target {target!r}")
+
+def _certify_frame_intersection(args) -> Result:
+    if args.count < 1:
+        raise InvalidParameterError("--count must be at least 1")
+    x_tree = from_middle_ratio(args.x_ratio, args.depth)
+    fam = sumsets.build_dyadic_family(args.ratio_n, args.depth, args.n_range, args.l_range)
+    certifier = sumsets.FrameCertifier(x_tree, fam)
+    rng = random.Random(args.seed)
+    rows = []
+    for box_id in range(args.count):
+        lam = args.lambda_range.lo + args.lambda_range.length * Fraction(rng.randrange(1, 257), 256)
+        if rng.random() < 0.5:
+            lam = -lam
+        t = args.t_range.lo + args.t_range.length * Fraction(rng.randrange(0, 257), 256)
+        trace = certifier.certify(ParamBox(Interval(lam, lam), Interval(t, t)), args.depth)
+        rows.append({
+            "box_id": str(box_id),
+            "lambda": format_rational(lam),
+            "t": format_rational(t),
+            "frame": f"{trace.frame[0]}|{trace.frame[1]}" if trace.frame else "",
+            "status": trace.status,
+            "witness": format_rational(trace.witness) if trace.witness is not None else "",
+        })
+    certified = sum(row["status"] == "certified" for row in rows)
+    ok = certified == args.count
+    if args.format == "json":
+        return Result({"target": args.target, "count": args.count, "certified": certified}, ok)
+    return Result(Table(["box_id", "lambda", "t", "frame", "status", "witness"], rows), ok)
 
 
 # ---------------------------------------------------------------------------
 # probe
 
 
-def _cmd_probe(args) -> int:
-    kind = args.kind
-    if kind == "mod1":
-        seq = _sequence_from_args(args)
-        y = sqrt_enclosure(2, args.bits) if args.y == "sqrt2" else as_rational(args.y)
-        prof = largescale.density_mod1(seq, y, args.n)
-        _emit(args, {"probe": kind, **prof.to_json()})
-        return EXIT_OK
-    if kind == "dubickas":
-        y = sqrt_enclosure(2, args.bits) if args.y == "sqrt2" else as_rational(args.y)
-        res = largescale.dubickas_gap_check(y, args.n)
-        _emit(
-            args,
-            {
-                "probe": kind,
-                "N": res.count,
-                "covering_length": format_rational(res.covering_length),
-                "conditional": res.conditional,
-            },
-        )
-        return EXIT_OK
-    if kind == "ell-bound":
-        coeffs = [as_rational(c) for c in args.f.split(",")]
-        res = largescale.ell_upper_bound(coeffs, args.max_deg, args.step, args.bound)
-        _emit(args, {"probe": kind, **res.to_json()})
-        return EXIT_OK
-    if kind == "kolountzakis":
-        seq = _sequence_from_args(args)
-        delta, score = smallscale.kolountzakis_delta(seq, args.n)
-        _emit(
-            args,
-            {
-                "probe": kind,
-                "delta": format_rational(delta),
-                "score": [format_rational(score.lo), format_rational(score.hi)],
-            },
-        )
-        return EXIT_OK
-    raise ErdosAvoidError(f"unknown probe {kind!r}")
+def _y_from_args(args):
+    return sqrt_enclosure(2, args.bits) if args.y == "sqrt2" else as_rational(args.y)
+
+
+def _probe_mod1(args) -> Result:
+    prof = largescale.density_mod1(_sequence_from_args(args), _y_from_args(args), args.n)
+    return Result({"probe": args.target, **prof.to_json()})
+
+
+def _probe_dubickas(args) -> Result:
+    res = largescale.dubickas_gap_check(_y_from_args(args), args.n)
+    return Result({
+        "probe": args.target,
+        "N": res.count,
+        "covering_length": format_rational(res.covering_length),
+        "conditional": res.conditional,
+    })
+
+
+def _probe_ell_bound(args) -> Result:
+    coeffs = [as_rational(c) for c in args.f.split(",")]
+    res = largescale.ell_upper_bound(coeffs, args.max_deg, args.step, args.bound)
+    return Result({"probe": args.target, **res.to_json()})
+
+
+def _probe_kolountzakis(args) -> Result:
+    delta, score = smallscale.kolountzakis_delta(_sequence_from_args(args), args.n)
+    return Result({
+        "probe": args.target,
+        "delta": format_rational(delta),
+        "score": [format_rational(score.lo), format_rational(score.hi)],
+    })
 
 
 # ---------------------------------------------------------------------------
 # report
 
 
-def _cmd_report(args) -> int:
+def _report(args) -> Result:
     summary = {
         "files": [],
         "rows": 0,
@@ -452,9 +411,9 @@ def _cmd_report(args) -> int:
     }
     for path in args.paths:
         name = Path(path).name
+        text = _read_text(path)
         if path.endswith(".csv"):
-            with open(path, newline="") as fh:
-                rows = list(csv.DictReader(fh))
+            rows = list(csv.DictReader(io.StringIO(text, newline="")))
             if rows and "status" not in rows[0]:
                 raise ErdosAvoidError(f"{path}: sweep CSV must carry a status column")
             certified = sum(r["status"] == "certified" for r in rows)
@@ -465,23 +424,17 @@ def _cmd_report(args) -> int:
             summary["certified"] += certified
             summary["inconclusive"] += len(rows) - certified
         else:
-            with open(path) as fh:
-                try:
-                    obj = json.load(fh)
-                except json.JSONDecodeError as exc:
-                    raise ErdosAvoidError(f"{path}: not valid JSON ({exc})") from exc
+            try:
+                obj = json.loads(text)
+            except json.JSONDecodeError as exc:
+                raise ErdosAvoidError(f"{path}: not valid JSON ({exc})") from exc
             entry = {"name": name, "kind": "artifact"}
             if isinstance(obj, dict) and "measure" in obj:
                 summary["measures"][name] = obj["measure"]
             if isinstance(obj, dict) and "stats" in obj:
                 entry["stats"] = obj["stats"]
             summary["files"].append(entry)
-    text = _json_bytes(summary)
-    if args.out:
-        write_atomic(args.out, text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK if summary["inconclusive"] == 0 else EXIT_INCONCLUSIVE
+    return Result(summary, summary["inconclusive"] == 0)
 
 
 # ---------------------------------------------------------------------------
@@ -491,11 +444,92 @@ def _cmd_report(args) -> int:
 class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ErdosAvoidError, so they exit 1 like every
     other refusal; exit 2 stays with inconclusive items.  Subparsers
-    inherit the class."""
+    inherit the class.  Flags are never abbreviated, so a flag a target
+    does not take is refused rather than read as a longer flag it does."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
 
     def error(self, message):
         self.print_usage(sys.stderr)
         raise ErdosAvoidError(f"{self.prog}: {message}")
+
+
+def _interval(lo: Fraction, hi: Fraction) -> dict:
+    return dict(type=_parse_range, default=Interval(lo, hi))
+
+
+# Every flag a target may take, spelled once as argparse keywords with its
+# usual default.  Under _TARGETS a target writes --flag=value where its
+# default differs; argparse reads that value through the flag's type.
+_FLAGS = {
+    "--out": dict(help="output path (stdout if omitted)"),
+    "--seq": dict(default="reciprocal"),
+    "--ratio": dict(type=as_rational),
+    "--base": dict(type=as_rational),
+    "--levels": dict(type=int, default=4),
+    "--window": dict(type=int, default=64),
+    "--max-components": dict(type=int, default=100_000),
+    "--m": dict(type=int, default=4),
+    "--p": dict(type=as_rational, default=Fraction(1, 2)),
+    "--y": dict(default="1/2"),
+    "--ratio-n": dict(type=int, default=1),
+    "--depth": dict(type=int, default=6),
+    "--n-range": dict(type=_parse_int_range, default=(-1, 1)),
+    "--l-range": dict(type=_parse_int_range, default=(-2, 2)),
+    "--grid": dict(type=_parse_grid, default=(10, 10)),
+    "--Nmax": dict(type=int, default=64, dest="nmax"),
+    "--Nmax-cap": dict(type=int, default=4096, dest="nmax_cap"),
+    "--x-range": _interval(Fraction(0), Fraction(1)),
+    "--y-range": _interval(Fraction(1, 1000), Fraction(10)),
+    "--b-range": _interval(Fraction(3, 2), Fraction(3)),
+    "--lambda-range": _interval(Fraction(1), Fraction(2)),
+    "--t-range": _interval(Fraction(-1), Fraction(1)),
+    "--validate": dict(action="store_true"),
+    "--samples": dict(type=int, default=100),
+    "--seed": dict(type=int, default=0),
+    "--resume": dict(action="store_true"),
+    "--mode": dict(choices=["points", "cells"], default="points"),
+    "--format": dict(choices=["json", "csv"], default="json"),
+    "--count": dict(type=int, default=100),
+    "--x-ratio": dict(type=int, default=2),
+    "--bits": dict(type=int, default=1100),
+    "--N": dict(type=int, default=100, dest="n"),
+    "--f": dict(default="-2,1"),
+    "--max-deg": dict(type=int, default=4),
+    "--step": dict(type=as_rational, default=Fraction(1, 16)),
+    "--bound": dict(type=as_rational, default=Fraction(1)),
+}
+
+# Each subcommand's help, and per target its runner and the flags it reads.
+_TARGETS = {
+    "construct": ("build a named object", {
+        "sublacunary-avoider": (_construct_sublacunary_avoider,
+                                "--seq --ratio --base --levels --window=1000000 --max-components"),
+        "digit-avoider": (_construct_digit_avoider, "--m --window"),
+        "fractional-set": (_construct_fractional_set, "--p --window"),
+        "quotient-avoider": (_construct_quotient_avoider, "--y=2 --p --window"),
+        "middle-cantor": (_construct_middle_cantor, "--ratio-n --depth"),
+        "dyadic-family": (_construct_dyadic_family, "--ratio-n --depth --n-range --l-range"),
+    }),
+    "certify": ("run a certification sweep", {
+        "digit-avoider": (_certify_digit_avoider, "--m --window --grid --Nmax --Nmax-cap "
+                          "--x-range --y-range --validate --samples --seed --resume"),
+        "sublacunary-avoider": (_certify_sublacunary_avoider, "--seq --ratio --base --levels "
+                                "--window --grid --Nmax --lambda-range --t-range"),
+        "log-escape": (_certify_log_escape,
+                       "--m --window --grid --Nmax --y-range --b-range --mode --format"),
+        "frame-intersection": (_certify_frame_intersection,
+                               "--count --x-ratio --ratio-n --depth=12 --n-range=-3:3 "
+                               "--l-range=-34:34 --lambda-range --t-range --seed --format"),
+    }),
+    "probe": ("run a statistic probe", {
+        "mod1": (_probe_mod1, "--seq=linear --ratio --base --y --bits --N"),
+        "dubickas": (_probe_dubickas, "--y --bits --N"),
+        "ell-bound": (_probe_ell_bound, "--f --max-deg --step --bound"),
+        "kolountzakis": (_probe_kolountzakis, "--seq --ratio --base --N"),
+    }),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -506,109 +540,60 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     parser.add_argument("--config", help="flat key=value defaults file")
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--out", help="output path (stdout if omitted)")
-        p.add_argument("--format", choices=["json", "csv"], default="json")
-        p.add_argument("--seed", type=int, default=0)
-
-    c = sub.add_parser("construct", help="build a named object")
-    c.add_argument("object", choices=[
-        "sublacunary-avoider", "digit-avoider", "fractional-set",
-        "quotient-avoider", "middle-cantor", "dyadic-family",
-    ])
-    common(c)
-    c.add_argument("--seq", default="reciprocal")
-    c.add_argument("--ratio", type=as_rational, default=None)
-    c.add_argument("--base", type=as_rational, default=None)
-    c.add_argument("--levels", type=int, default=4)
-    c.add_argument("--window", type=int, default=None)
-    c.add_argument("--max-components", type=int, default=100_000)
-    c.add_argument("--m", type=int, default=4)
-    c.add_argument("--p", type=as_rational, default=Fraction(1, 2))
-    c.add_argument("--y", type=as_rational, default=Fraction(2))
-    c.add_argument("--ratio-n", type=int, default=1, dest="ratio_n")
-    c.add_argument("--depth", type=int, default=6)
-    c.add_argument("--n-range", type=_parse_int_range, default=(-1, 1), dest="n_range")
-    c.add_argument("--l-range", type=_parse_int_range, default=(-2, 2), dest="l_range")
-    c.set_defaults(func=_cmd_construct)
-
-    z = sub.add_parser("certify", help="run a certification sweep")
-    z.add_argument("target", choices=[
-        "digit-avoider", "sublacunary-avoider", "log-escape", "frame-intersection",
-    ])
-    common(z)
-    z.add_argument("--m", type=int, default=4)
-    z.add_argument("--window", type=int, default=64)
-    z.add_argument("--grid", type=_parse_grid, default=(10, 10))
-    z.add_argument("--Nmax", type=int, default=64, dest="nmax")
-    z.add_argument("--Nmax-cap", type=int, default=4096, dest="nmax_cap")
-    z.add_argument("--x-range", type=_parse_range, default=Interval(Fraction(0), Fraction(1)), dest="x_range")
-    z.add_argument("--y-range", type=_parse_range, default=Interval(Fraction(1, 1000), Fraction(10)), dest="y_range")
-    z.add_argument("--b-range", type=_parse_range, default=Interval(Fraction(3, 2), Fraction(3)), dest="b_range")
-    z.add_argument("--lambda-range", type=_parse_range, default=Interval(Fraction(1), Fraction(2)), dest="lambda_range")
-    z.add_argument("--t-range", type=_parse_range, default=Interval(Fraction(-1), Fraction(1)), dest="t_range")
-    z.add_argument("--seq", default="reciprocal")
-    z.add_argument("--ratio", type=as_rational, default=None)
-    z.add_argument("--base", type=as_rational, default=None)
-    z.add_argument("--levels", type=int, default=4)
-    z.add_argument("--validate", action="store_true")
-    z.add_argument("--samples", type=int, default=100)
-    z.add_argument("--resume", action="store_true")
-    z.add_argument("--mode", choices=["points", "cells"], default="points")
-    z.add_argument("--x-ratio", type=int, default=2, dest="x_ratio")
-    z.add_argument("--ratio-n", type=int, default=1, dest="ratio_n")
-    z.add_argument("--depth", type=int, default=12)
-    z.add_argument("--n-range", type=_parse_int_range, default=(-3, 3), dest="n_range")
-    z.add_argument("--l-range", type=_parse_int_range, default=(-34, 34), dest="l_range")
-    z.add_argument("--count", type=int, default=100)
-    z.set_defaults(func=_cmd_certify)
-
-    p = sub.add_parser("probe", help="run a statistic probe")
-    p.add_argument("kind", choices=["mod1", "dubickas", "ell-bound", "kolountzakis"])
-    common(p)
-    p.add_argument("--seq", default="linear")
-    p.add_argument("--ratio", type=as_rational, default=None)
-    p.add_argument("--base", type=as_rational, default=None)
-    p.add_argument("--y", default="1/2")
-    p.add_argument("--N", type=int, default=100, dest="n")
-    p.add_argument("--bits", type=int, default=1100)
-    p.add_argument("--f", default="-2,1")
-    p.add_argument("--max-deg", type=int, default=4, dest="max_deg")
-    p.add_argument("--step", type=as_rational, default=Fraction(1, 16))
-    p.add_argument("--bound", type=as_rational, default=Fraction(1))
-    p.set_defaults(func=_cmd_probe)
-
-    r = sub.add_parser("report", help="aggregate artifact files")
-    r.add_argument("paths", nargs="+")
-    r.add_argument("--out")
-    r.set_defaults(func=_cmd_report)
+    commands = parser.add_subparsers(dest="command", required=True)
+    for command, (summary, targets) in _TARGETS.items():
+        group = commands.add_parser(command, help=summary).add_subparsers(dest="target", required=True)
+        for name, (runner, flags) in targets.items():
+            p = group.add_parser(name)
+            p.set_defaults(func=runner)
+            for flag in ["--out", *flags.split()]:
+                flag, override, default = flag.partition("=")
+                spec = dict(_FLAGS[flag])
+                if override:
+                    spec["default"] = default
+                p.add_argument(flag, **spec)
+    report = commands.add_parser("report", help="aggregate artifact files")
+    report.set_defaults(func=_report)
+    report.add_argument("paths", nargs="+")
+    report.add_argument("--out", **_FLAGS["--out"])
     return parser
 
 
+def _leaves(parser: argparse.ArgumentParser):
+    """Every parser that runs a command: one per target, and `report`."""
+    groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    if not groups:
+        yield parser
+    for group in groups:
+        for sub in group.choices.values():
+            yield from _leaves(sub)
+
+
 def _apply_config(parser, args, argv: Sequence[str]) -> None:
+    """Fill flags not given on the command line from the --config file.
+    One file serves every command, so a key that only another target
+    takes is skipped; a key no target takes is refused."""
     if not args.config:
         return
     overrides = {}
-    with open(args.config) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            key, _, value = line.partition("=")
-            overrides[key.strip().lower().replace("-", "_")] = value.strip()
+    for line in _read_text(args.config).splitlines():
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, _, value = line.partition("=")
+        overrides[key.strip().lower().replace("-", "_")] = value.strip()
+    leaves = list(_leaves(parser))
+    known = {a.dest for p in leaves for a in p._actions if a.option_strings} - {"help"}
+    unknown = sorted(overrides.keys() - known)
+    if unknown:
+        raise ErdosAvoidError(f"{args.config}: no command takes the key(s) {', '.join(unknown)}")
     explicit = {
         a.split("=")[0].lstrip("-").lower().replace("-", "_")
         for a in argv
         if a.startswith("--")
     }
-    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    actions = {
-        a.dest: a
-        for a in commands.choices[args.command]._actions
-        if a.option_strings and hasattr(args, a.dest)
-    }
+    (chosen,) = (p for p in leaves if p.get_default("func") is args.func)
+    actions = {a.dest: a for a in chosen._actions if a.option_strings}
     for key, text in overrides.items():
         if key not in actions or key in explicit:
             continue
@@ -636,11 +621,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     try:
         args = parser.parse_args(argv)
         _apply_config(parser, args, argv)
-        return args.func(args)
-    except ErdosAvoidError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
-    except OSError as exc:
+        return _write(args.out, args.func(args))
+    except (ErdosAvoidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
 

@@ -18,8 +18,14 @@ from .intervals import Interval
 from .rationals import RationalLike, as_rational
 
 
+def _check_bits(bits: int) -> None:
+    if bits < 0:
+        raise InvalidParameterError(f"bit count must be >= 0, got {bits}")
+
+
 def round_outward(iv: Interval, bits: int) -> Interval:
     """Enclose iv in dyadic endpoints with denominator 2**bits."""
+    _check_bits(bits)
     scale = 1 << bits
     lo = Fraction(math.floor(iv.lo * scale), scale)
     hi = Fraction(math.ceil(iv.hi * scale), scale)
@@ -49,6 +55,7 @@ def root_enclosure(q: RationalLike, k: int, bits: int = 64) -> Interval:
         raise InvalidParameterError("roots of negative rationals are not real")
     if k < 1:
         raise InvalidParameterError("root order must be >= 1")
+    _check_bits(bits)
     scale = 1 << bits
     t = (q.numerator * scale**k) // q.denominator
     r = _iroot(t, k)
@@ -88,6 +95,7 @@ def ln2_enclosure(bits: int = 64) -> Interval:
 @lru_cache(maxsize=4096)
 def ln_enclosure(q: RationalLike, bits: int = 64) -> Interval:
     """Enclosure of ln(q) for rational q > 0; exact [0, 0] at q = 1."""
+    _check_bits(bits)
     q = as_rational(q)
     if q <= 0:
         raise InvalidParameterError("logarithm requires a positive argument")

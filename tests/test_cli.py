@@ -1,5 +1,8 @@
+import hashlib
 import json
 import os
+import re
+import shlex
 import sys
 import tomllib
 from fractions import Fraction
@@ -9,7 +12,7 @@ import pytest
 
 import erdosavoid
 from erdosavoid import largescale, smallscale
-from erdosavoid.cli import _workers, main
+from erdosavoid.cli import _leaves, _workers, build_parser, main
 from erdosavoid.errors import InvalidParameterError, ResourceLimitError
 from erdosavoid.intervals import Interval
 from erdosavoid.rationals import format_rational, parse_rational
@@ -26,6 +29,92 @@ def run(tmp_path, *argv):
 def read(path):
     with open(path) as fh:
         return fh.read()
+
+
+# One small run per target, pinned by its exit code and the sha256 of its
+# artifact, so any change in output bytes fails here.
+GOLDEN = [
+    pytest.param(["construct", "sublacunary-avoider", "--levels", "2"], 0,
+                 "8bfc5cdb61171cb22efb7a616a437e3bbb5ddab8f33603666520489127ae0bf9",
+                 id="construct-sublacunary-avoider"),
+    pytest.param(["construct", "digit-avoider", "--m", "3", "--window", "8"], 0,
+                 "8869c852febfefa6d48f88495d17bb3ecd9ec6309c4f4df819113742ff2ed083",
+                 id="construct-digit-avoider"),
+    pytest.param(["construct", "fractional-set", "--p", "1/3", "--window", "6"], 0,
+                 "fc770bacaf737fd95fc19c05d01bcf31935fbacb42627311a1a05e4ca9dade8d",
+                 id="construct-fractional-set"),
+    pytest.param(["construct", "quotient-avoider", "--y", "3", "--p", "1/2", "--window", "6"], 0,
+                 "127b8657e3e86e712cc61d954fd9c277927ad02a2998907662b17001fc44954a",
+                 id="construct-quotient-avoider"),
+    pytest.param(["construct", "middle-cantor", "--ratio-n", "2", "--depth", "3"], 0,
+                 "9655fbdc02e5bbf773973dd7cf808e2c865c8d02dd725b25cff4fced924bd8fd",
+                 id="construct-middle-cantor"),
+    pytest.param(["construct", "dyadic-family", "--depth", "3"], 0,
+                 "dbf3cba0fed8a6c6ce26f9163b7d1b7127a1c85ae1285618d5efd4d424a07283",
+                 id="construct-dyadic-family"),
+    pytest.param(["certify", "digit-avoider", "--m", "4", "--grid", "3x3", "--Nmax", "32",
+                  "--validate", "--samples", "5", "--seed", "2"], 0,
+                 "14200e7b3cd39a8c234efe2782d03a3accd323c904155dc413574ac9fb9e6ae8",
+                 id="certify-digit-avoider"),
+    pytest.param(["certify", "sublacunary-avoider", "--levels", "2", "--grid", "2x3",
+                  "--lambda-range", "1:2", "--t-range=-1:1", "--Nmax", "20"], 2,
+                 "7bef272fa1bbde4720bc916f5d0f4c5572e9cb7bf56c5dd5278c3813304948cf",
+                 id="certify-sublacunary-avoider"),
+    pytest.param(["certify", "log-escape", "--m", "4", "--grid", "3x3",
+                  "--y-range", "1:2", "--b-range", "3/2:3"], 0,
+                 "4906108b9007d8d211accebd7386149741edbdf6945c978eb4c973d98413c30e",
+                 id="certify-log-escape"),
+    pytest.param(["certify", "log-escape", "--m", "4", "--grid", "3x3",
+                  "--y-range", "1:2", "--b-range", "3/2:3", "--format", "csv"], 0,
+                 "aa847d420aa206c23c5bdaaea26339806c809d92b93a3329bffdf83f65ef402a",
+                 id="certify-log-escape-csv"),
+    pytest.param(["certify", "frame-intersection", "--count", "5", "--depth", "6",
+                  "--lambda-range", "1/8:8", "--t-range=-4:4", "--seed", "1"], 0,
+                 "a07dc8b89314d4af78f8fa5eada232a2d0143884130b837067d5c7753514ec80",
+                 id="certify-frame-intersection"),
+    pytest.param(["certify", "frame-intersection", "--count", "5", "--depth", "6",
+                  "--lambda-range", "1/8:8", "--t-range=-4:4", "--seed", "1",
+                  "--format", "csv"], 0,
+                 "5438f86064f1675e6d586143e6a902c810087b3cb01009dd81b4cd56f7213785",
+                 id="certify-frame-intersection-csv"),
+    pytest.param(["probe", "mod1", "--seq", "linear", "--y", "1/3", "--N", "30"], 0,
+                 "432b17026274e0d855104432d9033b1be68fb02f12f65a26454447fa48b1a045",
+                 id="probe-mod1"),
+    pytest.param(["probe", "mod1", "--seq", "linear", "--y", "sqrt2", "--N", "30",
+                  "--bits", "200"], 0,
+                 "97f3b79e75b535d7da196f4c94c13ef1ece2771cedf8f0a60e304b19ccd7c2a2",
+                 id="probe-mod1-sqrt2"),
+    pytest.param(["probe", "dubickas", "--y", "sqrt2", "--N", "50", "--bits", "200"], 0,
+                 "66503bce39242174dd37576f6a6516311407c6cb6aa8c1b24f3d66c1cef55779",
+                 id="probe-dubickas"),
+    pytest.param(["probe", "ell-bound", "--f=-2,1", "--max-deg", "2", "--step", "1/4",
+                  "--bound", "1"], 0,
+                 "a7d58a990472336a32aa8a877c427feec7f8002296e366478c1a767d1f1cae70",
+                 id="probe-ell-bound"),
+    pytest.param(["probe", "kolountzakis", "--seq", "reciprocal", "--N", "20"], 0,
+                 "36ae988c907cecfd425a013f5f1ebbd89cbce2361b85a003fa4788e1fbfd6ef0",
+                 id="probe-kolountzakis"),
+]
+
+
+def sha256(path):
+    return hashlib.sha256(Path(path).read_bytes()).hexdigest()
+
+
+@pytest.mark.parametrize("argv, code, digest", GOLDEN)
+def test_golden_bytes(tmp_path, argv, code, digest):
+    out = tmp_path / "artifact"
+    assert main([*argv, "--out", str(out)]) == code
+    assert sha256(out) == digest
+
+
+def test_golden_report_bytes(tmp_path):
+    sweep, avoider, summary = (str(tmp_path / n) for n in ("sweep.csv", "avoider.json", "r.json"))
+    assert main(["certify", "sublacunary-avoider", "--levels", "2", "--grid", "2x3",
+                 "--lambda-range", "1:2", "--t-range=-1:1", "--Nmax", "20", "--out", sweep]) == 2
+    assert main(["construct", "sublacunary-avoider", "--levels", "2", "--out", avoider]) == 0
+    assert main(["report", sweep, avoider, "--out", summary]) == 2
+    assert sha256(summary) == "6e5c4ef92473b2b696e3b36b1cca138a686e9783106a1c84fe87b8450e0f7a26"
 
 
 def test_probe_mod1_rational_lock(tmp_path, capsys):
@@ -422,6 +511,8 @@ def test_version_flag_reads_the_one_version_source(capsys):
         ["certify", "digit-avoider", "--grid", "axb"],
         ["certify", "digit-avoider", "--bogus", "1"],
         ["construct", "middle-cantor", "--depth", "x"],
+        ["probe", "mod1", "--y", "sqrt2", "--bits", "-3"],
+        ["probe", "dubickas", "--y", "sqrt2", "--bits", "-3"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):
@@ -434,3 +525,94 @@ def test_help_exits_0(capsys):
         main(["certify", "--help"])
     assert exc.value.code == 0
     assert "digit-avoider" in capsys.readouterr().out
+
+
+def test_flags_a_target_does_not_read_are_refused(tmp_path, capsys):
+    # every flag of any target, tried on each target that does not read it
+    leaves = list(_leaves(build_parser()))
+    flags = {f for leaf in leaves for a in leaf._actions for f in a.option_strings}
+    out = tmp_path / "artifact"
+    refused = 0
+    for leaf in leaves:
+        taken = {f for a in leaf._actions for f in a.option_strings}
+        path = leaf.prog.split()[1:] + (["x.json"] if leaf.prog.endswith("report") else [])
+        for flag in sorted(flags - taken):
+            assert main([*path, flag, "1", "--out", str(out)]) == 1, (path, flag)
+            assert "error:" in capsys.readouterr().err
+            assert list(tmp_path.iterdir()) == [], (path, flag)
+            refused += 1
+    assert refused > 300
+
+
+def test_probe_kolountzakis_default_sequence_is_decreasing(capsys):
+    # the probe needs a decreasing sequence, so its default is 1/n
+    assert main(["probe", "kolountzakis", "--N", "20"]) == 0
+    default = capsys.readouterr().out
+    assert main(["probe", "kolountzakis", "--N", "20", "--seq", "reciprocal"]) == 0
+    assert capsys.readouterr().out == default
+    assert main(["probe", "kolountzakis", "--N", "20", "--seq", "linear"]) == 1
+
+
+def test_config_key_no_command_takes_is_refused(tmp_path, capsys):
+    cfg = tmp_path / "cfg"
+    argv = ["--config", str(cfg), "probe", "mod1", "--N", "10", "--out", str(tmp_path / "m.json")]
+    cfg.write_text("nmaxx = 5\n")
+    assert main(argv) == 1
+    assert "nmaxx" in capsys.readouterr().err
+    assert not (tmp_path / "m.json").exists()
+    # a key that only other targets take is skipped
+    cfg.write_text("nmax = 5\nseed = 3\n")
+    assert main(argv) == 0
+
+
+def test_inputs_that_are_not_utf8_exit_one(tmp_path, capsys):
+    # report, --config and --resume read text files; other bytes are refused
+    out = tmp_path / "out"
+    for name in ("sweep.csv", "artifact.json"):
+        bad = tmp_path / name
+        bad.write_bytes(b'{"measure": "1/2", "note": "\xff\xfe"}\n')
+        assert main(["report", str(bad), "--out", str(out)]) == 1
+        assert name in capsys.readouterr().err
+        assert not out.exists()
+    cfg = tmp_path / "cfg"
+    cfg.write_bytes(b"N = 5 \xff\n")
+    assert main(["--config", str(cfg), "probe", "mod1", "--out", str(out)]) == 1
+    assert "cfg" in capsys.readouterr().err
+    assert not out.exists()
+    sweep = tmp_path / "sweep.csv"
+    assert main(_digit_sweep(sweep, "2x2", "--resume")) == 1
+    assert "sweep.csv" in capsys.readouterr().err
+    assert not os.path.exists(f"{sweep}.partial")
+
+
+def _readme_command_line_section():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    return readme.split("## Command line", 1)[1].split("\n## ", 1)[0]
+
+
+def test_readme_command_lines_parse():
+    section = _readme_command_line_section()
+    lines = section.replace("\\\n", " ").splitlines()
+    commands = [shlex.split(line)[1:] for line in lines if line.startswith("erdosavoid ")]
+    assert len(commands) >= 12
+    for argv in commands:
+        build_parser().parse_args(argv)
+
+
+def test_readme_flag_table_matches_the_parser():
+    rows = re.findall(r"^\| `(\w+ [\w-]+)` \| (.*) \|$", _readme_command_line_section(), re.M)
+    parser = build_parser()
+    leaves = {" ".join(leaf.prog.split()[1:]): leaf for leaf in _leaves(parser)}
+    assert sorted(name for name, _ in rows) == sorted(set(leaves) - {"report"})
+    for name, cell in rows:
+        leaf = leaves[name]
+        documented = dict(re.findall(r"`(--[\w-]+)`(?: \(([^)]*)\))?", cell))
+        actions = {f: a for a in leaf._actions for f in a.option_strings if f.startswith("--")}
+        assert set(documented) | {"--out", "--help"} == set(actions), name
+        defaults = vars(parser.parse_args(name.split()))
+        for flag, text in documented.items():
+            action = actions[flag]
+            if text:
+                assert (action.type or str)(text) == defaults[action.dest], (name, flag)
+            else:
+                assert defaults[action.dest] in (None, False), (name, flag)

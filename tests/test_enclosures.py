@@ -107,3 +107,22 @@ def test_integer_root_brackets(n, k):
     p = (r + 1) ** k
     assert _iroot(p, k) == r + 1
     assert _iroot(p - 1, k) == r
+
+
+@pytest.mark.parametrize(
+    "enclose",
+    [
+        lambda bits: root_enclosure(F(2), 3, bits),
+        lambda bits: sqrt_enclosure(F(2), bits),
+        lambda bits: ln_enclosure(F(3), bits),
+        lambda bits: ln_interval(ivl(1, 2), bits),
+        lambda bits: round_outward(ivl(F(1, 3), 1), bits),
+    ],
+)
+def test_negative_bit_counts_are_refused(enclose):
+    # a negative count would be a negative shift; zero bits is a valid,
+    # coarse enclosure
+    for bits in (-1, -3):
+        with pytest.raises(InvalidParameterError):
+            enclose(bits)
+    assert enclose(0).lo <= enclose(64).lo <= enclose(64).hi <= enclose(0).hi
