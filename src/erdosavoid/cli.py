@@ -433,8 +433,25 @@ def _report(args) -> Result:
                 summary["measures"][name] = obj["measure"]
             if isinstance(obj, dict) and "stats" in obj:
                 entry["stats"] = obj["stats"]
+            if isinstance(obj, dict):
+                summary["inconclusive"] += _json_inconclusive(path, obj)
             summary["files"].append(entry)
     return Result(summary, summary["inconclusive"] == 0)
+
+
+def _json_inconclusive(path: str, obj: dict) -> int:
+    """Items a JSON certify artifact left uncertified: stats.boxes minus
+    stats.certified (log-escape) or count minus certified
+    (frame-intersection); other artifacts count none."""
+    counts, total = obj, "count"
+    if isinstance(obj.get("stats"), dict):
+        counts, total = obj["stats"], "boxes"
+    if total not in counts or "certified" not in counts:
+        return 0
+    n, done = counts[total], counts["certified"]
+    if type(n) is not int or type(done) is not int or not 0 <= done <= n:
+        raise ErdosAvoidError(f"{path}: {total} and certified must be counts, certified <= {total}")
+    return n - done
 
 
 # ---------------------------------------------------------------------------

@@ -5,13 +5,15 @@ closure of the pointwise difference (boundary points that are limits of
 the difference are kept), and touching intervals merge during
 normalization so each point set has one canonical representation.
 
-The kernels `IntervalSet.affine` and `IntervalSet.intersection` (and the
-sumset coverage probe in `sumsets`) run on a set's lattice view: every
-endpoint written as an integer numerator over one shared denominator,
-the lcm of the endpoint denominators.  The view is exact, computed
+The kernels `IntervalSet.affine`, `IntervalSet.intersection` and
+`IntervalSet.find_gap_containing` (and the sumset coverage probe in
+`sumsets`) run on a set's lattice view: every endpoint written as an
+integer numerator over one shared denominator, the lcm of the endpoint
+denominators for a set built from members.  The view is exact, computed
 lazily on the first kernel call and kept; a set produced by a kernel
-carries only its view and builds its `Interval` members when they are
-first read.  No floating point is used on any code path in this module.
+(or handed over as a view, like the sublacunary avoider) carries only
+its view and builds its `Interval` members when they are first read.
+No floating point is used on any code path in this module.
 """
 
 from __future__ import annotations
@@ -93,13 +95,6 @@ class Gap:
     lo: Optional[Fraction]
     hi: Optional[Fraction]
 
-    def strictly_contains(self, iv: Interval) -> bool:
-        if self.lo is not None and not (self.lo < iv.lo):
-            return False
-        if self.hi is not None and not (iv.hi < self.hi):
-            return False
-        return True
-
     def to_json(self) -> list:
         return [
             None if self.lo is None else format_rational(self.lo),
@@ -157,8 +152,9 @@ class IntervalSet:
 
     def _lattice(self) -> tuple[int, list[int], list[int]]:
         """The lattice view (den, lo numerators, hi numerators): member i
-        is [los[i]/den, his[i]/den], den the lcm of the endpoint
-        denominators.  Computed on first use and kept."""
+        is [los[i]/den, his[i]/den].  A set built from members takes den
+        as the lcm of its endpoint denominators, computed on first use
+        and kept; a view handed over may use any common multiple."""
         view = self._view
         if view is None:
             items = self._items
@@ -209,18 +205,21 @@ class IntervalSet:
         return out
 
     def find_gap_containing(self, iv: Interval) -> Optional[Gap]:
-        """Complement component strictly containing iv, if any."""
-        items = self.intervals
-        if not items:
-            return Gap(None, None)
-        # the only candidate is the gap right of the last member starting
-        # at or before iv.lo
-        i = bisect_right(items, iv.lo, key=_lo) - 1
-        gap = Gap(
-            items[i].hi if i >= 0 else None,
-            items[i + 1].lo if i + 1 < len(items) else None,
+        """Complement component strictly containing iv, if any: the gap
+        right of the last member starting at or before iv.lo, decided on
+        the lattice view by cross-multiplication."""
+        den, los, his = self._lattice()
+        a, b = iv.lo, iv.hi
+        # an integer numerator n has n/den <= a iff n <= floor(a*den)
+        i = bisect_right(los, a.numerator * den // a.denominator) - 1
+        if i >= 0 and his[i] * a.denominator >= a.numerator * den:
+            return None
+        if i + 1 < len(los) and los[i + 1] * b.denominator <= b.numerator * den:
+            return None
+        return Gap(
+            Fraction(his[i], den) if i >= 0 else None,
+            Fraction(los[i + 1], den) if i + 1 < len(los) else None,
         )
-        return gap if gap.strictly_contains(iv) else None
 
     def union(self, other: "IntervalSet") -> "IntervalSet":
         return IntervalSet(tuple(self.intervals) + tuple(other.intervals))

@@ -316,6 +316,8 @@ def point_escape_index(
     every cell containing it; integer points are checked against both
     neighboring cells.  Runs on plain integers.
     """
+    if n_max < 1:
+        raise InvalidParameterError("the scan depth n_max must be at least 1")
     gen = _digit_generator(e, "point escape")
     x, y = as_rational(x), as_rational(y)
     den = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
@@ -411,6 +413,8 @@ def certify_linear_escape(
     are tried left to right, which is cell by cell and, within a cell,
     the scheduled part before the top one.
     """
+    if n_max < 1:
+        raise InvalidParameterError("the scan depth n_max must be at least 1")
     gen = _digit_generator(e, "escape certification")
     if x_box.lo < 0 or x_box.hi > 1:
         raise InvalidParameterError("offset box must sit inside [0, 1]")
@@ -519,8 +523,6 @@ def certify_linear_escape_to_cap(
 ) -> LinearEscapeCertificate:
     """certify_linear_escape with n_max doubled, up to the cap, until the
     box certifies."""
-    if n_max < 1:
-        raise InvalidParameterError("the scan depth n_max must be at least 1")
     cert = certify_linear_escape(e, x_box, y_box, n_max)
     while cert.status != "certified" and n_max < n_max_cap:
         n_max = min(2 * n_max, n_max_cap)

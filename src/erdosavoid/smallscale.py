@@ -16,6 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional, Sequence
 
 from .errors import (
@@ -93,31 +94,26 @@ class AvoiderResult:
     construction log.  The interval set itself is built on first read
     (high levels produce hundreds of thousands of components)."""
 
-    def __init__(self, levels, measure, lower_bound, components, older, dens, lattice):
+    def __init__(self, levels, measure, lower_bound, components, den, older, lattice):
         self.levels: tuple[AvoiderLevel, ...] = tuple(levels)
         self.measure: Fraction = measure
         self.lower_bound: Fraction = lower_bound
         self.components: int = components
+        self._den = den  # the one denominator of every level's punches
         self._older = older  # punch union of every level but the last
-        self._dens = dens
         self._lattice = lattice  # (parts, q, shift) of the last level, or None
         self._set: Optional[IntervalSet] = None
 
     def interval_set(self) -> IntervalSet:
+        """The avoider as a lattice-view set over the punch denominator:
+        the closed gaps between consecutive intervals of the punch union."""
         if self._set is None:
             if self._lattice is None:
                 self._set = IntervalSet.of((0, 1))
             else:
-                union = ([], [], [], [])
-                _punch_level(self._older, self._dens, len(self._dens) - 1, self._lattice, union)
-                los, lo_lvl, his, hi_lvl = union
-                dens = self._dens
-                pieces = [
-                    Interval(Fraction(his[i], dens[hi_lvl[i]]),
-                             Fraction(los[i + 1], dens[lo_lvl[i + 1]]))
-                    for i in range(len(los) - 1)
-                ]
-                self._set = IntervalSet(pieces, _canonical=True)
+                los, his = [], []
+                _punch_level(self._older, self._lattice, (los, his))
+                self._set = IntervalSet._from_lattice(self._den, his[:-1], los[1:])
         return self._set
 
     def log_json(self) -> dict:
@@ -152,13 +148,14 @@ def build_sublacunary_avoider(
     parts_k * delta_k stays below 2*4^-k, so the intersection keeps
     measure at least 1 - sum_k 2*4^-k > 1/3.
 
-    The avoider is counted on the punch lattice: level k's punch j is
-    [j*q_k - s_k, j*q_k + s_k] over parts_k * q_k, so floor division
-    tells which punches each interval of the older union touches.  The
-    union of levels 1..K-1 is kept as integer numerators tagged with
-    their level; level K is only counted, giving the exact measure and
+    The avoider is counted on the punch lattice.  Every level shares one
+    denominator den, the lcm over k of lcm(parts_k, den(delta_k/2)), so
+    level k's punch j is [j*q_k - s_k, j*q_k + s_k] over den and floor
+    division tells which punches each interval of the older union
+    touches.  The union of levels 1..K-1 is kept as two lists of integer
+    numerators; level K is only counted, giving the exact measure and
     component count.  `interval_set()` builds the last union on first
-    read.
+    read and hands its gaps to `IntervalSet` as a lattice view.
     """
     if seq.direction != DOWN:
         raise InvalidParameterError("the avoider is built for decreasing sequences")
@@ -166,8 +163,7 @@ def build_sublacunary_avoider(
         raise InvalidParameterError("levels must be >= 0")
 
     level_records = []
-    lattices = []
-    dens: list[int] = []
+    halves = []
     prev_index = 0
     total_parts = 0
     for k in range(1, levels + 1):
@@ -192,124 +188,100 @@ def build_sublacunary_avoider(
         level_records.append(
             AvoiderLevel(k, n, a, seq.term(n + 1), delta, parts, removed, budget)
         )
-        half = delta / 2
-        lattices.append((parts, half.denominator, half.numerator * parts))
-        dens.append(parts * half.denominator)
+        halves.append((parts, delta / 2))
 
     lower_bound = 1 - sum((Fraction(2, 4**k) for k in range(1, levels + 1)), Fraction(0))
-    older = ([], [], [], [])  # lo_num, lo_lvl, hi_num, hi_lvl
-    for lvl, lattice in enumerate(lattices[:-1]):
-        union = ([], [], [], [])
-        _punch_level(older, dens, lvl, lattice, union)
+    den = lcm(*(lcm(parts, half.denominator) for parts, half in halves))
+    lattices = [
+        (parts, den // parts, half.numerator * (den // half.denominator))
+        for parts, half in halves
+    ]
+    older = ([], [])  # lo and hi numerators over den
+    for lattice in lattices[:-1]:
+        union = ([], [])
+        _punch_level(older, lattice, union)
         older = union
     if not lattices:
-        return AvoiderResult(level_records, Fraction(1), lower_bound, 1, older, dens, None)
-    count, net = _punch_level(older, dens, levels - 1, lattices[-1])
-    removed_total = sum((Fraction(s, den) for s, den in zip(net, dens)), Fraction(0))
-    measure = 1 - removed_total
+        return AvoiderResult(level_records, Fraction(1), lower_bound, 1, den, older, None)
+    count, net = _punch_level(older, lattices[-1])
+    measure = 1 - Fraction(net, den)
     if measure < lower_bound:
         raise ConstructionAuditError(
             f"measure {measure} fell below the removal bound {lower_bound}"
         )
     return AvoiderResult(
-        level_records, measure, lower_bound, max(count - 1, 1), older, dens, lattices[-1]
+        level_records, measure, lower_bound, max(count - 1, 1), den, older, lattices[-1]
     )
 
 
-def _punch_level(older, dens, lvl, lattice, out=None):
-    """Union of the older punch union with level lvl's punches.
+def _punch_level(older, lattice, out=None):
+    """Union of the older punch union with one level's punches.
 
-    Endpoints are integer numerators tagged with their level.  Punch j
-    of level lvl is [j*q - shift, j*q + shift] over den = parts*q,
+    Endpoints are integer numerators over den = parts*q, the one
+    denominator of every level.  Punch j is [j*q - shift, j*q + shift],
     clipped to [0, den].  An older interval [L, H] touches exactly the
-    punches jlo..jhi with jlo = ceil((L*den - shift)/q) and jhi =
-    floor((H*den + shift)/q), so one pass over the older union places
-    every punch.  Two punches of one level never touch (parts*delta <
-    1), so consecutive older intervals share at most one punch, which
-    bridges them into one cluster; punches that no older interval
-    touches stay as they are.
+    punches jlo..jhi with jlo = ceil((L - shift)/q) and jhi =
+    floor((H + shift)/q), so one pass over the older union places every
+    punch.  Two punches of one level never touch (parts*delta < 1), so
+    consecutive older intervals share at most one punch, which bridges
+    them into one cluster; punches that no older interval touches stay
+    as they are.
 
-    With `out` (four lists) the union is appended there in order.
-    Without it the union is only counted: the result is its interval
-    count and, per level, the sum of its hi numerators minus its lo
+    With `out` (two lists) the union's lo and hi numerators are appended
+    there in order.  Without it the union is only counted: the result is
+    its interval count and the sum of its hi numerators minus its lo
     numerators.
     """
-    lo_num, lo_lvl, hi_num, hi_lvl = older
+    lo_num, hi_num = older
     parts, q, shift = lattice
     den = parts * q
-    sd = [shift * d for d in dens]
-    qd = [q * d for d in dens]
-    count = 0
-    net = [0] * len(dens)
+    count = net = 0
     free = 0  # the first punch not yet placed
     last_j = -1  # the last punch the open cluster touches
-    clo = cll = chi = chl = None  # the open cluster
+    clo = chi = None  # the open cluster
     n = len(lo_num)
     for i in range(n + 1):
         if i < n:
-            lo, ll, hi, hl = lo_num[i], lo_lvl[i], hi_num[i], hi_lvl[i]
-            jlo = (lo * den - sd[ll] + qd[ll] - 1) // qd[ll]
-            jhi = (hi * den + sd[hl]) // qd[hl]
+            lo, hi = lo_num[i], hi_num[i]
+            jlo = (lo - shift + q - 1) // q
+            jhi = (hi + shift) // q
         else:  # past the last punch: close the open cluster, place the rest
             jlo = parts + 1
         if jlo != last_j:
             if clo is not None:
                 if out is None:
                     count += 1
-                    net[chl] += chi
-                    net[cll] -= clo
+                    net += chi - clo
                 else:
                     out[0].append(clo)
-                    out[1].append(cll)
-                    out[2].append(chi)
-                    out[3].append(chl)
+                    out[1].append(chi)
             if free < jlo:  # untouched punches; 0 and parts are clipped to half
                 if out is None:
                     count += jlo - free
-                    net[lvl] += shift * (2 * (jlo - free) - (free == 0) - (jlo > parts))
+                    net += shift * (2 * (jlo - free) - (free == 0) - (jlo > parts))
                 else:
-                    _place_punches(out, free, jlo, lvl, lattice)
+                    out[0].extend(range(free * q - shift, jlo * q - shift, q))
+                    out[1].extend(range(free * q + shift, jlo * q + shift, q))
+                    if free == 0:
+                        out[0][free - jlo] = 0
+                    if jlo > parts:
+                        out[1][-1] = den
             if i == n:
                 break
-            clo, cll = lo, ll
+            clo = lo
             if jlo <= jhi:
                 p = jlo * q - shift
-                if p < 0:
-                    p = 0
-                if p * dens[ll] < lo * den:
-                    clo, cll = p, lvl
+                if p < lo:
+                    clo = p if p > 0 else 0
         # else: punch jlo = last_j bridges this interval into the open cluster
-        chi, chl = hi, hl
+        chi = hi
         if jlo <= jhi:
             p = jhi * q + shift
-            if p > den:
-                p = den
-            if p * dens[hl] > hi * den:
-                chi, chl = p, lvl
+            if p > hi:
+                chi = p if p < den else den
         free = jhi + 1
         last_j = jhi
     return count, net
-
-
-def _place_punches(out, a, b, lvl, lattice):
-    """Append punches a..b-1 of level lvl to the four lists `out`."""
-    parts, q, shift = lattice
-    los, lo_lvl, his, hi_lvl = out
-    start, stop = a, b
-    if a == 0:
-        los.append(0)
-        his.append(shift)
-        start = 1
-    if b == parts + 1:
-        stop = parts
-    if start < stop:
-        los.extend(range(start * q - shift, stop * q - shift, q))
-        his.extend(range(start * q + shift, stop * q + shift, q))
-    if b == parts + 1:
-        los.append(parts * q - shift)
-        his.append(parts * q)
-    lo_lvl.extend([lvl] * (b - a))
-    hi_lvl.extend([lvl] * (b - a))
 
 
 def avoider_level_set(seq: SequenceSpec, k: int, window: int = 1_000_000) -> IntervalSet:
@@ -384,6 +356,8 @@ def validate_certificate(
     seed: int = 0,
 ) -> bool:
     """Re-check a certificate on random rational parameters in its box."""
+    if samples < 1:
+        raise InvalidParameterError("validation needs at least one sample")
     if cert.status != "certified":
         return True
     rng = random.Random(seed)

@@ -10,6 +10,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_right
 from fractions import Fraction
+from operator import attrgetter
+from typing import Optional
 
 from erdosavoid.errors import (
     ConstructionAuditError,
@@ -18,7 +20,7 @@ from erdosavoid.errors import (
     ResourceLimitError,
 )
 from erdosavoid.gaptree import GapTree, Thickness, to_interval_set
-from erdosavoid.intervals import Interval, IntervalSet
+from erdosavoid.intervals import Gap, Interval, IntervalSet
 from erdosavoid.largescale import LinearEscapeCertificate
 from erdosavoid.rationals import as_rational, floor_rational
 from erdosavoid.smallscale import AvoiderLevel, AvoiderResult, _level_parameters
@@ -259,6 +261,18 @@ def reference_intersection(a: IntervalSet, b: IntervalSet) -> IntervalSet:
         else:
             j += 1
     return IntervalSet(out)
+
+
+def reference_find_gap_containing(s: IntervalSet, iv: Interval) -> Optional[Gap]:
+    """Bisection into the Fraction members: the only candidate is the
+    gap right of the last member starting at or before iv.lo."""
+    items = s.intervals
+    i = bisect_right(items, iv.lo, key=attrgetter("lo")) - 1
+    lo = items[i].hi if i >= 0 else None
+    hi = items[i + 1].lo if i + 1 < len(items) else None
+    if (lo is not None and not lo < iv.lo) or (hi is not None and not iv.hi < hi):
+        return None
+    return Gap(lo, hi)
 
 
 def reference_affine(s: IntervalSet, lam: Fraction, t: Fraction) -> IntervalSet:

@@ -256,6 +256,23 @@ def test_report_aggregates_and_is_idempotent(tmp_path):
     assert "a.json" in obj["measures"]
 
 
+def test_report_counts_inconclusive_json_items(tmp_path):
+    log = str(tmp_path / "le.json")
+    assert main(["certify", "log-escape", "--grid", "3x3", "--Nmax", "1",
+                 "--y-range", "1:2", "--out", log]) == 2
+    frame = tmp_path / "frame.json"
+    frame.write_text(json.dumps({"target": "frame-intersection", "count": 5, "certified": 3}))
+    for path, inconclusive in ((log, 5), (str(frame), 2)):
+        rep = str(tmp_path / "r.json")
+        assert main(["report", path, "--out", rep]) == 2
+        assert json.loads(read(rep))["inconclusive"] == inconclusive
+    # counts that cannot be read as counts are refused, not summed
+    for counts in ({"count": 3, "certified": 4}, {"count": "5", "certified": 3},
+                   {"stats": {"boxes": 2, "certified": True}}):
+        frame.write_text(json.dumps(counts))
+        assert main(["report", str(frame)]) == 1
+
+
 def test_report_schema_mismatch_exits_one(tmp_path):
     bad = str(tmp_path / "bad.csv")
     with open(bad, "w") as fh:
@@ -440,6 +457,8 @@ def test_sublacunary_cli_bytes_match_merge_reference(tmp_path, monkeypatch):
         "levels6.json": ["construct", "sublacunary-avoider", "--levels", "6"],
         "certify.csv": ["certify", "sublacunary-avoider", "--levels", "3", "--grid", "4x4",
                         "--lambda-range", "1:2", "--t-range=-1:1"],
+        "certify5.csv": ["certify", "sublacunary-avoider", "--levels", "5", "--grid", "4x4",
+                         "--lambda-range", "1:2", "--t-range=-1:1"],
     }
     got = {}
     for name, argv in runs.items():

@@ -2,6 +2,7 @@ import copy
 import pickle
 import random
 from fractions import Fraction
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings
@@ -15,11 +16,14 @@ from erdosavoid.intervals import (
     box_image,
     ivl,
 )
+from erdosavoid.sequences import reciprocal
+from erdosavoid.smallscale import build_sublacunary_avoider
 from helpers import (
     brute_member,
     grid_points,
     random_interval_list,
     reference_affine,
+    reference_find_gap_containing,
     reference_intersection,
 )
 
@@ -235,6 +239,58 @@ def test_find_gap_containing():
     # the unbounded rays are complement components too
     left, right = s.find_gap_containing(ivl(-2, -1)), s.find_gap_containing(ivl(4, 5))
     assert (left.lo, left.hi) == (None, F(0)) and (right.lo, right.hi) == (F(3), None)
+
+
+def _probe_points(s):
+    """Member endpoints, points a quarter lattice step off either side of
+    each, the midpoints between them and a point past either end,
+    sorted."""
+    ends = [v for iv in s.intervals for v in (iv.lo, iv.hi)]
+    if not ends:
+        return [F(0)]
+    eps = F(1, 4 * s._lattice()[0])
+    mids = [(u + v) / 2 for u, v in zip(ends, ends[1:])]
+    near = [v + d for v in ends for d in (-eps, eps)]
+    return sorted({*ends, *near, *mids, ends[0] - 1, ends[-1] + 1})
+
+
+@lru_cache(maxsize=None)
+def _avoider_case(levels):
+    s = build_sublacunary_avoider(reciprocal(), levels).interval_set()
+    return s, _probe_points(s)
+
+
+@st.composite
+def gap_queries(draw):
+    """A set (built from members, an affine or intersection output whose
+    view is not on the lcm, or the avoider's handed-over view) and an
+    image interval: either between two nearby probe points (ends on
+    member endpoints, inside gaps or members, or past either end of the
+    set; equal points give a degenerate image) or between two random
+    rationals."""
+    kind = draw(st.sampled_from(("members", "affine", "intersection", "avoider")))
+    if kind == "avoider":
+        s, points = _avoider_case(draw(st.integers(0, 3)))
+    else:
+        s = draw(canonical_sets())
+        if kind == "affine":
+            s = s.affine(draw(nonzero_rationals), draw(small_rationals))
+        elif kind == "intersection":
+            s = s.intersection(draw(canonical_sets()))
+        points = _probe_points(s)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(points) - 1))
+        j = min(i + draw(st.integers(0, 3)), len(points) - 1)
+        return s, Interval(points[i], points[j])
+    lo, hi = sorted((draw(small_rationals), draw(small_rationals)))
+    return s, Interval(lo, hi)
+
+
+@settings(max_examples=400, deadline=None)
+@given(gap_queries())
+def test_find_gap_containing_matches_fraction_reference(case):
+    s, iv = case
+    assert s.find_gap_containing(iv) == reference_find_gap_containing(s, iv)
 
 
 @settings(max_examples=150, deadline=None)

@@ -291,6 +291,12 @@ def test_scan_depth_below_one_is_rejected():
     for n_max in (0, -3):
         with pytest.raises(InvalidParameterError):
             certify_linear_escape_to_cap(e, ivl(0, 1), ivl(1, 2), n_max, 4096)
+        # the point route and a box alike, rather than "inconclusive"
+        for x_box, y_box in ((ivl(0, 1), ivl(1, 2)), (ivl(0, 0), ivl(1, 1))):
+            with pytest.raises(InvalidParameterError):
+                certify_linear_escape(e, x_box, y_box, n_max)
+        with pytest.raises(InvalidParameterError):
+            point_escape_index(e, 0, 1, n_max)
         with pytest.raises(InvalidParameterError):
             sweep_linear_escape(e, ivl(0, 1), ivl(1, 2), 2, 2, n_max_start=n_max)
 

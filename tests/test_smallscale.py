@@ -20,6 +20,7 @@ from erdosavoid.sequences import (
     reciprocal_power,
 )
 from erdosavoid.smallscale import (
+    EscapeCertificate,
     _punch_level,
     avoider_level_set,
     build_sublacunary_avoider,
@@ -132,27 +133,13 @@ def test_avoider_lattice_count_matches_merge_reference(case):
 
 @st.composite
 def punch_levels(draw):
-    """A random older union (separated intervals in [0, 1] with endpoints
-    on one to three level denominators) and a new punch lattice."""
-    dens = draw(st.lists(st.integers(1, 40), min_size=1, max_size=3))
-    ends = draw(st.lists(
-        st.integers(0, len(dens) - 1).flatmap(
-            lambda lvl: st.tuples(st.integers(0, dens[lvl]), st.just(lvl))),
-        max_size=16,
-    ))
-    ends = sorted({F(num, dens[lvl]): (num, lvl) for num, lvl in ends}.items())
-    older = ([], [], [], [])
-    for (_, (lo, ll)), (_, (hi, hl)) in zip(ends[::2], ends[1::2]):
-        for column, value in zip(older, (lo, ll, hi, hl)):
-            column.append(value)
+    """A new punch lattice and a random older union: separated intervals
+    in [0, 1] with endpoints on the lattice's denominator parts*q."""
     parts, q = draw(st.integers(1, 12)), draw(st.integers(3, 30))
     shift = draw(st.integers(1, (q - 1) // 2))  # two punches never touch
-    return older, dens + [parts * q], (parts, q, shift)
-
-
-def _values(union, dens):
-    los, lo_lvl, his, hi_lvl = union
-    return [(F(los[i], dens[lo_lvl[i]]), F(his[i], dens[hi_lvl[i]])) for i in range(len(los))]
+    ends = sorted(set(draw(st.lists(st.integers(0, parts * q), max_size=16))))
+    ends = ends[: len(ends) // 2 * 2]
+    return (ends[::2], ends[1::2]), (parts, q, shift)
 
 
 @settings(max_examples=400, deadline=None)
@@ -161,20 +148,20 @@ def test_punch_level_matches_sorted_merge(case):
     # random unions reach what the avoider's own levels rarely do: a
     # punch bridging two older intervals, and punches at 0 and 1
     # meeting older endpoints
-    older, dens, (parts, q, shift) = case
-    lvl = len(dens) - 1
+    (los, his), (parts, q, shift) = case
     den = parts * q
     punches = (
         [max(j * q - shift, 0) for j in range(parts + 1)],
         [min(j * q + shift, den) for j in range(parts + 1)],
     )
-    want = _values(_reference_merge_punches(older, punches, dens, lvl), dens)
-    union = ([], [], [], [])
-    _punch_level(older, dens, lvl, (parts, q, shift), union)
-    assert _values(union, dens) == want
-    count, net = _punch_level(older, dens, lvl, (parts, q, shift))
-    assert count == len(want)
-    assert sum(F(s, d) for s, d in zip(net, dens)) == sum(hi - lo for lo, hi in want)
+    tags = [0] * len(los)
+    want_lo, _, want_hi, _ = _reference_merge_punches((los, tags, his, tags), punches, [den], 0)
+    union = ([], [])
+    _punch_level((los, his), (parts, q, shift), union)
+    assert union == (want_lo, want_hi)
+    count, net = _punch_level((los, his), (parts, q, shift))
+    assert count == len(want_lo)
+    assert net == sum(want_hi) - sum(want_lo)
 
 
 def test_avoider_punch_guard_fires_at_its_level():
@@ -230,6 +217,17 @@ def test_certify_sweep_on_avoider_validates():
     assert frac > F(1, 2)
     for i, cert in enumerate(certs):
         assert validate_certificate(e, reciprocal(), cert, samples=40, seed=i)
+
+
+def test_validate_certificate_needs_a_sample():
+    e = IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
+    box = ParamBox(ivl(1, 1), ivl(0, 0))
+    (certified,) = certify_no_affine_copy(e, reciprocal(), [box], 10)
+    inconclusive = EscapeCertificate(box, "inconclusive")
+    for samples in (0, -3):
+        for cert in (certified, inconclusive):
+            with pytest.raises(InvalidParameterError):
+                validate_certificate(e, reciprocal(), cert, samples=samples)
 
 
 def test_certificate_json_shape():
