@@ -46,9 +46,11 @@ class GapLemmaVerdict:
 
 
 def _all_gaps(tree: GapTree) -> list[Interval]:
-    """Every recorded gap, level by level.  The order carries no meaning:
-    the gap-lemma scans only ask whether some gap contains a hull."""
-    return [n.gap for row in tree.levels for n in row if n.gap is not None]
+    """Every recorded gap, level by level, read from the level arrays.
+    The order carries no meaning: the gap-lemma scans only ask whether
+    some gap contains a hull."""
+    den = tree._rows.den
+    return [Interval(Fraction(lo, den), Fraction(hi, den)) for _, lo, hi in tree._rows.gaps()]
 
 
 def check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
@@ -95,8 +97,13 @@ class WalkTrace:
 
 
 def _level_gap_lengths(tree: GapTree, depth: int, pick) -> list[Fraction]:
-    """`pick` (min or max) of each level's gap lengths, levels 0 to depth - 1."""
-    return [pick(n.gap.length for n in tree.levels[level]) for level in range(depth)]
+    """`pick` (min or max) of each level's gap lengths, levels 0 to depth - 1,
+    read from the level arrays; those levels must be full."""
+    rows = tree._rows
+    return [
+        Fraction(pick(b - a for a, b in zip(his[::2], los[1::2])), rows.den)
+        for los, his in zip(rows.los[1 : depth + 1], rows.his[1 : depth + 1])
+    ]
 
 
 def _check_walk_preconditions(inner: GapTree, outer: GapTree, depth: int) -> tuple[list, list]:

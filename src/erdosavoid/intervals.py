@@ -5,14 +5,16 @@ closure of the pointwise difference (boundary points that are limits of
 the difference are kept), and touching intervals merge during
 normalization so each point set has one canonical representation.
 
-The kernels `IntervalSet.affine`, `IntervalSet.intersection` and
-`IntervalSet.find_gap_containing` (and the sumset coverage probe in
-`sumsets`) run on a set's lattice view: every endpoint written as an
-integer numerator over one shared denominator, the lcm of the endpoint
-denominators for a set built from members.  The view is exact, computed
-lazily on the first kernel call and kept; a set produced by a kernel
-(or handed over as a view, like the sublacunary avoider) carries only
-its view and builds its `Interval` members when they are first read.
+The kernels `IntervalSet.affine`, `IntervalSet.intersection`,
+`IntervalSet.find_gap_containing`, `IntervalSet.measure` and
+`IntervalSet.contains` (and the sumset coverage probe in `sumsets`) run
+on a set's lattice view: every endpoint written as an integer numerator
+over one shared denominator, the lcm of the endpoint denominators for a
+set built from members.  The view is exact, computed lazily on the
+first kernel call and kept; a set produced by a kernel (or handed over
+as a view, like the sublacunary avoider and a gap tree's level sets)
+carries only its view and builds its `Interval` members when they are
+first read.
 No floating point is used on any code path in this module.
 """
 
@@ -22,7 +24,6 @@ from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from operator import attrgetter
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -67,16 +68,6 @@ class Interval:
     def strictly_contains_interval(self, other: "Interval") -> bool:
         return self.lo < other.lo and other.hi < self.hi
 
-    def translate(self, t: RationalLike) -> "Interval":
-        t = as_rational(t)
-        return Interval(self.lo + t, self.hi + t)
-
-    def scale(self, lam: RationalLike) -> "Interval":
-        lam = as_rational(lam)
-        if lam >= 0:
-            return Interval(self.lo * lam, self.hi * lam)
-        return Interval(self.hi * lam, self.lo * lam)
-
     def __str__(self) -> str:
         return f"[{format_rational(self.lo)}, {format_rational(self.hi)}]"
 
@@ -100,9 +91,6 @@ class Gap:
             None if self.lo is None else format_rational(self.lo),
             None if self.hi is None else format_rational(self.hi),
         ]
-
-
-_lo = attrgetter("lo")
 
 
 class IntervalSet:
@@ -188,12 +176,18 @@ class IntervalSet:
         return "IntervalSet([" + ", ".join(str(iv) for iv in self.intervals) + "])"
 
     def measure(self) -> Fraction:
-        return sum((iv.length for iv in self.intervals), Fraction(0))
+        """Total length, summed on the lattice view."""
+        den, los, his = self._lattice()
+        return Fraction(sum(his) - sum(los), den)
 
     def contains(self, x: RationalLike) -> bool:
+        """Membership by bisection into the lattice view: only the last
+        member starting at or before x can hold it."""
         x = as_rational(x)
-        i = bisect_right(self.intervals, x, key=_lo) - 1
-        return i >= 0 and x <= self.intervals[i].hi
+        den, los, his = self._lattice()
+        # an integer numerator n has n/den <= x iff n <= floor(x*den)
+        i = bisect_right(los, x.numerator * den // x.denominator) - 1
+        return i >= 0 and x.numerator * den <= his[i] * x.denominator
 
     __contains__ = contains
 

@@ -755,18 +755,6 @@ class CoefficientMassBound:
         }
 
 
-def coefficient_mass(coeffs: Sequence[Fraction]) -> Fraction:
-    return sum((abs(c) for c in coeffs), Fraction(0))
-
-
-def poly_mul(f: Sequence[Fraction], g: Sequence[Fraction]) -> list[Fraction]:
-    out = [Fraction(0)] * (len(f) + len(g) - 1)
-    for i, fi in enumerate(f):
-        for j, gj in enumerate(g):
-            out[i + j] += fi * gj
-    return out
-
-
 def ell_upper_bound(
     f_coeffs: Sequence[RationalLike],
     max_deg: int,

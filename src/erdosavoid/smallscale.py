@@ -284,19 +284,6 @@ def _punch_level(older, lattice, out=None):
     return count, net
 
 
-def avoider_level_set(seq: SequenceSpec, k: int, window: int = 1_000_000) -> IntervalSet:
-    """Single level E_k as an interval set (small k only; the number of
-    components grows like k^3 4^k)."""
-    n, a, delta, parts = _level_parameters(seq, k, k, window)
-    half = delta / 2
-    pieces = []
-    for j in range(parts):
-        pieces.append(
-            Interval(Fraction(j, parts) + half, Fraction(j + 1, parts) - half)
-        )
-    return IntervalSet(pieces, _canonical=True)
-
-
 # ---------------------------------------------------------------------------
 # escape certification
 

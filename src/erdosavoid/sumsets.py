@@ -33,7 +33,6 @@ from .intersect import (
     REASON_OK,
     REASON_THIN,
     GapLemmaVerdict,
-    _all_gaps,
 )
 from .intervals import Interval, IntervalSet, ParamBox
 from .rationals import RationalLike, as_rational, format_rational
@@ -75,10 +74,6 @@ class DyadicFamily:
 
     def member(self, n: int, l: int) -> GapTree:
         return affine_tree(self.base, *_frame_map(n, l))
-
-    def member_set(self, n: int, l: int, level: Optional[int] = None) -> IntervalSet:
-        level = self.depth if level is None else level
-        return to_interval_set(self.base, level).affine(*_frame_map(n, l))
 
     def union_set(self, level: Optional[int] = None) -> IntervalSet:
         """All members at a level, normalized once and cached per level."""
@@ -166,14 +161,17 @@ class FrameTrace:
 
 
 class FrameCertifier:
-    """Reusable certifier for parameter sweeps, working on the base tree
-    of the family alone.
+    """Reusable certifier for parameter sweeps, working on the level
+    arrays of X's tree and of the family base alone.
 
     Every member is an affine image of the family base and every check
-    commutes with affine maps, so the base analyses (thickness, gaps in
-    decreasing length, the deepest level both trees reach) are computed
-    once and member quantities are produced by O(1) coordinate changes.
-    No member tree or member level set is built on the certification
+    commutes with affine maps, so the base analyses (thickness, the gaps
+    of both trees as integer (length, lo, hi) numerator triples sorted
+    by decreasing length, the deepest level both trees reach) are
+    computed once.  Per box, the map lam*x + t on X and the frame map on
+    the base become integer (scale, shift) pairs over one common
+    denominator, and the checks and the descent run on numerators.  No
+    member tree, member level set or node is built on the certification
     path.
     """
 
@@ -182,13 +180,23 @@ class FrameCertifier:
         self.family = family
         self.max_depth = min(x_tree.min_depth(), family.depth)
         self.x_thick = thickness(x_tree)
-        self.x_gaps_desc = sorted(
-            _all_gaps(x_tree), key=lambda g: g.length, reverse=True
-        )
         self.base_thick = thickness(family.base)
-        self.base_gaps_desc = sorted(
-            _all_gaps(family.base), key=lambda g: g.length, reverse=True
-        )
+        self._thick_enough = thickness_product_at_least_one(self.x_thick, self.base_thick)
+        self._x, self._base = x_tree._rows, family.base._rows
+        self.x_gaps_desc = sorted(self._x.gaps(), reverse=True)
+        self.base_gaps_desc = sorted(self._base.gaps(), reverse=True)
+
+    def _maps(self, lam: Fraction, t: Fraction, frame: tuple[int, int]):
+        """(D, sx, hx, sb, hb): X's numerator a maps to (a*sx + hx)/D under
+        x -> lam*x + t, and the base's numerator b to (b*sb + hb)/D under
+        the frame map x -> 2^n x + 2^n l."""
+        n, l = frame
+        e, f = (1 << n, 1) if n >= 0 else (1, 1 << -n)
+        p, q, r, s = lam.numerator, lam.denominator, t.numerator, t.denominator
+        dx, db = self._x.den, self._base.den
+        # lam*a/dx + r/s = (p*s*a + r*q*dx)/(q*s*dx); 2^n (b/db + l) = e*(b + l*db)/(f*db)
+        qsd, fdb = q * s * dx, f * db
+        return qsd * fdb, p * s * fdb, r * q * dx * fdb, e * qsd, e * l * db * qsd
 
     def corner_verdict(
         self, frame: tuple[int, int], lam: Fraction, t: Fraction
@@ -197,26 +205,29 @@ class FrameCertifier:
 
         Thickness is affine-invariant and the hull/gap comparisons
         commute with the affine maps, so both trees stay unmaterialized;
-        gaps are scanned in decreasing length with an early exit.
-        Agrees with check_gap_lemma on materialized trees.
+        gaps are scanned in decreasing length with an early exit, on
+        numerators over the common denominator of `_maps`.  Agrees with
+        check_gap_lemma on materialized trees.
         """
-        if not thickness_product_at_least_one(self.x_thick, self.base_thick):
+        if not self._thick_enough:
             return GapLemmaVerdict(False, REASON_THIN, self.x_thick, self.base_thick)
-        ms, mt = _frame_map(*frame)
-        hull1 = self.x_tree.interval.scale(lam).translate(t)
-        hull2 = self.family.base.interval.scale(ms).translate(mt)
-        for gap in self.base_gaps_desc:
-            if gap.length * ms <= hull1.length:
+        _, sx, hx, sb, hb = self._maps(lam, t, frame)
+        x, base = self._x, self._base
+        a0, a1 = sorted((x.los[0][0] * sx + hx, x.his[0][0] * sx + hx))
+        b0, b1 = base.los[0][0] * sb + hb, base.his[0][0] * sb + hb
+        for length, lo, hi in self.base_gaps_desc:
+            if length * sb <= a1 - a0:
                 break
-            if gap.scale(ms).translate(mt).strictly_contains_interval(hull1):
+            if lo * sb + hb < a0 and a1 < hi * sb + hb:
                 return GapLemmaVerdict(
                     False, REASON_K1_IN_GAP, self.x_thick, self.base_thick
                 )
-        scale = abs(lam)
-        for gap in self.x_gaps_desc:
-            if gap.length * scale <= hull2.length:
+        scale = abs(sx)
+        for length, lo, hi in self.x_gaps_desc:
+            if length * scale <= b1 - b0:
                 break
-            if gap.scale(lam).translate(t).strictly_contains_interval(hull2):
+            g0, g1 = sorted((lo * sx + hx, hi * sx + hx))
+            if g0 < b0 and b1 < g1:
                 return GapLemmaVerdict(
                     False, REASON_K2_IN_GAP, self.x_thick, self.base_thick
                 )
@@ -229,39 +240,42 @@ class FrameCertifier:
         framed member at `depth` (clamped to the depth both trees
         reach), or None when the level sets are disjoint.
 
-        Synchronized descent through node pairs with both affine maps
-        applied on the fly; pairs whose hulls are disjoint are pruned.
-        The children of a node are disjoint and visited left to right
-        (the X children swap when lam < 0), so every common point under
-        an earlier pair lies left of every common point under a later
-        one, and the first hit is the leftmost point of the exact
-        level-set intersection.  At each level at most n_a + n_b - 1 of
-        the pairs overlap, n_a and n_b being the node counts there.
+        Synchronized descent through node index pairs (d, i, j) with both
+        maps applied to the numerators on the fly; pairs whose hulls are
+        disjoint are pruned.  Every level down to `max_depth` is full, so
+        node i's children are 2i and 2i + 1.  The children of a node are
+        disjoint and visited left to right (the X children swap when
+        lam < 0), so every common point under an earlier pair lies left
+        of every common point under a later one, and the first hit is
+        the leftmost point of the exact level-set intersection.  At each
+        level at most n_a + n_b - 1 of the pairs overlap, n_a and n_b
+        being the node counts there.  The witness is built once.
         """
         if depth < 0:
             raise InvalidParameterError("depth must be >= 0")
         depth = min(depth, self.max_depth)
-        ms, mt = _frame_map(*frame)
+        den, sx, hx, sb, hb = self._maps(lam, t, frame)
+        # the lower end of X's image is the mapped lo, or hi when lam < 0
+        x_lo, x_hi = (self._x.los, self._x.his) if sx > 0 else (self._x.his, self._x.los)
+        order = (0, 1) if sx > 0 else (1, 0)
+        b_lo, b_hi = self._base.los, self._base.his
 
-        def dfs(a: GapTree, b: GapTree, d: int) -> Optional[Fraction]:
-            a_lo = lam * a.interval.lo + t
-            a_hi = lam * a.interval.hi + t
-            if lam < 0:
-                a_lo, a_hi = a_hi, a_lo
-            b_lo = ms * b.interval.lo + mt
-            b_hi = ms * b.interval.hi + mt
-            if a_hi < b_lo or b_hi < a_lo:
+        def dfs(d: int, i: int, j: int) -> Optional[int]:
+            a0, a1 = x_lo[d][i] * sx + hx, x_hi[d][i] * sx + hx
+            b0, b1 = b_lo[d][j] * sb + hb, b_hi[d][j] * sb + hb
+            if a1 < b0 or b1 < a0:
                 return None
             if d == depth:
-                return max(a_lo, b_lo)
-            for ac in (a.left, a.right) if lam > 0 else (a.right, a.left):
-                for bc in (b.left, b.right):
-                    hit = dfs(ac, bc, d + 1)
+                return max(a0, b0)
+            for ic in order:
+                for jc in (0, 1):
+                    hit = dfs(d + 1, 2 * i + ic, 2 * j + jc)
                     if hit is not None:
                         return hit
             return None
 
-        return dfs(self.x_tree, self.family.base, 0)
+        hit = dfs(0, 0, 0)
+        return None if hit is None else Fraction(hit, den)
 
     def certify(self, box: ParamBox, depth: int, split_budget: int = 16) -> FrameTrace:
         """Frame an affine copy of X against the family and try to meet it.

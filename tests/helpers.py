@@ -2,7 +2,9 @@
 
 The oracles here are deliberately independent of the library code they
 check: membership is brute-forced on rational grids and trees are built
-by a direct recursive generator.
+by a direct recursive generator.  The module also holds the few
+constructions only tests use, such as single avoider levels, family
+member sets and polynomial products.
 """
 
 from __future__ import annotations
@@ -19,12 +21,24 @@ from erdosavoid.errors import (
     NeedsLongerWindowError,
     ResourceLimitError,
 )
-from erdosavoid.gaptree import GapTree, Thickness, to_interval_set
+from erdosavoid.gaptree import (
+    GapTree,
+    Thickness,
+    thickness_product_at_least_one,
+    to_interval_set,
+)
+from erdosavoid.intersect import (
+    REASON_K1_IN_GAP,
+    REASON_K2_IN_GAP,
+    REASON_OK,
+    REASON_THIN,
+    GapLemmaVerdict,
+)
 from erdosavoid.intervals import Gap, Interval, IntervalSet
 from erdosavoid.largescale import LinearEscapeCertificate
 from erdosavoid.rationals import as_rational, floor_rational
 from erdosavoid.smallscale import AvoiderLevel, AvoiderResult, _level_parameters
-from erdosavoid.sumsets import CoverageRecord, CoverageReport
+from erdosavoid.sumsets import CoverageRecord, CoverageReport, _frame_map
 
 
 def grid_points(lo, hi, steps=1000):
@@ -42,6 +56,12 @@ def brute_member(intervals, x) -> bool:
 def random_fraction(rng: random.Random, lo, hi, denom: int = 64) -> Fraction:
     lo, hi = Fraction(lo), Fraction(hi)
     return lo + (hi - lo) * Fraction(rng.randrange(denom + 1), denom)
+
+
+def interval_image(iv: Interval, lam, t) -> Interval:
+    """Image of a closed interval under x -> lam*x + t."""
+    a, b = lam * iv.lo + t, lam * iv.hi + t
+    return Interval(min(a, b), max(a, b))
 
 
 def random_interval_list(rng: random.Random, count: int, span=(0, 10)):
@@ -123,6 +143,94 @@ def reference_thickness(tree: GapTree) -> Thickness:
     if best is None:
         return Thickness(None, "exact")
     return Thickness(best, "exact" if tree.self_similar else "upper_bound")
+
+
+def reference_from_middle_ratio(
+    n_ratio: int, depth: int, hull: Interval = Interval(Fraction(0), Fraction(1))
+) -> GapTree:
+    """Middle-ratio tree built node by node in Fraction arithmetic: each
+    child is N/(2N+1) of its parent."""
+    child = Fraction(n_ratio, 2 * n_ratio + 1)
+
+    def build(iv: Interval, d: int) -> GapTree:
+        if d == 0:
+            return GapTree(iv, self_similar=True)
+        left_hi = iv.lo + child * iv.length
+        right_lo = iv.hi - child * iv.length
+        return GapTree(
+            iv,
+            Interval(left_hi, right_lo),
+            build(Interval(iv.lo, left_hi), d - 1),
+            build(Interval(right_lo, iv.hi), d - 1),
+            self_similar=True,
+        )
+
+    return build(hull, depth)
+
+
+def reference_affine_tree(tree: GapTree, lam: Fraction, t: Fraction) -> GapTree:
+    """Node-wise interval images; children swap when lam < 0."""
+
+    def rec(node: GapTree) -> GapTree:
+        iv = interval_image(node.interval, lam, t)
+        if node.is_leaf:
+            return GapTree(iv, self_similar=node.self_similar)
+        left, right = rec(node.left), rec(node.right)
+        if lam < 0:
+            left, right = right, left
+        gap = interval_image(node.gap, lam, t)
+        return GapTree(iv, gap, left, right, self_similar=node.self_similar)
+
+    return rec(tree)
+
+
+def reference_corner_verdict(certifier, frame, lam: Fraction, t: Fraction) -> GapLemmaVerdict:
+    """The framed gap-lemma verdict on the Fraction nodes: every gap of
+    each tree, mapped by `interval_image`, against the other
+    tree's mapped hull."""
+    x, base = certifier.x_tree, certifier.family.base
+    t1, t2 = reference_thickness(x), reference_thickness(base)
+    if not thickness_product_at_least_one(t1, t2):
+        return GapLemmaVerdict(False, REASON_THIN, t1, t2)
+    ms, mt = _frame_map(*frame)
+    hull1 = interval_image(x.interval, lam, t)
+    hull2 = interval_image(base.interval, ms, mt)
+    if any(interval_image(g, ms, mt).strictly_contains_interval(hull1)
+           for g in reference_all_gaps(base)):
+        return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2)
+    if any(interval_image(g, lam, t).strictly_contains_interval(hull2)
+           for g in reference_all_gaps(x)):
+        return GapLemmaVerdict(False, REASON_K2_IN_GAP, t1, t2)
+    return GapLemmaVerdict(True, REASON_OK, t1, t2)
+
+
+def reference_find_common_point(certifier, lam: Fraction, t: Fraction, frame, depth: int):
+    """Leftmost common point by a synchronized descent through the
+    Fraction node pairs, both maps applied to each node's endpoints."""
+    depth = min(depth, reference_min_depth(certifier.x_tree), certifier.family.depth)
+    ms, mt = _frame_map(*frame)
+
+    def dfs(a: GapTree, b: GapTree, d: int) -> Optional[Fraction]:
+        a_lo, a_hi = sorted((lam * a.interval.lo + t, lam * a.interval.hi + t))
+        b_lo, b_hi = ms * b.interval.lo + mt, ms * b.interval.hi + mt
+        if a_hi < b_lo or b_hi < a_lo:
+            return None
+        if d == depth:
+            return max(a_lo, b_lo)
+        for ac in (a.left, a.right) if lam > 0 else (a.right, a.left):
+            for bc in (b.left, b.right):
+                hit = dfs(ac, bc, d + 1)
+                if hit is not None:
+                    return hit
+        return None
+
+    return dfs(certifier.x_tree, certifier.family.base, 0)
+
+
+def member_set(family, n: int, l: int, level: Optional[int] = None) -> IntervalSet:
+    """The level set of the family member 2^n (K + l)."""
+    level = family.depth if level is None else level
+    return to_interval_set(family.base, level).affine(*_frame_map(n, l))
 
 
 def reference_all_gaps(tree: GapTree) -> list[Interval]:
@@ -212,7 +320,7 @@ def reference_certify_linear_escape(e, x_box: Interval, y_box: Interval, n_max: 
             raise ResourceLimitError(f"image left the cell guard at n = {n}")
         for k in range(k_lo, k_hi + 1):
             for part in reference_removed_parts(e, k):
-                shifted = part.translate(k)
+                shifted = interval_image(part, 1, k)
                 if shifted.lo < img.lo and img.hi < shifted.hi:
                     return LinearEscapeCertificate(
                         x_box, y_box, "certified", n, "containment", k, part
@@ -220,7 +328,7 @@ def reference_certify_linear_escape(e, x_box: Interval, y_box: Interval, n_max: 
         if img.length >= 1:
             for k in range(k_lo, k_hi + 1):
                 for part in reference_removed_parts(e, k):
-                    shifted = part.translate(k)
+                    shifted = interval_image(part, 1, k)
                     if img.lo <= shifted.lo and shifted.hi <= img.hi:
                         return LinearEscapeCertificate(
                             x_box, y_box, "certified", n, "width", k, part
@@ -275,9 +383,21 @@ def reference_find_gap_containing(s: IntervalSet, iv: Interval) -> Optional[Gap]
     return Gap(lo, hi)
 
 
+def reference_measure(s: IntervalSet) -> Fraction:
+    """Sum of the Fraction member lengths."""
+    return sum((iv.length for iv in s.intervals), Fraction(0))
+
+
+def reference_contains(s: IntervalSet, x: Fraction) -> bool:
+    """Bisection into the Fraction members by their lo ends."""
+    items = s.intervals
+    i = bisect_right(items, x, key=attrgetter("lo")) - 1
+    return i >= 0 and x <= items[i].hi
+
+
 def reference_affine(s: IntervalSet, lam: Fraction, t: Fraction) -> IntervalSet:
-    """Member-wise Interval scale and translate, normalizing the image."""
-    return IntervalSet(iv.scale(lam).translate(t) for iv in s.intervals)
+    """Member-wise interval images, normalizing the image."""
+    return IntervalSet(interval_image(iv, lam, t) for iv in s.intervals)
 
 
 def reference_sumset_cover_probe(x_tree, family, lam, targets, depth) -> CoverageReport:
@@ -431,6 +551,30 @@ def _reference_merge_punches(union, level_punches, dens, lvl):
         out_hi.append(cur[2])
         out_hi_l.append(cur[3])
     return out_lo, out_lo_l, out_hi, out_hi_l
+
+
+def avoider_level_set(seq, k: int, window: int = 1_000_000) -> IntervalSet:
+    """Single level E_k as an interval set (small k only; the number of
+    components grows like k^3 4^k)."""
+    n, a, delta, parts = _level_parameters(seq, k, k, window)
+    half = delta / 2
+    pieces = [
+        Interval(Fraction(j, parts) + half, Fraction(j + 1, parts) - half)
+        for j in range(parts)
+    ]
+    return IntervalSet(pieces, _canonical=True)
+
+
+def coefficient_mass(coeffs) -> Fraction:
+    return sum((abs(c) for c in coeffs), Fraction(0))
+
+
+def poly_mul(f, g) -> list[Fraction]:
+    out = [Fraction(0)] * (len(f) + len(g) - 1)
+    for i, fi in enumerate(f):
+        for j, gj in enumerate(g):
+            out[i + j] += fi * gj
+    return out
 
 
 def reference_min_mass_dp(f, allowed):

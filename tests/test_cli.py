@@ -539,6 +539,21 @@ def test_usage_errors_exit_1(argv, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["construct", "middle-cantor", "--depth", "40"],
+        ["construct", "dyadic-family", "--depth", "40"],
+        ["certify", "frame-intersection", "--depth", "40", "--count", "1"],
+    ],
+)
+def test_oversize_trees_exit_1(argv, tmp_path, capsys):
+    # refused before any node is built, so no hang and no file
+    assert main([*argv, "--out", str(tmp_path / "out")]) == 1
+    assert "error:" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_help_exits_0(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["certify", "--help"])

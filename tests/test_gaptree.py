@@ -8,9 +8,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erdosavoid.errors import InvalidParameterError, NotEnoughStructureError, SchemaError
+from erdosavoid.errors import (
+    InvalidParameterError,
+    NotEnoughStructureError,
+    ResourceLimitError,
+    SchemaError,
+)
 from erdosavoid.gaptree import (
     JSON_DEPTH_LIMIT,
+    MAX_TREE_NODES,
     GapTree,
     affine_tree,
     decompose,
@@ -24,7 +30,9 @@ from erdosavoid.intersect import _all_gaps
 from erdosavoid.intervals import IntervalSet, ivl
 from helpers import (
     random_decreasing_gap_tree,
+    reference_affine_tree,
     reference_all_gaps,
+    reference_from_middle_ratio,
     reference_level_nodes,
     reference_min_depth,
     reference_thickness,
@@ -283,3 +291,45 @@ def test_tree_with_built_index_copies_and_pickles():
         assert to_interval_set(back, 2) == level_set
     # the index is derived data and leaves the pickled bytes alone
     assert pickle.dumps(t) == pickle.dumps(from_middle_ratio(2, 3, ivl(-1, 2)))
+
+
+def _same_nodes(tree: GapTree, ref: GapTree):
+    """Node by node, depth by depth: the same interval and gap."""
+    assert len(tree.levels) == len(ref.levels)
+    for row, ref_row in zip(tree.levels, ref.levels):
+        assert [(n.interval, n.gap) for n in row] == [(n.interval, n.gap) for n in ref_row]
+
+
+hull_ends = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+hull_lengths = st.fractions(min_value=F(1, 16), max_value=4, max_denominator=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 5), st.integers(1, 6), hull_ends, hull_lengths)
+def test_from_middle_ratio_matches_fraction_reference(n_ratio, depth, lo, length):
+    hull = ivl(lo, lo + length)
+    tree = from_middle_ratio(n_ratio, depth, hull)
+    ref = reference_from_middle_ratio(n_ratio, depth, hull)
+    _same_nodes(tree, ref)
+    assert tree == ref and hash(tree) == hash(ref)
+    assert thickness(tree) == reference_thickness(ref)
+
+
+@settings(max_examples=300, deadline=None)
+@given(trees, hull_ends.filter(lambda q: q != 0), hull_ends)
+def test_affine_tree_matches_fraction_reference(tree, lam, t):
+    # the images' thickness is read from their own mapped endpoints
+    img = affine_tree(tree, lam, t)
+    ref = reference_affine_tree(tree, lam, t)
+    _same_nodes(img, ref)
+    assert img == ref
+    assert thickness(img) == reference_thickness(ref)
+
+
+def test_oversize_trees_are_refused_before_building():
+    deepest = MAX_TREE_NODES.bit_length() - 1
+    assert 2 ** (deepest + 1) - 1 <= MAX_TREE_NODES < 2 ** (deepest + 2) - 1
+    assert from_middle_ratio(1, deepest).min_depth() == deepest
+    for depth in (deepest + 1, 40, 10**9):
+        with pytest.raises(ResourceLimitError, match="nodes"):
+            from_middle_ratio(1, depth)

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from erdosavoid.errors import DegenerateMapError, MalformedIntervalError, SchemaError
+from erdosavoid.gaptree import from_middle_ratio, to_interval_set
 from erdosavoid.intervals import (
     Interval,
     IntervalSet,
@@ -22,9 +23,12 @@ from helpers import (
     brute_member,
     grid_points,
     random_interval_list,
+    random_decreasing_gap_tree,
     reference_affine,
+    reference_contains,
     reference_find_gap_containing,
     reference_intersection,
+    reference_measure,
 )
 
 F = Fraction
@@ -35,6 +39,7 @@ small_rationals = st.fractions(
 
 
 nonzero_rationals = small_rationals.filter(lambda q: q != 0)
+positive_rationals = small_rationals.filter(lambda q: q > 0)
 
 
 def canonical_sets(max_count=8):
@@ -291,6 +296,37 @@ def gap_queries(draw):
 def test_find_gap_containing_matches_fraction_reference(case):
     s, iv = case
     assert s.find_gap_containing(iv) == reference_find_gap_containing(s, iv)
+
+
+@st.composite
+def member_queries(draw):
+    """A set (built from members, an affine or intersection output, or a
+    gap tree's level set handed over as a view) and its probe points."""
+    kind = draw(st.sampled_from(("members", "affine", "intersection", "tree")))
+    if kind == "tree":
+        if draw(st.booleans()):
+            lo = draw(small_rationals)
+            tree = from_middle_ratio(
+                draw(st.integers(1, 5)), draw(st.integers(1, 4)), ivl(lo, lo + draw(positive_rationals))
+            )
+        else:
+            tree = random_decreasing_gap_tree(random.Random(draw(st.integers(0, 99))), 3)
+        s = to_interval_set(tree, draw(st.integers(0, tree.min_depth())))
+    else:
+        s = draw(canonical_sets())
+        if kind == "affine":
+            s = s.affine(draw(nonzero_rationals), draw(small_rationals))
+        elif kind == "intersection":
+            s = s.intersection(draw(canonical_sets()))
+    return s, _probe_points(s)
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_queries())
+def test_measure_and_contains_match_fraction_reference(case):
+    s, points = case
+    assert s.measure() == reference_measure(s)
+    assert [s.contains(x) for x in points] == [reference_contains(s, x) for x in points]
 
 
 @settings(max_examples=150, deadline=None)

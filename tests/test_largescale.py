@@ -29,8 +29,6 @@ from erdosavoid.largescale import (
     geometric_escape_via_log,
     is_p_large,
     point_escape_index,
-    poly_mul,
-    coefficient_mass,
     quotient_avoider,
     sweep_linear_escape,
     sweep_log_escape,
@@ -41,6 +39,9 @@ from erdosavoid.largescale import (
 from erdosavoid.sequences import linear
 
 from helpers import (
+    coefficient_mass,
+    interval_image,
+    poly_mul,
     reference_certify_linear_escape,
     reference_ell_upper_bound,
     reference_point_escapes,
@@ -138,7 +139,7 @@ def test_width_rule_soundness_structural():
         found = False
         for k in range(int(start) - 1, int(start) + 3):
             for part in reference_removed_parts(e, k):
-                shifted = part.translate(k)
+                shifted = interval_image(part, 1, k)
                 if img.lo <= shifted.lo and shifted.hi <= img.hi:
                     found = True
         assert found, start

@@ -22,7 +22,6 @@ from erdosavoid.sequences import (
 from erdosavoid.smallscale import (
     EscapeCertificate,
     _punch_level,
-    avoider_level_set,
     build_sublacunary_avoider,
     certify_no_affine_copy,
     embed_lacunary,
@@ -34,7 +33,7 @@ from erdosavoid.smallscale import (
     validate_certificate,
 )
 
-from helpers import _reference_merge_punches, reference_sublacunary_avoider
+from helpers import _reference_merge_punches, avoider_level_set, reference_sublacunary_avoider
 
 F = Fraction
 

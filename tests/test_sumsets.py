@@ -2,10 +2,16 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from helpers import random_decreasing_gap_tree, reference_sumset_cover_probe
+from helpers import (
+    member_set,
+    random_decreasing_gap_tree,
+    reference_corner_verdict,
+    reference_find_common_point,
+    reference_sumset_cover_probe,
+)
 
 from erdosavoid.errors import InvalidParameterError
 from erdosavoid.gaptree import (
@@ -90,7 +96,7 @@ def test_point_box_certification_with_witness():
     tr = certifier.certify(ParamBox(ivl(1, 1), ivl(0, 0)), 10)
     assert tr.status == "certified"
     assert to_interval_set(x, 10).contains(tr.witness)
-    assert fam.member_set(*tr.frame, level=10).contains(tr.witness)
+    assert member_set(fam, *tr.frame, level=10).contains(tr.witness)
 
 
 def test_sweep_all_applicable_and_witnessed():
@@ -143,7 +149,7 @@ def _leftmost_common_point(x, fam, lam, t, frame, depth):
     common = (
         to_interval_set(x, depth)
         .affine(lam, t)
-        .intersection(fam.member_set(*frame, level=depth))
+        .intersection(member_set(fam, *frame, level=depth))
     )
     return common.intervals[0].lo if common else None
 
@@ -174,6 +180,61 @@ def test_common_point_is_leftmost_of_level_set_intersection():
     assert hits >= 60 and misses >= 60
     with pytest.raises(InvalidParameterError):
         certifier.find_common_point(F(1), F(0), (0, 0), -1)
+
+
+CERT_FAMILY = build_dyadic_family(1, 5, (-3, 3), (-34, 34))
+CERTIFIERS = [
+    FrameCertifier(x, CERT_FAMILY)
+    for x in (
+        from_middle_ratio(2, 5),
+        from_middle_ratio(1, 6, ivl(-1, 2)),
+        random_decreasing_gap_tree(random.Random(7), 4, ivl(F(-1, 3), 2)),
+        decompose(IntervalSet.of((0, 1), (3, 4)), 1),  # thin: product below one
+    )
+]
+# scales and shifts on and off the frame boundaries 2^n and l*2^n
+scales = st.one_of(
+    st.integers(-3, 3).map(lambda k: F(2) ** k),
+    st.fractions(min_value=F(1, 8), max_value=8, max_denominator=64),
+)
+shifts = st.one_of(
+    st.tuples(st.integers(-3, 3), st.integers(-8, 8)).map(lambda p: F(2) ** p[0] * p[1]),
+    st.fractions(min_value=-4, max_value=4, max_denominator=64),
+)
+widths = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=2, max_denominator=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.sampled_from(CERTIFIERS), scales, st.booleans(), widths, shifts, widths,
+    st.integers(0, 6), st.integers(0, len(CERT_FAMILY.frames()) - 1),
+)
+# the image of X touches the framed member at one end point only
+@example(CERTIFIERS[0], F(1), False, F(0), F(1), F(0), 5, 0)
+@example(CERTIFIERS[0], F(1), True, F(0), F(0), F(0), 5, CERT_FAMILY.frames().index((0, 0)))
+# one hull fills the closure of a gap of the other up to one end (first
+# X in a member gap, then a member in a gap of X): not strictly inside
+@example(CERTIFIERS[0], F(1), False, F(0), F(4, 3), F(0), 5, CERT_FAMILY.frames().index((2, 0)))
+@example(CERTIFIERS[0], F(5, 4), False, F(0), F(0), F(0), 5, CERT_FAMILY.frames().index((-3, 4)))
+# X strictly inside a member gap
+@example(CERTIFIERS[0], F(1), False, F(0), F(3, 2), F(0), 5, CERT_FAMILY.frames().index((2, 0)))
+def test_frame_certifier_matches_fraction_reference(
+    certifier, scale, negative, lam_width, t_lo, t_width, depth, frame_pick
+):
+    sign = -1 if negative else 1
+    lam_lo, lam_hi = sorted((sign * scale, sign * (scale + lam_width)))
+    box = ParamBox(ivl(lam_lo, lam_hi), ivl(t_lo, t_lo + t_width))
+    lam, t = box.lam.midpoint, box.t.midpoint
+    frame, picked = select_frame(lam, t), CERT_FAMILY.frames()[frame_pick]
+    for corner_lam, corner_t in box.corners():
+        for f in (frame, select_frame(corner_lam, corner_t), picked):
+            assert certifier.corner_verdict(f, corner_lam, corner_t) == reference_corner_verdict(
+                certifier, f, corner_lam, corner_t
+            )
+    for f in (frame, picked):
+        assert certifier.find_common_point(lam, t, f, depth) == reference_find_common_point(
+            certifier, lam, t, f, depth
+        )
 
 
 def test_coverage_probe_endpoint_target():
