@@ -26,7 +26,6 @@ import os
 import random
 import sys
 import tempfile
-from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
@@ -133,10 +132,12 @@ def _sequence_from_args(args) -> sequences.SequenceSpec:
 
 
 def _workers() -> int:
+    """ERDOSAVOID_WORKERS, clamped to 1..CPU count; not an integer exits 1."""
+    text = os.environ.get("ERDOSAVOID_WORKERS", "1")
     try:
-        requested = int(os.environ.get("ERDOSAVOID_WORKERS", "1"))
+        requested = int(text)
     except ValueError:
-        return 1
+        raise ErdosAvoidError(f"ERDOSAVOID_WORKERS must be an integer, got {text!r}") from None
     return max(1, min(requested, os.cpu_count() or 1))
 
 
@@ -199,12 +200,12 @@ def _construct_dyadic_family(args) -> Result:
 # certify
 
 
-def _digit_sweep_rows(args, grid: Grid, box_ids: list[int]) -> list[dict]:
+def _digit_sweep_rows(args, grid: Grid, n_max: int, box_ids: list[int]) -> list[dict]:
     e = largescale.digit_avoider(args.m, args.window)
     rows = []
     for box_id in box_ids:
         bx, by = grid.cell(box_id)
-        cert = largescale.certify_linear_escape_to_cap(e, bx, by, args.nmax, args.nmax_cap)
+        cert = largescale.certify_linear_escape(e, bx, by, n_max)
         ok = not args.validate or largescale.validate_linear_escape(
             e, cert, samples=args.samples, seed=args.seed * 1000003 + box_id
         )
@@ -262,6 +263,7 @@ def _append_journal(path: str, rows: list[dict]) -> None:
 
 def _certify_digit_avoider(args) -> Result:
     grid = Grid(args.x_range, args.y_range, *args.grid)
+    n_max = largescale.sweep_depth(args.nmax, args.nmax_cap)
     journal = f"{args.out}.partial" if args.out else None
     rows: dict[int, dict] = {}
     if args.resume and journal:
@@ -270,8 +272,10 @@ def _certify_digit_avoider(args) -> Result:
     workers = min(_workers(), max(1, len(todo)))
     chunk = max(1, min((len(todo) + workers - 1) // workers, 256))
     chunks = [todo[w : w + chunk] for w in range(0, len(todo), chunk)]
-    sweep = functools.partial(_digit_sweep_rows, args, grid)
+    sweep = functools.partial(_digit_sweep_rows, args, grid, n_max)
     parallel = workers > 1 and len(chunks) > 1
+    if parallel:  # imported only here, so one-worker runs never load it
+        from concurrent.futures import ProcessPoolExecutor
     with ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext() as pool:
         for part in (pool.map if parallel else map)(sweep, chunks):
             if journal:

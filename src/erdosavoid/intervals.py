@@ -21,7 +21,7 @@ No floating point is used on any code path in this module.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -389,13 +389,17 @@ class Grid:
     """A rectangle cut into x_cells by y_cells closed cells.
 
     Cells are numbered row-major with the second axis fastest: cell
-    `box_id` sits at (i, j) = divmod(box_id, y_cells).
+    `box_id` sits at (i, j) = divmod(box_id, y_cells).  Each axis keeps
+    the slices read so far, by index, so a sweep builds every row and
+    column once and a huge grid builds none up front.
     """
 
     x_range: Interval
     y_range: Interval
     x_cells: int
     y_cells: int
+    _xs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _ys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.x_cells < 1 or self.y_cells < 1:
@@ -412,10 +416,13 @@ class Grid:
     def cell(self, box_id: int) -> tuple[Interval, Interval]:
         i, j = divmod(box_id, self.y_cells)
         return (
-            _grid_slice(self.x_range, i, self.x_cells),
-            _grid_slice(self.y_range, j, self.y_cells),
+            _axis_slice(self._xs, self.x_range, i, self.x_cells),
+            _axis_slice(self._ys, self.y_range, j, self.y_cells),
         )
 
 
-def _grid_slice(r: Interval, i: int, cells: int) -> Interval:
-    return Interval(r.lo + r.length * Fraction(i, cells), r.lo + r.length * Fraction(i + 1, cells))
+def _axis_slice(memo: dict, r: Interval, i: int, cells: int) -> Interval:
+    """Slice i of r cut into `cells` equal slices, kept in `memo`."""
+    if i not in memo:
+        memo[i] = Interval(r.lo + r.length * Fraction(i, cells), r.lo + r.length * Fraction(i + 1, cells))
+    return memo[i]

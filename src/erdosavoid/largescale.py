@@ -10,7 +10,7 @@ Two membership razors coexist by design.  Materialized cells remove the
 larger set and keeps cell measures exact.  Escape verdicts instead use
 the construction's set-difference semantics: a trajectory point escapes
 when, in every cell containing it, its offset lies inside a *closed*
-removed part.  `_offset_escapes` decides this for one point and
+removed part.  `_escape_index` decides this along a trajectory and
 `_span_escapes` for a closed span, both on integer numerators.
 Certificates therefore witness escape from the constructed set, while
 the conservative closure is what p-largeness is audited on; the
@@ -24,7 +24,7 @@ import operator
 import random
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
 
 from .enclosures import ln_interval
 from .errors import (
@@ -337,45 +337,40 @@ def _escape_index(
     gen: DigitGenerator, ax: int, ay: int, den: int, n_max: int, guard: int
 ) -> Optional[int]:
     """Least n <= n_max with (ax + n*ay)/den escaping: the one scan of
-    x + n*y.  `den` > 0 need not be the lowest common denominator, since
-    the escape test reads only the value of each point."""
-    s = ax
+    x + n*y and the one escape rule.  `den` > 0 need not be the lowest
+    common denominator.  Point s/den lies in part t = k*m + j of cell k,
+    where t, r = divmod(s*m, den).  It escapes when j is the top part or
+    the scheduled one, or when r = 0 and part j - 1 is the scheduled one
+    (at an integer j = 0, and cell k-1's top part always holds it).  A
+    cell beyond the guard raises."""
+    m = gen.m
+    digits = gen._digits
+    s, step = ax * m, ay * m
+    t_lo, t_hi = -guard * m, (guard + 1) * m  # parts of cells -guard..guard
     for n in range(1, n_max + 1):
-        s += ay
-        k, r = divmod(s, den)
-        if abs(k) > guard:
+        s += step
+        t, r = divmod(s, den)
+        if not t_lo <= t < t_hi:
             raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
-        if _offset_escapes(gen, k, r, den):
+        k, j = divmod(t, m)
+        if j == m - 1:
+            return n
+        digit = digits[k] if k in digits else gen.scheduled_digit(k)
+        if j == digit or (r == 0 and j - 1 == digit):
             return n
     return None
 
 
-def _offset_escapes(gen: DigitGenerator, k: int, r: int, den: int) -> bool:
-    """Whether the point k + r/den, with 0 <= r < den, lies in a closed
-    removed part of every cell containing it."""
-    digit = gen.scheduled_digit(k)
-    if r == 0:
-        # offset 1 in cell k-1 is always removed; cell k needs digit 0
-        return digit == 0
-    m = gen.m
-    rm = r * m
-    j = rm // den
-    if j == digit or j == m - 1:
-        return True
-    # on the boundary of parts j-1 and j; part j-1 is never the top one
-    return rm % den == 0 and j - 1 == digit
-
-
 def _span_escapes(gen: DigitGenerator, lo: Fraction, hi: Fraction) -> bool:
     """Whether every point of the closed span [lo, hi] escapes: hi passes
-    `_offset_escapes` and every part whose interior meets the span is
-    removed.  lo needs no test of its own, since it lies in the first of
-    those parts.  The ends are compared as integers over L*m, where L is
-    the lcm of their denominators: part t = k*m + j is [t*L, (t+1)*L]."""
+    `_escape_index`'s rule and every part whose interior meets the span
+    is removed.  lo needs no test of its own, since it lies in the first
+    of those parts.  The ends are compared as integers over L*m, where L
+    is the lcm of their denominators: part t = k*m + j is [t*L, (t+1)*L]."""
     L = math.lcm(lo.denominator, hi.denominator)
     a = lo.numerator * (L // lo.denominator)
     b = hi.numerator * (L // hi.denominator)
-    if not _offset_escapes(gen, *divmod(b, L), L):
+    if _escape_index(gen, b, 0, L, 1, abs(b // L)) is None:  # hi's own cell as guard
         return False
     if a == b:
         return True
@@ -469,8 +464,10 @@ def validate_linear_escape(
 
     Samples are interior rationals; each must reach a removed part
     within the limit (default: generous multiple of the witness step).
-    Sample (a, b) is x = x_lo + wx*a/128, y = y_lo + wy*b/128, carried
-    as integer numerators over dx = 128*den(x_lo)*den(wx) and dy.
+    Sample (a, b) is x = x_lo + wx*a/128, y = y_lo + wy*b/128, with a and
+    b drawn by `_unit_draws`, x first.  The box is scaled once to integer
+    numerators over den = dx*dy, and each sample is one `_escape_index`
+    scan; memory does not grow with `samples`.
     """
     if samples < 1:
         raise InvalidParameterError("validation needs at least one sample")
@@ -479,18 +476,24 @@ def validate_linear_escape(
     gen = _digit_generator(e, "escape validation")
     if n_limit is None:
         n_limit = max(4096, 8 * (cert.witness_index or 1))
-    rng = random.Random(seed)
     x0, sx, dx = _sample_axis(cert.x_box)
     y0, sy, dy = _sample_axis(cert.y_box)
-    den = dx * dy
-    for _ in range(samples):
-        a = rng.randrange(1, 128)
-        b = rng.randrange(1, 128)
-        ax = (x0 + a * sx) * dy
-        ay = (y0 + b * sy) * dx
-        if _escape_index(gen, ax, ay, den, n_limit, e.guard) is None:
+    x0, sx, y0, sy, den = x0 * dy, sx * dy, y0 * dx, sy * dx, dx * dy
+    draws = _unit_draws(random.Random(seed))
+    for _, a, b in zip(range(samples), draws, draws):
+        if _escape_index(gen, x0 + a * sx, y0 + b * sy, den, n_limit, e.guard) is None:
             return False
     return True
+
+
+def _unit_draws(rng: random.Random) -> Iterator[int]:
+    """1 + getrandbits(7), drawn again on 127: the values of
+    rng.randrange(1, 128), from the same bits, without its calls."""
+    bits = rng.getrandbits
+    while True:
+        r = bits(7)
+        if r != 127:
+            yield r + 1
 
 
 def _sample_axis(box: Interval) -> tuple[int, int, int]:
@@ -509,25 +512,23 @@ def sweep_linear_escape(
     n_max_start: int = 16,
     n_max_cap: int = 4096,
 ) -> list[LinearEscapeCertificate]:
-    """Grid sweep with per-box adaptive depth (doubling up to the cap)."""
+    """Grid sweep, each box scanned to `sweep_depth(n_max_start, n_max_cap)`."""
     if y_range.lo <= 0:
         raise InvalidParameterError("step range must be strictly positive")
+    n_max = sweep_depth(n_max_start, n_max_cap)
     return [
-        certify_linear_escape_to_cap(e, box_x, box_y, n_max_start, n_max_cap)
+        certify_linear_escape(e, box_x, box_y, n_max)
         for box_x, box_y in Grid(x_range, y_range, x_cells, y_cells)
     ]
 
 
-def certify_linear_escape_to_cap(
-    e: PLargeSet, x_box: Interval, y_box: Interval, n_max: int, n_max_cap: int
-) -> LinearEscapeCertificate:
-    """certify_linear_escape with n_max doubled, up to the cap, until the
-    box certifies."""
-    cert = certify_linear_escape(e, x_box, y_box, n_max)
-    while cert.status != "certified" and n_max < n_max_cap:
-        n_max = min(2 * n_max, n_max_cap)
-        cert = certify_linear_escape(e, x_box, y_box, n_max)
-    return cert
+def sweep_depth(n_max: int, n_max_cap: int) -> int:
+    """The one scan depth of a sweep from n_max up to the cap.  A
+    certificate names the first step that certifies, so doubling the
+    depth up to the cap gives the certificate of this one scan."""
+    if n_max < 1:
+        raise InvalidParameterError("the scan depth n_max must be at least 1")
+    return max(n_max, n_max_cap)
 
 
 # ---------------------------------------------------------------------------

@@ -35,7 +35,7 @@ from erdosavoid.intersect import (
     GapLemmaVerdict,
 )
 from erdosavoid.intervals import Gap, Interval, IntervalSet
-from erdosavoid.largescale import LinearEscapeCertificate
+from erdosavoid.largescale import LinearEscapeCertificate, certify_linear_escape
 from erdosavoid.rationals import as_rational, floor_rational
 from erdosavoid.smallscale import AvoiderLevel, AvoiderResult, _level_parameters
 from erdosavoid.sumsets import CoverageRecord, CoverageReport, _frame_map
@@ -351,6 +351,52 @@ def reference_validate_linear_escape(e, cert, samples=100, seed=0, n_limit=None)
         if reference_point_escape_index(e, x, y, n_limit) is None:
             return False
     return True
+
+
+def reference_escape_index(gen, ax: int, ay: int, den: int, n_max: int, guard: int):
+    """The cell-by-cell integer scan that preceded the part-index one:
+    each point is split into a cell k and an offset r/den, and the guard
+    bounds |k|."""
+    s = ax
+    for n in range(1, n_max + 1):
+        s += ay
+        k, r = divmod(s, den)
+        if abs(k) > guard:
+            raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
+        if reference_offset_escapes(gen, k, r, den):
+            return n
+    return None
+
+
+def reference_offset_escapes(gen, k: int, r: int, den: int) -> bool:
+    """Whether the point k + r/den, with 0 <= r < den, lies in a closed
+    removed part of every cell containing it."""
+    digit = gen.scheduled_digit(k)
+    if r == 0:
+        # offset 1 in cell k-1 is always removed; cell k needs digit 0
+        return digit == 0
+    m = gen.m
+    rm = r * m
+    j = rm // den
+    if j == digit or j == m - 1:
+        return True
+    # on the boundary of parts j-1 and j; part j-1 is never the top one
+    return rm % den == 0 and j - 1 == digit
+
+
+def certify_linear_escape_doubling(e, x_box: Interval, y_box: Interval, n_max: int, n_max_cap: int):
+    """certify_linear_escape with n_max doubled, up to the cap, until the
+    box certifies: the sweep's adaptive depth before it became one scan."""
+    cert = certify_linear_escape(e, x_box, y_box, n_max)
+    while cert.status != "certified" and n_max < n_max_cap:
+        n_max = min(2 * n_max, n_max_cap)
+        cert = certify_linear_escape(e, x_box, y_box, n_max)
+    return cert
+
+
+def reference_grid_slice(r: Interval, i: int, cells: int) -> Interval:
+    """Slice i of r cut into `cells` equal slices, recomputed per call."""
+    return Interval(r.lo + r.length * Fraction(i, cells), r.lo + r.length * Fraction(i + 1, cells))
 
 
 def reference_intersection(a: IntervalSet, b: IntervalSet) -> IntervalSet:

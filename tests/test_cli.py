@@ -3,6 +3,7 @@ import json
 import os
 import re
 import shlex
+import subprocess
 import sys
 import tomllib
 from fractions import Fraction
@@ -373,6 +374,27 @@ def test_workers_capped_at_cpu_count(monkeypatch):
     assert _workers() == (os.cpu_count() or 1)
     monkeypatch.setenv("ERDOSAVOID_WORKERS", "0")
     assert _workers() == 1
+    monkeypatch.setenv("ERDOSAVOID_WORKERS", "-3")
+    assert _workers() == 1
+
+
+def test_malformed_worker_count_exits_1(tmp_path, monkeypatch, capsys):
+    out = tmp_path / "sweep.csv"
+    for text in ("abc", "2.5", ""):
+        monkeypatch.setenv("ERDOSAVOID_WORKERS", text)
+        assert main(["certify", "digit-avoider", "--grid", "2x2", "--out", str(out)]) == 1
+        assert "ERDOSAVOID_WORKERS" in capsys.readouterr().err
+        assert not out.exists()
+        assert not os.path.exists(str(out) + ".partial")
+
+
+def test_cli_import_leaves_process_pools_unloaded():
+    # one-worker runs never pay for the process-pool machinery
+    code = "import sys, erdosavoid.cli; print('concurrent.futures.process' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(erdosavoid.__file__).parents[1])}
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 def _digit_sweep(out, grid, *extra):
@@ -415,7 +437,7 @@ def test_construct_cell_object_default_window(tmp_path):
 
 
 def test_scan_depth_below_one_exits_one(tmp_path):
-    # doubling from n_max < 1 never reaches the cap, so it is refused;
+    # a start depth below 1 is refused even though the cap is larger;
     # so are the other scans with no step and a frame run with no box
     out = tmp_path / "sweep.csv"
     for nmax in ("0", "-3"):

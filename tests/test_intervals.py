@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from erdosavoid.errors import DegenerateMapError, MalformedIntervalError, SchemaError
 from erdosavoid.gaptree import from_middle_ratio, to_interval_set
 from erdosavoid.intervals import (
+    Grid,
     Interval,
     IntervalSet,
     ParamBox,
@@ -27,6 +28,7 @@ from helpers import (
     reference_affine,
     reference_contains,
     reference_find_gap_containing,
+    reference_grid_slice,
     reference_intersection,
     reference_measure,
 )
@@ -361,3 +363,33 @@ def test_copies_and_pickles_round_trip():
     assert kernel == reference_intersection(
         reference_affine(s, F(-3, 7), F(1, 5)), IntervalSet.of((-1, 0))
     )
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    ends=st.lists(small_rationals, min_size=4, max_size=4),
+    x_cells=st.integers(1, 9),
+    y_cells=st.integers(1, 9),
+)
+def test_grid_cells_match_slice_formula(ends, x_cells, y_cells):
+    # every cell, read in a shuffled order and twice, is the recomputed slice
+    x_range = Interval(*sorted(ends[:2]))
+    y_range = Interval(*sorted(ends[2:]))
+    grid = Grid(x_range, y_range, x_cells, y_cells)
+    order = list(range(len(grid))) * 2
+    random.Random(len(order)).shuffle(order)
+    for box_id in order:
+        i, j = divmod(box_id, y_cells)
+        want = (reference_grid_slice(x_range, i, x_cells), reference_grid_slice(y_range, j, y_cells))
+        assert grid.cell(box_id) == want
+    assert list(grid) == [grid.cell(b) for b in range(len(grid))]
+    assert grid == Grid(x_range, y_range, x_cells, y_cells)
+    assert hash(grid) == hash(Grid(x_range, y_range, x_cells, y_cells))
+    assert pickle.loads(pickle.dumps(grid)).cell(len(grid) - 1) == grid.cell(len(grid) - 1)
+
+
+def test_huge_grid_builds_only_the_slices_read():
+    grid = Grid(ivl(0, 1), ivl(1, 2), 1, 10**9)
+    assert grid.cell(0) == (ivl(0, 1), ivl(1, 1 + F(1, 10**9)))
+    assert grid.cell(10**9 - 1)[1] == ivl(2 - F(1, 10**9), 2)
+    assert (len(grid._xs), len(grid._ys)) == (1, 2)

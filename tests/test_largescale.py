@@ -1,5 +1,7 @@
 import math
+import random
 from fractions import Fraction
+from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -12,14 +14,13 @@ from erdosavoid.errors import (
     PrecisionError,
     ResourceLimitError,
 )
-from erdosavoid.intervals import Interval, IntervalSet, ivl
+from erdosavoid.intervals import Grid, Interval, IntervalSet, ivl
 from erdosavoid.largescale import (
     DigitGenerator,
     DigitSchedule,
     LinearEscapeCertificate,
     PLargeSet,
     certify_linear_escape,
-    certify_linear_escape_to_cap,
     countable_dilation_avoider,
     density_mod1,
     digit_avoider,
@@ -30,20 +31,25 @@ from erdosavoid.largescale import (
     is_p_large,
     point_escape_index,
     quotient_avoider,
+    sweep_depth,
     sweep_linear_escape,
     sweep_log_escape,
     validate_linear_escape,
+    _escape_index,
     _seq_escape_index,
     _span_escapes,
+    _unit_draws,
 )
 from erdosavoid.sequences import linear
 
 from helpers import (
+    certify_linear_escape_doubling,
     coefficient_mass,
     interval_image,
     poly_mul,
     reference_certify_linear_escape,
     reference_ell_upper_bound,
+    reference_escape_index,
     reference_point_escapes,
     reference_removed_parts,
     reference_span_escapes,
@@ -287,11 +293,120 @@ def test_validate_reference_sees_false_verdicts():
     assert not reference_validate_linear_escape(e, cert, samples=20, n_limit=1)
 
 
+def test_validate_matches_reference_on_passing_and_failing_boxes():
+    # short limits fail some boxes and pass others; both sides agree on each
+    e = digit_avoider(4, 8)
+    verdicts = set()
+    for k, (x_box, y_box) in enumerate(Grid(ivl(0, 1), ivl(F(1, 8), 3), 4, 4)):
+        cert = LinearEscapeCertificate(x_box, y_box, "certified", 1, "width")
+        for n_limit in (1, 2, 4, None):
+            got = validate_linear_escape(e, cert, samples=30, seed=k, n_limit=n_limit)
+            want = reference_validate_linear_escape(e, cert, samples=30, seed=k, n_limit=n_limit)
+            assert got == want, (k, n_limit)
+            verdicts.add((n_limit, got))
+    assert {(2, True), (2, False), (4, True), (4, False)} <= verdicts
+
+
+def test_unit_draws_are_the_randrange_values():
+    # the validator's samples are those of randrange(1, 128); in 40 draws
+    # about one seed in four meets a 127 and draws again
+    for seed in range(1000):
+        rng = random.Random(seed)
+        want = [rng.randrange(1, 128) for _ in range(40)]
+        assert list(islice(_unit_draws(random.Random(seed)), 40)) == want, seed
+
+
+@st.composite
+def trajectories(draw):
+    """Arguments of `_escape_index`: starts and steps of either sign,
+    denominators that put points on part boundaries (r = 0) and on
+    integers or not, and guards small enough to trip."""
+    m = draw(st.sampled_from([3, 4, 5, 7]))
+    gen = DigitGenerator(m, tracks=draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        den = draw(st.sampled_from([1, m, 2 * m, m * m]))
+    else:
+        den = draw(st.integers(1, 40))
+    part = den // m if den % m == 0 else den  # a step along part boundaries
+    ax = draw(st.one_of(st.integers(-6, 6).map(lambda q: q * part), st.integers(-6 * den, 6 * den)))
+    ay = draw(st.one_of(st.integers(-6, 6).map(lambda q: q * part), st.integers(-3 * den, 3 * den)))
+    n_max = draw(st.integers(1, 30))
+    guard = draw(st.sampled_from([0, 1, 2, 5, 1_000_000]))
+    return gen, ax, ay, den, n_max, guard
+
+
+@settings(max_examples=500, deadline=None)
+@given(scan=trajectories())
+def test_escape_index_matches_cell_scan(scan):
+    # the same first step, or the guard error at the same n
+    assert _outcome(_escape_index, *scan) == _outcome(reference_escape_index, *scan)
+
+
+def test_escape_index_on_boundaries_and_integers():
+    # m = 4, one track: cells -1..4 take digits 0, 0, 1, 2, 0, 0
+    gen = DigitGenerator(4)
+    assert [gen.scheduled_digit(k) for k in range(-1, 5)] == [0, 0, 1, 2, 0, 0]
+    cases = [
+        (4, None),  # the integer 1: cell 1 keeps part 0
+        (12, 1),  # the integer 3: cell 3 removes part 0, cell 2 its top
+        (6, 1),  # 1 + 2/4: top of the removed part 1 of cell 1
+        (7, 1),  # 1 + 3/4: bottom of the top part
+        (9, None),  # 2 + 1/4: between the kept parts 0 and 1 of cell 2
+        (5, 1),  # 1 + 1/4: bottom of the removed part 1
+        (-1, 1),  # -1/4: inside the top part of cell -1
+        (-2, None),  # -1/2: between the kept parts 1 and 2 of cell -1
+        (2, None),  # 1/2: between the kept parts 1 and 2 of cell 0
+    ]
+    for s, want in cases:
+        for kernel in (_escape_index, reference_escape_index):
+            assert kernel(gen, s, 0, 4, 1, 10) == want, (kernel.__name__, s)
+    # cell 5 keeps the integer, cell 10 is past a guard of 5 or 9
+    for guard in (5, 9):
+        for kernel in (_escape_index, reference_escape_index):
+            with pytest.raises(ResourceLimitError, match="at n = 2"):
+                kernel(gen, 0, 20, 4, 3, guard)
+            with pytest.raises(ResourceLimitError, match="at n = 1"):
+                kernel(gen, 0, -4 * (guard + 1), 4, 3, guard)
+    assert _escape_index(gen, 0, -20, 4, 1, 5) == 1  # cell -5 is inside, with digit 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    m=st.integers(3, 6),
+    boxes=escape_boxes(),
+    n_max=st.integers(1, 12),
+    cap=st.integers(0, 40),
+    guard=st.sampled_from([3, 12, 1_000_000]),
+)
+def test_one_scan_matches_doubling(m, boxes, n_max, cap, guard):
+    e = PLargeSet(F(m - 2, m), 4, DigitGenerator(m), guard=guard)
+    got = _outcome(certify_linear_escape, e, *boxes, sweep_depth(n_max, cap))
+    assert got == _outcome(certify_linear_escape_doubling, e, *boxes, n_max, cap)
+
+
+def test_one_scan_matches_doubling_when_inconclusive_or_past_the_guard():
+    e = PLargeSet(F(1, 2), 4, DigitGenerator(4), guard=5)
+    point, box = (ivl(0, 0), ivl(1, 1)), (ivl(0, F(1, 4)), ivl(1, F(9, 8)))
+    # the integers first escape at cell 3, beyond depth 2
+    for n_max, cap in ((1, 2), (2, 1), (1, 3), (2, 64)):
+        for x_box, y_box in (point, box):
+            got = _outcome(certify_linear_escape, e, x_box, y_box, sweep_depth(n_max, cap))
+            want = _outcome(certify_linear_escape_doubling, e, x_box, y_box, n_max, cap)
+            assert got == want
+    assert certify_linear_escape(e, *point, sweep_depth(1, 2)).status == "inconclusive"
+    # steps of 5 leave cells 0..5 at n = 2 before any escape
+    far = (ivl(0, 0), ivl(5, 5))
+    for n_max, cap in ((1, 1), (1, 4), (3, 64)):
+        got = _outcome(certify_linear_escape, e, *far, sweep_depth(n_max, cap))
+        assert got == _outcome(certify_linear_escape_doubling, e, *far, n_max, cap)
+    assert _outcome(certify_linear_escape, e, *far, 4)[0] == "ResourceLimitError"
+
+
 def test_scan_depth_below_one_is_rejected():
     e = digit_avoider(4, 8)
     for n_max in (0, -3):
         with pytest.raises(InvalidParameterError):
-            certify_linear_escape_to_cap(e, ivl(0, 1), ivl(1, 2), n_max, 4096)
+            sweep_depth(n_max, 4096)
         # the point route and a box alike, rather than "inconclusive"
         for x_box, y_box in ((ivl(0, 1), ivl(1, 2)), (ivl(0, 0), ivl(1, 1))):
             with pytest.raises(InvalidParameterError):
