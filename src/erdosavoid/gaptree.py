@@ -291,7 +291,7 @@ def decompose(s: IntervalSet, depth: int) -> GapTree:
     """
     if depth < 0:
         raise InvalidParameterError("depth must be >= 0")
-    if not s.intervals:
+    if not s:
         raise NotEnoughStructureError("", "empty set has no hull")
 
     def build(components: tuple[Interval, ...], d: int, label: str) -> GapTree:

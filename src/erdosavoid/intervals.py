@@ -5,16 +5,14 @@ closure of the pointwise difference (boundary points that are limits of
 the difference are kept), and touching intervals merge during
 normalization so each point set has one canonical representation.
 
-The kernels `IntervalSet.affine`, `IntervalSet.intersection`,
-`IntervalSet.find_gap_containing`, `IntervalSet.measure` and
-`IntervalSet.contains` (and the sumset coverage probe in `sumsets`) run
-on a set's lattice view: every endpoint written as an integer numerator
-over one shared denominator, the lcm of the endpoint denominators for a
-set built from members.  The view is exact, computed lazily on the
-first kernel call and kept; a set produced by a kernel (or handed over
-as a view, like the sublacunary avoider and a gap tree's level sets)
-carries only its view and builds its `Interval` members when they are
-first read.
+An `IntervalSet` stores only its lattice view: every endpoint written
+as an integer numerator over one shared denominator.  A set built from
+members takes the lcm of their denominators and is sorted and merged
+once on integers; a set built by a kernel (`affine`, `intersection`,
+`union`, `difference`) or handed over as a view, like the sublacunary
+avoider and a gap tree's level sets, keeps the denominator it was made
+on.  Every kernel, and the sumset coverage probe in `sumsets`, runs on
+the views; `Interval` members are built from the view only when read.
 No floating point is used on any code path in this module.
 """
 
@@ -23,7 +21,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
 
 from .errors import (
@@ -94,27 +92,30 @@ class Gap:
 
 
 class IntervalSet:
-    """Canonical finite union of closed intervals.
+    """Canonical finite union of closed intervals, stored as its lattice
+    view (den, los, his): member i is [los[i]/den, his[i]/den].
 
-    Invariant: members are strictly sorted by lo and consecutive members
-    are separated by a gap of positive length.
+    Invariant: the members are strictly sorted and consecutive members
+    are separated by a gap of positive length.  Any common multiple of
+    the endpoint denominators may serve as den; kernels keep the lcm of
+    their inputs' dens unreduced (it can grow along a chain), and equality
+    and hashing compare the view reduced by the gcd of den and numerators.
     """
 
-    __slots__ = ("_items", "_view")
+    __slots__ = ("_view",)
 
-    def __init__(self, intervals: Iterable[Interval] = (), *, _canonical: bool = False):
+    def __init__(self, intervals: Iterable[Interval] = ()):
         items = tuple(intervals)
-        if not _canonical:
-            items = _normalize_intervals(items)
-        object.__setattr__(self, "_items", items)
-        object.__setattr__(self, "_view", None)
+        den = lcm(*{iv.lo.denominator for iv in items}, *{iv.hi.denominator for iv in items})
+        object.__setattr__(self, "_view", (den, *_merge(
+            (iv.lo.numerator * (den // iv.lo.denominator),
+             iv.hi.numerator * (den // iv.hi.denominator)) for iv in items
+        )))
 
     @classmethod
     def _from_lattice(cls, den: int, los: list[int], his: list[int]) -> "IntervalSet":
-        """The canonical set with members [los[i]/den, his[i]/den]; the
-        members are built when first read."""
+        """The set with the canonical members [los[i]/den, his[i]/den], taken as is."""
         s = object.__new__(cls)
-        object.__setattr__(s, "_items", None)
         object.__setattr__(s, "_view", (den, los, his))
         return s
 
@@ -124,67 +125,52 @@ class IntervalSet:
     def __reduce__(self):
         # copy and pickle rebuild the set from its lattice view, since
         # __setattr__ refuses the slot state they would restore
-        return IntervalSet._from_lattice, self._lattice()
+        return IntervalSet._from_lattice, self._view
 
     @property
     def intervals(self) -> tuple[Interval, ...]:
-        """The members in order; a kernel output builds them on first read."""
-        items = self._items
-        if items is None:
-            den, los, his = self._view
-            items = tuple(
-                Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his)
-            )
-            object.__setattr__(self, "_items", items)
-        return items
+        """The members in order, built from the view on every read."""
+        return tuple(self)
 
     def _lattice(self) -> tuple[int, list[int], list[int]]:
-        """The lattice view (den, lo numerators, hi numerators): member i
-        is [los[i]/den, his[i]/den].  A set built from members takes den
-        as the lcm of its endpoint denominators, computed on first use
-        and kept; a view handed over may use any common multiple."""
-        view = self._view
-        if view is None:
-            items = self._items
-            den = lcm(*{iv.lo.denominator for iv in items}, *{iv.hi.denominator for iv in items})
-            view = (
-                den,
-                [iv.lo.numerator * (den // iv.lo.denominator) for iv in items],
-                [iv.hi.numerator * (den // iv.hi.denominator) for iv in items],
-            )
-            object.__setattr__(self, "_view", view)
-        return view
+        """The lattice view (den, lo numerators, hi numerators)."""
+        return self._view
 
     @classmethod
     def of(cls, *pairs: Sequence[RationalLike]) -> "IntervalSet":
         return cls(Interval(as_rational(a), as_rational(b)) for a, b in pairs)
 
     def __iter__(self) -> Iterator[Interval]:
-        return iter(self.intervals)
+        den, los, his = self._view
+        return (Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his))
 
     def __len__(self) -> int:
-        items = self._items
-        return len(self._view[1]) if items is None else len(items)
+        return len(self._view[1])
+
+    def _reduced(self) -> tuple[int, tuple[int, ...], tuple[int, ...]]:
+        den, los, his = self._view
+        g = gcd(den, *los, *his)
+        return den // g, tuple(n // g for n in los), tuple(n // g for n in his)
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, IntervalSet) and self.intervals == other.intervals
+        return isinstance(other, IntervalSet) and self._reduced() == other._reduced()
 
     def __hash__(self):
-        return hash(self.intervals)
+        return hash(self._reduced())
 
     def __repr__(self) -> str:
-        return "IntervalSet([" + ", ".join(str(iv) for iv in self.intervals) + "])"
+        return "IntervalSet([" + ", ".join(str(iv) for iv in self) + "])"
 
     def measure(self) -> Fraction:
         """Total length, summed on the lattice view."""
-        den, los, his = self._lattice()
+        den, los, his = self._view
         return Fraction(sum(his) - sum(los), den)
 
     def contains(self, x: RationalLike) -> bool:
         """Membership by bisection into the lattice view: only the last
         member starting at or before x can hold it."""
         x = as_rational(x)
-        den, los, his = self._lattice()
+        den, los, his = self._view
         # an integer numerator n has n/den <= x iff n <= floor(x*den)
         i = bisect_right(los, x.numerator * den // x.denominator) - 1
         return i >= 0 and x.numerator * den <= his[i] * x.denominator
@@ -193,16 +179,14 @@ class IntervalSet:
 
     def gaps(self) -> list[Interval]:
         """Bounded open complement components, as endpoint pairs."""
-        out = []
-        for a, b in zip(self.intervals, self.intervals[1:]):
-            out.append(Interval(a.hi, b.lo))
-        return out
+        den, los, his = self._view
+        return [Interval(Fraction(a, den), Fraction(b, den)) for a, b in zip(his, los[1:])]
 
     def find_gap_containing(self, iv: Interval) -> Optional[Gap]:
         """Complement component strictly containing iv, if any: the gap
         right of the last member starting at or before iv.lo, decided on
         the lattice view by cross-multiplication."""
-        den, los, his = self._lattice()
+        den, los, his = self._view
         a, b = iv.lo, iv.hi
         # an integer numerator n has n/den <= a iff n <= floor(a*den)
         i = bisect_right(los, a.numerator * den // a.denominator) - 1
@@ -215,8 +199,14 @@ class IntervalSet:
             Fraction(los[i + 1], den) if i + 1 < len(los) else None,
         )
 
-    def union(self, other: "IntervalSet") -> "IntervalSet":
-        return IntervalSet(tuple(self.intervals) + tuple(other.intervals))
+    def union(self, *others: "IntervalSet") -> "IntervalSet":
+        """Union of self and every other set, merged on the lcm of their
+        view denominators."""
+        views = [s._view for s in (self, *others)]
+        den = lcm(*(d for d, _, _ in views))
+        return IntervalSet._from_lattice(den, *_merge(
+            (lo * (den // d), hi * (den // d)) for d, los, his in views for lo, hi in zip(los, his)
+        ))
 
     def intersection(self, other: "IntervalSet") -> "IntervalSet":
         """Pointwise intersection, merged on the lattice views.
@@ -229,8 +219,8 @@ class IntervalSet:
         it is not normalized again.  Members that cannot meet the other
         set's hull are skipped by bisection before the merge.
         """
-        da, alo, ahi = self._lattice()
-        db, blo, bhi = other._lattice()
+        da, alo, ahi = self._view
+        db, blo, bhi = other._view
         den = lcm(da, db)
         los: list[int] = []
         his: list[int] = []
@@ -258,37 +248,44 @@ class IntervalSet:
         return IntervalSet._from_lattice(den, los, his)
 
     def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Closure of the pointwise difference self minus other.
+        """Closure of the pointwise difference self minus other, cut on
+        the lcm of the two view denominators.
 
         Interior points of `other` are cut out; endpoints that remain
         limits of the difference are kept, so removing [a, b] from a
         longer interval behaves like removing the open (a, b).
         Degenerate members of self survive iff they avoid other.
         """
-        out = []
-        b = other.intervals
+        da, alo, ahi = self._view
+        db, blo, bhi = other._view
+        den = lcm(da, db)
+        ka, kb = den // da, den // db
+        b_lo = [n * kb for n in blo]
+        b_hi = [n * kb for n in bhi]
+        pieces: list[tuple[int, int]] = []
         j = 0
-        for iv in self.intervals:
-            while j < len(b) and b[j].hi < iv.lo:
+        for lo, hi in zip(alo, ahi):
+            lo, hi = lo * ka, hi * ka
+            while j < len(b_lo) and b_hi[j] < lo:
                 j += 1
-            if iv.lo == iv.hi:
-                if j >= len(b) or not b[j].contains(iv.lo):
-                    out.append(iv)
+            if lo == hi:
+                # the point avoids other iff no cut from j on starts at or before it
+                if j == len(b_lo) or b_lo[j] > lo:
+                    pieces.append((lo, hi))
                 continue
-            cur = iv.lo
+            cur = lo
             k = j
-            while k < len(b) and b[k].lo <= iv.hi:
-                cut = b[k]
-                if cut.lo > cur:
-                    out.append(Interval(cur, cut.lo))
-                if cut.hi > cur:
-                    cur = cut.hi
-                if cur >= iv.hi:
+            while k < len(b_lo) and b_lo[k] <= hi:
+                if b_lo[k] > cur:
+                    pieces.append((cur, b_lo[k]))
+                cur = max(cur, b_hi[k])
+                if cur >= hi:
                     break
                 k += 1
-            if cur < iv.hi:
-                out.append(Interval(cur, iv.hi))
-        return IntervalSet(out)
+            if cur < hi:
+                pieces.append((cur, hi))
+        # pieces cut either side of a point of other touch and merge again
+        return IntervalSet._from_lattice(den, *_merge(pieces))
 
     def affine(self, lam: RationalLike, t: RationalLike) -> "IntervalSet":
         """Image under x -> lam*x + t, computed on the lattice view.
@@ -301,7 +298,7 @@ class IntervalSet:
         t = as_rational(t)
         if lam == 0:
             raise DegenerateMapError("affine image requires a nonzero scale")
-        den, los, his = self._lattice()
+        den, los, his = self._view
         p, q = lam.numerator, lam.denominator
         ps, shift = p * t.denominator, t.numerator * den * q
         if p < 0:
@@ -311,11 +308,7 @@ class IntervalSet:
         )
 
     def to_json(self) -> dict:
-        return {
-            "intervals": [
-                [format_rational(iv.lo), format_rational(iv.hi)] for iv in self.intervals
-            ]
-        }
+        return {"intervals": [[format_rational(iv.lo), format_rational(iv.hi)] for iv in self]}
 
     @classmethod
     def from_json(cls, obj: dict) -> "IntervalSet":
@@ -335,22 +328,21 @@ class IntervalSet:
                 raise SchemaError(
                     f"intervals must be sorted and separated: {a} then {b}"
                 )
-        return cls(items, _canonical=True)
+        return cls(items)
 
 
-def _normalize_intervals(items: Sequence[Interval]) -> tuple[Interval, ...]:
-    if not items:
-        return ()
-    items = sorted(items, key=lambda iv: (iv.lo, iv.hi))
-    out = [items[0]]
-    for iv in items[1:]:
-        last = out[-1]
-        if iv.lo <= last.hi:  # overlapping or touching members merge
-            if iv.hi > last.hi:
-                out[-1] = Interval(last.lo, iv.hi)
+def _merge(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
+    """Canonical (los, his) of closed members (lo, hi) on one denominator,
+    given in any order: sorted, overlapping and touching members merged."""
+    los: list[int] = []
+    his: list[int] = []
+    for lo, hi in sorted(pairs):
+        if his and lo <= his[-1]:  # overlapping or touching members merge
+            his[-1] = max(his[-1], hi)
         else:
-            out.append(iv)
-    return tuple(out)
+            los.append(lo)
+            his.append(hi)
+    return los, his
 
 
 @dataclass(frozen=True)

@@ -14,6 +14,7 @@ asserted globally.
 from __future__ import annotations
 
 import random
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
@@ -449,12 +450,12 @@ def embed_lacunary(
             probes.append(None)
             miss_after = n
             continue
-        b = hit.intervals[-1].hi
+        b = _sup(hit)
         if sharpen_eta:
             eta_n = eta + (1 - eta) * Fraction(n, n + 1)
             tighter = e.intersection(IntervalSet.of((eta_n * a, a)))
             if tighter:
-                b = tighter.intervals[-1].hi
+                b = _sup(tighter)
         probes.append(b)
     if probes[max_n] is None:
         raise DensityPointViolationError(
@@ -468,7 +469,7 @@ def embed_lacunary(
     # indices below n0: values from e above a_{n0}, decreasing in n
     if n0 > 1:
         floor_val = points[-1][1]
-        ceiling = e.intervals[-1].hi
+        ceiling = _sup(e)
         if ceiling <= floor_val:
             raise DensityPointViolationError(
                 n0 - 1, "no room in the set above the embedded tail"
@@ -496,11 +497,17 @@ def embed_lacunary(
     return PiecewiseLinearMap(tuple(points), min(slopes), max(slopes))
 
 
+def _sup(e: IntervalSet) -> Fraction:
+    """The largest point of a nonempty set, read on its lattice view."""
+    den, _, his = e._lattice()
+    return Fraction(his[-1], den)
+
+
 def _smallest_point_at_least(e: IntervalSet, t: Fraction) -> Optional[Fraction]:
-    for iv in e.intervals:
-        if iv.hi >= t:
-            return max(iv.lo, t)
-    return None
+    den, los, his = e._lattice()
+    # the first member with hi >= t, i.e. with hi >= ceil(t*den)
+    i = bisect_left(his, -(-t.numerator * den // t.denominator))
+    return max(Fraction(los[i], den), t) if i < len(his) else None
 
 
 def slope_envelope(eta: RationalLike, delta: RationalLike) -> tuple[Fraction, Fraction]:

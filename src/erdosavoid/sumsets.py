@@ -76,12 +76,12 @@ class DyadicFamily:
         return affine_tree(self.base, *_frame_map(n, l))
 
     def union_set(self, level: Optional[int] = None) -> IntervalSet:
-        """All members at a level, normalized once and cached per level."""
+        """All members at a level as one union of frame images, cached per level."""
         level = self.depth if level is None else level
         if level not in self._union:
             base = to_interval_set(self.base, level)
-            self._union[level] = IntervalSet(
-                iv for n, l in self.frames() for iv in base.affine(*_frame_map(n, l))
+            self._union[level] = IntervalSet().union(
+                *(base.affine(*_frame_map(n, l)) for n, l in self.frames())
             )
         return self._union[level]
 

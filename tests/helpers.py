@@ -287,8 +287,8 @@ def reference_span_escapes(e, lo: Fraction, hi: Fraction) -> bool:
         c_hi = min(hi - k, Fraction(1))
         if c_lo > c_hi:
             continue
-        merged = IntervalSet(reference_removed_parts(e, k))
-        if not any(p.lo <= c_lo and c_hi <= p.hi for p in merged.intervals):
+        merged = reference_normalize(reference_removed_parts(e, k))
+        if not any(p.lo <= c_lo and c_hi <= p.hi for p in merged):
             return False
     return True
 
@@ -399,11 +399,64 @@ def reference_grid_slice(r: Interval, i: int, cells: int) -> Interval:
     return Interval(r.lo + r.length * Fraction(i, cells), r.lo + r.length * Fraction(i + 1, cells))
 
 
-def reference_intersection(a: IntervalSet, b: IntervalSet) -> IntervalSet:
-    """Two-pointer merge of the members in Fraction arithmetic,
+def reference_normalize(items) -> tuple[Interval, ...]:
+    """Canonical members of closed intervals given in any order, in
+    Fraction arithmetic: sorted by ends, overlapping and touching
+    members merged."""
+    items = sorted(items, key=lambda iv: (iv.lo, iv.hi))
+    out = items[:1]
+    for iv in items[1:]:
+        last = out[-1]
+        if iv.lo <= last.hi:
+            if iv.hi > last.hi:
+                out[-1] = Interval(last.lo, iv.hi)
+        else:
+            out.append(iv)
+    return tuple(out)
+
+
+def reference_union(*sets) -> tuple[Interval, ...]:
+    """All members of every set (an IntervalSet or a member sequence),
+    normalized together."""
+    return reference_normalize([iv for s in sets for iv in s])
+
+
+def reference_difference(a, b) -> tuple[Interval, ...]:
+    """Closure of a minus b by a Fraction sweep over the members of
+    canonical inputs: each member of a is cut at the members of b that
+    meet it, and an isolated point survives iff it avoids b."""
+    out = []
+    b = tuple(b)
+    j = 0
+    for iv in a:
+        while j < len(b) and b[j].hi < iv.lo:
+            j += 1
+        if iv.lo == iv.hi:
+            if j >= len(b) or not b[j].contains(iv.lo):
+                out.append(iv)
+            continue
+        cur = iv.lo
+        k = j
+        while k < len(b) and b[k].lo <= iv.hi:
+            cut = b[k]
+            if cut.lo > cur:
+                out.append(Interval(cur, cut.lo))
+            if cut.hi > cur:
+                cur = cut.hi
+            if cur >= iv.hi:
+                break
+            k += 1
+        if cur < iv.hi:
+            out.append(Interval(cur, iv.hi))
+    return reference_normalize(out)
+
+
+def reference_intersection(a, b) -> tuple[Interval, ...]:
+    """Two-pointer merge of the members of two canonical inputs (an
+    IntervalSet or a member sequence each) in Fraction arithmetic,
     normalizing its output."""
     out = []
-    ai, bj = a.intervals, b.intervals
+    ai, bj = tuple(a), tuple(b)
     i = j = 0
     while i < len(ai) and j < len(bj):
         lo = max(ai[i].lo, bj[j].lo)
@@ -414,7 +467,7 @@ def reference_intersection(a: IntervalSet, b: IntervalSet) -> IntervalSet:
             i += 1
         else:
             j += 1
-    return IntervalSet(out)
+    return reference_normalize(out)
 
 
 def reference_find_gap_containing(s: IntervalSet, iv: Interval) -> Optional[Gap]:
@@ -441,9 +494,10 @@ def reference_contains(s: IntervalSet, x: Fraction) -> bool:
     return i >= 0 and x <= items[i].hi
 
 
-def reference_affine(s: IntervalSet, lam: Fraction, t: Fraction) -> IntervalSet:
-    """Member-wise interval images, normalizing the image."""
-    return IntervalSet(interval_image(iv, lam, t) for iv in s.intervals)
+def reference_affine(s, lam: Fraction, t: Fraction) -> tuple[Interval, ...]:
+    """Member-wise interval images of an IntervalSet or a member
+    sequence, normalizing the image."""
+    return reference_normalize(interval_image(iv, lam, t) for iv in s)
 
 
 def reference_sumset_cover_probe(x_tree, family, lam, targets, depth) -> CoverageReport:
@@ -503,7 +557,7 @@ class ReferenceAvoider:
                      Fraction(los[i + 1], self._dens[lo_lvl[i + 1]]))
             for i in range(len(los) - 1)
         ]
-        return IntervalSet(pieces, _canonical=True)
+        return IntervalSet(pieces)
 
 
 def reference_sublacunary_avoider(seq, levels: int, window: int = 1_000_000):
@@ -599,6 +653,14 @@ def _reference_merge_punches(union, level_punches, dens, lvl):
     return out_lo, out_lo_l, out_hi, out_hi_l
 
 
+def reference_smallest_point_at_least(e, t: Fraction) -> Optional[Fraction]:
+    """Linear scan of the Fraction members for the first one reaching t."""
+    for iv in e:
+        if iv.hi >= t:
+            return max(iv.lo, t)
+    return None
+
+
 def avoider_level_set(seq, k: int, window: int = 1_000_000) -> IntervalSet:
     """Single level E_k as an interval set (small k only; the number of
     components grows like k^3 4^k)."""
@@ -608,7 +670,7 @@ def avoider_level_set(seq, k: int, window: int = 1_000_000) -> IntervalSet:
         Interval(Fraction(j, parts) + half, Fraction(j + 1, parts) - half)
         for j in range(parts)
     ]
-    return IntervalSet(pieces, _canonical=True)
+    return IntervalSet(pieces)
 
 
 def coefficient_mass(coeffs) -> Fraction:

@@ -1,4 +1,5 @@
 import copy
+import math
 import pickle
 import random
 from fractions import Fraction
@@ -27,10 +28,13 @@ from helpers import (
     random_decreasing_gap_tree,
     reference_affine,
     reference_contains,
+    reference_difference,
     reference_find_gap_containing,
     reference_grid_slice,
     reference_intersection,
     reference_measure,
+    reference_normalize,
+    reference_union,
 )
 
 F = Fraction
@@ -103,6 +107,8 @@ def test_intersection_example():
     a = IntervalSet.of((0, 1))
     b = IntervalSet.of((F(1, 2), 2))
     assert a.intersection(b) == IntervalSet.of((F(1, 2), 1))
+    # members that only touch meet in a point
+    assert a.intersection(IntervalSet.of((1, 2))) == IntervalSet.of((1, 1))
 
 
 def test_difference_keeps_endpoints():
@@ -117,6 +123,9 @@ def test_difference_degenerate_points():
     d = a.difference(b)
     # the isolated point is removed; the interior cut keeps its endpoints
     assert d == IntervalSet.of((1, 2))
+    # a point cut from an interval leaves its closure: one piece
+    cut = IntervalSet.of((0, 1)).difference(IntervalSet.of((F(1, 2), F(1, 2))))
+    assert len(cut) == 1 and cut == IntervalSet.of((0, 1))
 
 
 def test_set_ops_against_grid_oracle():
@@ -181,7 +190,7 @@ def test_affine_group_action(raw, l1, t1, l2, t2):
 @given(canonical_sets(), nonzero_rationals, small_rationals)
 def test_affine_matches_fraction_reference(s, lam, t):
     got = s.affine(lam, t)
-    assert got == reference_affine(s, lam, t)
+    assert got.intervals == reference_affine(s, lam, t)
     assert len(got) == len(s) and bool(got) == bool(s)
 
 
@@ -193,8 +202,7 @@ def test_intersection_matches_fraction_reference(a, b, lam, t):
     cases = ((a, b, a, b), (image, b, ref_image, b), (b, image, b, ref_image))
     for x, y, ref_x, ref_y in cases:
         got = x.intersection(y)
-        assert len(got) == len(reference_intersection(ref_x, ref_y))
-        assert got == reference_intersection(ref_x, ref_y)
+        assert got.intervals == reference_intersection(ref_x, ref_y)
         # canonical without normalizing: renormalizing changes nothing
         assert got == IntervalSet(got.intervals)
 
@@ -243,6 +251,9 @@ def test_find_gap_containing():
     gap = s.find_gap_containing(ivl(F(3, 2), F(7, 4)))
     assert gap is not None and gap.lo == 1 and gap.hi == 2
     assert s.find_gap_containing(ivl(F(1, 2), F(3, 2))) is None
+    # an image ending on a member's end is not strictly inside the gap
+    assert s.find_gap_containing(ivl(1, F(3, 2))) is None
+    assert s.find_gap_containing(ivl(F(3, 2), 2)) is None
     # the unbounded rays are complement components too
     left, right = s.find_gap_containing(ivl(-2, -1)), s.find_gap_containing(ivl(4, 5))
     assert (left.lo, left.hi) == (None, F(0)) and (right.lo, right.hi) == (F(3), None)
@@ -349,10 +360,76 @@ def test_difference_disjoint_from_interior(raw_a, raw_b):
     assert inner.measure() == 0
 
 
+def member_lists(max_count=8):
+    """Raw members in any order with mixed denominators: random
+    intervals, single points and chains of members touching end to end."""
+    member = st.one_of(
+        st.tuples(small_rationals, small_rationals).map(lambda p: [Interval(min(p), max(p))]),
+        small_rationals.map(lambda x: [Interval(x, x)]),
+        st.lists(small_rationals, min_size=2, max_size=5).map(sorted).map(
+            lambda xs: [Interval(a, b) for a, b in zip(xs, xs[1:])]
+        ),
+    )
+    return st.lists(member, max_size=max_count).map(
+        lambda groups: [iv for g in groups for iv in g]
+    ).flatmap(st.permutations)
+
+
+@st.composite
+def view_sets(draw):
+    """A set built from members, or an affine image of one, whose view
+    is not on the lcm of its endpoint denominators."""
+    s = IntervalSet(draw(member_lists()))
+    if draw(st.booleans()):
+        s = s.affine(draw(nonzero_rationals), draw(small_rationals))
+    return s
+
+
+@settings(max_examples=200, deadline=None)
+@given(member_lists())
+def test_constructor_matches_fraction_reference(raw):
+    s = IntervalSet(raw)
+    assert s.intervals == reference_normalize(raw)
+    # the view is on the lcm of the members' denominators
+    den = s._lattice()[0]
+    assert den == math.lcm(*(v.denominator for iv in raw for v in (iv.lo, iv.hi)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(view_sets(), min_size=1, max_size=3))
+def test_union_matches_fraction_reference(sets):
+    got = sets[0].union(*sets[1:])
+    assert got.intervals == reference_union(*sets)
+    assert got == IntervalSet(got.intervals)
+
+
+@st.composite
+def difference_cases(draw):
+    """Two sets; the subtrahend is either another set or made of points
+    and members on the first set's endpoints, so cuts land on member
+    ends and isolated points."""
+    a = draw(view_sets())
+    if draw(st.booleans()):
+        return a, draw(view_sets())
+    ends = [v for iv in a for v in (iv.lo, iv.hi)] or [F(0)]
+    on_ends = st.lists(st.sampled_from(ends), min_size=1, max_size=2).map(
+        lambda xs: Interval(min(xs), max(xs))
+    )
+    return a, IntervalSet(draw(st.lists(on_ends, max_size=4)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(difference_cases())
+def test_difference_matches_fraction_reference(case):
+    a, b = case
+    got = a.difference(b)
+    assert got.intervals == reference_difference(a, b)
+    assert got == IntervalSet(got.intervals)
+
+
 def test_copies_and_pickles_round_trip():
     s = IntervalSet.of((0, F(1, 3)), (F(1, 2), 2))
     kernel = s.affine(F(-3, 7), F(1, 5)).intersection(IntervalSet.of((-1, 0)))
-    assert kernel._items is None  # members never read
     for original in (s, IntervalSet(), kernel):
         for back in (
             copy.copy(original),
@@ -360,9 +437,17 @@ def test_copies_and_pickles_round_trip():
             pickle.loads(pickle.dumps(original)),
         ):
             assert back == original and hash(back) == hash(original)
-    assert kernel == reference_intersection(
+    assert kernel.intervals == reference_intersection(
         reference_affine(s, F(-3, 7), F(1, 5)), IntervalSet.of((-1, 0))
     )
+    # one point set on two denominators is one value
+    for a, b in (
+        (IntervalSet._from_lattice(6, [0], [3]), IntervalSet.of((0, F(1, 2)))),
+        (IntervalSet._from_lattice(10, [], []), IntervalSet()),
+        (IntervalSet._from_lattice(4, [0, 8], [0, 12]), IntervalSet.of((0, 0), (2, 3))),
+    ):
+        assert a == b and hash(a) == hash(b)
+    assert IntervalSet._from_lattice(6, [0], [3]) != IntervalSet.of((0, F(1, 3)))
 
 
 @settings(max_examples=100, deadline=None)

@@ -22,6 +22,8 @@ from erdosavoid.sequences import (
 from erdosavoid.smallscale import (
     EscapeCertificate,
     _punch_level,
+    _smallest_point_at_least,
+    _sup,
     build_sublacunary_avoider,
     certify_no_affine_copy,
     embed_lacunary,
@@ -33,7 +35,12 @@ from erdosavoid.smallscale import (
     validate_certificate,
 )
 
-from helpers import _reference_merge_punches, avoider_level_set, reference_sublacunary_avoider
+from helpers import (
+    _reference_merge_punches,
+    avoider_level_set,
+    reference_smallest_point_at_least,
+    reference_sublacunary_avoider,
+)
 
 F = Fraction
 
@@ -296,6 +303,26 @@ def test_embed_head_indices_before_density_threshold():
     assert e.contains(f(seq.term(1)))
     ys = [p[1] for p in f.points]
     assert ys == sorted(ys)
+
+
+small_rationals = st.fractions(min_value=-4, max_value=4, max_denominator=16)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(small_rationals, small_rationals).map(sorted), min_size=1, max_size=6),
+    st.fractions(min_value=1, max_value=3, max_denominator=8),
+    small_rationals,
+    small_rationals,
+)
+def test_set_point_readers_match_fraction_reference(pairs, lam, shift, t):
+    # an affine image's view is not on the lcm of its endpoint denominators
+    for e in (IntervalSet.of(*pairs), IntervalSet.of(*pairs).affine(lam, shift)):
+        assert _smallest_point_at_least(e, t) == reference_smallest_point_at_least(e, t)
+        for iv in e.intervals:
+            assert _smallest_point_at_least(e, iv.lo) == iv.lo
+            assert _smallest_point_at_least(e, iv.hi) == iv.hi
+        assert _sup(e) == e.intervals[-1].hi
 
 
 def test_embed_eta_out_of_range():

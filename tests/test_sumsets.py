@@ -9,8 +9,10 @@ from helpers import (
     member_set,
     random_decreasing_gap_tree,
     reference_corner_verdict,
+    reference_affine,
     reference_find_common_point,
     reference_sumset_cover_probe,
+    reference_union,
 )
 
 from erdosavoid.errors import InvalidParameterError
@@ -25,6 +27,7 @@ from erdosavoid.intersect import REASON_THIN, check_gap_lemma
 from erdosavoid.intervals import IntervalSet, ParamBox, ivl
 from erdosavoid.sumsets import (
     FrameCertifier,
+    _frame_map,
     build_dyadic_family,
     escape_to_coverage_params,
     select_frame,
@@ -73,6 +76,14 @@ def test_family_level_measure_decreasing():
 def test_single_member_family_trivial():
     fam = build_dyadic_family(1, 3, (0, 0), (0, 0))
     assert fam.union_set(3) == to_interval_set(from_middle_ratio(1, 3), 3)
+
+
+def test_union_set_matches_fraction_reference():
+    fam = build_dyadic_family(1, 4, (-1, 1), (-2, 2))
+    for level in (0, 2, 4):
+        base = to_interval_set(fam.base, level)
+        images = [reference_affine(base, *_frame_map(n, l)) for n, l in fam.frames()]
+        assert fam.union_set(level).intervals == reference_union(*images)
 
 
 def test_certifier_matches_generic_gap_lemma():

@@ -1,0 +1,140 @@
+"""Mutation gate for the exact interval kernels.
+
+Each mutant names a file, one exact snippet in it, the snippet's
+replacement and the tests that must fail once the replacement is made.
+For every mutant the script copies `src/`, `tests/` and `pyproject.toml`
+into a temporary directory, applies the mutant there and runs only the
+named tests; the checkout itself is never edited.  Before any mutant it
+runs the named tests on the unmutated copy, which must pass.
+
+    python3 tools/mutants.py
+
+It exits 1 when a mutant survives (its tests still pass), when a snippet
+does not occur exactly once in its file, or when the tests cannot run;
+0 when every mutant is killed.  Standard library only; it runs from any
+directory of a checkout with pytest and hypothesis installed, and puts
+its copies where `tempfile` does (TMPDIR).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+INTERVALS = "src/erdosavoid/intervals.py"
+T = "tests/test_intervals.py::"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to the checkout root
+    snippet: str
+    replacement: str
+    tests: tuple[str, ...]  # pytest ids relative to the checkout root
+
+
+MUTANTS = (
+    Mutant(
+        "merge-touching", INTERVALS,
+        "if his and lo <= his[-1]:", "if his and lo < his[-1]:",
+        (T + "test_normalize_touching_merge",),
+    ),
+    Mutant(
+        "difference-isolated-point", INTERVALS,
+        "if j == len(b_lo) or b_lo[j] > lo:", "if j == len(b_lo) or b_lo[j] >= lo:",
+        (T + "test_difference_degenerate_points",),
+    ),
+    Mutant(
+        "intersection-closed", INTERVALS,
+        "hi = min(a_hi[i], b_hi[j])\n            if lo <= hi:",
+        "hi = min(a_hi[i], b_hi[j])\n            if lo < hi:",
+        (T + "test_intersection_example",),
+    ),
+    Mutant(
+        "affine-negative-scale", INTERVALS,
+        "        if p < 0:\n            los, his = his[::-1], los[::-1]\n", "",
+        (T + "test_affine_identity_and_reflection",),
+    ),
+    Mutant(
+        "find-gap-left", INTERVALS,
+        "his[i] * a.denominator >= a.numerator * den",
+        "his[i] * a.denominator > a.numerator * den",
+        (T + "test_find_gap_containing",),
+    ),
+    Mutant(
+        "find-gap-right", INTERVALS,
+        "los[i + 1] * b.denominator <= b.numerator * den",
+        "los[i + 1] * b.denominator < b.numerator * den",
+        (T + "test_find_gap_containing",),
+    ),
+)
+
+
+def snippet_problems() -> list[str]:
+    """One line per mutant whose snippet does not occur exactly once in
+    its file, or whose replacement leaves the file unchanged."""
+    problems = []
+    for m in MUTANTS:
+        count = (ROOT / m.path).read_text().count(m.snippet)
+        if count != 1:
+            problems.append(f"{m.name}: snippet occurs {count} times in {m.path}")
+        elif m.snippet == m.replacement:
+            problems.append(f"{m.name}: replacement equals the snippet")
+    return problems
+
+
+def _copy_checkout(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+    for name in ("src", "tests"):
+        shutil.copytree(ROOT / name, dest / name, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _run_tests(cwd: Path, tests) -> int:
+    env = dict(os.environ, PYTHONPATH=str(cwd / "src"), PYTHONDONTWRITEBYTECODE="1")
+    cmd = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests]
+    return subprocess.run(cmd, cwd=cwd, env=env, stdout=subprocess.DEVNULL,
+                          stderr=subprocess.DEVNULL).returncode
+
+
+def main() -> int:
+    problems = snippet_problems()
+    for line in problems:
+        print(f"STALE     {line}")
+    if problems:
+        return 1
+
+    failed = False
+    with tempfile.TemporaryDirectory(prefix="mutants-") as tmp:
+        base = Path(tmp) / "base"
+        _copy_checkout(base)
+        named = sorted({t for m in MUTANTS for t in m.tests})
+        if _run_tests(base, named) != 0:
+            print("ERROR     the named tests do not pass on the unmutated code")
+            return 1
+        for m in MUTANTS:
+            work = Path(tmp) / m.name
+            shutil.copytree(base, work)
+            target = work / m.path
+            target.write_text(target.read_text().replace(m.snippet, m.replacement))
+            start = time.perf_counter()
+            code = _run_tests(work, m.tests)
+            took = time.perf_counter() - start
+            # pytest exits 1 when a test failed; other codes mean it could not run
+            verdict = {0: "SURVIVED", 1: "killed"}.get(code, f"ERROR({code})")
+            failed |= code != 1
+            print(f"{verdict:<9} {m.name} in {took:.1f} s by {' '.join(m.tests)}")
+            shutil.rmtree(work)
+    return 1 if failed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
