@@ -361,22 +361,20 @@ def _escape_index(
     return None
 
 
-def _span_escapes(gen: DigitGenerator, lo: Fraction, hi: Fraction) -> bool:
-    """Whether every point of the closed span [lo, hi] escapes: hi passes
-    `_escape_index`'s rule and every part whose interior meets the span
-    is removed.  lo needs no test of its own, since it lies in the first
-    of those parts.  The ends are compared as integers over L*m, where L
-    is the lcm of their denominators: part t = k*m + j is [t*L, (t+1)*L]."""
-    L = math.lcm(lo.denominator, hi.denominator)
-    a = lo.numerator * (L // lo.denominator)
-    b = hi.numerator * (L // hi.denominator)
-    if _escape_index(gen, b, 0, L, 1, abs(b // L)) is None:  # hi's own cell as guard
+def _span_escapes(gen: DigitGenerator, a: int, b: int, den: int) -> bool:
+    """Whether every point of the closed span [a/den, b/den] escapes: the
+    upper end passes `_escape_index`'s rule and every part whose interior
+    meets the span is removed.  The lower end needs no test of its own,
+    since it lies in the first of those parts.  Callers put both ends on
+    one denominator `den` > 0, which need not be the lowest; part
+    t = k*m + j is [t*den, (t+1)*den] over den*m."""
+    if _escape_index(gen, b, 0, den, 1, abs(b // den)) is None:  # b's own cell as guard
         return False
     if a == b:
         return True
     m = gen.m
-    t = a * m // L  # the part whose interior holds lo, or that starts at lo
-    while t * L < b * m:
+    t = a * m // den  # the part whose interior holds a, or that starts at a
+    while t * den < b * m:
         k, j = divmod(t, m)
         if j != m - 1 and j != gen.scheduled_digit(k):
             return False
@@ -604,7 +602,7 @@ def _seq_escape_index(
     gen = _digit_generator(e, "sequence escape")
     for n in range(1, n_max + 1):
         s = x + y * seq.term(n)
-        if _span_escapes(gen, s, s):
+        if _span_escapes(gen, s.numerator, s.numerator, s.denominator):
             return n
     return None
 
@@ -884,6 +882,12 @@ def geometric_escape_via_log(
     as with exact (injected) logs in the integer-sequence case, and
     "gap" otherwise.
 
+    The four enclosure ends go on one denominator L, the lcm of theirs
+    (2^(bits+2) for computed enclosures), once per box.  Step n's span
+    [n*ln(b).lo - ln(y).hi, n*ln(b).hi - ln(y).lo] is then a pair of
+    integer numerators over L, advanced by the numerators of ln(b)'s
+    ends from one step to the next.
+
     With refine > 0 an inconclusive box is split into four children
     with tighter enclosures; the box certifies when all children do.
     """
@@ -896,10 +900,14 @@ def geometric_escape_via_log(
     gen = _digit_generator(f_set, "log escape")
     ly = log_y if log_y is not None else ln_interval(y_box, bits)
     lb = log_b if log_b is not None else ln_interval(b_box, bits)
+    ends = (ly.lo, ly.hi, lb.lo, lb.hi)
+    L = math.lcm(*(v.denominator for v in ends))
+    yl, yh, bl, bh = (v.numerator * (L // v.denominator) for v in ends)
+    s_lo, s_hi = -yh, -yl
     for n in range(1, n_max + 1):
-        s_lo = n * lb.lo - ly.hi
-        s_hi = n * lb.hi - ly.lo
-        if _span_escapes(gen, s_lo, s_hi):
+        s_lo += bl
+        s_hi += bh
+        if _span_escapes(gen, s_lo, s_hi, L):
             route = "point" if s_lo == s_hi else "gap"
             return LogEscapeCertificate(y_box, b_box, "certified", n, route)
     if refine > 0 and (y_box.length > 0 or b_box.length > 0):
@@ -944,19 +952,25 @@ def sweep_log_escape(
 
     `points` mode certifies the grid of cell-center parameters, each
     carried as a log-enclosure box; refinement then means tighter
-    enclosures.  `cells` mode certifies whole grid cells and refinement
-    bisects them; cells containing a parameter whose log trajectory
-    pins a part boundary can stay inconclusive at every depth.
+    enclosures.  Each row's and each column's center gets its point box
+    and its log enclosure once, and the first pass hands them to every
+    box of that row or column.  `cells` mode certifies whole grid cells
+    and refinement bisects them; cells containing a parameter whose log
+    trajectory pins a part boundary can stay inconclusive at every depth.
     """
     if mode not in ("points", "cells"):
         raise InvalidParameterError(f"unknown sweep mode {mode!r}")
     certs = []
     first_pass = 0
-    for y_box, b_box in Grid(y_range, b_range, y_cells, b_cells):
+    rows: dict = {}
+    cols: dict = {}
+    for box_id, (y_box, b_box) in enumerate(Grid(y_range, b_range, y_cells, b_cells)):
+        ly = lb = None
         if mode == "points":
-            ym, bm = y_box.midpoint, b_box.midpoint
-            y_box, b_box = Interval(ym, ym), Interval(bm, bm)
-        cert = geometric_escape_via_log(f_set, y_box, b_box, n_max, bits=bits)
+            i, j = divmod(box_id, b_cells)
+            y_box, ly = _log_point(rows, i, y_box, bits)
+            b_box, lb = _log_point(cols, j, b_box, bits)
+        cert = geometric_escape_via_log(f_set, y_box, b_box, n_max, ly, lb, bits)
         if cert.status == "certified":
             first_pass += 1
         else:
@@ -977,3 +991,14 @@ def sweep_log_escape(
         "resolved_by_refinement": certified - first_pass,
     }
     return certs, stats
+
+
+def _log_point(memo: dict, i: int, box: Interval, bits: int):
+    """The point box at the center of grid slice i and its log enclosure,
+    kept in `memo`.  A center at or below 0 gets no enclosure, so that
+    `geometric_escape_via_log` refuses its box with its own message."""
+    if i not in memo:
+        v = box.midpoint
+        point = Interval(v, v)
+        memo[i] = point, (ln_interval(point, bits) if v > 0 else None)
+    return memo[i]

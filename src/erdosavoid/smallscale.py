@@ -154,9 +154,10 @@ def build_sublacunary_avoider(
     level k's punch j is [j*q_k - s_k, j*q_k + s_k] over den and floor
     division tells which punches each interval of the older union
     touches.  The union of levels 1..K-1 is kept as two lists of integer
-    numerators; level K is only counted, giving the exact measure and
-    component count.  `interval_set()` builds the last union on first
-    read and hands its gaps to `IntervalSet` as a lattice view.
+    numerators; level K is only counted, in closed form (`_count_level`),
+    giving the exact measure and component count.  `interval_set()`
+    builds the last union on first read and hands its gaps to
+    `IntervalSet` as a lattice view.
     """
     if seq.direction != DOWN:
         raise InvalidParameterError("the avoider is built for decreasing sequences")
@@ -204,7 +205,7 @@ def build_sublacunary_avoider(
         older = union
     if not lattices:
         return AvoiderResult(level_records, Fraction(1), lower_bound, 1, den, older, None)
-    count, net = _punch_level(older, lattices[-1])
+    count, net = _count_level(older, lattices[-1])
     measure = 1 - Fraction(net, den)
     if measure < lower_bound:
         raise ConstructionAuditError(
@@ -215,8 +216,9 @@ def build_sublacunary_avoider(
     )
 
 
-def _punch_level(older, lattice, out=None):
-    """Union of the older punch union with one level's punches.
+def _punch_level(older, lattice, out):
+    """Union of the older punch union with one level's punches, its lo
+    and hi numerators appended to the two lists of `out` in order.
 
     Endpoints are integer numerators over den = parts*q, the one
     denominator of every level.  Punch j is [j*q - shift, j*q + shift],
@@ -227,16 +229,10 @@ def _punch_level(older, lattice, out=None):
     consecutive older intervals share at most one punch, which bridges
     them into one cluster; punches that no older interval touches stay
     as they are.
-
-    With `out` (two lists) the union's lo and hi numerators are appended
-    there in order.  Without it the union is only counted: the result is
-    its interval count and the sum of its hi numerators minus its lo
-    numerators.
     """
     lo_num, hi_num = older
     parts, q, shift = lattice
     den = parts * q
-    count = net = 0
     free = 0  # the first punch not yet placed
     last_j = -1  # the last punch the open cluster touches
     clo = chi = None  # the open cluster
@@ -250,23 +246,15 @@ def _punch_level(older, lattice, out=None):
             jlo = parts + 1
         if jlo != last_j:
             if clo is not None:
-                if out is None:
-                    count += 1
-                    net += chi - clo
-                else:
-                    out[0].append(clo)
-                    out[1].append(chi)
+                out[0].append(clo)
+                out[1].append(chi)
             if free < jlo:  # untouched punches; 0 and parts are clipped to half
-                if out is None:
-                    count += jlo - free
-                    net += shift * (2 * (jlo - free) - (free == 0) - (jlo > parts))
-                else:
-                    out[0].extend(range(free * q - shift, jlo * q - shift, q))
-                    out[1].extend(range(free * q + shift, jlo * q + shift, q))
-                    if free == 0:
-                        out[0][free - jlo] = 0
-                    if jlo > parts:
-                        out[1][-1] = den
+                out[0].extend(range(free * q - shift, jlo * q - shift, q))
+                out[1].extend(range(free * q + shift, jlo * q + shift, q))
+                if free == 0:
+                    out[0][free - jlo] = 0
+                if jlo > parts:
+                    out[1][-1] = den
             if i == n:
                 break
             clo = lo
@@ -282,6 +270,40 @@ def _punch_level(older, lattice, out=None):
                 chi = p if p < den else den
         free = jhi + 1
         last_j = jhi
+
+
+def _count_level(older, lattice) -> tuple[int, int]:
+    """Interval count and net length (sum of hi minus lo numerators) of
+    the union `_punch_level` would build, in closed form.
+
+    Older intervals are separated by gaps of positive length and two
+    punches of one level never touch, so every point of [0, den] lies in
+    at most one older interval and one punch, and the graph joining each
+    older interval to the punches it touches is a forest.  Its
+    components are the union's intervals: count = len(older) + parts + 1
+    minus the number of touches, where [lo, hi] touches the c = jhi -
+    jlo + 1 punches jlo..jhi.  The punches cover 2*shift*parts after
+    clipping, and [lo, hi] meets them in c*2*shift less what punches jlo
+    and jhi stick out past lo and hi (taken unclipped, which also
+    clips punches 0 and parts to [0, den]); net is the older length
+    plus the punch length less those overlaps.  One pass, no lists.
+    """
+    lo_num, hi_num = older
+    parts, q, shift = lattice
+    touches = trim = 0
+    for lo, hi in zip(lo_num, hi_num):
+        jlo = (lo - shift + q - 1) // q
+        jhi = (hi + shift) // q
+        if jlo <= jhi:
+            touches += jhi - jlo + 1
+            a = jlo * q - shift
+            if lo > a:
+                trim += lo - a
+            b = jhi * q + shift
+            if b > hi:
+                trim += b - hi
+    count = len(lo_num) + parts + 1 - touches
+    net = sum(hi_num) - sum(lo_num) + 2 * shift * (parts - touches) + trim
     return count, net
 
 

@@ -114,19 +114,23 @@ def build_dyadic_family(
 
 
 def select_frame(lam: RationalLike, t: RationalLike) -> tuple[int, int]:
-    """Unique (n, l) with |lam| in (2^(n-1), 2^n] and t in (l 2^n, (l+1) 2^n]."""
+    """Unique (n, l) with |lam| in (2^(n-1), 2^n] and t in (l 2^n, (l+1) 2^n].
+
+    On integers: with |lam| = p/q, n = bitlen(p) - bitlen(q) already has
+    2^(n-1) < |lam| < 2^(n+1), so one shift compare of p against q*2^n
+    decides between n and n + 1.  Then l = ceil(t/2^n) - 1 =
+    floor((r*2^-n - 1)/s) for t = r/s, with 2^n moved to whichever side
+    keeps each shift nonnegative.
+    """
     lam = as_rational(lam)
     t = as_rational(t)
     if lam == 0:
         raise InvalidParameterError("frame selection needs a nonzero scale")
-    a = abs(lam)
-    n = a.numerator.bit_length() - a.denominator.bit_length()
-    while _pow2(n) < a:
+    p, q = abs(lam.numerator), lam.denominator
+    n = p.bit_length() - q.bit_length()
+    if p << max(-n, 0) > q << max(n, 0):  # |lam| > 2^n
         n += 1
-    while _pow2(n - 1) >= a:
-        n -= 1
-    l = math.ceil(t / _pow2(n)) - 1
-    return n, l
+    return n, ((t.numerator << max(-n, 0)) - 1) // (t.denominator << max(n, 0))
 
 
 def _pow2(n: int) -> Fraction:
@@ -288,16 +292,20 @@ class FrameCertifier:
         hypotheses hold but this depth exhibited no common component.
         """
         corners = list(box.corners())
-        frames = {select_frame(lam, t) for lam, t in corners}
+        # one frame and one verdict per distinct corner: a point box has one
+        corner_frames = {c: select_frame(*c) for c in dict.fromkeys(corners)}
+        frames = set(corner_frames.values())
         # the midpoint frame is tried first even when corners disagree:
         # the corner checks carry the soundness, so a member that passes
         # them certifies the whole box without splitting
-        frame = select_frame(box.lam.midpoint, box.t.midpoint)
+        mid = (box.lam.midpoint, box.t.midpoint)
+        frame = corner_frames[mid] if mid in corner_frames else select_frame(*mid)
         if not self.family.in_range(frame):
             raise InvalidParameterError(
                 f"frame {frame} outside the family ranges"
             )
-        verdicts = tuple(self.corner_verdict(frame, lam, t) for lam, t in corners)
+        verdict = {c: self.corner_verdict(frame, *c) for c in corner_frames}
+        verdicts = tuple(verdict[c] for c in corners)
         if not all(v.applicable for v in verdicts):
             if len(frames) > 1:
                 if split_budget <= 0:

@@ -9,6 +9,7 @@ member sets and polynomial products.
 
 from __future__ import annotations
 
+import math
 import random
 from bisect import bisect_right
 from fractions import Fraction
@@ -34,8 +35,13 @@ from erdosavoid.intersect import (
     REASON_THIN,
     GapLemmaVerdict,
 )
+from erdosavoid.enclosures import ln_interval
 from erdosavoid.intervals import Gap, Interval, IntervalSet
-from erdosavoid.largescale import LinearEscapeCertificate, certify_linear_escape
+from erdosavoid.largescale import (
+    LinearEscapeCertificate,
+    LogEscapeCertificate,
+    certify_linear_escape,
+)
 from erdosavoid.rationals import as_rational, floor_rational
 from erdosavoid.smallscale import AvoiderLevel, AvoiderResult, _level_parameters
 from erdosavoid.sumsets import CoverageRecord, CoverageReport, _frame_map
@@ -291,6 +297,82 @@ def reference_span_escapes(e, lo: Fraction, hi: Fraction) -> bool:
         if not any(p.lo <= c_lo and c_hi <= p.hi for p in merged):
             return False
     return True
+
+
+def reference_geometric_escape_via_log(
+    e, y_box: Interval, b_box: Interval, n_max: int,
+    log_y=None, log_b=None, bits: int = 64, refine: int = 0,
+):
+    """The log-escape scan on Fraction spans n*ln(b).lo - ln(y).hi ..
+    n*ln(b).hi - ln(y).lo, each checked by `reference_span_escapes`,
+    with the same four-way refinement."""
+    ly = log_y if log_y is not None else ln_interval(y_box, bits)
+    lb = log_b if log_b is not None else ln_interval(b_box, bits)
+    for n in range(1, n_max + 1):
+        s_lo = n * lb.lo - ly.hi
+        s_hi = n * lb.hi - ly.lo
+        if reference_span_escapes(e, s_lo, s_hi):
+            route = "point" if s_lo == s_hi else "gap"
+            return LogEscapeCertificate(y_box, b_box, "certified", n, route)
+    if refine > 0 and (y_box.length > 0 or b_box.length > 0):
+        ym, bm = y_box.midpoint, b_box.midpoint
+        ys = [Interval(y_box.lo, ym), Interval(ym, y_box.hi)] if y_box.length > 0 else [y_box]
+        bs = [Interval(b_box.lo, bm), Interval(bm, b_box.hi)] if b_box.length > 0 else [b_box]
+        indices = []
+        for cy in ys:
+            for cb in bs:
+                sub = reference_geometric_escape_via_log(
+                    e, cy, cb, n_max, log_y, log_b, bits + 16, refine - 1
+                )
+                if sub.status != "certified":
+                    return LogEscapeCertificate(y_box, b_box, "inconclusive")
+                indices.append(sub.witness_index)
+        return LogEscapeCertificate(y_box, b_box, "certified", max(indices), "gap", refined=True)
+    return LogEscapeCertificate(y_box, b_box, "inconclusive")
+
+
+def _reference_atanh_series(z: Fraction, err_target: Fraction) -> Interval:
+    """2*atanh(z) for |z| < 1/2 summed term by term in Fraction
+    arithmetic, cut once the remainder bound reaches the target."""
+    acc = Fraction(0)
+    power = z
+    j = 0
+    tail_factor = 2 / (1 - z * z)
+    while True:
+        acc += 2 * power / (2 * j + 1)
+        power *= z * z
+        j += 1
+        bound = tail_factor * abs(power) / (2 * j + 1)
+        if bound <= err_target:
+            return Interval(acc - bound, acc + bound)
+
+
+def _reference_outward(lo: Fraction, hi: Fraction, bits: int) -> Interval:
+    scale = 1 << bits
+    return Interval(Fraction(math.floor(lo * scale), scale), Fraction(math.ceil(hi * scale), scale))
+
+
+def reference_ln_enclosure(q: Fraction, bits: int) -> Interval:
+    """ln(q) for rational q > 0: m = q / 2**e is halved or doubled into
+    [3/4, 3/2) one step at a time, ln(m) is the Fraction series and ln 2
+    the series at z = 1/3, each rounded outward as the library does."""
+    if q == 1:
+        return Interval(Fraction(0), Fraction(0))
+    e, m = 0, q
+    while m >= Fraction(3, 2):
+        m /= 2
+        e += 1
+    while m < Fraction(3, 4):
+        m *= 2
+        e -= 1
+    target = Fraction(1, 1 << (bits + 4))
+    core = Interval(Fraction(0), Fraction(0)) if m == 1 else _reference_atanh_series((m - 1) / (m + 1), target)
+    if e == 0:
+        return _reference_outward(core.lo, core.hi, bits + 2)
+    l2 = _reference_atanh_series(Fraction(1, 3), Fraction(1, 1 << (bits + 8)))
+    l2 = _reference_outward(l2.lo, l2.hi, bits + 6)
+    two_lo, two_hi = (l2.lo, l2.hi) if e > 0 else (l2.hi, l2.lo)
+    return _reference_outward(core.lo + e * two_lo, core.hi + e * two_hi, bits + 2)
 
 
 def reference_point_escape_index(e, x: Fraction, y: Fraction, n_max: int):
@@ -651,6 +733,64 @@ def _reference_merge_punches(union, level_punches, dens, lvl):
         out_hi.append(cur[2])
         out_hi_l.append(cur[3])
     return out_lo, out_lo_l, out_hi, out_hi_l
+
+
+def reference_punch_count(older, lattice) -> tuple[int, int]:
+    """Interval count and net length of the union of the older intervals
+    with one level's punches, by walking the clusters the way the merge
+    builds them: an older interval [L, H] touches punches jlo..jhi, a
+    punch shared with the previous interval bridges the two, and
+    untouched punches count alone (clipped to half at 0 and parts)."""
+    lo_num, hi_num = older
+    parts, q, shift = lattice
+    den = parts * q
+    count = net = 0
+    free = 0
+    last_j = -1
+    clo = chi = None
+    n = len(lo_num)
+    for i in range(n + 1):
+        if i < n:
+            lo, hi = lo_num[i], hi_num[i]
+            jlo = (lo - shift + q - 1) // q
+            jhi = (hi + shift) // q
+        else:
+            jlo = parts + 1
+        if jlo != last_j:
+            if clo is not None:
+                count += 1
+                net += chi - clo
+            if free < jlo:
+                count += jlo - free
+                net += shift * (2 * (jlo - free) - (free == 0) - (jlo > parts))
+            if i == n:
+                break
+            clo = lo
+            if jlo <= jhi:
+                p = jlo * q - shift
+                if p < lo:
+                    clo = p if p > 0 else 0
+        chi = hi
+        if jlo <= jhi:
+            p = jhi * q + shift
+            if p > hi:
+                chi = p if p < den else den
+        free = jhi + 1
+        last_j = jhi
+    return count, net
+
+
+def reference_select_frame(lam, t) -> tuple[int, int]:
+    """Frame selection on Fraction powers of two: n moves up while 2^n <
+    |lam| and down while 2^(n-1) >= |lam|, then l = ceil(t/2^n) - 1."""
+    lam, t = as_rational(lam), as_rational(t)
+    a = abs(lam)
+    n = a.numerator.bit_length() - a.denominator.bit_length()
+    while Fraction(2) ** n < a:
+        n += 1
+    while Fraction(2) ** (n - 1) >= a:
+        n -= 1
+    return n, math.ceil(t / Fraction(2) ** n) - 1
 
 
 def reference_smallest_point_at_least(e, t: Fraction) -> Optional[Fraction]:

@@ -50,6 +50,7 @@ from helpers import (
     reference_certify_linear_escape,
     reference_ell_upper_bound,
     reference_escape_index,
+    reference_geometric_escape_via_log,
     reference_point_escapes,
     reference_removed_parts,
     reference_span_escapes,
@@ -197,11 +198,20 @@ def digit_spans(draw):
     return e, lo, hi
 
 
+def span_escapes(gen, lo: F, hi: F, scale: int = 1) -> bool:
+    """`_span_escapes` on two Fraction ends, put on scale times the lcm
+    of their denominators (any common denominator serves)."""
+    den = math.lcm(lo.denominator, hi.denominator) * scale
+    return _span_escapes(
+        gen, lo.numerator * (den // lo.denominator), hi.numerator * (den // hi.denominator), den
+    )
+
+
 @settings(max_examples=600, deadline=None)
-@given(span=digit_spans())
-def test_span_escapes_matches_fraction_reference(span):
+@given(span=digit_spans(), scale=st.integers(1, 6))
+def test_span_escapes_matches_fraction_reference(span, scale):
     e, lo, hi = span
-    assert _span_escapes(e.generator, lo, hi) == reference_span_escapes(e, lo, hi)
+    assert span_escapes(e.generator, lo, hi, scale) == reference_span_escapes(e, lo, hi)
 
 
 def test_span_escapes_over_adjacent_removed_parts():
@@ -222,7 +232,7 @@ def test_span_escapes_over_adjacent_removed_parts():
         (F(3), F(3), True),
     ]
     for lo, hi, escapes in cases:
-        assert _span_escapes(gen, lo, hi) == escapes, (lo, hi)
+        assert span_escapes(gen, lo, hi) == escapes, (lo, hi)
         assert reference_span_escapes(e, lo, hi) == escapes, (lo, hi)
 
 
@@ -632,6 +642,81 @@ def test_log_escape_rational_point_boxes():
     e = digit_avoider(4, 64)
     cert = geometric_escape_via_log(e, ivl(F(3, 2), F(3, 2)), ivl(2, 2), 32)
     assert cert.status == "certified"
+
+
+def test_log_escape_pairs_the_enclosure_ends():
+    # step n's span is [n*ln(b).lo - ln(y).hi, n*ln(b).hi - ln(y).lo]:
+    # here [n - 1/2, n], which first escapes at n = 3 (cell 2 removes
+    # parts 2 and 3, and cell 3 part 0 holds the integer end)
+    e = digit_avoider(4, 40)
+    cert = geometric_escape_via_log(
+        e, ivl(1, 1), ivl(3, 3), 16, log_y=ivl(0, F(1, 2)), log_b=ivl(1, 1)
+    )
+    assert (cert.status, cert.witness_index, cert.route) == ("certified", 3, "gap")
+
+
+@st.composite
+def log_escape_cases(draw):
+    """Point and cell boxes with computed enclosures at low precision,
+    or injected logs on a 1/(4m) lattice, so that spans end on part
+    boundaries and exact logs take the point route; refine 0 or 1."""
+    m = draw(st.sampled_from([3, 4, 5]))
+    e = digit_avoider(m, 8)
+
+    def box(lo, hi):
+        a = draw(st.fractions(min_value=lo, max_value=hi, max_denominator=32))
+        if draw(st.booleans()):
+            return ivl(a, a)
+        return ivl(a, a + draw(st.fractions(min_value=0, max_value=F(1, 4), max_denominator=32)))
+
+    y_box, b_box = box(F(1, 2), 2), box(F(9, 8), 3)
+    logs = {}
+    if draw(st.booleans()):
+        def log_end():
+            return F(draw(st.integers(-8 * m, 8 * m)), 4 * m)
+
+        for name in ("log_y", "log_b"):
+            lo = log_end()
+            logs[name] = ivl(lo, lo + F(draw(st.sampled_from([0, 0, 1, 2])), 4 * m))
+        if logs["log_b"].lo <= 0:
+            logs["log_b"] = ivl(F(1, m), F(1, m) + logs["log_b"].length)
+    n_max = draw(st.integers(1, 12))
+    bits = draw(st.integers(4, 40))
+    return e, y_box, b_box, n_max, logs, bits, draw(st.integers(0, 1))
+
+
+@settings(max_examples=300, deadline=None)
+@given(log_escape_cases())
+def test_log_escape_matches_fraction_reference(case):
+    e, y_box, b_box, n_max, logs, bits, refine = case
+    got = geometric_escape_via_log(e, y_box, b_box, n_max, bits=bits, refine=refine, **logs)
+    want = reference_geometric_escape_via_log(
+        e, y_box, b_box, n_max, bits=bits, refine=refine, **logs
+    )
+    assert got == want
+
+
+def test_log_sweep_points_build_each_log_once(monkeypatch):
+    # 5x4 point boxes: one enclosure per row and per column on the first
+    # pass, and the certificates of the per-box enclosures
+    import erdosavoid.largescale as largescale
+
+    e = digit_avoider(4, 64)
+    calls = []
+    real = largescale.ln_interval
+    monkeypatch.setattr(largescale, "ln_interval", lambda iv, bits: calls.append(bits) or real(iv, bits))
+    certs, stats = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 5, 4, n_max=8)
+    assert calls.count(64) == 5 + 4
+    want = [
+        reference_geometric_escape_via_log(e, y_box, b_box, 8)
+        for y_box, b_box in (
+            (ivl(y.midpoint, y.midpoint), ivl(b.midpoint, b.midpoint))
+            for y, b in Grid(ivl(1, 2), ivl(F(3, 2), 3), 5, 4)
+        )
+    ]
+    first = [c for c, w in zip(certs, want) if w.status == "certified"]
+    assert first == [w for w in want if w.status == "certified"]
+    assert stats["first_pass"] == len(first)
 
 
 def test_log_escape_rejects_bad_ranges():

@@ -21,6 +21,7 @@ from erdosavoid.sequences import (
 )
 from erdosavoid.smallscale import (
     EscapeCertificate,
+    _count_level,
     _punch_level,
     _smallest_point_at_least,
     _sup,
@@ -38,6 +39,7 @@ from erdosavoid.smallscale import (
 from helpers import (
     _reference_merge_punches,
     avoider_level_set,
+    reference_punch_count,
     reference_smallest_point_at_least,
     reference_sublacunary_avoider,
 )
@@ -140,10 +142,14 @@ def test_avoider_lattice_count_matches_merge_reference(case):
 @st.composite
 def punch_levels(draw):
     """A new punch lattice and a random older union: separated intervals
-    in [0, 1] with endpoints on the lattice's denominator parts*q."""
+    in [0, 1] with endpoints on the lattice's denominator parts*q, some
+    of them on a punch end, at 0 or at den, and sometimes none at all."""
     parts, q = draw(st.integers(1, 12)), draw(st.integers(3, 30))
     shift = draw(st.integers(1, (q - 1) // 2))  # two punches never touch
-    ends = sorted(set(draw(st.lists(st.integers(0, parts * q), max_size=16))))
+    den = parts * q
+    punch_ends = [min(max(j * q + d, 0), den) for j in range(parts + 1) for d in (-shift, shift)]
+    end = st.one_of(st.integers(0, den), st.sampled_from(punch_ends))
+    ends = sorted(set(draw(st.lists(end, max_size=16))))
     ends = ends[: len(ends) // 2 * 2]
     return (ends[::2], ends[1::2]), (parts, q, shift)
 
@@ -165,9 +171,33 @@ def test_punch_level_matches_sorted_merge(case):
     union = ([], [])
     _punch_level((los, his), (parts, q, shift), union)
     assert union == (want_lo, want_hi)
-    count, net = _punch_level((los, his), (parts, q, shift))
+    count, net = _count_level((los, his), (parts, q, shift))
     assert count == len(want_lo)
     assert net == sum(want_hi) - sum(want_lo)
+
+
+@settings(max_examples=400, deadline=None)
+@given(punch_levels())
+def test_count_level_matches_count_loop(case):
+    older, lattice = case
+    assert _count_level(older, lattice) == reference_punch_count(older, lattice)
+
+
+def test_count_level_examples():
+    # parts 2, q 10, shift 2 over den 20: punches [0, 2], [8, 12], [18, 20]
+    lattice = (2, 10, 2)
+    cases = [
+        ([], [], 3, 8),  # punches alone
+        ([4], [6], 4, 10),  # touches none
+        ([1], [5], 3, 11),  # touches punch 0 only
+        ([5], [8], 3, 11),  # ends exactly on punch 1's lo
+        ([2, 7, 15], [3, 13, 20], 3, 14),  # one punch each, from 0 to den
+        ([12], [18], 2, 14),  # bridges punches 1 and 2 from end to end
+        ([0], [20], 1, 20),  # covers every punch
+    ]
+    for los, his, count, net in cases:
+        assert _count_level((los, his), lattice) == (count, net), (los, his)
+        assert reference_punch_count((los, his), lattice) == (count, net), (los, his)
 
 
 def test_avoider_punch_guard_fires_at_its_level():

@@ -11,6 +11,7 @@ from helpers import (
     reference_corner_verdict,
     reference_affine,
     reference_find_common_point,
+    reference_select_frame,
     reference_sumset_cover_probe,
     reference_union,
 )
@@ -55,6 +56,47 @@ def test_select_frame_unique_and_total(lam, t):
     two_n = F(2) ** n
     assert two_n / 2 < abs(lam) <= two_n
     assert l * two_n < t <= (l + 1) * two_n
+
+
+@st.composite
+def frame_inputs(draw):
+    """(lam, t) of either sign, lam often a power of two and t often on
+    l*2^n of lam's frame, where the half-open frame ends decide."""
+    k = draw(st.integers(-12, 12))
+    if draw(st.booleans()):
+        lam = F(2) ** k
+    else:
+        lam = draw(st.fractions(min_value=F(1, 4096), max_value=4096, max_denominator=4096))
+    lam *= draw(st.sampled_from([1, -1]))
+    n, _ = reference_select_frame(lam, 0)
+    if draw(st.booleans()):
+        t = draw(st.integers(-40, 40)) * F(2) ** draw(st.sampled_from([n, n - 1, k]))
+    else:
+        t = draw(rationals)
+    return lam, t
+
+
+@settings(max_examples=500, deadline=None)
+@given(frame_inputs())
+def test_select_frame_matches_fraction_reference(case):
+    lam, t = case
+    assert select_frame(lam, t) == reference_select_frame(lam, t)
+
+
+def test_certify_computes_one_verdict_per_distinct_corner():
+    x = from_middle_ratio(2, 8)
+    fam = build_dyadic_family(1, 8, (-3, 3), (-34, 34))
+    certifier = FrameCertifier(x, fam)
+    seen = []
+    real = certifier.corner_verdict
+    certifier.corner_verdict = lambda frame, lam, t: seen.append((lam, t)) or real(frame, lam, t)
+    point = certifier.certify(ParamBox(ivl(F(3, 2), F(3, 2)), ivl(F(1, 4), F(1, 4))), 8)
+    assert len(seen) == 1 and len(point.verdicts) == 4
+    assert len(set(point.verdicts)) == 1
+    seen.clear()
+    box = certifier.certify(ParamBox(ivl(F(5, 4), F(3, 2)), ivl(F(1, 4), F(1, 4))), 8)
+    assert len(seen) == 2 and len(box.verdicts) == 4
+    assert box.verdicts == tuple(real(box.frame, lam, t) for lam, t in box.box.corners())
 
 
 def test_family_members():

@@ -1,7 +1,10 @@
-"""Mutation gate for the exact interval kernels.
+"""Mutation gate for the exact integer kernels.
 
 Each mutant names a file, one exact snippet in it, the snippet's
 replacement and the tests that must fail once the replacement is made.
+Known equivalent mutants (a replacement that cannot change any result)
+are listed apart with the reason; they are never run, but their
+snippets are kept in step with the code like the others.
 For every mutant the script copies `src/`, `tests/` and `pyproject.toml`
 into a temporary directory, applies the mutant there and runs only the
 named tests; the checkout itself is never edited.  Before any mutant it
@@ -29,6 +32,9 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 INTERVALS = "src/erdosavoid/intervals.py"
+LARGESCALE = "src/erdosavoid/largescale.py"
+SMALLSCALE = "src/erdosavoid/smallscale.py"
+SUMSETS = "src/erdosavoid/sumsets.py"
 T = "tests/test_intervals.py::"
 
 
@@ -75,14 +81,53 @@ MUTANTS = (
         "los[i + 1] * b.denominator < b.numerator * den",
         (T + "test_find_gap_containing",),
     ),
+    Mutant(
+        "span-escapes-upper-end", LARGESCALE,
+        "while t * den < b * m:", "while t * den <= b * m:",
+        ("tests/test_largescale.py::test_span_escapes_over_adjacent_removed_parts",),
+    ),
+    Mutant(
+        "log-escape-end-pairing", LARGESCALE,
+        "s_lo, s_hi = -yh, -yl", "s_lo, s_hi = -yl, -yh",
+        ("tests/test_largescale.py::test_log_escape_pairs_the_enclosure_ends",),
+    ),
+    Mutant(
+        "count-level-single-touch", SMALLSCALE,
+        "if jlo <= jhi:\n            touches +=", "if jlo < jhi:\n            touches +=",
+        ("tests/test_smallscale.py::test_count_level_examples",),
+    ),
+    Mutant(
+        "select-frame-power-of-two", SUMSETS,
+        "if p << max(-n, 0) > q << max(n, 0):", "if p << max(-n, 0) >= q << max(n, 0):",
+        ("tests/test_sumsets.py::test_select_frame_examples",),
+    ),
+)
+
+
+@dataclass(frozen=True)
+class Equivalent:
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    reason: str
+
+
+EQUIVALENT = (
+    Equivalent(
+        "count-level-trim", SMALLSCALE,
+        "if lo > a:", "if lo >= a:",
+        "at lo == a the trim adds lo - a = 0, so both forms give the same net",
+    ),
 )
 
 
 def snippet_problems() -> list[str]:
-    """One line per mutant whose snippet does not occur exactly once in
-    its file, or whose replacement leaves the file unchanged."""
+    """One line per mutant, run or known equivalent, whose snippet does
+    not occur exactly once in its file, or whose replacement leaves the
+    file unchanged."""
     problems = []
-    for m in MUTANTS:
+    for m in MUTANTS + EQUIVALENT:
         count = (ROOT / m.path).read_text().count(m.snippet)
         if count != 1:
             problems.append(f"{m.name}: snippet occurs {count} times in {m.path}")
@@ -133,6 +178,8 @@ def main() -> int:
             failed |= code != 1
             print(f"{verdict:<9} {m.name} in {took:.1f} s by {' '.join(m.tests)}")
             shutil.rmtree(work)
+    for m in EQUIVALENT:
+        print(f"{'EQUIV':<9} {m.name}: {m.reason}")
     return 1 if failed else 0
 
 
