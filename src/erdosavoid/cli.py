@@ -30,10 +30,8 @@ from fractions import Fraction
 from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
-from . import __version__, largescale, sequences, smallscale, sumsets
-from .enclosures import sqrt_enclosure
+from . import __version__, enclosures, gaptree, largescale, sequences, smallscale, sumsets
 from .errors import ErdosAvoidError, InvalidParameterError
-from .gaptree import from_middle_ratio, thickness, to_interval_set, tree_to_json
 from .intervals import Grid, Interval, ParamBox
 from .rationals import as_rational, format_rational
 
@@ -176,12 +174,12 @@ def _construct_quotient_avoider(args) -> Result:
 
 
 def _construct_middle_cantor(args) -> Result:
-    tree = from_middle_ratio(args.ratio_n, args.depth)
+    tree = gaptree.from_middle_ratio(args.ratio_n, args.depth)
     return Result({
         "object": args.target,
-        "thickness": format_rational(thickness(tree).value),
-        "level_measure": format_rational(to_interval_set(tree, args.depth).measure()),
-        "tree": tree_to_json(tree),
+        "thickness": format_rational(gaptree.thickness(tree).value),
+        "level_measure": format_rational(gaptree.to_interval_set(tree, args.depth).measure()),
+        "tree": gaptree.tree_to_json(tree),
     })
 
 
@@ -337,7 +335,7 @@ def _certify_log_escape(args) -> Result:
 def _certify_frame_intersection(args) -> Result:
     if args.count < 1:
         raise InvalidParameterError("--count must be at least 1")
-    x_tree = from_middle_ratio(args.x_ratio, args.depth)
+    x_tree = gaptree.from_middle_ratio(args.x_ratio, args.depth)
     fam = sumsets.build_dyadic_family(args.ratio_n, args.depth, args.n_range, args.l_range)
     certifier = sumsets.FrameCertifier(x_tree, fam)
     rng = random.Random(args.seed)
@@ -368,7 +366,7 @@ def _certify_frame_intersection(args) -> Result:
 
 
 def _y_from_args(args):
-    return sqrt_enclosure(2, args.bits) if args.y == "sqrt2" else as_rational(args.y)
+    return enclosures.sqrt_enclosure(2, args.bits) if args.y == "sqrt2" else as_rational(args.y)
 
 
 def _probe_mod1(args) -> Result:

@@ -888,8 +888,9 @@ def geometric_escape_via_log(
     integer numerators over L, advanced by the numerators of ln(b)'s
     ends from one step to the next.
 
-    With refine > 0 an inconclusive box is split into four children
-    with tighter enclosures; the box certifies when all children do.
+    With refine > 0 an inconclusive box is split into four children,
+    each with enclosures of its own box computed at 16 more bits (never
+    the injected ones); the box certifies when all children do.
     """
     if y_box.lo <= 0:
         raise InvalidParameterError("dilate box must be strictly positive")
@@ -926,7 +927,7 @@ def geometric_escape_via_log(
         for cy in children_y:
             for cb in children_b:
                 sub = geometric_escape_via_log(
-                    f_set, cy, cb, n_max, log_y, log_b, bits + 16, refine - 1
+                    f_set, cy, cb, n_max, bits=bits + 16, refine=refine - 1
                 )
                 if sub.status != "certified":
                     return LogEscapeCertificate(y_box, b_box, "inconclusive")

@@ -305,7 +305,8 @@ def reference_geometric_escape_via_log(
 ):
     """The log-escape scan on Fraction spans n*ln(b).lo - ln(y).hi ..
     n*ln(b).hi - ln(y).lo, each checked by `reference_span_escapes`,
-    with the same four-way refinement."""
+    with the same four-way refinement, whose children take enclosures
+    of their own boxes."""
     ly = log_y if log_y is not None else ln_interval(y_box, bits)
     lb = log_b if log_b is not None else ln_interval(b_box, bits)
     for n in range(1, n_max + 1):
@@ -322,7 +323,7 @@ def reference_geometric_escape_via_log(
         for cy in ys:
             for cb in bs:
                 sub = reference_geometric_escape_via_log(
-                    e, cy, cb, n_max, log_y, log_b, bits + 16, refine - 1
+                    e, cy, cb, n_max, bits=bits + 16, refine=refine - 1
                 )
                 if sub.status != "certified":
                     return LogEscapeCertificate(y_box, b_box, "inconclusive")

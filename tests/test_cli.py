@@ -388,13 +388,101 @@ def test_malformed_worker_count_exits_1(tmp_path, monkeypatch, capsys):
         assert not os.path.exists(str(out) + ".partial")
 
 
+def _python(*args, cwd=None):
+    """A fresh interpreter on this checkout's `src/`, run to its end."""
+    env = {**os.environ, "PYTHONPATH": str(Path(erdosavoid.__file__).parents[1])}
+    return subprocess.run([sys.executable, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True)
+
+
 def test_cli_import_leaves_process_pools_unloaded():
     # one-worker runs never pay for the process-pool machinery
-    code = "import sys, erdosavoid.cli; print('concurrent.futures.process' in sys.modules)"
-    env = {**os.environ, "PYTHONPATH": str(Path(erdosavoid.__file__).parents[1])}
-    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    done = _python("-c", "import sys, erdosavoid.cli; "
+                         "print('concurrent.futures.process' in sys.modules)")
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+# a submodule has run once it is a plain module, not a lazy placeholder
+_RUN_SUBMODULES = ("sorted(n for n, m in sys.modules.items() if n.startswith('erdosavoid.') "
+                   "and type(m) is types.ModuleType)")
+
+
+def test_package_import_runs_no_submodule():
+    done = _python("-c", f"import sys, types, erdosavoid; print({_RUN_SUBMODULES})")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "[]"
+
+
+_CLI_CORE = {"cli", "errors", "intervals", "rationals", "sequences"}
+
+
+@pytest.mark.parametrize("argv, modules", [
+    (["construct", "sublacunary-avoider", "--levels", "2"], _CLI_CORE | {"smallscale"}),
+    (["probe", "ell-bound", "--f=-2,1", "--max-deg", "2", "--step", "1/4", "--bound", "1"],
+     _CLI_CORE | {"enclosures", "largescale"}),
+    (["certify", "log-escape", "--m", "4", "--grid", "2x2", "--y-range", "1:2",
+      "--b-range", "3/2:3"], _CLI_CORE | {"enclosures", "largescale"}),
+], ids=["construct-sublacunary-avoider", "probe-ell-bound", "certify-log-escape"])
+def test_cli_target_runs_only_the_modules_it_uses(tmp_path, argv, modules):
+    code = ("import sys, types, erdosavoid.cli; "
+            f"code = erdosavoid.cli.main({argv + ['--out', 'out']!r}); "
+            f"print(code, *{_RUN_SUBMODULES})")
+    done = _python("-c", code, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    code, *run_now = done.stdout.split()
+    assert code == "0" and (tmp_path / "out").exists()
+    assert {name.removeprefix("erdosavoid.") for name in run_now} == modules
+
+
+def test_module_entry_point_runs_cli_once():
+    # runpy warns, and runs cli twice, if cli were already in sys.modules
+    done = _python("-W", "error::RuntimeWarning", "-m", "erdosavoid.cli", "--version")
+    assert done.returncode == 0
+    assert done.stderr == ""
+    assert done.stdout.strip() == f"erdosavoid {erdosavoid.__version__}"
+
+
+# the names the package exports: its public names, each defined in one
+# submodule, and the submodules themselves
+PUBLIC_NAMES = """
+    AvoiderResult ClusterCheck CoefficientMassBound CoverageReport DigitSchedule
+    DyadicFamily EscapeCertificate FrameCertifier FrameTrace Gap GapLemmaVerdict
+    GapTree Interval IntervalSet LinearEscapeCertificate LogEscapeCertificate
+    Mod1Profile PLargeSet ParamBox PiecewiseLinearMap SequenceSpec Thickness
+    WalkTrace affine_tree as_rational box_image build_dyadic_family
+    build_sublacunary_avoider build_tilde certify_linear_escape
+    certify_no_affine_copy check_gap_lemma containment_walk
+    countable_dilation_avoider custom decompose density_mod1 digit_avoider
+    dubickas_gap_check ell_upper_bound embed_lacunary erdos_point_probe
+    escape_to_coverage_params explicit format_rational fractional_set
+    from_middle_ratio geometric_down geometric_escape_via_log geometric_up
+    grid_boxes is_p_large ivl kolountzakis_delta linear ln2_enclosure
+    ln_enclosure ln_interval parse_rational perturbation_delta point_escape_index
+    quotient_avoider reciprocal reciprocal_power regularize_subsequence
+    root_enclosure select_frame slope_envelope sqrt_enclosure steinhaus_embed
+    sumset_cover_probe sweep_linear_escape sweep_log_escape thickness
+    to_interval_set tree_from_json tree_to_json validate_certificate
+    validate_linear_escape
+""".split()
+SUBMODULES = ("enclosures errors gaptree intersect intervals largescale rationals "
+              "sequences smallscale sumsets").split()
+
+
+def test_public_names_resolve():
+    assert len(PUBLIC_NAMES) == 79
+    assert erdosavoid.__all__ == sorted(PUBLIC_NAMES + SUBMODULES)
+    for name in PUBLIC_NAMES:
+        value = getattr(erdosavoid, name)
+        assert value is getattr(getattr(erdosavoid, value.__module__.rpartition(".")[2]), name)
+    for name in SUBMODULES:
+        assert getattr(erdosavoid, name) is sys.modules[f"erdosavoid.{name}"]
+    namespace = {}
+    exec("from erdosavoid import *", namespace)
+    assert set(erdosavoid.__all__) <= set(namespace)
+    assert set(erdosavoid.__all__) <= set(dir(erdosavoid))
+    with pytest.raises(AttributeError):
+        erdosavoid.no_such_name
 
 
 def _digit_sweep(out, grid, *extra):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erdosavoid.enclosures import sqrt_enclosure
+from erdosavoid.enclosures import ln_interval, sqrt_enclosure
 from erdosavoid.errors import (
     ConstructionAuditError,
     InvalidParameterError,
@@ -378,6 +378,15 @@ def test_escape_index_on_boundaries_and_integers():
             with pytest.raises(ResourceLimitError, match="at n = 1"):
                 kernel(gen, 0, -4 * (guard + 1), 4, 3, guard)
     assert _escape_index(gen, 0, -20, 4, 1, 5) == 1  # cell -5 is inside, with digit 0
+    # over den 8, points inside parts: part 2 of cell 1 lies just above
+    # the removed part 1, but only its lower end escapes
+    cases = [
+        (11, 1),  # 1 + 3/8: inside the removed part 1
+        (13, None),  # 1 + 5/8: inside the kept part 2
+    ]
+    for s, want in cases:
+        for kernel in (_escape_index, reference_escape_index):
+            assert kernel(gen, s, 0, 8, 1, 10) == want, (kernel.__name__, s)
 
 
 @settings(max_examples=200, deadline=None)
@@ -653,6 +662,20 @@ def test_log_escape_pairs_the_enclosure_ends():
         e, ivl(1, 1), ivl(3, 3), 16, log_y=ivl(0, F(1, 2)), log_b=ivl(1, 1)
     )
     assert (cert.status, cert.witness_index, cert.route) == ("certified", 3, "gap")
+
+
+def test_log_escape_refinement_takes_enclosures_of_the_children():
+    # injected logs 1/10 wider than the 64-bit enclosures never certify
+    # the box itself; its children must enclose their own boxes afresh
+    e = digit_avoider(4, 40)
+    y_box, b_box = ivl(F(11, 10), 2), ivl(3, F(33, 10))
+    logs = {
+        name: ivl(v.lo - F(1, 10), v.hi + F(1, 10))
+        for name, v in (("log_y", ln_interval(y_box, 64)), ("log_b", ln_interval(b_box, 64)))
+    }
+    assert geometric_escape_via_log(e, y_box, b_box, 16, **logs).status == "inconclusive"
+    cert = geometric_escape_via_log(e, y_box, b_box, 16, refine=3, **logs)
+    assert (cert.status, cert.witness_index, cert.refined) == ("certified", 15, True)
 
 
 @st.composite

@@ -36,6 +36,7 @@ LARGESCALE = "src/erdosavoid/largescale.py"
 SMALLSCALE = "src/erdosavoid/smallscale.py"
 SUMSETS = "src/erdosavoid/sumsets.py"
 T = "tests/test_intervals.py::"
+L = "tests/test_largescale.py::"
 
 
 @dataclass(frozen=True)
@@ -84,12 +85,38 @@ MUTANTS = (
     Mutant(
         "span-escapes-upper-end", LARGESCALE,
         "while t * den < b * m:", "while t * den <= b * m:",
-        ("tests/test_largescale.py::test_span_escapes_over_adjacent_removed_parts",),
+        (L + "test_span_escapes_over_adjacent_removed_parts",),
+    ),
+    Mutant(
+        "escape-index-interior-point", LARGESCALE,
+        "(r == 0 and j - 1 == digit)", "(j - 1 == digit)",
+        (L + "test_escape_index_on_boundaries_and_integers",),
+    ),
+    Mutant(
+        "escape-index-part-below", LARGESCALE,
+        "j - 1 == digit", "j + 1 == digit",
+        (L + "test_escape_index_on_boundaries_and_integers",),
+    ),
+    Mutant(
+        "escape-index-guard-end", LARGESCALE,
+        "if not t_lo <= t < t_hi:", "if not t_lo <= t <= t_hi:",
+        (L + "test_escape_index_on_boundaries_and_integers",),
+    ),
+    Mutant(
+        "unit-draws-redraw", LARGESCALE,
+        "if r != 127:", "if r != 126:",
+        (L + "test_unit_draws_are_the_randrange_values",),
+    ),
+    Mutant(
+        "log-escape-refinement-enclosures", LARGESCALE,
+        "f_set, cy, cb, n_max, bits=bits + 16, refine=refine - 1",
+        "f_set, cy, cb, n_max, log_y, log_b, bits + 16, refine - 1",
+        (L + "test_log_escape_refinement_takes_enclosures_of_the_children",),
     ),
     Mutant(
         "log-escape-end-pairing", LARGESCALE,
         "s_lo, s_hi = -yh, -yl", "s_lo, s_hi = -yl, -yh",
-        ("tests/test_largescale.py::test_log_escape_pairs_the_enclosure_ends",),
+        (L + "test_log_escape_pairs_the_enclosure_ends",),
     ),
     Mutant(
         "count-level-single-touch", SMALLSCALE,
