@@ -464,10 +464,29 @@ class _Parser(argparse.ArgumentParser):
     """Raises usage errors as ErdosAvoidError, so they exit 1 like every
     other refusal; exit 2 stays with inconclusive items.  Subparsers
     inherit the class.  Flags are never abbreviated, so a flag a target
-    does not take is refused rather than read as a longer flag it does."""
+    does not take is refused rather than read as a longer flag it does.
 
-    def __init__(self, *args, **kwargs):
+    A target's parser takes its flags as `_TARGETS` spells them and adds
+    them on first use, when it parses or `_leaves` walks it, so a process
+    builds only the flags of the target it runs."""
+
+    def __init__(self, *args, flags: str = "", **kwargs):
         super().__init__(*args, allow_abbrev=False, **kwargs)
+        self._pending = flags
+
+    def add_flags(self) -> None:
+        """Add the flags not added yet, each with its `_FLAGS` keywords."""
+        for flag in self._pending.split():
+            flag, override, default = flag.partition("=")
+            spec = dict(_FLAGS[flag])
+            if override:
+                spec["default"] = default
+            self.add_argument(flag, **spec)
+        self._pending = ""
+
+    def parse_known_args(self, args=None, namespace=None):
+        self.add_flags()
+        return super().parse_known_args(args, namespace)
 
     def error(self, message):
         self.print_usage(sys.stderr)
@@ -563,25 +582,19 @@ def build_parser() -> argparse.ArgumentParser:
     for command, (summary, targets) in _TARGETS.items():
         group = commands.add_parser(command, help=summary).add_subparsers(dest="target", required=True)
         for name, (runner, flags) in targets.items():
-            p = group.add_parser(name)
-            p.set_defaults(func=runner)
-            for flag in ["--out", *flags.split()]:
-                flag, override, default = flag.partition("=")
-                spec = dict(_FLAGS[flag])
-                if override:
-                    spec["default"] = default
-                p.add_argument(flag, **spec)
-    report = commands.add_parser("report", help="aggregate artifact files")
+            group.add_parser(name, flags=f"--out {flags}").set_defaults(func=runner)
+    report = commands.add_parser("report", help="aggregate artifact files", flags="--out")
     report.set_defaults(func=_report)
     report.add_argument("paths", nargs="+")
-    report.add_argument("--out", **_FLAGS["--out"])
     return parser
 
 
-def _leaves(parser: argparse.ArgumentParser):
-    """Every parser that runs a command: one per target, and `report`."""
+def _leaves(parser: _Parser):
+    """Every parser that runs a command, one per target and `report`,
+    with its flags added."""
     groups = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
     if not groups:
+        parser.add_flags()
         yield parser
     for group in groups:
         for sub in group.choices.values():

@@ -25,12 +25,11 @@ and the `Thickness.label` field records which case applies.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate
 from math import lcm
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .errors import (
     DegenerateMapError,
@@ -44,8 +43,7 @@ from .intervals import Interval, IntervalSet
 from .rationals import RationalLike, as_rational, format_rational
 
 
-@dataclass(frozen=True)
-class Thickness:
+class Thickness(NamedTuple):
     """Thickness value; ``value is None`` marks the infinite case
     (a tree with no recorded splits, i.e. a plain interval)."""
 

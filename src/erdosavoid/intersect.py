@@ -8,8 +8,8 @@ nested node pairs, hence a point estimate with a rigorous error bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
+from typing import NamedTuple
 
 from .errors import (
     GapConditionError,
@@ -27,8 +27,7 @@ REASON_K1_IN_GAP = "K1_inside_gap_of_K2"
 REASON_K2_IN_GAP = "K2_inside_gap_of_K1"
 
 
-@dataclass(frozen=True)
-class GapLemmaVerdict:
+class GapLemmaVerdict(NamedTuple):
     applicable: bool
     reason: str
     thickness_1: Thickness
@@ -74,8 +73,7 @@ def check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
     return GapLemmaVerdict(True, REASON_OK, t1, t2, d1, d2)
 
 
-@dataclass(frozen=True)
-class WalkTrace:
+class WalkTrace(NamedTuple):
     """Chain of nested node pairs (inner, outer) down to the walk depth.
 
     The inner interval stays contained in the outer one at every step;
@@ -86,7 +84,7 @@ class WalkTrace:
     chain: tuple[tuple[str, str], ...]
     point_estimate: Fraction
     error_bound: Fraction
-    step_bounds: tuple[Fraction, ...] = field(default=())
+    step_bounds: tuple[Fraction, ...] = ()
 
     def to_json(self) -> dict:
         return {

@@ -19,7 +19,6 @@ No floating point is used on any code path in this module.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Iterable, Iterator, Optional, Sequence
@@ -33,20 +32,54 @@ from .errors import (
 from .rationals import RationalLike, as_rational, format_rational
 
 
-@dataclass(frozen=True, slots=True)
-class Interval:
+class Frozen:
+    """Base of the package's validated immutable value types.
+
+    A subclass names its constructor parameters, in order, in `_fields`
+    and stores each under that name with `object.__setattr__` once its
+    `__init__` has validated them.  Equality, hashing and the
+    `Name(field=...)` repr run over those fields; copy and pickle call
+    the constructor again with them, so a copy is validated like the
+    original and any cache kept beside the fields starts empty.
+    """
+
+    __slots__ = ()
+    _fields: tuple[str, ...] = ()
+
+    def _astuple(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._astuple() == other._astuple()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._astuple())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):
+        return type(self), self._astuple()
+
+
+class Interval(Frozen):
     """Closed interval [lo, hi] with rational endpoints; points allowed."""
 
-    lo: Fraction
-    hi: Fraction
+    __slots__ = _fields = ("lo", "hi")
 
-    def __post_init__(self):
-        lo = as_rational(self.lo)
-        hi = as_rational(self.hi)
-        object.__setattr__(self, "lo", lo)
-        object.__setattr__(self, "hi", hi)
+    def __init__(self, lo: RationalLike, hi: RationalLike):
+        lo = as_rational(lo)
+        hi = as_rational(hi)
         if lo > hi:
             raise MalformedIntervalError(f"interval endpoints out of order: {lo} > {hi}")
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     @property
     def length(self) -> Fraction:
@@ -74,15 +107,17 @@ def ivl(lo: RationalLike, hi: RationalLike) -> Interval:
     return Interval(as_rational(lo), as_rational(hi))
 
 
-@dataclass(frozen=True)
-class Gap:
+class Gap(Frozen):
     """Connected open component of the complement of an IntervalSet.
 
     Unbounded rays are encoded with ``None`` on the open side.
     """
 
-    lo: Optional[Fraction]
-    hi: Optional[Fraction]
+    __slots__ = _fields = ("lo", "hi")
+
+    def __init__(self, lo: Optional[Fraction], hi: Optional[Fraction]):
+        object.__setattr__(self, "lo", lo)
+        object.__setattr__(self, "hi", hi)
 
     def to_json(self) -> list:
         return [
@@ -345,16 +380,16 @@ def _merge(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:
     return los, his
 
 
-@dataclass(frozen=True)
-class ParamBox:
+class ParamBox(Frozen):
     """Rational rectangle of affine parameters; the scale range avoids 0."""
 
-    lam: Interval
-    t: Interval
+    __slots__ = _fields = ("lam", "t")
 
-    def __post_init__(self):
-        if self.lam.lo <= 0 <= self.lam.hi:
+    def __init__(self, lam: Interval, t: Interval):
+        if lam.lo <= 0 <= lam.hi:
             raise MalformedIntervalError("scale interval of a ParamBox must exclude 0")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "t", t)
 
     def corners(self) -> Iterator[tuple[Fraction, Fraction]]:
         for a in (self.lam.lo, self.lam.hi):
@@ -376,8 +411,7 @@ def box_image(x: RationalLike, box: ParamBox) -> Interval:
     return Interval(lo, hi)
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Frozen):
     """A rectangle cut into x_cells by y_cells closed cells.
 
     Cells are numbered row-major with the second axis fastest: cell
@@ -386,18 +420,18 @@ class Grid:
     column once and a huge grid builds none up front.
     """
 
-    x_range: Interval
-    y_range: Interval
-    x_cells: int
-    y_cells: int
-    _xs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _ys: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _fields = ("x_range", "y_range", "x_cells", "y_cells")
+    __slots__ = (*_fields, "_xs", "_ys")
 
-    def __post_init__(self):
-        if self.x_cells < 1 or self.y_cells < 1:
+    def __init__(self, x_range: Interval, y_range: Interval, x_cells: int, y_cells: int):
+        if x_cells < 1 or y_cells < 1:
             raise InvalidParameterError(
-                f"a grid needs at least one cell per axis, got {self.x_cells}x{self.y_cells}"
+                f"a grid needs at least one cell per axis, got {x_cells}x{y_cells}"
             )
+        for name, value in zip(self._fields, (x_range, y_range, x_cells, y_cells)):
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "_xs", {})
+        object.__setattr__(self, "_ys", {})
 
     def __len__(self) -> int:
         return self.x_cells * self.y_cells

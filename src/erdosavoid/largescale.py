@@ -22,9 +22,8 @@ from __future__ import annotations
 import math
 import operator
 import random
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Iterator, Optional, Sequence, Union
+from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from .enclosures import ln_interval
 from .errors import (
@@ -34,7 +33,7 @@ from .errors import (
     PrecisionError,
     ResourceLimitError,
 )
-from .intervals import Grid, Interval, IntervalSet
+from .intervals import Frozen, Grid, Interval, IntervalSet
 from .rationals import (
     RationalLike,
     as_rational,
@@ -52,16 +51,16 @@ RationalOrEnclosure = Union[Fraction, int, str, Interval]
 # digit schedule
 
 
-@dataclass(frozen=True)
-class DigitSchedule:
+class DigitSchedule(Frozen):
     """Block schedule over digits {0, ..., m-2}: block r repeats every
     digit r times, so runs of every digit grow without bound."""
 
-    m: int
+    __slots__ = _fields = ("m",)
 
-    def __post_init__(self):
-        if self.m < 3:
+    def __init__(self, m: int):
+        if m < 3:
             raise InvalidParameterError("need at least three parts per cell")
+        object.__setattr__(self, "m", m)
 
     def digit(self, i: int) -> int:
         if i < 0:
@@ -284,8 +283,7 @@ def is_p_large(e: PLargeSet, p: RationalLike) -> bool:
 # escape certification for x + n*y trajectories
 
 
-@dataclass(frozen=True)
-class LinearEscapeCertificate:
+class LinearEscapeCertificate(NamedTuple):
     x_box: Interval
     y_box: Interval
     status: str  # "certified" | "inconclusive"
@@ -611,8 +609,7 @@ def _seq_escape_index(
 # density and clustering probes
 
 
-@dataclass(frozen=True)
-class Mod1Profile:
+class Mod1Profile(NamedTuple):
     """Fractional parts of y*a_n for n <= count, with the largest
     circular gap.  For enclosure inputs the gap is an upper bound
     (midpoint gap widened by twice the largest enclosure width) and the
@@ -680,8 +677,7 @@ def density_mod1(
     return Mod1Profile(count, tuple(sorted(fracs)), _circular_max_gap(fracs))
 
 
-@dataclass(frozen=True)
-class ClusterCheck:
+class ClusterCheck(NamedTuple):
     """Minimal circular covering interval of the doubled dilates.
 
     `covering_length` is exact for rational inputs, a certified lower
@@ -732,8 +728,7 @@ def dubickas_gap_check(
 # coefficient-mass search
 
 
-@dataclass(frozen=True)
-class CoefficientMassBound:
+class CoefficientMassBound(NamedTuple):
     """Upper bound on the infimum of L(f*g) over admissible cofactors.
 
     `value` is the exact minimum over the enumerated grid family; the
@@ -754,6 +749,15 @@ class CoefficientMassBound:
         }
 
 
+# Cap on the work of one layer of the cofactor search: a layer visits up
+# to len(grid)**deg(f) states and tries each grid value from each, so a
+# fine step or a high-degree f is refused before the grid is built.  One
+# layer of 10^7 such pairs took 9.5 s on a 2-CPU VM, so at the cap a
+# layer takes about 2 s; criterion 09's widest search (129 values,
+# deg(f) = 1) needs 129^2 = 16641.
+MAX_DP_LAYER_WORK = 2 * 10**6
+
+
 def ell_upper_bound(
     f_coeffs: Sequence[RationalLike],
     max_deg: int,
@@ -766,7 +770,8 @@ def ell_upper_bound(
     remaining coefficients walk the grid {j*step : |j*step| <= bound}.
     A layered dynamic program makes the search exact over that family,
     so the result is a certified upper bound on the infimum, monotone
-    under grid refinement and degree growth.
+    under grid refinement and degree growth.  A search whose layers
+    would exceed MAX_DP_LAYER_WORK raises ResourceLimitError.
     """
     f = [as_rational(c) for c in f_coeffs]
     while f and f[-1] == 0:
@@ -778,6 +783,16 @@ def ell_upper_bound(
     if step <= 0 or bound <= 0 or max_deg < 0:
         raise InvalidParameterError("need positive step, bound, and degree")
     reach = floor_rational(bound / step)
+    width = 2 * reach + 1
+    work = 1
+    for _ in f:
+        work *= width
+        if work > MAX_DP_LAYER_WORK:
+            raise ResourceLimitError(
+                f"a {width}-value grid with a degree-{len(f) - 1} f makes each search layer "
+                f"try {width}^{len(f)} (state, value) pairs, over the cap "
+                f"MAX_DP_LAYER_WORK = {MAX_DP_LAYER_WORK}; take a coarser step or a smaller bound"
+            )
     # integer grid: f scaled by the lcm D of its denominators, cofactor
     # values in units of 1/den(step), costs in units of 1/(D*den(step))
     scale = math.lcm(*(c.denominator for c in f))
@@ -840,8 +855,7 @@ def _min_mass_dp(f: list[int], allowed: list[list[int]]) -> tuple[int, list[int]
 # log-domain escape for geometric sequences
 
 
-@dataclass(frozen=True)
-class LogEscapeCertificate:
+class LogEscapeCertificate(NamedTuple):
     y_box: Interval
     b_box: Interval
     status: str

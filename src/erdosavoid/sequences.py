@@ -10,7 +10,6 @@ need it rather than approximated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
@@ -20,15 +19,14 @@ from .errors import (
     NeedsLongerWindowError,
     PrecisionError,
 )
-from .intervals import Interval
+from .intervals import Frozen, Interval
 from .rationals import RationalLike, as_rational
 
 DOWN = "down"
 UP = "up"
 
 
-@dataclass(frozen=True)
-class SequenceSpec:
+class SequenceSpec(Frozen):
     """Strictly monotone rational sequence, 1-indexed.
 
     `diff_decreasing_from` is the index from which consecutive
@@ -37,12 +35,22 @@ class SequenceSpec:
     `length` bounds the usable window for explicit lists.
     """
 
-    kind: str
-    direction: str
-    _term: Callable[[int], Fraction]
-    diff_decreasing_from: Optional[int] = None
-    length: Optional[int] = None
-    params: tuple = ()
+    __slots__ = _fields = (
+        "kind", "direction", "_term", "diff_decreasing_from", "length", "params",
+    )
+
+    def __init__(
+        self,
+        kind: str,
+        direction: str,
+        _term: Callable[[int], Fraction],
+        diff_decreasing_from: Optional[int] = None,
+        length: Optional[int] = None,
+        params: tuple = (),
+    ):
+        values = (kind, direction, _term, diff_decreasing_from, length, params)
+        for name, value in zip(self._fields, values):
+            object.__setattr__(self, name, value)
 
     def term(self, n: int) -> Fraction:
         if n < 1:

@@ -15,10 +15,9 @@ from __future__ import annotations
 
 import random
 from bisect import bisect_left
-from dataclasses import dataclass
 from fractions import Fraction
 from math import lcm
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     ConstructionAuditError,
@@ -27,7 +26,7 @@ from .errors import (
     NeedsLongerWindowError,
     ResourceLimitError,
 )
-from .intervals import Gap, Grid, Interval, IntervalSet, ParamBox, box_image
+from .intervals import Frozen, Gap, Grid, Interval, IntervalSet, ParamBox, box_image
 from .rationals import RationalLike, as_rational, ceil_rational, format_rational
 from .sequences import DOWN, SequenceSpec
 
@@ -65,8 +64,7 @@ def regularize_subsequence(
     return indices
 
 
-@dataclass(frozen=True)
-class AvoiderLevel:
+class AvoiderLevel(NamedTuple):
     """Construction record for one punch level."""
 
     k: int
@@ -311,8 +309,7 @@ def _count_level(older, lattice) -> tuple[int, int]:
 # escape certification
 
 
-@dataclass(frozen=True)
-class EscapeCertificate:
+class EscapeCertificate(NamedTuple):
     """Finite witness that a whole parameter box leaves the set: the
     box image of one sequence term sits strictly inside one complement
     component."""
@@ -392,23 +389,25 @@ def grid_boxes(
 # bi-Lipschitz embedding
 
 
-@dataclass(frozen=True)
-class PiecewiseLinearMap:
+class PiecewiseLinearMap(Frozen):
     """Increasing piecewise-linear map given by its breakpoints.
 
     Outside the breakpoint span the map continues with slope 1.
     """
 
-    points: tuple[tuple[Fraction, Fraction], ...]
-    slope_lo: Fraction
-    slope_hi: Fraction
+    __slots__ = _fields = ("points", "slope_lo", "slope_hi")
 
-    def __post_init__(self):
-        for (x1, y1), (x2, y2) in zip(self.points, self.points[1:]):
+    def __init__(
+        self, points: tuple[tuple[Fraction, Fraction], ...], slope_lo: Fraction, slope_hi: Fraction
+    ):
+        for (x1, y1), (x2, y2) in zip(points, points[1:]):
             if not (x1 < x2 and y1 < y2):
                 raise InvalidParameterError("breakpoints must strictly increase")
-        if self.slope_lo <= 0:
+        if slope_lo <= 0:
             raise InvalidParameterError("lower slope bound must be positive")
+        object.__setattr__(self, "points", points)
+        object.__setattr__(self, "slope_lo", slope_lo)
+        object.__setattr__(self, "slope_hi", slope_hi)
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_rational(x)
@@ -596,16 +595,14 @@ def kolountzakis_delta(
     return delta, Interval(-ln.hi / n, -ln.lo / n)
 
 
-@dataclass(frozen=True)
-class PointProbeRecord:
+class PointProbeRecord(NamedTuple):
     t_box: Interval
     status: str
     witness_index: Optional[int] = None
     witness_gap: Optional[Gap] = None
 
 
-@dataclass(frozen=True)
-class PointProbeReport:
+class PointProbeReport(NamedTuple):
     records: tuple[PointProbeRecord, ...]
     certified_count: int
     certified_length: Fraction

@@ -14,9 +14,8 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_right
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import InvalidParameterError, ResourceLimitError
 from .gaptree import (
@@ -143,8 +142,7 @@ def _frame_map(n: int, l: int) -> tuple[Fraction, Fraction]:
     return scale, scale * l
 
 
-@dataclass(frozen=True)
-class FrameTrace:
+class FrameTrace(NamedTuple):
     """Outcome of one framed intersection attempt."""
 
     box: ParamBox
@@ -346,16 +344,14 @@ class FrameCertifier:
 # sumset coverage
 
 
-@dataclass(frozen=True)
-class CoverageRecord:
+class CoverageRecord(NamedTuple):
     target: Fraction
     covered: bool
     witness: Optional[Fraction] = None
     nearest_miss: Optional[Fraction] = None
 
 
-@dataclass(frozen=True)
-class CoverageReport:
+class CoverageReport(NamedTuple):
     """Per-target hits of X + lam * (family members) at finite depth."""
 
     lam: Fraction

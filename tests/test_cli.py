@@ -414,24 +414,33 @@ def test_package_import_runs_no_submodule():
     assert done.stdout.strip() == "[]"
 
 
-_CLI_CORE = {"cli", "errors", "intervals", "rationals", "sequences"}
+_CLI_CORE = {"cli", "errors", "intervals", "rationals"}
+_ESCAPE = _CLI_CORE | {"sequences", "enclosures", "largescale"}
 
 
 @pytest.mark.parametrize("argv, modules", [
-    (["construct", "sublacunary-avoider", "--levels", "2"], _CLI_CORE | {"smallscale"}),
+    (["construct", "sublacunary-avoider", "--levels", "2"], _CLI_CORE | {"sequences", "smallscale"}),
     (["probe", "ell-bound", "--f=-2,1", "--max-deg", "2", "--step", "1/4", "--bound", "1"],
-     _CLI_CORE | {"enclosures", "largescale"}),
+     _ESCAPE),
     (["certify", "log-escape", "--m", "4", "--grid", "2x2", "--y-range", "1:2",
-      "--b-range", "3/2:3"], _CLI_CORE | {"enclosures", "largescale"}),
-], ids=["construct-sublacunary-avoider", "probe-ell-bound", "certify-log-escape"])
+      "--b-range", "3/2:3"], _ESCAPE),
+    (["certify", "digit-avoider", "--grid", "2x2", "--Nmax", "32", "--validate",
+      "--samples", "5"], _ESCAPE),
+    (["certify", "frame-intersection", "--count", "3", "--depth", "6"],
+     _CLI_CORE | {"gaptree", "intersect", "sumsets"}),
+], ids=["construct-sublacunary-avoider", "probe-ell-bound", "certify-log-escape",
+        "certify-digit-avoider-validate", "certify-frame-intersection"])
 def test_cli_target_runs_only_the_modules_it_uses(tmp_path, argv, modules):
+    # nor does any target load dataclasses, or inspect, which it imports
     code = ("import sys, types, erdosavoid.cli; "
             f"code = erdosavoid.cli.main({argv + ['--out', 'out']!r}); "
-            f"print(code, *{_RUN_SUBMODULES})")
+            "print(code, 'dataclasses' in sys.modules, 'inspect' in sys.modules, "
+            f"*{_RUN_SUBMODULES})")
     done = _python("-c", code, cwd=tmp_path)
     assert done.returncode == 0, done.stderr
-    code, *run_now = done.stdout.split()
+    code, dataclasses, inspect, *run_now = done.stdout.split()
     assert code == "0" and (tmp_path / "out").exists()
+    assert (dataclasses, inspect) == ("False", "False")
     assert {name.removeprefix("erdosavoid.") for name in run_now} == modules
 
 
@@ -662,6 +671,38 @@ def test_oversize_trees_exit_1(argv, tmp_path, capsys):
     assert main([*argv, "--out", str(tmp_path / "out")]) == 1
     assert "error:" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [
+    ["--f=-2,1", "--step", "1/1500"],  # 3001 grid values: 3001^2 pairs per layer
+    ["--f=1,0,0,0,0,0,1", "--step", "1/16"],  # degree 6: 33^7 pairs per layer
+], ids=["fine-step", "high-degree"])
+def test_oversize_cofactor_search_exits_1(argv, monkeypatch, tmp_path, capsys):
+    # the cap is checked before the grid is built; the search is replaced,
+    # so a missing check fails here at once rather than running for hours
+    def search(*args):
+        raise AssertionError("the search ran")
+
+    monkeypatch.setattr(largescale, "_min_mass_dp", search)
+    assert main(["probe", "ell-bound", *argv, "--out", str(tmp_path / "out")]) == 1
+    assert "MAX_DP_LAYER_WORK" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_parse_builds_only_the_flags_of_its_target():
+    parser = build_parser()
+    parser.parse_args(["probe", "ell-bound", "--step", "1/4"])
+    commands = parser._subparsers._group_actions[0].choices
+    built = {
+        f"{command} {name}"
+        for command, sub in commands.items() if command != "report"
+        for name, leaf in sub._subparsers._group_actions[0].choices.items()
+        if [a.dest for a in leaf._actions] != ["help"]
+    }
+    assert built == {"probe ell-bound"}
+    # --config walks every target, so that each key is checked
+    assert len(list(_leaves(parser))) == 15
+    assert all(len(leaf._actions) > 2 for leaf in _leaves(parser))
 
 
 def test_help_exits_0(capsys):

@@ -88,6 +88,12 @@ MUTANTS = (
         (L + "test_span_escapes_over_adjacent_removed_parts",),
     ),
     Mutant(
+        "escape-index-step-count", LARGESCALE,
+        "    for n in range(1, n_max + 1):\n        s += step\n",
+        "    for n in range(1, n_max):\n        s += step\n",
+        (L + "test_escape_index_on_boundaries_and_integers",),
+    ),
+    Mutant(
         "escape-index-interior-point", LARGESCALE,
         "(r == 0 and j - 1 == digit)", "(j - 1 == digit)",
         (L + "test_escape_index_on_boundaries_and_integers",),
@@ -117,6 +123,18 @@ MUTANTS = (
         "log-escape-end-pairing", LARGESCALE,
         "s_lo, s_hi = -yh, -yl", "s_lo, s_hi = -yl, -yh",
         (L + "test_log_escape_pairs_the_enclosure_ends",),
+    ),
+    Mutant(
+        "punch-level-ceil", SMALLSCALE,
+        "lo, hi = lo_num[i], hi_num[i]\n            jlo = (lo - shift + q - 1) // q",
+        "lo, hi = lo_num[i], hi_num[i]\n            jlo = (lo - shift) // q",
+        ("tests/test_smallscale.py::test_avoider_fast_measure_matches_generic_intersection",),
+    ),
+    Mutant(
+        "punch-level-floor", SMALLSCALE,
+        "jhi = (hi + shift) // q\n        else:",
+        "jhi = (hi + shift + q - 1) // q\n        else:",
+        ("tests/test_smallscale.py::test_avoider_fast_measure_matches_generic_intersection",),
     ),
     Mutant(
         "count-level-single-touch", SMALLSCALE,
