@@ -24,8 +24,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "intervals": ("Gap", "Interval", "IntervalSet", "ParamBox", "box_image", "ivl"),
     "gaptree": (
-        "GapTree", "Thickness", "affine_tree", "decompose", "from_middle_ratio",
-        "thickness", "to_interval_set", "tree_from_json", "tree_to_json",
+        "GapTree", "Thickness", "affine_tree", "from_middle_ratio", "thickness",
+        "to_interval_set", "tree_to_json",
     ),
     "intersect": (
         "GapLemmaVerdict", "WalkTrace", "build_tilde", "check_gap_lemma",
@@ -42,15 +42,13 @@ _EXPORTS = {
     "smallscale": (
         "AvoiderResult", "EscapeCertificate", "PiecewiseLinearMap",
         "build_sublacunary_avoider", "certify_no_affine_copy", "embed_lacunary",
-        "erdos_point_probe", "grid_boxes", "kolountzakis_delta",
-        "regularize_subsequence", "slope_envelope", "steinhaus_embed",
-        "validate_certificate",
+        "grid_boxes", "kolountzakis_delta", "slope_envelope", "validate_certificate",
     ),
     "largescale": (
         "ClusterCheck", "CoefficientMassBound", "DigitSchedule",
         "LinearEscapeCertificate", "LogEscapeCertificate", "Mod1Profile", "PLargeSet",
-        "certify_linear_escape", "countable_dilation_avoider", "density_mod1",
-        "digit_avoider", "dubickas_gap_check", "ell_upper_bound", "fractional_set",
+        "certify_linear_escape", "density_mod1", "digit_avoider",
+        "dubickas_gap_check", "ell_upper_bound", "fractional_set",
         "geometric_escape_via_log", "is_p_large", "point_escape_index",
         "quotient_avoider", "sweep_linear_escape", "sweep_log_escape",
         "validate_linear_escape",

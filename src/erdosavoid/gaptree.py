@@ -1,20 +1,16 @@
 """Binary gap-tree presentation of Cantor-type sets.
 
 A tree node carries a closed hull interval and, when split, the open
-gap removed from it together with the left and right child trees.  The
-gap chosen at each split is the largest one available inside the node,
-ties resolved leftmost, which makes the presentation of a given
-interval set canonical.
+gap removed from it together with the left and right child trees.
 
 A tree is stored as integer level arrays: one denominator per tree and,
 per depth, the `lo` and `hi` numerators of its nodes from left to right.
 A split node's gap is (hi of its left child, lo of its right child).
 `from_middle_ratio` and `affine_tree` compute the arrays directly and
 build no node; a `GapTree` node is built from them when first read and
-then cached.  A tree assembled from nodes (`GapTree(...)`, `decompose`,
-`tree_from_json`) derives its arrays on first use.  `thickness`,
-`to_interval_set`, `min_depth`, `==` and the frame certifier in
-`sumsets` read the arrays only.
+then cached.  A tree assembled from nodes (`GapTree(...)`) derives its
+arrays on first use.  `thickness`, `to_interval_set`, `min_depth`, `==`
+and the frame certifier in `sumsets` read the arrays only.
 
 Thickness here is the classical Newhouse ratio min(|left|, |right|) /
 |gap| minimized over recorded nodes.  For a finite tree this minimum is
@@ -35,9 +31,7 @@ from .errors import (
     DegenerateMapError,
     InvalidParameterError,
     MalformedIntervalError,
-    NotEnoughStructureError,
     ResourceLimitError,
-    SchemaError,
 )
 from .intervals import Interval, IntervalSet
 from .rationals import RationalLike, as_rational, format_rational
@@ -281,40 +275,6 @@ def from_middle_ratio(
     return _Rows(den, los, his, [None] * depth, True).node(0, 0)
 
 
-def decompose(s: IntervalSet, depth: int) -> GapTree:
-    """Largest-gap (ties leftmost) bisection of an interval set's hull.
-
-    Requires enough gaps for every branch down to `depth`; otherwise a
-    NotEnoughStructureError names the failing node.
-    """
-    if depth < 0:
-        raise InvalidParameterError("depth must be >= 0")
-    if not s:
-        raise NotEnoughStructureError("", "empty set has no hull")
-
-    def build(components: tuple[Interval, ...], d: int, label: str) -> GapTree:
-        hull = Interval(components[0].lo, components[-1].hi)
-        if d == 0:
-            return GapTree(hull)
-        if len(components) < 2:
-            raise NotEnoughStructureError(
-                label, f"no gap available to split {hull} at remaining depth {d}"
-            )
-        best_i = 0
-        best_len = components[1].lo - components[0].hi
-        for i in range(1, len(components) - 1):
-            glen = components[i + 1].lo - components[i].hi
-            if glen > best_len:  # strict: ties keep the leftmost gap
-                best_len = glen
-                best_i = i
-        gap = Interval(components[best_i].hi, components[best_i + 1].lo)
-        left = build(components[: best_i + 1], d - 1, label + "0")
-        right = build(components[best_i + 1 :], d - 1, label + "1")
-        return GapTree(hull, gap, left, right)
-
-    return build(s.intervals, depth, "")
-
-
 def thickness(tree: GapTree) -> Thickness:
     """Exact minimum of min(|left|, |right|)/|gap| over recorded nodes,
     compared on the level arrays by cross-multiplication."""
@@ -384,31 +344,3 @@ def tree_to_json(tree: GapTree) -> dict:
     obj["right"] = None if tree.right is None else tree_to_json(tree.right)
     return obj
 
-
-# Deepest split chain read from JSON: tree_to_json (and the pickling of a
-# tree assembled from nodes) recurses once per level, so deeper trees are
-# refused at the input; affine_tree and == work level by level on arrays.
-JSON_DEPTH_LIMIT = 256
-
-
-def tree_from_json(obj: dict, _depth: int = 0) -> GapTree:
-    if _depth > JSON_DEPTH_LIMIT:
-        raise SchemaError(
-            f"gap-tree JSON nests deeper than the limit of {JSON_DEPTH_LIMIT} levels"
-        )
-    if not isinstance(obj, dict) or "interval" not in obj:
-        raise SchemaError("gap-tree JSON must carry an 'interval' field")
-    iv = _interval_from_json(obj["interval"])
-    if obj.get("gap") is None:
-        return GapTree(iv)
-    if "left" not in obj or "right" not in obj:
-        raise SchemaError("a gap-tree split node needs 'left' and 'right' fields")
-    gap = _interval_from_json(obj["gap"])
-    left = tree_from_json(obj["left"], _depth + 1)
-    return GapTree(iv, gap, left, tree_from_json(obj["right"], _depth + 1))
-
-
-def _interval_from_json(pair) -> Interval:
-    if not isinstance(pair, list) or len(pair) != 2:
-        raise SchemaError(f"gap-tree interval must be a [lo, hi] list, got {pair!r}")
-    return Interval(as_rational(pair[0]), as_rational(pair[1]))

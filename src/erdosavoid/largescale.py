@@ -27,7 +27,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence,
 
 from .enclosures import ln_interval
 from .errors import (
-    ConstructionAuditError,
     InfeasibleParametersError,
     InvalidParameterError,
     PrecisionError,
@@ -104,18 +103,13 @@ class FractionalGenerator:
 class DigitGenerator:
     """Cell k keeps all parts except the scheduled one and the top one.
 
-    With `tracks` > 1 the cells are interleaved: cell k is driven by
-    track k mod tracks, and the i-th cell of a track takes the i-th
-    schedule digit.  Negative cells mirror the schedule.
+    Cell k takes schedule digit k; negative cells mirror the schedule.
     """
 
     kind = "digit"
 
-    def __init__(self, m: int, tracks: int = 1):
-        if tracks < 1:
-            raise InvalidParameterError("need at least one track")
+    def __init__(self, m: int):
         self.m = m
-        self.tracks = tracks
         self.schedule = DigitSchedule(m)
         self._digits: dict[int, int] = {}
 
@@ -124,8 +118,7 @@ class DigitGenerator:
         escape scans revisit the same few cells many times."""
         digit = self._digits.get(k)
         if digit is None:
-            i = k // self.tracks
-            digit = self._digits[k] = self.schedule.digit(i if i >= 0 else -i - 1)
+            digit = self._digits[k] = self.schedule.digit(k if k >= 0 else -k - 1)
         return digit
 
     def removed_digits(self, k: int) -> tuple[int, int]:
@@ -144,7 +137,8 @@ class DigitGenerator:
         return IntervalSet(pieces)
 
     def describe(self) -> dict:
-        return {"kind": self.kind, "m": self.m, "tracks": self.tracks}
+        # "tracks" stays in the artifact format; it is always 1
+        return {"kind": self.kind, "m": self.m, "tracks": 1}
 
 
 class QuotientGenerator:
@@ -192,21 +186,6 @@ class QuotientGenerator:
         }
 
 
-class ExplicitCellsGenerator:
-    kind = "explicit"
-
-    def __init__(self, cells: Sequence[IntervalSet]):
-        self._cells = list(cells)
-
-    def cell(self, k: int) -> IntervalSet:
-        if not 0 <= k < len(self._cells):
-            raise ResourceLimitError(f"no materialized cell {k}")
-        return self._cells[k]
-
-    def describe(self) -> dict:
-        return {"kind": self.kind, "count": len(self._cells)}
-
-
 class PLargeSet:
     """Union of unit cells, each claimed to carry measure at least p.
 
@@ -251,12 +230,6 @@ class PLargeSet:
             "cells": [self.cell(k).to_json() for k in range(self.window)],
             "generator": self.generator.describe(),
         }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "PLargeSet":
-        cells = [IntervalSet.from_json(c) for c in obj["cells"]]
-        gen = ExplicitCellsGenerator(cells)
-        return cls(as_rational(obj["p"]), int(obj["window"]), gen)
 
 
 def fractional_set(p: RationalLike, window: int) -> PLargeSet:
@@ -396,7 +369,7 @@ def certify_linear_escape(
                    a whole removed part: only some trajectory in the box
                    is shown to meet it at step n.  Sampling such boxes
                    (`validate_linear_escape`) is an audit, not evidence;
-                   ROADMAP.md item 2 replaces this route.
+                   ROADMAP.md item 1 replaces this route.
 
     The image of step n and the parts of every cell are compared as
     integers over the common denominator L*m, where L is the lcm of the
@@ -528,7 +501,7 @@ def sweep_depth(n_max: int, n_max_cap: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# quotient and countable-dilation avoiders
+# quotient avoider
 
 
 def quotient_avoider(
@@ -554,55 +527,6 @@ def quotient_avoider(
     raise InfeasibleParametersError(
         f"no cell threshold reached the target largeness {p} on this window"
     )
-
-
-def countable_dilation_avoider(
-    seq: SequenceSpec,
-    dilations: Sequence[RationalLike],
-    p: RationalLike,
-    window: int,
-    probe_offsets: Sequence[RationalLike] = (0, Fraction(1, 4), Fraction(1, 2), Fraction(3, 4)),
-    n_max: int = 4096,
-) -> PLargeSet:
-    """Track-interleaved digit avoider for finitely many dilations.
-
-    Cell k runs the digit schedule of track k mod len(dilations).  The
-    construction is audited on the spot: for every dilation and probe
-    offset an escape index must exist within n_max, otherwise the
-    construction is rejected loudly.  The interleaving itself is a
-    design of this artifact, not a claim about any published proof.
-    """
-    p = as_rational(p)
-    if seq.direction != UP:
-        raise InvalidParameterError("dilation avoiders take increasing sequences")
-    ys = [as_rational(y) for y in dilations]
-    if not ys or any(y <= 0 for y in ys):
-        raise InvalidParameterError("dilations must be positive")
-    m = max(3, ceil_rational(Fraction(2) / (1 - p)))
-    gen = DigitGenerator(m, tracks=len(ys))
-    result = PLargeSet(Fraction(m - 2, m), window, gen)
-    if result.p < p:
-        raise InfeasibleParametersError("part count cannot reach the target largeness")
-    for y in ys:
-        for x in probe_offsets:
-            x = as_rational(x)
-            n = _seq_escape_index(result, x, y, seq, n_max)
-            if n is None:
-                raise ConstructionAuditError(
-                    f"no escape for dilation {y} at offset {x} within {n_max} terms"
-                )
-    return result
-
-
-def _seq_escape_index(
-    e: PLargeSet, x: Fraction, y: Fraction, seq: SequenceSpec, n_max: int
-) -> Optional[int]:
-    gen = _digit_generator(e, "sequence escape")
-    for n in range(1, n_max + 1):
-        s = x + y * seq.term(n)
-        if _span_escapes(gen, s.numerator, s.numerator, s.denominator):
-            return n
-    return None
 
 
 # ---------------------------------------------------------------------------
@@ -749,13 +673,15 @@ class CoefficientMassBound(NamedTuple):
         }
 
 
-# Cap on the work of one layer of the cofactor search: a layer visits up
-# to len(grid)**deg(f) states and tries each grid value from each, so a
-# fine step or a high-degree f is refused before the grid is built.  One
-# layer of 10^7 such pairs took 9.5 s on a 2-CPU VM, so at the cap a
-# layer takes about 2 s; criterion 09's widest search (129 values,
-# deg(f) = 1) needs 129^2 = 16641.
-MAX_DP_LAYER_WORK = 2 * 10**6
+# Cap on the summed work of the cofactor search: each of its layers
+# visits up to len(grid)**deg(f) states and tries each grid value from
+# each, and the max_deg + 2 families hold (max_deg + 1)(max_deg + 4)/2
+# layers in all, so a fine step, a high-degree f or a high max_deg is
+# refused before the grid and the families are built.  On a 2-CPU VM a
+# search just under the cap (239 values, deg(f) = 1, max_deg 6: 35
+# layers) took 0.6 s; criterion 09's widest search (129 values, the same
+# degrees) needs 35 * 129^2 = 582435.
+MAX_DP_WORK = 2 * 10**6
 
 
 def ell_upper_bound(
@@ -771,7 +697,7 @@ def ell_upper_bound(
     A layered dynamic program makes the search exact over that family,
     so the result is a certified upper bound on the infimum, monotone
     under grid refinement and degree growth.  A search whose layers
-    would exceed MAX_DP_LAYER_WORK raises ResourceLimitError.
+    would together exceed MAX_DP_WORK raises ResourceLimitError.
     """
     f = [as_rational(c) for c in f_coeffs]
     while f and f[-1] == 0:
@@ -784,14 +710,14 @@ def ell_upper_bound(
         raise InvalidParameterError("need positive step, bound, and degree")
     reach = floor_rational(bound / step)
     width = 2 * reach + 1
-    work = 1
+    layers = work = (max_deg + 1) * (max_deg + 4) // 2
     for _ in f:
         work *= width
-        if work > MAX_DP_LAYER_WORK:
+        if work > MAX_DP_WORK:
             raise ResourceLimitError(
-                f"a {width}-value grid with a degree-{len(f) - 1} f makes each search layer "
-                f"try {width}^{len(f)} (state, value) pairs, over the cap "
-                f"MAX_DP_LAYER_WORK = {MAX_DP_LAYER_WORK}; take a coarser step or a smaller bound"
+                f"{layers} search layers of {width}^{len(f)} (state, value) pairs ({width} grid "
+                f"values, a degree-{len(f) - 1} f) exceed the cap MAX_DP_WORK = {MAX_DP_WORK}; "
+                f"take a coarser step, a smaller bound or a lower max_deg"
             )
     # integer grid: f scaled by the lcm D of its denominators, cofactor
     # values in units of 1/den(step), costs in units of 1/(D*den(step))

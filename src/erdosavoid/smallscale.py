@@ -1,10 +1,8 @@
 """Constructions for decreasing sequences near a density point.
 
-Covers the greedy subsequence regularizer, the punched-interval avoider
-for slowly decreasing sequences, finite-box escape certification, the
-piecewise-linear embedder for quickly decreasing sequences, dilate
-embedding of finite configurations, the slow-decay statistic, and
-escape probes at a fixed base point.
+Covers the punched-interval avoider for slowly decreasing sequences,
+finite-box escape certification, the piecewise-linear embedder for
+quickly decreasing sequences, and the slow-decay statistic.
 
 The avoider is built to a finite level K; escape from it is therefore
 witnessed per parameter box (certified) or left inconclusive, never
@@ -29,39 +27,6 @@ from .errors import (
 from .intervals import Frozen, Gap, Grid, Interval, IntervalSet, ParamBox, box_image
 from .rationals import RationalLike, as_rational, ceil_rational, format_rational
 from .sequences import DOWN, SequenceSpec
-
-
-def regularize_subsequence(
-    seq: SequenceSpec, count: int, window: int = 1_000_000
-) -> list[int]:
-    """Greedy subsequence with two-sided difference control.
-
-    Starting from n_1 = 1, each next index is the least p > n_k with
-    a_{n_k} - a_p >= t_{n_k}, where t_n is the tail supremum of
-    consecutive differences.  The selected gaps then satisfy
-    t_{n_k} <= a_{n_k} - a_{n_{k+1}} <= 2 t_{n_k} exactly.
-    """
-    if seq.direction != DOWN:
-        raise InvalidParameterError("regularization applies to decreasing sequences")
-    if count < 1:
-        raise InvalidParameterError("need at least one index")
-    indices = [1]
-    while len(indices) < count:
-        nk = indices[-1]
-        t = seq.sup_tail_difference(nk)
-        a_nk = seq.term(nk)
-        limit = window if seq.length is None else min(window, seq.length)
-        p = nk + 1
-        while p <= limit:
-            if a_nk - seq.term(p) >= t:
-                break
-            p += 1
-        else:
-            raise NeedsLongerWindowError(
-                f"no admissible index above {nk} within window {limit}"
-            )
-        indices.append(p)
-    return indices
 
 
 class AvoiderLevel(NamedTuple):
@@ -538,40 +503,7 @@ def slope_envelope(eta: RationalLike, delta: RationalLike) -> tuple[Fraction, Fr
 
 
 # ---------------------------------------------------------------------------
-# finite configurations and probes
-
-
-def steinhaus_embed(
-    a_points: Sequence[RationalLike],
-    e: IntervalSet,
-    t_max: RationalLike,
-    grid: int,
-    refine: int = 6,
-) -> Optional[Fraction]:
-    """Search a dilate factor placing a finite configuration inside e.
-
-    The configuration is normalized by its maximum so it sits in
-    (0, 1]; candidate factors walk the grid on (0, t_max] from above,
-    halving the step up to `refine` times.  A returned factor is
-    membership-checked exactly for every point; None means the search
-    failed at this resolution, not that no factor exists.
-    """
-    pts = sorted(as_rational(a) for a in a_points)
-    if not pts or pts[0] <= 0:
-        raise InvalidParameterError("configuration points must be positive")
-    t_max = as_rational(t_max)
-    if t_max <= 0 or grid < 1:
-        raise InvalidParameterError("need a positive search bound and grid")
-    top = pts[-1]
-    norm = [p / top for p in pts]
-    g = grid
-    for _ in range(refine + 1):
-        for i in range(g, 0, -1):
-            delta = t_max * Fraction(i, g)
-            if all(e.contains(delta * p) for p in norm):
-                return delta
-        g *= 2
-    return None
+# slow-decay statistic
 
 
 def kolountzakis_delta(
@@ -594,51 +526,3 @@ def kolountzakis_delta(
     ln = ln_enclosure(delta, bits)
     return delta, Interval(-ln.hi / n, -ln.lo / n)
 
-
-class PointProbeRecord(NamedTuple):
-    t_box: Interval
-    status: str
-    witness_index: Optional[int] = None
-    witness_gap: Optional[Gap] = None
-
-
-class PointProbeReport(NamedTuple):
-    records: tuple[PointProbeRecord, ...]
-    certified_count: int
-    certified_length: Fraction
-    total_length: Fraction
-
-    @property
-    def coverage(self) -> Fraction:
-        if self.total_length == 0:
-            total = len(self.records)
-            return Fraction(self.certified_count, total) if total else Fraction(0)
-        return self.certified_length / self.total_length
-
-
-def erdos_point_probe(
-    k_set: IntervalSet,
-    seq: SequenceSpec,
-    x: RationalLike,
-    t_boxes: Sequence[Interval],
-    max_n: int,
-) -> PointProbeReport:
-    """Escape evidence for dilates of a sequence placed at a fixed point.
-
-    Each t-box is certified when some x + t_box * a_n lands strictly
-    inside a complement component of the ambient set.  This probe is
-    exploratory: an inconclusive box says nothing at larger depth.
-    """
-    x = as_rational(x)
-    if not k_set.contains(x):
-        raise InvalidParameterError("base point must belong to the set")
-    if any(box.lo <= 0 <= box.hi for box in t_boxes):
-        raise InvalidParameterError("t-box must not straddle 0")
-    boxes = [ParamBox(box, Interval(x, x)) for box in t_boxes]
-    records = tuple(
-        PointProbeRecord(c.box.lam, c.status, c.witness_index, c.witness_gap)
-        for c in certify_no_affine_copy(k_set, seq, boxes, max_n)
-    )
-    certified = [r.t_box.length for r in records if r.status == "certified"]
-    total = sum((box.length for box in t_boxes), Fraction(0))
-    return PointProbeReport(records, len(certified), sum(certified, Fraction(0)), total)

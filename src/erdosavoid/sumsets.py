@@ -12,7 +12,6 @@ a constructive witness.
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence

@@ -461,25 +461,23 @@ PUBLIC_NAMES = """
     Mod1Profile PLargeSet ParamBox PiecewiseLinearMap SequenceSpec Thickness
     WalkTrace affine_tree as_rational box_image build_dyadic_family
     build_sublacunary_avoider build_tilde certify_linear_escape
-    certify_no_affine_copy check_gap_lemma containment_walk
-    countable_dilation_avoider custom decompose density_mod1 digit_avoider
-    dubickas_gap_check ell_upper_bound embed_lacunary erdos_point_probe
+    certify_no_affine_copy check_gap_lemma containment_walk custom density_mod1
+    digit_avoider dubickas_gap_check ell_upper_bound embed_lacunary
     escape_to_coverage_params explicit format_rational fractional_set
     from_middle_ratio geometric_down geometric_escape_via_log geometric_up
     grid_boxes is_p_large ivl kolountzakis_delta linear ln2_enclosure
-    ln_enclosure ln_interval parse_rational perturbation_delta point_escape_index
-    quotient_avoider reciprocal reciprocal_power regularize_subsequence
-    root_enclosure select_frame slope_envelope sqrt_enclosure steinhaus_embed
-    sumset_cover_probe sweep_linear_escape sweep_log_escape thickness
-    to_interval_set tree_from_json tree_to_json validate_certificate
-    validate_linear_escape
+    ln_enclosure ln_interval parse_rational perturbation_delta
+    point_escape_index quotient_avoider reciprocal reciprocal_power
+    root_enclosure select_frame slope_envelope sqrt_enclosure sumset_cover_probe
+    sweep_linear_escape sweep_log_escape thickness to_interval_set tree_to_json
+    validate_certificate validate_linear_escape
 """.split()
 SUBMODULES = ("enclosures errors gaptree intersect intervals largescale rationals "
               "sequences smallscale sumsets").split()
 
 
 def test_public_names_resolve():
-    assert len(PUBLIC_NAMES) == 79
+    assert len(PUBLIC_NAMES) == 73
     assert erdosavoid.__all__ == sorted(PUBLIC_NAMES + SUBMODULES)
     for name in PUBLIC_NAMES:
         value = getattr(erdosavoid, name)
@@ -674,18 +672,20 @@ def test_oversize_trees_exit_1(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv", [
-    ["--f=-2,1", "--step", "1/1500"],  # 3001 grid values: 3001^2 pairs per layer
-    ["--f=1,0,0,0,0,0,1", "--step", "1/16"],  # degree 6: 33^7 pairs per layer
-], ids=["fine-step", "high-degree"])
+    ["--f=-2,1", "--step", "1/1500"],  # 3001 grid values: 20 * 3001^2 pairs
+    ["--f=1,0,0,0,0,0,1", "--step", "1/16"],  # degree 6: 20 * 33^7 pairs
+    ["--f=-2,1", "--max-deg", "100000"],  # about 5*10^9 layers of 33^2 pairs
+], ids=["fine-step", "high-degree", "high-max-deg"])
 def test_oversize_cofactor_search_exits_1(argv, monkeypatch, tmp_path, capsys):
-    # the cap is checked before the grid is built; the search is replaced,
-    # so a missing check fails here at once rather than running for hours
+    # the cap is checked before the grid and the families are built; the
+    # search is replaced, so a missing check fails here at once rather
+    # than running for hours
     def search(*args):
         raise AssertionError("the search ran")
 
     monkeypatch.setattr(largescale, "_min_mass_dp", search)
     assert main(["probe", "ell-bound", *argv, "--out", str(tmp_path / "out")]) == 1
-    assert "MAX_DP_LAYER_WORK" in capsys.readouterr().err
+    assert "MAX_DP_WORK" in capsys.readouterr().err
     assert list(tmp_path.iterdir()) == []
 
 

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from erdosavoid.enclosures import ln_interval, sqrt_enclosure
 from erdosavoid.errors import (
-    ConstructionAuditError,
     InvalidParameterError,
     PrecisionError,
     ResourceLimitError,
@@ -21,7 +20,6 @@ from erdosavoid.largescale import (
     LinearEscapeCertificate,
     PLargeSet,
     certify_linear_escape,
-    countable_dilation_avoider,
     density_mod1,
     digit_avoider,
     dubickas_gap_check,
@@ -36,7 +34,6 @@ from erdosavoid.largescale import (
     sweep_log_escape,
     validate_linear_escape,
     _escape_index,
-    _seq_escape_index,
     _span_escapes,
     _unit_draws,
 )
@@ -159,12 +156,11 @@ def test_width_rule_soundness_structural():
     y=st.fractions(min_value=0, max_value=4, max_denominator=24).filter(lambda q: q > 0),
 )
 def test_escape_predicates_agree_on_linear_trajectories(m, x, y):
-    # the scan over x + n*y, the sequence scan with a_n = n, and the
-    # single-point test must name the same first escape step
+    # the scan over x + n*y and the single-point test must name the
+    # same first escape step
     e = digit_avoider(m, 8)
     n_max = 48
     n = point_escape_index(e, x, y, n_max)
-    assert _seq_escape_index(e, x, y, linear(), n_max) == n
     last = n if n is not None else n_max
     for step in range(1, last + 1):
         assert reference_point_escapes(e, x + step * y) == (step == n)
@@ -176,7 +172,7 @@ def digit_spans(draw):
     spans up to three cells wide, some degenerate, and spans hugging a
     removed part so that a fair share of them escape."""
     m = draw(st.sampled_from([3, 4, 5, 7]))
-    gen = DigitGenerator(m, tracks=draw(st.integers(1, 3)))
+    gen = DigitGenerator(m)
     e = PLargeSet(F(m - 2, m), 4, gen)
 
     def end(low, high):
@@ -332,7 +328,7 @@ def trajectories(draw):
     denominators that put points on part boundaries (r = 0) and on
     integers or not, and guards small enough to trip."""
     m = draw(st.sampled_from([3, 4, 5, 7]))
-    gen = DigitGenerator(m, tracks=draw(st.integers(1, 3)))
+    gen = DigitGenerator(m)
     if draw(st.booleans()):
         den = draw(st.sampled_from([1, m, 2 * m, m * m]))
     else:
@@ -499,33 +495,6 @@ def test_quotient_avoider_enclosure_dilation():
         assert e.cell(k).measure() >= F(1, 2)
 
 
-def test_countable_dilation_reduces_to_digit_schedule():
-    e = countable_dilation_avoider(linear(), [1], F(1, 2), 10)
-    d = digit_avoider(4, 10)
-    for k in range(10):
-        assert e.cell(k) == d.cell(k)
-
-
-def test_countable_dilation_two_tracks():
-    e = countable_dilation_avoider(linear(), [1, 2], F(1, 2), 20)
-    assert is_p_large(e, F(1, 2))
-    assert e.generator.tracks == 2
-
-
-def test_countable_dilation_p_three_quarters():
-    e = countable_dilation_avoider(linear(), [1, 2, 3], F(3, 4), 12)
-    assert e.generator.m == 8
-    for k in range(12):
-        assert e.cell(k).measure() == F(3, 4)
-
-
-def test_countable_dilation_audit_failure_surfaces():
-    with pytest.raises(ConstructionAuditError):
-        countable_dilation_avoider(
-            linear(), [1], F(1, 2), 4, probe_offsets=[0], n_max=2
-        )
-
-
 # --- density and clustering probes -------------------------------------------
 
 
@@ -613,6 +582,25 @@ def test_ell_telescoping_witness_is_geometric():
     res = ell_upper_bound([-2, 1], 3, F(1, 8), 1)
     assert res.value == 2 + F(1, 8)
     assert res.witness == (F(1), F(1, 2), F(1, 4), F(1, 8))
+
+
+def test_ell_tie_keeps_the_state_reached_first():
+    # (1 + x)(1 - x) and (1 + x)*1 both have mass 2; the grid is walked
+    # from -1 up, and on equal cost the state reached first wins
+    res = ell_upper_bound([1, 1], 1, 1, 1)
+    assert res.value == 2
+    assert res.witness == (F(1), F(-1))
+
+
+def test_ell_search_at_the_work_cap_runs(monkeypatch):
+    # step 1/2, bound 1: 5 grid values; max_deg 1: 2 + 3 = 5 layers of 5^2 pairs
+    import erdosavoid.largescale as largescale
+
+    monkeypatch.setattr(largescale, "MAX_DP_WORK", 5 * 5**2)
+    assert ell_upper_bound([-2, 1], 1, F(1, 2), 1).value == F(5, 2)
+    monkeypatch.setattr(largescale, "MAX_DP_WORK", 5 * 5**2 - 1)
+    with pytest.raises(ResourceLimitError, match="MAX_DP_WORK"):
+        ell_upper_bound([-2, 1], 1, F(1, 2), 1)
 
 
 @settings(max_examples=150, deadline=None)
@@ -777,16 +765,7 @@ def test_log_refinement_failures_monotone():
     assert fine_failures_rate <= coarse_failures / coarse["boxes"]
 
 
-# --- serialization -------------------------------------------------------------
-
-
-def test_plarge_json_round_trip():
-    e = digit_avoider(4, 3)
-    obj = e.to_json()
-    back = PLargeSet.from_json(obj)
-    for k in range(3):
-        assert back.cell(k) == e.cell(k)
-    assert back.p == F(1, 2)
+# --- infeasible parameters -----------------------------------------------------
 
 
 def test_quotient_infeasible_parameters_error():
@@ -794,12 +773,3 @@ def test_quotient_infeasible_parameters_error():
 
     with pytest.raises(InfeasibleParametersError):
         quotient_avoider(2, F(99, 100), 4, max_refine=0)
-
-
-def test_countable_dilation_geometric_sequence():
-    # doubling sequence against a single-track avoider: the audit must
-    # find escapes for the probe offsets within the window
-    from erdosavoid.sequences import geometric_up
-
-    e = countable_dilation_avoider(geometric_up(2), [1], F(1, 2), 16, n_max=64)
-    assert is_p_large(e, F(1, 2))

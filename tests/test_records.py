@@ -26,8 +26,6 @@ from erdosavoid.smallscale import (
     AvoiderLevel,
     EscapeCertificate,
     PiecewiseLinearMap,
-    PointProbeRecord,
-    PointProbeReport,
 )
 from erdosavoid.sumsets import CoverageRecord, CoverageReport, FrameTrace
 
@@ -46,7 +44,7 @@ VERDICT = GapLemmaVerdict(True, "ok", THICK, THICK, 2, 3)
 RECORD = CoverageRecord(F(1), True, F(1, 2), None)
 
 # (type, module, a value for every field in order, the defaults of the
-# trailing fields) for each of the 22 value types and result records
+# trailing fields) for each of the 20 value types and result records
 CASES = [
     (Interval, "intervals", (F(1, 3), F(1, 2)), {}),
     (Gap, "intervals", (None, F(1)), {}),
@@ -59,10 +57,6 @@ CASES = [
     (AvoiderLevel, "smallscale", (1, 3, F(1, 3), F(1, 4), F(1, 12), 3, F(1, 4), F(1, 2)), {}),
     (EscapeCertificate, "smallscale", (BOX, "certified", 2, GAP),
      {"witness_index": None, "witness_gap": None}),
-    (PointProbeRecord, "smallscale", (ivl(1, 2), "certified", 3, GAP),
-     {"witness_index": None, "witness_gap": None}),
-    (PointProbeReport, "smallscale",
-     ((PointProbeRecord(ivl(1, 2), "inconclusive"),), 0, F(0), F(1)), {}),
     (LinearEscapeCertificate, "largescale",
      (ivl(0, 1), ivl(1, 2), "certified", 3, "containment", 2, ivl(F(1, 4), F(1, 2))),
      {"witness_index": None, "route": None, "witness_cell": None, "witness_part": None}),

@@ -17,7 +17,6 @@ from erdosavoid.sequences import (
     reciprocal,
     reciprocal_power,
 )
-from erdosavoid.smallscale import regularize_subsequence
 
 F = Fraction
 
@@ -82,43 +81,3 @@ def test_linear_and_geometric_up():
     assert geometric_up(2).term(10) == 1024
     with pytest.raises(InvalidParameterError):
         geometric_up(1)
-
-
-# --- the greedy regularizer ------------------------------------------------
-
-
-def test_regularize_two_sided_bounds_exhaustively():
-    seq = reciprocal()
-    idx = regularize_subsequence(seq, 20)
-    terms = [seq.term(n) for n in idx]
-    sups = [seq.sup_tail_difference(n) for n in idx]
-    for k in range(len(idx) - 1):
-        gap = terms[k] - terms[k + 1]
-        assert sups[k] <= gap <= 2 * sups[k]
-    # the defining inequality for every pair k > m
-    for m in range(len(idx) - 1):
-        for k in range(m + 1, len(idx) - 1):
-            assert terms[k] - terms[k + 1] <= 2 * (terms[m] - terms[m + 1])
-
-
-def test_regularize_regular_gaps_gives_consecutive_indices():
-    seq = explicit([F(1), F(3, 4), F(1, 2), F(1, 4), F(1, 8)])
-    idx = regularize_subsequence(seq, 3)
-    assert idx == [1, 2, 3]
-
-
-def test_regularize_ratio_trend_to_one():
-    seq = reciprocal()
-    idx = regularize_subsequence(seq, 40)
-    ratios = [
-        seq.term(idx[k + 1]) / seq.term(idx[k]) for k in range(len(idx) - 1)
-    ]
-    assert ratios[-1] > ratios[0]
-    assert 1 - ratios[-1] < F(1, 20)
-
-
-def test_regularize_window_exhaustion():
-    seq = explicit([F(1), F(1, 2), F(499, 1000)])
-    # a fourth index would need differences beyond the list
-    with pytest.raises(NeedsLongerWindowError):
-        regularize_subsequence(seq, 4, window=3)

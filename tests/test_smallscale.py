@@ -28,11 +28,9 @@ from erdosavoid.smallscale import (
     build_sublacunary_avoider,
     certify_no_affine_copy,
     embed_lacunary,
-    erdos_point_probe,
     grid_boxes,
     kolountzakis_delta,
     slope_envelope,
-    steinhaus_embed,
     validate_certificate,
 )
 
@@ -378,38 +376,7 @@ def test_embed_sharpen_eta_biases_up():
     )
 
 
-# --- finite configurations and statistics ------------------------------------
-
-
-def test_steinhaus_single_point():
-    d = steinhaus_embed([F(1)], IntervalSet.of((0, 1)), F(1), 10)
-    assert d is not None and 0 < d <= 1
-
-
-def test_steinhaus_avoids_hole_exactly():
-    hole = IntervalSet.of((F(1, 3), F(1, 3) + F(1, 1000)))
-    e = IntervalSet.of((0, 1)).difference(hole)
-    d = steinhaus_embed([F(1, 2), F(1)], e, F(1), 50)
-    assert d is not None
-    assert e.contains(d) and e.contains(d / 2)
-
-
-def test_steinhaus_dense_set_found():
-    # measure 1 - eps near 0 with eps below min(A)/|A|
-    holes = IntervalSet.of(
-        (F(1, 7), F(1, 7) + F(1, 400)), (F(2, 5), F(2, 5) + F(1, 400))
-    )
-    e = IntervalSet.of((0, 1)).difference(holes)
-    a = [F(1, 4), F(1, 2), F(3, 4), F(1)]
-    d = steinhaus_embed(a, e, F(1), 64)
-    assert d is not None
-    for p in a:
-        assert e.contains(d * p)
-
-
-def test_steinhaus_rejects_nonpositive():
-    with pytest.raises(InvalidParameterError):
-        steinhaus_embed([F(0), F(1)], IntervalSet.of((0, 1)), 1, 10)
+# --- slow-decay statistic ----------------------------------------------------
 
 
 def test_kolountzakis_values():
@@ -430,30 +397,6 @@ def test_kolountzakis_geometric_grows_linearly():
         scores.append(score)
     for s in scores:
         assert s.lo > F(1, 2)
-
-
-def test_erdos_point_probe_cases():
-    k = IntervalSet.of((0, 1))
-    seq = geometric_down(F(1, 2))
-    rep = erdos_point_probe(k, seq, 0, [ivl(F(5, 2), 3)], 5)
-    assert rep.records[0].status == "certified"
-    assert rep.records[0].witness_index == 1
-    rep2 = erdos_point_probe(k, seq, 0, [ivl(2, 3)], 30)
-    assert rep2.records[0].status == "inconclusive"
-    with pytest.raises(InvalidParameterError):
-        erdos_point_probe(k, seq, 0, [ivl(-1, 1)], 5)
-
-
-def test_erdos_point_probe_gap_route():
-    k = IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
-    seq = reciprocal()
-    eps = F(1, 100)
-    rep = erdos_point_probe(
-        k, seq, 0, [ivl(F(1, 3) + eps, F(2, 3) - eps)], 5
-    )
-    assert rep.records[0].status == "certified"
-    assert rep.records[0].witness_index == 1
-    assert rep.coverage == 1
 
 
 def test_avoider_window_error_names_level():

@@ -18,14 +18,14 @@ from helpers import (
 
 from erdosavoid.errors import InvalidParameterError
 from erdosavoid.gaptree import (
+    GapTree,
     affine_tree,
-    decompose,
     from_middle_ratio,
     thickness,
     to_interval_set,
 )
 from erdosavoid.intersect import REASON_THIN, check_gap_lemma
-from erdosavoid.intervals import IntervalSet, ParamBox, ivl
+from erdosavoid.intervals import ParamBox, ivl
 from erdosavoid.sumsets import (
     FrameCertifier,
     _frame_map,
@@ -184,7 +184,7 @@ def test_unit_thickness_product_still_certifies():
 
 def test_thin_tree_not_applicable():
     # thickness 1/2 against the unit family: product below one
-    x = decompose(IntervalSet.of((0, 1), (3, 4)), 1)
+    x = GapTree(ivl(0, 4), ivl(1, 3), GapTree(ivl(0, 1)), GapTree(ivl(3, 4)))
     assert thickness(x).value == F(1, 2)
     fam = build_dyadic_family(1, 4, (-3, 3), (-34, 34))
     certifier = FrameCertifier(x, fam)
@@ -242,7 +242,7 @@ CERTIFIERS = [
         from_middle_ratio(2, 5),
         from_middle_ratio(1, 6, ivl(-1, 2)),
         random_decreasing_gap_tree(random.Random(7), 4, ivl(F(-1, 3), 2)),
-        decompose(IntervalSet.of((0, 1), (3, 4)), 1),  # thin: product below one
+        GapTree(ivl(0, 4), ivl(1, 3), GapTree(ivl(0, 1)), GapTree(ivl(3, 4))),  # thin: product below one
     )
 ]
 # scales and shifts on and off the frame boundaries 2^n and l*2^n

@@ -125,6 +125,16 @@ MUTANTS = (
         (L + "test_log_escape_pairs_the_enclosure_ends",),
     ),
     Mutant(
+        "dp-tie-break", LARGESCALE,
+        "if prev is None or ncost < prev:", "if prev is None or ncost <= prev:",
+        (L + "test_ell_tie_keeps_the_state_reached_first",),
+    ),
+    Mutant(
+        "dp-work-cap", LARGESCALE,
+        "if work > MAX_DP_WORK:", "if work >= MAX_DP_WORK:",
+        (L + "test_ell_search_at_the_work_cap_runs",),
+    ),
+    Mutant(
         "punch-level-ceil", SMALLSCALE,
         "lo, hi = lo_num[i], hi_num[i]\n            jlo = (lo - shift + q - 1) // q",
         "lo, hi = lo_num[i], hi_num[i]\n            jlo = (lo - shift) // q",
