@@ -25,14 +25,6 @@ class InvalidParameterError(ErdosAvoidError):
     """A parameter is outside its documented domain."""
 
 
-class NotEnoughStructureError(ErdosAvoidError):
-    """An interval set cannot be split to the requested depth."""
-
-    def __init__(self, node: str, message: str):
-        self.node = node
-        super().__init__(f"node '{node or 'root'}': {message}")
-
-
 class GapConditionError(ErdosAvoidError):
     """The level-wise gap inequality between two trees fails."""
 
@@ -52,10 +44,6 @@ class HullContainmentError(ErdosAvoidError):
 
 class ZeroSlackError(ErdosAvoidError):
     """No positive perturbation radius exists for the given pair."""
-
-
-class CannotBoundTailError(ErdosAvoidError):
-    """Tail suprema of differences cannot be evaluated without metadata."""
 
 
 class NeedsLongerWindowError(ErdosAvoidError):

@@ -27,7 +27,6 @@ from .errors import (
     DegenerateMapError,
     InvalidParameterError,
     MalformedIntervalError,
-    SchemaError,
 )
 from .rationals import RationalLike, as_rational, format_rational
 
@@ -344,26 +343,6 @@ class IntervalSet:
 
     def to_json(self) -> dict:
         return {"intervals": [[format_rational(iv.lo), format_rational(iv.hi)] for iv in self]}
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "IntervalSet":
-        if not isinstance(obj, dict) or "intervals" not in obj:
-            raise SchemaError("interval-set JSON must be {'intervals': [...]}")
-        items = []
-        for pair in obj["intervals"]:
-            if not isinstance(pair, (list, tuple)) or len(pair) != 2:
-                raise SchemaError(f"bad interval entry {pair!r}")
-            lo = as_rational(pair[0])
-            hi = as_rational(pair[1])
-            if lo > hi:
-                raise MalformedIntervalError(f"interval endpoints out of order: {pair}")
-            items.append(Interval(lo, hi))
-        for a, b in zip(items, items[1:]):
-            if b.lo <= a.hi:
-                raise SchemaError(
-                    f"intervals must be sorted and separated: {a} then {b}"
-                )
-        return cls(items)
 
 
 def _merge(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:

@@ -10,7 +10,7 @@ Two membership razors coexist by design.  Materialized cells remove the
 larger set and keeps cell measures exact.  Escape verdicts instead use
 the construction's set-difference semantics: a trajectory point escapes
 when, in every cell containing it, its offset lies inside a *closed*
-removed part.  `_escape_index` decides this along a trajectory and
+removed part.  `_escape_indices` decides this along trajectories and
 `_span_escapes` for a closed span, both on integer numerators.
 Certificates therefore witness escape from the constructed set, while
 the conservative closure is what p-largeness is audited on; the
@@ -23,9 +23,10 @@ import math
 import operator
 import random
 from fractions import Fraction
+from itertools import chain
 from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
-from .enclosures import ln_interval
+from . import enclosures, sequences
 from .errors import (
     InfeasibleParametersError,
     InvalidParameterError,
@@ -41,7 +42,6 @@ from .rationals import (
     format_rational,
     frac_part,
 )
-from .sequences import UP, SequenceSpec
 
 RationalOrEnclosure = Union[Fraction, int, str, Interval]
 
@@ -307,29 +307,50 @@ def _digit_generator(e: PLargeSet, what: str) -> DigitGenerator:
 def _escape_index(
     gen: DigitGenerator, ax: int, ay: int, den: int, n_max: int, guard: int
 ) -> Optional[int]:
-    """Least n <= n_max with (ax + n*ay)/den escaping: the one scan of
-    x + n*y and the one escape rule.  `den` > 0 need not be the lowest
-    common denominator.  Point s/den lies in part t = k*m + j of cell k,
-    where t, r = divmod(s*m, den).  It escapes when j is the top part or
-    the scheduled one, or when r = 0 and part j - 1 is the scheduled one
-    (at an integer j = 0, and cell k-1's top part always holds it).  A
-    cell beyond the guard raises."""
+    """Least n <= n_max with (ax + n*ay)/den escaping: `_escape_indices`
+    for one start."""
+    return _escape_indices(gen, ((ax, ay),), den, n_max, guard)[0]
+
+
+def _escape_indices(
+    gen: DigitGenerator,
+    starts: Iterable[tuple[int, int]],
+    den: int,
+    n_max: int,
+    guard: int,
+) -> list[Optional[int]]:
+    """For each (ax, ay) in turn, the least n <= n_max with
+    (ax + n*ay)/den escaping, or None; the list stops right after the
+    first None.  This is the one scan of x + n*y and the one escape rule.
+    `den` > 0 need not be the lowest common denominator.  Point s/den
+    lies in part t = k*m + j of cell k, where t, r = divmod(s*m, den).
+    It escapes when j is the top part or the scheduled one, or when
+    r = 0 and part j - 1 is the scheduled one (at an integer j = 0, and
+    cell k-1's top part always holds it).  A cell beyond the guard
+    raises."""
     m = gen.m
+    top = m - 1
     digits = gen._digits
-    s, step = ax * m, ay * m
     t_lo, t_hi = -guard * m, (guard + 1) * m  # parts of cells -guard..guard
-    for n in range(1, n_max + 1):
-        s += step
-        t, r = divmod(s, den)
-        if not t_lo <= t < t_hi:
-            raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
-        k, j = divmod(t, m)
-        if j == m - 1:
-            return n
-        digit = digits[k] if k in digits else gen.scheduled_digit(k)
-        if j == digit or (r == 0 and j - 1 == digit):
-            return n
-    return None
+    found: list[Optional[int]] = []
+    for ax, ay in starts:
+        s, step = ax * m, ay * m
+        for n in range(1, n_max + 1):
+            s += step
+            t, r = divmod(s, den)
+            if not t_lo <= t < t_hi:
+                raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
+            k, j = divmod(t, m)
+            if j == top:
+                break
+            digit = digits[k] if k in digits else gen.scheduled_digit(k)
+            if j == digit or (r == 0 and j - 1 == digit):
+                break
+        else:
+            found.append(None)
+            return found
+        found.append(n)
+    return found
 
 
 def _span_escapes(gen: DigitGenerator, a: int, b: int, den: int) -> bool:
@@ -429,47 +450,100 @@ def validate_linear_escape(
     seed: int = 0,
     n_limit: Optional[int] = None,
 ) -> bool:
-    """Sampling audit: every sampled trajectory in the box must escape.
+    """Audit: every sampled trajectory in the box must escape.
 
     Samples are interior rationals; each must reach a removed part
     within the limit (default: generous multiple of the witness step).
     Sample (a, b) is x = x_lo + wx*a/128, y = y_lo + wy*b/128, with a and
-    b drawn by `_unit_draws`, x first.  The box is scaled once to integer
-    numerators over den = dx*dy, and each sample is one `_escape_index`
-    scan; memory does not grow with `samples`.
+    b drawn by `_unit_draws`, x first.
+
+    A box whose whole image escapes at some step up to the limit and the
+    witness step (`_box_escape_step`) passes without sampling: every
+    sample would escape by then, so the sampled verdict is True.  The
+    other boxes are put once on integer numerators over den = 128*lcm of
+    the denominators of x_lo, wx, y_lo and wy, and scanned by
+    `_escape_indices` in blocks of at most _BLOCK samples, so memory does
+    not grow with `samples`.
     """
     if samples < 1:
         raise InvalidParameterError("validation needs at least one sample")
     if cert.status != "certified":
         return True
     gen = _digit_generator(e, "escape validation")
+    witness = cert.witness_index or 1
     if n_limit is None:
-        n_limit = max(4096, 8 * (cert.witness_index or 1))
-    x0, sx, dx = _sample_axis(cert.x_box)
-    y0, sy, dy = _sample_axis(cert.y_box)
-    x0, sx, y0, sy, den = x0 * dy, sx * dy, y0 * dx, sy * dx, dx * dy
+        n_limit = max(4096, 8 * witness)
+    x_box, y_box = cert.x_box, cert.y_box
+    if _box_escape_step(gen, x_box, y_box, min(n_limit, witness), e.guard) is not None:
+        return True
+    ends = (x_box.lo, x_box.length, y_box.lo, y_box.length)
+    L = math.lcm(*(v.denominator for v in ends))
+    x0, sx, y0, sy = (v.numerator * (L // v.denominator) for v in ends)
+    x0, y0, den = 128 * x0, 128 * y0, 128 * L
     draws = _unit_draws(random.Random(seed))
-    for _, a, b in zip(range(samples), draws, draws):
-        if _escape_index(gen, x0 + a * sx, y0 + b * sy, den, n_limit, e.guard) is None:
+    while samples > 0:
+        block = min(samples, _BLOCK)
+        samples -= block
+        starts = [(x0 + a * sx, y0 + b * sy) for _, a, b in zip(range(block), draws, draws)]
+        if _escape_indices(gen, starts, den, n_limit, e.guard)[-1] is None:
             return False
     return True
 
 
+def _box_escape_step(
+    gen: DigitGenerator, x_box: Interval, y_box: Interval, n_max: int, guard: int
+) -> Optional[int]:
+    """The least n <= n_max at which the whole image
+    [x_lo + n*y_lo, x_hi + n*y_hi] of the box passes `_span_escapes`, so
+    that every trajectory of the box escapes by step n; None otherwise.
+
+    Only for x_box inside [0, 1] and y_lo > 0, the boxes that
+    `certify_linear_escape` takes: trajectories then move right, and the
+    image's upper end at step n bounds every earlier point of every
+    trajectory.  The scan gives up (None) when that upper end leaves the
+    cell guard, so that a sampling audit raises as it would have, and
+    once the image is wider than 3/m, the longest run of removed parts.
+    """
+    if x_box.lo < 0 or x_box.hi > 1 or y_box.lo <= 0:
+        return None
+    ends = (x_box.lo, x_box.hi, y_box.lo, y_box.hi)
+    L = math.lcm(*(v.denominator for v in ends))
+    xl, xh, yl, yh = (v.numerator * (L // v.denominator) for v in ends)
+    m = gen.m
+    for n in range(1, n_max + 1):
+        lo, hi = xl + n * yl, xh + n * yh
+        if hi // L > guard:
+            return None
+        if (hi - lo) * m > 3 * L:  # wider than 3/m
+            return None
+        if _span_escapes(gen, lo, hi, L):
+            return n
+    return None
+
+
+# samples per `_escape_indices` call, and 32-bit words per block of draws
+_BLOCK = 512
+
+
 def _unit_draws(rng: random.Random) -> Iterator[int]:
-    """1 + getrandbits(7), drawn again on 127: the values of
-    rng.randrange(1, 128), from the same bits, without its calls."""
-    bits = rng.getrandbits
-    while True:
-        r = bits(7)
-        if r != 127:
-            yield r + 1
+    """The values of rng.randrange(1, 128), from the same bits, without
+    its calls.
+
+    randrange(1, 128) is 1 + getrandbits(7), drawn again on 127, and
+    getrandbits(7) is the top 7 bits of one 32-bit output word.
+    getrandbits(32*B) puts B such words in order from the least
+    significant end, so in its little-endian bytes word i's top byte is
+    byte 4*i + 3.  Each such byte c gives (c >> 1) + 1, and c >= 254 (the
+    draw 127) is skipped."""
+
+    def block() -> bytes:
+        words = rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little")
+        return words[3::4].translate(_DRAW_OF_BYTE, b"\xfe\xff")
+
+    return chain.from_iterable(iter(block, None))
 
 
-def _sample_axis(box: Interval) -> tuple[int, int, int]:
-    """(lo, step, den) with box.lo = lo/den and box.length/128 = step/den."""
-    lo, w = box.lo, box.length
-    den = 128 * lo.denominator * w.denominator
-    return lo.numerator * 128 * w.denominator, w.numerator * lo.denominator, den
+_DRAW_OF_BYTE = bytes((c >> 1) + 1 for c in range(256))
 
 
 def sweep_linear_escape(
@@ -583,12 +657,12 @@ def _circular_max_gap(fracs: list[Fraction]) -> Fraction:
 
 
 def density_mod1(
-    seq: SequenceSpec, y: RationalOrEnclosure, count: int
+    seq: sequences.SequenceSpec, y: RationalOrEnclosure, count: int
 ) -> Mod1Profile:
     """Circular gap profile of the dilated sequence modulo 1."""
     if count < 2:
         raise InvalidParameterError("need at least two samples")
-    if seq.direction != UP:
+    if seq.direction != sequences.UP:
         raise InvalidParameterError("density probes take increasing sequences")
     if isinstance(y, Interval) and y.lo != y.hi:
         mids, max_width = _enclosure_fractions(
@@ -839,8 +913,8 @@ def geometric_escape_via_log(
     if n_max < 1:
         raise InvalidParameterError("the scan depth n_max must be at least 1")
     gen = _digit_generator(f_set, "log escape")
-    ly = log_y if log_y is not None else ln_interval(y_box, bits)
-    lb = log_b if log_b is not None else ln_interval(b_box, bits)
+    ly = log_y if log_y is not None else enclosures.ln_interval(y_box, bits)
+    lb = log_b if log_b is not None else enclosures.ln_interval(b_box, bits)
     ends = (ly.lo, ly.hi, lb.lo, lb.hi)
     L = math.lcm(*(v.denominator for v in ends))
     yl, yh, bl, bh = (v.numerator * (L // v.denominator) for v in ends)
@@ -941,5 +1015,5 @@ def _log_point(memo: dict, i: int, box: Interval, bits: int):
     if i not in memo:
         v = box.midpoint
         point = Interval(v, v)
-        memo[i] = point, (ln_interval(point, bits) if v > 0 else None)
+        memo[i] = point, (enclosures.ln_interval(point, bits) if v > 0 else None)
     return memo[i]

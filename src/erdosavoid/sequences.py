@@ -1,11 +1,8 @@
-"""Exact monotone sequence generators with difference metadata.
+"""Exact monotone sequence generators.
 
 A SequenceSpec produces terms a_1, a_2, ... as exact rationals (or
-rational enclosures for the non-integer power kind) together with the
-metadata needed to evaluate tail suprema of consecutive differences,
-sup { a_p - a_{p+1} : p >= n }, with finitely many term evaluations.
-Sequences without that metadata are rejected by the operations that
-need it rather than approximated.
+rational enclosures for the non-integer power kind), and the
+consecutive differences a_n - a_{n+1} of down sequences.
 """
 
 from __future__ import annotations
@@ -14,7 +11,6 @@ from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
 from .errors import (
-    CannotBoundTailError,
     InvalidParameterError,
     NeedsLongerWindowError,
     PrecisionError,
@@ -31,7 +27,7 @@ class SequenceSpec(Frozen):
 
     `diff_decreasing_from` is the index from which consecutive
     differences a_n - a_{n+1} are known to be monotonically
-    nonincreasing; it enables exact evaluation of tail suprema.
+    nonincreasing; nothing reads it now.
     `length` bounds the usable window for explicit lists.
     """
 
@@ -77,28 +73,6 @@ class SequenceSpec(Frozen):
     def diff(self, n: int) -> Fraction:
         """a_n - a_{n+1} for down sequences (positive by monotonicity)."""
         return self.term(n) - self.term(n + 1)
-
-    def sup_tail_difference(self, n: int) -> Fraction:
-        """Exact sup over p >= n of a_p - a_{p+1}.
-
-        Requires the difference-monotonicity metadata (or a finite
-        explicit list, whose tail is a finite maximum).
-        """
-        if self.direction != DOWN:
-            raise InvalidParameterError("tail differences apply to down sequences")
-        if self.length is not None:
-            last = self.length - 1
-            if n > last:
-                raise NeedsLongerWindowError(
-                    f"no differences available from index {n}"
-                )
-            return max(self.diff(p) for p in range(n, last + 1))
-        if self.diff_decreasing_from is None:
-            raise CannotBoundTailError(
-                f"sequence kind {self.kind!r} carries no difference metadata"
-            )
-        stop = max(n, self.diff_decreasing_from)
-        return max(self.diff(p) for p in range(n, stop + 1))
 
     def first_index_with_ratio_at_most(
         self, bound: Fraction, start: int = 1, window: int = 1_000_000

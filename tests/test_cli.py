@@ -415,7 +415,7 @@ def test_package_import_runs_no_submodule():
 
 
 _CLI_CORE = {"cli", "errors", "intervals", "rationals"}
-_ESCAPE = _CLI_CORE | {"sequences", "enclosures", "largescale"}
+_ESCAPE = _CLI_CORE | {"largescale"}
 
 
 @pytest.mark.parametrize("argv, modules", [
@@ -423,7 +423,7 @@ _ESCAPE = _CLI_CORE | {"sequences", "enclosures", "largescale"}
     (["probe", "ell-bound", "--f=-2,1", "--max-deg", "2", "--step", "1/4", "--bound", "1"],
      _ESCAPE),
     (["certify", "log-escape", "--m", "4", "--grid", "2x2", "--y-range", "1:2",
-      "--b-range", "3/2:3"], _ESCAPE),
+      "--b-range", "3/2:3"], _ESCAPE | {"enclosures"}),
     (["certify", "digit-avoider", "--grid", "2x2", "--Nmax", "32", "--validate",
       "--samples", "5"], _ESCAPE),
     (["certify", "frame-intersection", "--count", "3", "--depth", "6"],

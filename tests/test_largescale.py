@@ -1,5 +1,6 @@
 import math
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import islice
 
@@ -33,7 +34,9 @@ from erdosavoid.largescale import (
     sweep_linear_escape,
     sweep_log_escape,
     validate_linear_escape,
+    _box_escape_step,
     _escape_index,
+    _escape_indices,
     _span_escapes,
     _unit_draws,
 )
@@ -314,12 +317,142 @@ def test_validate_matches_reference_on_passing_and_failing_boxes():
 
 
 def test_unit_draws_are_the_randrange_values():
-    # the validator's samples are those of randrange(1, 128); in 40 draws
-    # about one seed in four meets a 127 and draws again
+    # the validator's samples are those of randrange(1, 128); 600 draws
+    # cross from the first block of 512 words into the second, and most
+    # seeds meet a 127 that is drawn again
     for seed in range(1000):
         rng = random.Random(seed)
-        want = [rng.randrange(1, 128) for _ in range(40)]
-        assert list(islice(_unit_draws(random.Random(seed)), 40)) == want, seed
+        want = [rng.randrange(1, 128) for _ in range(600)]
+        assert list(islice(_unit_draws(random.Random(seed)), 600)) == want, seed
+
+
+class _RejectedFirstBlock:
+    """A generator whose first getrandbits call gives all-ones words, so
+    that every draw of the first block is a 127; later calls go to
+    random.Random(seed)."""
+
+    def __init__(self, seed):
+        self.rest = random.Random(seed)
+        self.first = True
+
+    def getrandbits(self, k):
+        if self.first:
+            self.first = False
+            return (1 << k) - 1
+        return self.rest.getrandbits(k)
+
+
+def test_unit_draws_pass_over_a_wholly_rejected_block():
+    for seed in range(20):
+        rng = random.Random(seed)
+        want = [rng.randrange(1, 128) for _ in range(600)]
+        assert list(islice(_unit_draws(_RejectedFirstBlock(seed)), 600)) == want, seed
+
+
+def reference_escape_indices(gen, starts, den, n_max, guard):
+    """`reference_escape_index` for each start in turn, cut after the
+    first None."""
+    found = []
+    for ax, ay in starts:
+        found.append(reference_escape_index(gen, ax, ay, den, n_max, guard))
+        if found[-1] is None:
+            break
+    return found
+
+
+@st.composite
+def batched_trajectories(draw):
+    """Arguments of `_escape_indices`: one generator, denominator, depth
+    and guard (as in `trajectories`) with up to six starts."""
+    gen, ax, ay, den, n_max, guard = draw(trajectories())
+    more = draw(st.lists(
+        st.tuples(st.integers(-6 * den, 6 * den), st.integers(-3 * den, 3 * den)), max_size=5
+    ))
+    starts = [(ax, ay), *more]
+    return gen, draw(st.permutations(starts)), den, n_max, guard
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan=batched_trajectories())
+def test_escape_indices_match_one_scan_per_start(scan):
+    # the same steps, cut after the first None, or the same guard error
+    assert _outcome(_escape_indices, *scan) == _outcome(reference_escape_indices, *scan)
+
+
+def test_escape_indices_stop_after_the_first_none():
+    # m = 4: the integer 1 never escapes with step 0, and a step of 40
+    # leaves a guard of 5 at once; the scan stops at the None before it
+    gen = DigitGenerator(4)
+    assert _escape_indices(gen, [(12, 0), (4, 0), (0, 40)], 4, 3, 5) == [1, None]
+    with pytest.raises(ResourceLimitError, match="at n = 1"):
+        _escape_indices(gen, [(12, 0), (0, 40), (4, 0)], 4, 3, 5)
+    assert _escape_indices(gen, [(4, 0), (12, 0)], 4, 3, 5) == [None]
+
+
+def test_box_settle_stops_at_the_sampling_limit():
+    # every trajectory of this box escapes by step 3, not all by step 2:
+    # the settle fires at n_limit = 3 and sampling decides n_limit = 2
+    e = digit_avoider(4, 8)
+    x_box, y_box = ivl(0, F(1, 12)), ivl(F(167, 192), F(33, 32))
+    assert _box_escape_step(e.generator, x_box, y_box, 64, e.guard) == 3
+    assert _box_escape_step(e.generator, x_box, y_box, 2, e.guard) is None
+    cert = LinearEscapeCertificate(x_box, y_box, "certified", 64, "width")
+    for n_limit, want in ((3, True), (2, False)):
+        assert reference_validate_linear_escape(e, cert, samples=20, n_limit=n_limit) == want
+        assert validate_linear_escape(e, cert, samples=20, n_limit=n_limit) == want
+
+
+def test_box_settle_falls_through_past_the_guard():
+    # the box's image at step 1, [169/64, 25/8], escapes but lies past a
+    # guard of 2: sampling runs and raises where it always did
+    e = PLargeSet(F(1, 2), 4, DigitGenerator(4), guard=2)
+    x_box, y_box = ivl(0, F(1, 8)), ivl(F(169, 64), 3)
+    assert _box_escape_step(e.generator, x_box, y_box, 64, 10**6) == 1
+    assert _box_escape_step(e.generator, x_box, y_box, 64, e.guard) is None
+    cert = LinearEscapeCertificate(x_box, y_box, "certified", 1, "width")
+    for validate in (validate_linear_escape, reference_validate_linear_escape):
+        with pytest.raises(ResourceLimitError, match="at n = 1"):
+            validate(e, cert, samples=20)
+
+
+def test_box_settle_agrees_with_sampling_on_the_criterion_grid(monkeypatch):
+    # an 8x8 grid of criterion 06's boxes, every 13th along each axis:
+    # settled boxes and sampled ones alike give the Fraction reference's
+    # verdict, at the default limit and at limits short enough to fail
+    import erdosavoid.largescale as largescale
+
+    e = digit_avoider(4, 200)
+    settled = []
+    real = largescale._box_escape_step
+    monkeypatch.setattr(largescale, "_box_escape_step",
+                        lambda *args: settled.append(real(*args)) or settled[-1])
+    grid = Grid(ivl(0, 1), ivl(F(1, 1000), 10), 100, 100)
+    boxes = [grid.cell(100 * i + j) for i in range(0, 100, 13) for j in range(0, 100, 13)]
+    certs = [certify_linear_escape(e, x_box, y_box, sweep_depth(16, 4096)) for x_box, y_box in boxes]
+    assert len(certs) == 64 and all(c.status == "certified" for c in certs)
+    verdicts = set()
+    for i, cert in enumerate(certs):
+        for n_limit in (None, 1, 2):
+            got = validate_linear_escape(e, cert, samples=20, seed=i, n_limit=n_limit)
+            assert got == reference_validate_linear_escape(e, cert, 20, i, n_limit), (i, n_limit)
+            verdicts.add(got)
+    assert verdicts == {True, False}
+    fired = sum(n is not None for n in settled)
+    assert 0 < fired < len(settled)
+
+
+def test_validation_memory_does_not_grow_with_samples():
+    # a million samples on a box that fails at n_limit = 1: the first
+    # block decides, and no list of all samples is built
+    e = digit_avoider(4, 8)
+    cert = LinearEscapeCertificate(ivl(0, F(1, 2)), ivl(1, 2), "certified", 1, "width")
+    tracemalloc.start()
+    try:
+        assert not validate_linear_escape(e, cert, samples=10**6, n_limit=1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
 
 
 @st.composite
@@ -710,12 +843,12 @@ def test_log_escape_matches_fraction_reference(case):
 def test_log_sweep_points_build_each_log_once(monkeypatch):
     # 5x4 point boxes: one enclosure per row and per column on the first
     # pass, and the certificates of the per-box enclosures
-    import erdosavoid.largescale as largescale
+    import erdosavoid.enclosures as enclosures
 
     e = digit_avoider(4, 64)
     calls = []
-    real = largescale.ln_interval
-    monkeypatch.setattr(largescale, "ln_interval", lambda iv, bits: calls.append(bits) or real(iv, bits))
+    real = enclosures.ln_interval
+    monkeypatch.setattr(enclosures, "ln_interval", lambda iv, bits: calls.append(bits) or real(iv, bits))
     certs, stats = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 5, 4, n_max=8)
     assert calls.count(64) == 5 + 4
     want = [

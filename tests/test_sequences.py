@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from erdosavoid.errors import (
-    CannotBoundTailError,
     InvalidParameterError,
     NeedsLongerWindowError,
     PrecisionError,
@@ -24,8 +23,8 @@ F = Fraction
 def test_reciprocal_terms_and_tail():
     seq = reciprocal()
     assert seq.term(4) == F(1, 4)
-    # differences decrease, so the tail supremum is the next difference
-    assert seq.sup_tail_difference(3) == F(1, 3) - F(1, 4)
+    # the consecutive difference a_n - a_{n+1}
+    assert seq.diff(3) == F(1, 3) - F(1, 4)
 
 
 def test_geometric_down_validation():
@@ -57,14 +56,6 @@ def test_explicit_monotonicity_checked():
     assert seq.term(2) == F(2, 3)
     with pytest.raises(NeedsLongerWindowError):
         seq.term(4)
-
-
-def test_custom_requires_metadata_for_tail():
-    seq = custom(lambda n: F(1, n), "down")
-    with pytest.raises(CannotBoundTailError):
-        seq.sup_tail_difference(1)
-    seq2 = custom(lambda n: F(1, n), "down", diff_decreasing_from=1)
-    assert seq2.sup_tail_difference(2) == F(1, 6)
 
 
 def test_first_index_with_ratio_closed_form_matches_scan():

@@ -89,9 +89,15 @@ MUTANTS = (
     ),
     Mutant(
         "escape-index-step-count", LARGESCALE,
-        "    for n in range(1, n_max + 1):\n        s += step\n",
-        "    for n in range(1, n_max):\n        s += step\n",
+        "        for n in range(1, n_max + 1):\n            s += step\n",
+        "        for n in range(1, n_max):\n            s += step\n",
         (L + "test_escape_index_on_boundaries_and_integers",),
+    ),
+    Mutant(
+        "escape-indices-early-stop", LARGESCALE,
+        "found.append(None)\n            return found\n",
+        "found.append(None)\n            continue\n",
+        (L + "test_escape_indices_stop_after_the_first_none",),
     ),
     Mutant(
         "escape-index-interior-point", LARGESCALE,
@@ -110,8 +116,18 @@ MUTANTS = (
     ),
     Mutant(
         "unit-draws-redraw", LARGESCALE,
-        "if r != 127:", "if r != 126:",
+        'translate(_DRAW_OF_BYTE, b"\\xfe\\xff")', 'translate(_DRAW_OF_BYTE, b"\\xff")',
         (L + "test_unit_draws_are_the_randrange_values",),
+    ),
+    Mutant(
+        "box-settle-guard", LARGESCALE,
+        "        if hi // L > guard:\n            return None\n", "",
+        (L + "test_box_settle_falls_through_past_the_guard",),
+    ),
+    Mutant(
+        "box-settle-limit", LARGESCALE,
+        "min(n_limit, witness)", "min(n_limit, witness) + 1",
+        (L + "test_box_settle_stops_at_the_sampling_limit",),
     ),
     Mutant(
         "log-escape-refinement-enclosures", LARGESCALE,
