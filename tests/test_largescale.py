@@ -349,46 +349,6 @@ def test_unit_draws_pass_over_a_wholly_rejected_block():
         assert list(islice(_unit_draws(_RejectedFirstBlock(seed)), 600)) == want, seed
 
 
-def reference_escape_indices(gen, starts, den, n_max, guard):
-    """`reference_escape_index` for each start in turn, cut after the
-    first None."""
-    found = []
-    for ax, ay in starts:
-        found.append(reference_escape_index(gen, ax, ay, den, n_max, guard))
-        if found[-1] is None:
-            break
-    return found
-
-
-@st.composite
-def batched_trajectories(draw):
-    """Arguments of `_escape_indices`: one generator, denominator, depth
-    and guard (as in `trajectories`) with up to six starts."""
-    gen, ax, ay, den, n_max, guard = draw(trajectories())
-    more = draw(st.lists(
-        st.tuples(st.integers(-6 * den, 6 * den), st.integers(-3 * den, 3 * den)), max_size=5
-    ))
-    starts = [(ax, ay), *more]
-    return gen, draw(st.permutations(starts)), den, n_max, guard
-
-
-@settings(max_examples=400, deadline=None)
-@given(scan=batched_trajectories())
-def test_escape_indices_match_one_scan_per_start(scan):
-    # the same steps, cut after the first None, or the same guard error
-    assert _outcome(_escape_indices, *scan) == _outcome(reference_escape_indices, *scan)
-
-
-def test_escape_indices_stop_after_the_first_none():
-    # m = 4: the integer 1 never escapes with step 0, and a step of 40
-    # leaves a guard of 5 at once; the scan stops at the None before it
-    gen = DigitGenerator(4)
-    assert _escape_indices(gen, [(12, 0), (4, 0), (0, 40)], 4, 3, 5) == [1, None]
-    with pytest.raises(ResourceLimitError, match="at n = 1"):
-        _escape_indices(gen, [(12, 0), (0, 40), (4, 0)], 4, 3, 5)
-    assert _escape_indices(gen, [(4, 0), (12, 0)], 4, 3, 5) == [None]
-
-
 def test_box_settle_stops_at_the_sampling_limit():
     # every trajectory of this box escapes by step 3, not all by step 2:
     # the settle fires at n_limit = 3 and sampling decides n_limit = 2
@@ -516,6 +476,46 @@ def test_escape_index_on_boundaries_and_integers():
     for s, want in cases:
         for kernel in (_escape_index, reference_escape_index):
             assert kernel(gen, s, 0, 8, 1, 10) == want, (kernel.__name__, s)
+
+
+def reference_escape_indices(gen, starts, den, n_max, guard):
+    """`reference_escape_index` for each start in turn, cut after the
+    first None."""
+    found = []
+    for ax, ay in starts:
+        found.append(reference_escape_index(gen, ax, ay, den, n_max, guard))
+        if found[-1] is None:
+            break
+    return found
+
+
+@st.composite
+def batched_trajectories(draw):
+    """Arguments of `_escape_indices`: one generator, denominator, depth
+    and guard (as in `trajectories`) with up to six starts."""
+    gen, ax, ay, den, n_max, guard = draw(trajectories())
+    more = draw(st.lists(
+        st.tuples(st.integers(-6 * den, 6 * den), st.integers(-3 * den, 3 * den)), max_size=5
+    ))
+    starts = [(ax, ay), *more]
+    return gen, draw(st.permutations(starts)), den, n_max, guard
+
+
+@settings(max_examples=400, deadline=None)
+@given(scan=batched_trajectories())
+def test_escape_indices_match_one_scan_per_start(scan):
+    # the same steps, cut after the first None, or the same guard error
+    assert _outcome(_escape_indices, *scan) == _outcome(reference_escape_indices, *scan)
+
+
+def test_escape_indices_stop_after_the_first_none():
+    # m = 4: the integer 1 never escapes with step 0, and a step of 40
+    # leaves a guard of 5 at once; the scan stops at the None before it
+    gen = DigitGenerator(4)
+    assert _escape_indices(gen, [(12, 0), (4, 0), (0, 40)], 4, 3, 5) == [1, None]
+    with pytest.raises(ResourceLimitError, match="at n = 1"):
+        _escape_indices(gen, [(12, 0), (0, 40), (4, 0)], 4, 3, 5)
+    assert _escape_indices(gen, [(4, 0), (12, 0)], 4, 3, 5) == [None]
 
 
 @settings(max_examples=200, deadline=None)
