@@ -25,14 +25,11 @@ UP = "up"
 class SequenceSpec(Frozen):
     """Strictly monotone rational sequence, 1-indexed.
 
-    `diff_decreasing_from` is the index from which consecutive
-    differences a_n - a_{n+1} are known to be monotonically
-    nonincreasing; nothing reads it now.
     `length` bounds the usable window for explicit lists.
     """
 
     __slots__ = _fields = (
-        "kind", "direction", "_term", "diff_decreasing_from", "length", "params",
+        "kind", "direction", "_term", "length", "params",
     )
 
     def __init__(
@@ -40,11 +37,10 @@ class SequenceSpec(Frozen):
         kind: str,
         direction: str,
         _term: Callable[[int], Fraction],
-        diff_decreasing_from: Optional[int] = None,
         length: Optional[int] = None,
         params: tuple = (),
     ):
-        values = (kind, direction, _term, diff_decreasing_from, length, params)
+        values = (kind, direction, _term, length, params)
         for name, value in zip(self._fields, values):
             object.__setattr__(self, name, value)
 
@@ -111,9 +107,7 @@ def _check_strictly_monotone(values: Sequence[Fraction], direction: str) -> None
 
 def reciprocal() -> SequenceSpec:
     """a_n = 1/n; differences 1/(n(n+1)) decrease from the start."""
-    return SequenceSpec(
-        "reciprocal", DOWN, lambda n: Fraction(1, n), diff_decreasing_from=1
-    )
+    return SequenceSpec("reciprocal", DOWN, lambda n: Fraction(1, n))
 
 
 def geometric_down(r: RationalLike) -> SequenceSpec:
@@ -121,9 +115,7 @@ def geometric_down(r: RationalLike) -> SequenceSpec:
     r = as_rational(r)
     if not 0 < r < 1:
         raise InvalidParameterError("geometric-down ratio must lie in (0, 1)")
-    return SequenceSpec(
-        "geometric_down", DOWN, lambda n: r**n, diff_decreasing_from=1, params=(r,)
-    )
+    return SequenceSpec("geometric_down", DOWN, lambda n: r**n, params=(r,))
 
 
 def reciprocal_power(alpha: RationalLike) -> SequenceSpec:
@@ -141,7 +133,6 @@ def reciprocal_power(alpha: RationalLike) -> SequenceSpec:
             "reciprocal_power",
             DOWN,
             lambda n: Fraction(1, n**k),
-            diff_decreasing_from=1,
             params=(alpha,),
         )
 
@@ -176,17 +167,8 @@ def explicit(values: Sequence[RationalLike], direction: str = DOWN) -> SequenceS
     )
 
 
-def custom(
-    term: Callable[[int], RationalLike],
-    direction: str,
-    diff_decreasing_from: Optional[int] = None,
-) -> SequenceSpec:
-    return SequenceSpec(
-        "custom",
-        direction,
-        lambda n: as_rational(term(n)),
-        diff_decreasing_from=diff_decreasing_from,
-    )
+def custom(term: Callable[[int], RationalLike], direction: str) -> SequenceSpec:
+    return SequenceSpec("custom", direction, lambda n: as_rational(term(n)))
 
 
 def from_name(name: str, **kwargs) -> SequenceSpec:

@@ -14,7 +14,8 @@ from __future__ import annotations
 import random
 from bisect import bisect_left
 from fractions import Fraction
-from math import lcm
+from functools import reduce
+from math import gcd, lcm
 from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
@@ -55,28 +56,31 @@ class AvoiderLevel(NamedTuple):
 
 class AvoiderResult:
     """Finite-level avoider: exact measure, component count and
-    construction log.  The interval set itself is built on first read
-    (high levels produce hundreds of thousands of components)."""
+    construction log.
 
-    def __init__(self, levels, measure, lower_bound, components, den, older, lattice):
+    The build lists the punch union of levels 1..K-2 and only counts the
+    last two levels.  It keeps that union and the last two levels'
+    lattices, and `interval_set()` punches both on first read (high
+    levels produce hundreds of thousands of components)."""
+
+    def __init__(self, levels, measure, lower_bound, components, den, older, lattices):
         self.levels: tuple[AvoiderLevel, ...] = tuple(levels)
         self.measure: Fraction = measure
         self.lower_bound: Fraction = lower_bound
         self.components: int = components
         self._den = den  # the one denominator of every level's punches
-        self._older = older  # punch union of every level but the last
-        self._lattice = lattice  # (parts, q, shift) of the last level, or None
+        self._older = older  # punch union of levels 1..K-2
+        self._lattices = lattices  # (parts, q, shift) of levels K-1 and K, if they exist
         self._set: Optional[IntervalSet] = None
 
     def interval_set(self) -> IntervalSet:
         """The avoider as a lattice-view set over the punch denominator:
         the closed gaps between consecutive intervals of the punch union."""
         if self._set is None:
-            if self._lattice is None:
+            if not self._lattices:
                 self._set = IntervalSet.of((0, 1))
             else:
-                los, his = [], []
-                _punch_level(self._older, self._lattice, (los, his))
+                los, his = reduce(_punch_level, self._lattices, self._older)
                 self._set = IntervalSet._from_lattice(self._den, his[:-1], los[1:])
         return self._set
 
@@ -116,11 +120,13 @@ def build_sublacunary_avoider(
     denominator den, the lcm over k of lcm(parts_k, den(delta_k/2)), so
     level k's punch j is [j*q_k - s_k, j*q_k + s_k] over den and floor
     division tells which punches each interval of the older union
-    touches.  The union of levels 1..K-1 is kept as two lists of integer
-    numerators; level K is only counted, in closed form (`_count_level`),
-    giving the exact measure and component count.  `interval_set()`
-    builds the last union on first read and hands its gaps to
-    `IntervalSet` as a lattice view.
+    touches.  The union of levels 1..K-2 is listed as two lists of
+    integer numerators (`_punch_level`).  Levels K-1 and K are counted
+    in one walk over that union (`_count_last_two`), which gives the
+    exact measure and component count without listing the union of
+    levels 1..K-1; a single level is counted in closed form.
+    `interval_set()` punches the last two levels on first read and hands
+    the gaps of the union to `IntervalSet` as a lattice view.
     """
     if seq.direction != DOWN:
         raise InvalidParameterError("the avoider is built for decreasing sequences")
@@ -161,27 +167,29 @@ def build_sublacunary_avoider(
         (parts, den // parts, half.numerator * (den // half.denominator))
         for parts, half in halves
     ]
-    older = ([], [])  # lo and hi numerators over den
-    for lattice in lattices[:-1]:
-        union = ([], [])
-        _punch_level(older, lattice, union)
-        older = union
-    if not lattices:
-        return AvoiderResult(level_records, Fraction(1), lower_bound, 1, den, older, None)
-    count, net = _count_level(older, lattices[-1])
+    older = reduce(_punch_level, lattices[:-2], ([], []))  # lo and hi numerators over den
+    last = tuple(lattices[-2:])
+    if not last:
+        return AvoiderResult(level_records, Fraction(1), lower_bound, 1, den, older, last)
+    if len(last) == 1:  # one level alone: parts + 1 punches, two of them clipped to half
+        parts, _, shift = last[0]
+        count, net = parts + 1, 2 * shift * parts
+    else:
+        count, net = _count_last_two(older, *last)
     measure = 1 - Fraction(net, den)
     if measure < lower_bound:
         raise ConstructionAuditError(
             f"measure {measure} fell below the removal bound {lower_bound}"
         )
     return AvoiderResult(
-        level_records, measure, lower_bound, max(count - 1, 1), den, older, lattices[-1]
+        level_records, measure, lower_bound, max(count - 1, 1), den, older, last
     )
 
 
-def _punch_level(older, lattice, out):
-    """Union of the older punch union with one level's punches, its lo
-    and hi numerators appended to the two lists of `out` in order.
+def _walk(older, lattice):
+    """The union of the older punch union with one level's punches, as
+    pieces in order: `(lo, hi, False)` is an interval, and `(a, b,
+    True)` the run of punches a..b-1 that no older interval touches.
 
     Endpoints are integer numerators over den = parts*q, the one
     denominator of every level.  Punch j is [j*q - shift, j*q + shift],
@@ -190,8 +198,9 @@ def _punch_level(older, lattice, out):
     floor((H + shift)/q), so one pass over the older union places every
     punch.  Two punches of one level never touch (parts*delta < 1), so
     consecutive older intervals share at most one punch, which bridges
-    them into one cluster; punches that no older interval touches stay
-    as they are.
+    them into one cluster; a cluster comes out as an interval.  Punches
+    0 and parts are clipped to half and always come out as intervals, so
+    every punch of a run is whole.
     """
     lo_num, hi_num = older
     parts, q, shift = lattice
@@ -209,15 +218,16 @@ def _punch_level(older, lattice, out):
             jlo = parts + 1
         if jlo != last_j:
             if clo is not None:
-                out[0].append(clo)
-                out[1].append(chi)
-            if free < jlo:  # untouched punches; 0 and parts are clipped to half
-                out[0].extend(range(free * q - shift, jlo * q - shift, q))
-                out[1].extend(range(free * q + shift, jlo * q + shift, q))
+                yield clo, chi, False
+            if free < jlo:  # untouched punches free..jlo-1
                 if free == 0:
-                    out[0][free - jlo] = 0
+                    yield 0, shift, False
+                    free = 1
+                end = min(jlo, parts)
+                if free < end:
+                    yield free, end, True
                 if jlo > parts:
-                    out[1][-1] = den
+                    yield den - shift, den, False
             if i == n:
                 break
             clo = lo
@@ -235,38 +245,96 @@ def _punch_level(older, lattice, out):
         last_j = jhi
 
 
-def _count_level(older, lattice) -> tuple[int, int]:
-    """Interval count and net length (sum of hi minus lo numerators) of
-    the union `_punch_level` would build, in closed form.
+def _punch_level(older, lattice):
+    """The union of the older punch union with one level's punches: the
+    lists of lo and hi numerators of `_walk`'s pieces, runs listed."""
+    _, q, shift = lattice
+    los, his = [], []
+    for x, y, run in _walk(older, lattice):
+        if run:
+            los.extend(range(x * q - shift, y * q - shift, q))
+            his.extend(range(x * q + shift, y * q + shift, q))
+        else:
+            los.append(x)
+            his.append(y)
+    return los, his
 
-    Older intervals are separated by gaps of positive length and two
-    punches of one level never touch, so every point of [0, den] lies in
-    at most one older interval and one punch, and the graph joining each
-    older interval to the punches it touches is a forest.  Its
-    components are the union's intervals: count = len(older) + parts + 1
-    minus the number of touches, where [lo, hi] touches the c = jhi -
-    jlo + 1 punches jlo..jhi.  The punches cover 2*shift*parts after
-    clipping, and [lo, hi] meets them in c*2*shift less what punches jlo
-    and jhi stick out past lo and hi (taken unclipped, which also
-    clips punches 0 and parts to [0, den]); net is the older length
-    plus the punch length less those overlaps.  One pass, no lists.
-    """
-    lo_num, hi_num = older
-    parts, q, shift = lattice
-    touches = trim = 0
-    for lo, hi in zip(lo_num, hi_num):
+
+def _touches(los, his, lattice):
+    """Running totals over the intervals [lo, hi] of a union the
+    lattice's punches are merged into: entry i of the first list counts
+    the punches that intervals 0..i-1 touch, and entry i of the second
+    sums how far those punches stick out past lo and hi (taken
+    unclipped)."""
+    _, q, shift = lattice
+    touches, trims = [0], [0]
+    c = t = 0
+    for lo, hi in zip(los, his):
         jlo = (lo - shift + q - 1) // q
         jhi = (hi + shift) // q
         if jlo <= jhi:
-            touches += jhi - jlo + 1
+            c += jhi - jlo + 1
             a = jlo * q - shift
             if lo > a:
-                trim += lo - a
+                t += lo - a
             b = jhi * q + shift
             if b > hi:
-                trim += b - hi
-    count = len(lo_num) + parts + 1 - touches
-    net = sum(hi_num) - sum(lo_num) + 2 * shift * (parts - touches) + trim
+                t += b - hi
+        touches.append(c)
+        trims.append(t)
+    return touches, trims
+
+
+def _count_last_two(older, upper, lattice) -> tuple[int, int]:
+    """Interval count and net length (sum of hi minus lo numerators) of
+    the union of `older` with the punches of lattice `upper` and then
+    with those of `lattice`, in one walk of `(older, upper)`; the middle
+    union is never listed.
+
+    Older intervals are separated by gaps of positive length and two
+    punches of one level never touch, so every point of [0, den] lies in
+    at most one interval of the middle union and one punch of `lattice`,
+    and the graph joining each interval to the punches it touches is a
+    forest.  Its components are the final union's intervals: count =
+    (middle intervals) + parts + 1 minus the number of touches.  The
+    punches cover 2*shift*parts after clipping, and an interval meets
+    the c punches it touches in c*2*shift less what they stick out past
+    it (`_touches`); net is the middle length plus the punch length less
+    those overlaps.
+
+    A cluster of the walk is counted by that rule.  A run a..b-1 of
+    whole punches of `upper` = (parts1, q1, s1) adds b - a intervals
+    and (b - a)*2*s1 of length.  Punch j is [j*q1 - s1, j*q1 + s1];
+    shifting it by a multiple of q shifts the punches it touches along
+    with it, so its touches and trims depend only on j*q1 mod q, that is
+    on j mod P with P = q/gcd(q1, q) = parts1/gcd(parts1, parts) <=
+    parts1.  Prefix sums over j = 0..P-1 then give any run's sums in
+    O(1): whole periods from the last entry, the rest by difference.
+    """
+    parts1, q1, s1 = upper
+    parts, _, shift = lattice
+    period = parts1 // gcd(parts1, parts)
+    tt, rr = _touches(
+        range(-s1, period * q1 - s1, q1), range(s1, period * q1 + s1, q1), lattice
+    )
+    t_full, r_full = tt[period], rr[period]
+    clos, chis = [], []
+    punches = touches = trim = 0
+    for x, y, run in _walk(older, upper):
+        if run:
+            punches += y - x
+            full = y // period - x // period
+            x, y = x % period, y % period
+            touches += full * t_full + tt[y] - tt[x]
+            trim += full * r_full + rr[y] - rr[x]
+        else:
+            clos.append(x)
+            chis.append(y)
+    cluster_touches, cluster_trims = _touches(clos, chis, lattice)
+    touches += cluster_touches[-1]
+    trim += cluster_trims[-1]
+    count = len(clos) + punches + parts + 1 - touches
+    net = sum(chis) - sum(clos) + 2 * s1 * punches + 2 * shift * (parts - touches) + trim
     return count, net
 
 

@@ -51,8 +51,8 @@ CASES = [
     (ParamBox, "intervals", (ivl(1, 2), ivl(0, 1)), {}),
     (Grid, "intervals", (ivl(0, 1), ivl(1, 2), 2, 3), {}),
     (DigitSchedule, "largescale", (4,), {}),
-    (SequenceSpec, "sequences", ("custom", DOWN, _halves, 1, 50, (F(1, 2),)),
-     {"diff_decreasing_from": None, "length": None, "params": ()}),
+    (SequenceSpec, "sequences", ("custom", DOWN, _halves, 50, (F(1, 2),)),
+     {"length": None, "params": ()}),
     (PiecewiseLinearMap, "smallscale", (((F(0), F(0)), (F(1), F(2))), F(1), F(2)), {}),
     (AvoiderLevel, "smallscale", (1, 3, F(1, 3), F(1, 4), F(1, 12), 3, F(1, 4), F(1, 2)), {}),
     (EscapeCertificate, "smallscale", (BOX, "certified", 2, GAP),

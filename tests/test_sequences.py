@@ -60,7 +60,7 @@ def test_explicit_monotonicity_checked():
 
 def test_first_index_with_ratio_closed_form_matches_scan():
     fast = reciprocal()
-    slow = custom(lambda n: F(1, n), "down", diff_decreasing_from=1)
+    slow = custom(lambda n: F(1, n), "down")
     for bound in [F(1, 4), F(1, 64), F(1, 1000)]:
         assert fast.first_index_with_ratio_at_most(bound) == (
             slow.first_index_with_ratio_at_most(bound)

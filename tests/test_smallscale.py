@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -21,7 +22,7 @@ from erdosavoid.sequences import (
 )
 from erdosavoid.smallscale import (
     EscapeCertificate,
-    _count_level,
+    _count_last_two,
     _punch_level,
     _smallest_point_at_least,
     _sup,
@@ -92,6 +93,17 @@ def test_avoider_frozen_exact_measures():
     assert [lvl.parts for lvl in r4.levels] == [3, 126, 1725, 16380]
 
 
+def test_avoider_interval_set_punches_the_last_two_levels():
+    # the build lists levels 1..K-2 only; interval_set() adds K-1 and K
+    seq = reciprocal()
+    for levels in (0, 1, 2, 5):
+        r = build_sublacunary_avoider(seq, levels)
+        e = r.interval_set()
+        assert e == reference_sublacunary_avoider(seq, levels).interval_set()
+        assert len(e) == r.components
+        assert e.measure() == r.measure
+
+
 # Sequences and the levels the lattice count is checked at.  Only the
 # closed-form index search of `reciprocal` reaches level 5 quickly; the
 # other kinds scan their terms one by one.  n^-2 past level 2 and n^-3
@@ -113,7 +125,7 @@ def avoider_inputs(draw):
         seq, levels = draw(st.sampled_from(AVOIDER_CASES))
         return seq, draw(st.sampled_from(tuple(levels)))
     c = draw(st.fractions(min_value=F(-1, 2), max_value=6, max_denominator=4))
-    return custom(lambda n: 1 / (n + c), DOWN, 1), draw(st.integers(0, 4))
+    return custom(lambda n: 1 / (n + c), DOWN), draw(st.integers(0, 4))
 
 
 def _build_or_error(build, seq, levels):
@@ -144,12 +156,22 @@ def punch_levels(draw):
     of them on a punch end, at 0 or at den, and sometimes none at all."""
     parts, q = draw(st.integers(1, 12)), draw(st.integers(3, 30))
     shift = draw(st.integers(1, (q - 1) // 2))  # two punches never touch
-    den = parts * q
-    punch_ends = [min(max(j * q + d, 0), den) for j in range(parts + 1) for d in (-shift, shift)]
+    lattice = (parts, q, shift)
+    return draw(older_unions(parts * q, [lattice])), lattice
+
+
+@st.composite
+def older_unions(draw, den, lattices):
+    punch_ends = [
+        min(max(j * q + d, 0), den)
+        for parts, q, shift in lattices
+        for j in range(parts + 1)
+        for d in (-shift, shift)
+    ]
     end = st.one_of(st.integers(0, den), st.sampled_from(punch_ends))
     ends = sorted(set(draw(st.lists(end, max_size=16))))
     ends = ends[: len(ends) // 2 * 2]
-    return (ends[::2], ends[1::2]), (parts, q, shift)
+    return ends[::2], ends[1::2]
 
 
 @settings(max_examples=400, deadline=None)
@@ -166,36 +188,76 @@ def test_punch_level_matches_sorted_merge(case):
     )
     tags = [0] * len(los)
     want_lo, _, want_hi, _ = _reference_merge_punches((los, tags, his, tags), punches, [den], 0)
-    union = ([], [])
-    _punch_level((los, his), (parts, q, shift), union)
-    assert union == (want_lo, want_hi)
-    count, net = _count_level((los, his), (parts, q, shift))
+    assert _punch_level((los, his), (parts, q, shift)) == (want_lo, want_hi)
+    # the count loop the two-level counter is checked against
+    count, net = reference_punch_count((los, his), (parts, q, shift))
     assert count == len(want_lo)
     assert net == sum(want_hi) - sum(want_lo)
 
 
+@st.composite
+def punch_level_pairs(draw):
+    """Two punch lattices on one shared denominator and a random older
+    union on it.  The run period P = parts1/gcd(parts1, parts) is at most
+    parts1: equal when the punch counts are coprime (the run table is
+    indexed by the punch itself), below it when they share a factor."""
+    parts1, parts = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    base = lcm(parts1, parts)
+    least = -(-3 * max(parts1, parts) // base)  # both q at least 3
+    den = base * draw(st.integers(least, least + 4))
+    lattices = []
+    for n in (parts1, parts):
+        q = den // n
+        lattices.append((n, q, draw(st.integers(1, (q - 1) // 2))))
+    return draw(older_unions(den, lattices)), *lattices
+
+
 @settings(max_examples=400, deadline=None)
-@given(punch_levels())
+@given(punch_level_pairs())
 def test_count_level_matches_count_loop(case):
-    older, lattice = case
-    assert _count_level(older, lattice) == reference_punch_count(older, lattice)
+    older, upper, lattice = case
+    middle = _punch_level(older, upper)
+    assert _count_last_two(older, upper, lattice) == reference_punch_count(middle, lattice)
 
 
 def test_count_level_examples():
-    # parts 2, q 10, shift 2 over den 20: punches [0, 2], [8, 12], [18, 20]
-    lattice = (2, 10, 2)
+    # upper: parts 2, q 10, shift 2 over den 20: punches [0, 2], [8, 12], [18, 20]
+    # lattice: parts 4, q 5, shift 1: punches [0, 1], [4, 6], [9, 11], [14, 16], [19, 20]
+    upper, lattice = (2, 10, 2), (4, 5, 1)
     cases = [
-        ([], [], 3, 8),  # punches alone
-        ([4], [6], 4, 10),  # touches none
-        ([1], [5], 3, 11),  # touches punch 0 only
-        ([5], [8], 3, 11),  # ends exactly on punch 1's lo
-        ([2, 7, 15], [3, 13, 20], 3, 14),  # one punch each, from 0 to den
-        ([12], [18], 2, 14),  # bridges punches 1 and 2 from end to end
-        ([0], [20], 1, 20),  # covers every punch
+        # older union, then count and net against upper alone, then against both
+        ([], [], 3, 8, 5, 12),  # punches alone
+        ([4], [6], 4, 10, 5, 12),  # touches no upper punch; equals a lattice punch
+        ([1], [5], 3, 11, 4, 14),  # touches punch 0 only
+        ([5], [8], 3, 11, 4, 14),  # ends exactly on punch 1's lo
+        ([2, 7, 15], [3, 13, 20], 3, 14, 4, 17),  # one punch each, from 0 to den
+        ([12], [18], 2, 14, 3, 16),  # bridges punches 1 and 2 from end to end
+        ([0], [20], 1, 20, 1, 20),  # covers every punch
+    ]
+    for los, his, count1, net1, count, net in cases:
+        assert reference_punch_count((los, his), upper) == (count1, net1), (los, his)
+        middle = _punch_level((los, his), upper)
+        assert reference_punch_count(middle, lattice) == (count, net), (los, his)
+        assert _count_last_two((los, his), upper, lattice) == (count, net), (los, his)
+
+
+def test_count_last_two_run_spans_periods():
+    # upper: parts 6, q 10, shift 1 over den 60: punches at 10j +- 1
+    # lattice: parts 4, q 15, shift 2: punches at 15j +- 2
+    # Upper punch j touches a lattice punch only when 10j = 0 mod 15, so
+    # the run period is 3, and j = 3 is the one whole punch that touches.
+    upper, lattice = (6, 10, 1), (4, 15, 2)
+    cases = [
+        # [0, 2], [9, 11], [13, 17], [19, 21], [28, 32], [39, 41],
+        # [43, 47], [49, 51], [58, 60]: the run 1..5 covers a period and more
+        ([], [], 9, 24),
+        # [24, 26] splits it into the runs 1..2 and 3..5
+        ([24], [26], 10, 26),
     ]
     for los, his, count, net in cases:
-        assert _count_level((los, his), lattice) == (count, net), (los, his)
-        assert reference_punch_count((los, his), lattice) == (count, net), (los, his)
+        middle = _punch_level((los, his), upper)
+        assert reference_punch_count(middle, lattice) == (count, net), (los, his)
+        assert _count_last_two((los, his), upper, lattice) == (count, net), (los, his)
 
 
 def test_avoider_punch_guard_fires_at_its_level():
@@ -415,6 +477,6 @@ def test_avoider_resource_guard():
 
     # same difference ratios as 1/n but terms a billion times smaller,
     # so the first level would already need billions of punches
-    tiny = custom(lambda n: F(1, n * 10**9), "down", diff_decreasing_from=1)
+    tiny = custom(lambda n: F(1, n * 10**9), "down")
     with pytest.raises(ResourceLimitError):
         build_sublacunary_avoider(tiny, 1)

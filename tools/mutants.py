@@ -37,6 +37,7 @@ SMALLSCALE = "src/erdosavoid/smallscale.py"
 SUMSETS = "src/erdosavoid/sumsets.py"
 T = "tests/test_intervals.py::"
 L = "tests/test_largescale.py::"
+S = "tests/test_smallscale.py::"
 
 
 @dataclass(frozen=True)
@@ -154,18 +155,38 @@ MUTANTS = (
         "punch-level-ceil", SMALLSCALE,
         "lo, hi = lo_num[i], hi_num[i]\n            jlo = (lo - shift + q - 1) // q",
         "lo, hi = lo_num[i], hi_num[i]\n            jlo = (lo - shift) // q",
-        ("tests/test_smallscale.py::test_avoider_fast_measure_matches_generic_intersection",),
+        (S + "test_avoider_fast_measure_matches_generic_intersection",),
     ),
     Mutant(
         "punch-level-floor", SMALLSCALE,
         "jhi = (hi + shift) // q\n        else:",
         "jhi = (hi + shift + q - 1) // q\n        else:",
-        ("tests/test_smallscale.py::test_avoider_fast_measure_matches_generic_intersection",),
+        (S + "test_avoider_fast_measure_matches_generic_intersection",),
+    ),
+    Mutant(
+        "walk-clip-first", SMALLSCALE,
+        "if free == 0:", "if free < 0:",
+        (S + "test_count_level_examples",),
+    ),
+    Mutant(
+        "walk-clip-last", SMALLSCALE,
+        "end = min(jlo, parts)", "end = jlo",
+        (S + "test_count_level_examples",),
     ),
     Mutant(
         "count-level-single-touch", SMALLSCALE,
-        "if jlo <= jhi:\n            touches +=", "if jlo < jhi:\n            touches +=",
-        ("tests/test_smallscale.py::test_count_level_examples",),
+        "if jlo <= jhi:\n            c += jhi - jlo + 1", "if jlo < jhi:\n            c += jhi - jlo + 1",
+        (S + "test_count_level_examples",),
+    ),
+    Mutant(
+        "count-run-period", SMALLSCALE,
+        "period = parts1 // gcd(parts1, parts)", "period = parts // gcd(parts1, parts)",
+        (S + "test_count_last_two_run_spans_periods",),
+    ),
+    Mutant(
+        "count-run-full-periods", SMALLSCALE,
+        "full = y // period - x // period", "full = (y - x) // period",
+        (S + "test_count_last_two_run_spans_periods",),
     ),
     Mutant(
         "select-frame-power-of-two", SUMSETS,
