@@ -198,12 +198,12 @@ def _construct_dyadic_family(args) -> Result:
 # certify
 
 
-def _digit_sweep_rows(args, grid: Grid, n_max: int, box_ids: list[int]) -> list[dict]:
+def _digit_sweep_rows(args, grid: Grid, box_ids: list[int]) -> list[dict]:
     e = largescale.digit_avoider(args.m, args.window)
     rows = []
     for box_id in box_ids:
         bx, by = grid.cell(box_id)
-        cert = largescale.certify_linear_escape(e, bx, by, n_max)
+        cert = largescale.certify_linear_escape(e, bx, by, args.nmax)
         ok = not args.validate or largescale.validate_linear_escape(
             e, cert, samples=args.samples, seed=args.seed * 1000003 + box_id
         )
@@ -261,7 +261,8 @@ def _append_journal(path: str, rows: list[dict]) -> None:
 
 def _certify_digit_avoider(args) -> Result:
     grid = Grid(args.x_range, args.y_range, *args.grid)
-    n_max = largescale.sweep_depth(args.nmax, args.nmax_cap)
+    if args.nmax < 1:
+        raise InvalidParameterError("--Nmax must be at least 1")
     journal = f"{args.out}.partial" if args.out else None
     rows: dict[int, dict] = {}
     if args.resume and journal:
@@ -270,7 +271,7 @@ def _certify_digit_avoider(args) -> Result:
     workers = min(_workers(), max(1, len(todo)))
     chunk = max(1, min((len(todo) + workers - 1) // workers, 256))
     chunks = [todo[w : w + chunk] for w in range(0, len(todo), chunk)]
-    sweep = functools.partial(_digit_sweep_rows, args, grid, n_max)
+    sweep = functools.partial(_digit_sweep_rows, args, grid)
     parallel = workers > 1 and len(chunks) > 1
     if parallel:  # imported only here, so one-worker runs never load it
         from concurrent.futures import ProcessPoolExecutor
@@ -517,7 +518,6 @@ _FLAGS = {
     "--l-range": dict(type=_parse_int_range, default=(-2, 2)),
     "--grid": dict(type=_parse_grid, default=(10, 10)),
     "--Nmax": dict(type=int, default=64, dest="nmax"),
-    "--Nmax-cap": dict(type=int, default=4096, dest="nmax_cap"),
     "--x-range": _interval(Fraction(0), Fraction(1)),
     "--y-range": _interval(Fraction(1, 1000), Fraction(10)),
     "--b-range": _interval(Fraction(3, 2), Fraction(3)),
@@ -551,7 +551,7 @@ _TARGETS = {
         "dyadic-family": (_construct_dyadic_family, "--ratio-n --depth --n-range --l-range"),
     }),
     "certify": ("run a certification sweep", {
-        "digit-avoider": (_certify_digit_avoider, "--m --window --grid --Nmax --Nmax-cap "
+        "digit-avoider": (_certify_digit_avoider, "--m --window --grid --Nmax=4096 "
                           "--x-range --y-range --validate --samples --seed --resume"),
         "sublacunary-avoider": (_certify_sublacunary_avoider, "--seq --ratio --base --levels "
                                 "--window --grid --Nmax --lambda-range --t-range"),

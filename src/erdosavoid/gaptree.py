@@ -6,11 +6,12 @@ gap removed from it together with the left and right child trees.
 A tree is stored as integer level arrays: one denominator per tree and,
 per depth, the `lo` and `hi` numerators of its nodes from left to right.
 A split node's gap is (hi of its left child, lo of its right child).
-`from_middle_ratio` and `affine_tree` compute the arrays directly and
+`symmetric_tree` and `affine_tree` compute the arrays directly and
 build no node; a `GapTree` node is built from them when first read and
-then cached.  A tree assembled from nodes (`GapTree(...)`) derives its
-arrays on first use.  `thickness`, `to_interval_set`, `min_depth`, `==`
-and the frame certifier in `sumsets` read the arrays only.
+then cached.  Node-built trees come only from the public constructor
+(`GapTree(...)`) and derive their arrays on first use.  `thickness`,
+`to_interval_set`, `min_depth`, `==`, the gap-lemma scan and walk in
+`intersect` and the frame certifier in `sumsets` read the arrays only.
 
 Thickness here is the classical Newhouse ratio min(|left|, |right|) /
 |gap| minimized over recorded nodes.  For a finite tree this minimum is
@@ -262,17 +263,22 @@ def from_middle_ratio(
         )
     q = 2 * n_ratio + 1
     den = lcm(hull.lo.denominator, hull.hi.denominator) * q**depth
-    los = [[(hull.lo * den).numerator]]
-    his = [[(hull.hi * den).numerator]]
+    lo, hi = (hull.lo * den).numerator, (hull.hi * den).numerator
+    children = [hi - lo]
     for _ in range(depth):
-        lo_row, hi_row = [], []
-        for a, b in zip(los[-1], his[-1]):
-            c = (b - a) // q * n_ratio
-            lo_row += (a, b - c)
-            hi_row += (a + c, b)
-        los.append(lo_row)
-        his.append(hi_row)
-    return _Rows(den, los, his, [None] * depth, True).node(0, 0)
+        children.append(children[-1] // q * n_ratio)
+    return symmetric_tree(den, lo, hi, children[1:], True)
+
+
+def symmetric_tree(den: int, lo: int, hi: int, children: list[int], self_similar: bool = False) -> GapTree:
+    """The tree on [lo/den, hi/den] whose nodes [a, b] of depth d split
+    into [a, a + c] and [b - c, b], c = children[d] below (b - a)/2."""
+    los, his = [[lo]], [[hi]]
+    for c in children:
+        nodes = list(zip(los[-1], his[-1]))
+        los.append([x for a, b in nodes for x in (a, b - c)])
+        his.append([x for a, b in nodes for x in (a + c, b)])
+    return _Rows(den, los, his, [None] * len(children), self_similar).node(0, 0)
 
 
 def thickness(tree: GapTree) -> Thickness:

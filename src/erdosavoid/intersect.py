@@ -4,6 +4,9 @@ Two routes are kept deliberately separate.  The gap-lemma checker only
 verifies the hypotheses under which two thick sets must meet; it never
 exhibits a point.  The containment walker produces an explicit chain of
 nested node pairs, hence a point estimate with a rigorous error bound.
+Both run on the level arrays (`gaptree._Rows`), comparing two trees'
+ends by cross-multiplication; `_all_gaps` and `_in_some_gap` are the one
+gap scan, which the frame certifier in `sumsets` shares.
 """
 
 from __future__ import annotations
@@ -17,9 +20,8 @@ from .errors import (
     InvalidParameterError,
     ZeroSlackError,
 )
-from .gaptree import GapTree, Thickness, thickness, thickness_product_at_least_one
-from .intervals import Interval
-from .rationals import RationalLike, as_rational, format_rational
+from .gaptree import GapTree, Thickness, symmetric_tree, thickness, thickness_product_at_least_one
+from .rationals import RationalLike, as_rational, format_rational, on_one_denominator
 
 REASON_OK = "ok"
 REASON_THIN = "thickness_product_below_one"
@@ -44,12 +46,27 @@ class GapLemmaVerdict(NamedTuple):
         }
 
 
-def _all_gaps(tree: GapTree) -> list[Interval]:
-    """Every recorded gap, level by level, read from the level arrays.
-    The order carries no meaning: the gap-lemma scans only ask whether
-    some gap contains a hull."""
-    den = tree._rows.den
-    return [Interval(Fraction(lo, den), Fraction(hi, den)) for _, lo, hi in tree._rows.gaps()]
+def _all_gaps(tree: GapTree) -> list[tuple[int, int, int]]:
+    """Every recorded gap as a (length, lo, hi) triple of numerators over
+    the tree's denominator, longest first, as `_in_some_gap` scans them."""
+    return sorted(tree._rows.gaps(), reverse=True)
+
+
+def _in_some_gap(gaps: list[tuple[int, int, int]], s: int, h: int, a0: int, a1: int) -> bool:
+    """Whether [a0, a1] lies strictly inside the image of some gap under
+    n -> n*s + h (s != 0), the gaps given longest first by `_all_gaps`.
+    A negative s swaps a gap's ends.  The scan stops at the first gap no
+    longer than the hull, which cannot hold it strictly, nor can any
+    shorter gap after it."""
+    width, scale = a1 - a0, abs(s)
+    for length, lo, hi in gaps:
+        if length * scale <= width:
+            return False
+        if s < 0:
+            lo, hi = hi, lo
+        if lo * s + h < a0 and a1 < hi * s + h:
+            return True
+    return False
 
 
 def check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
@@ -58,18 +75,18 @@ def check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
     Applicable iff the thickness product is at least 1 and neither hull
     sits strictly inside a recorded gap of the other tree.  The gap
     scan covers all materialized gaps, so the containment verdict is
-    depth-limited; scanned depths are reported alongside.
+    depth-limited; scanned depths are reported alongside.  The scans
+    put both trees' numerators on den1*den2.
     """
     t1, t2 = thickness(k1), thickness(k2)
     d1, d2 = k1.min_depth(), k2.min_depth()
     if not thickness_product_at_least_one(t1, t2):
         return GapLemmaVerdict(False, REASON_THIN, t1, t2, d1, d2)
-    for gap in _all_gaps(k2):
-        if gap.strictly_contains_interval(k1.interval):
-            return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2, d1, d2)
-    for gap in _all_gaps(k1):
-        if gap.strictly_contains_interval(k2.interval):
-            return GapLemmaVerdict(False, REASON_K2_IN_GAP, t1, t2, d1, d2)
+    r1, r2 = k1._rows, k2._rows
+    if _in_some_gap(_all_gaps(k2), r1.den, 0, r1.los[0][0] * r2.den, r1.his[0][0] * r2.den):
+        return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2, d1, d2)
+    if _in_some_gap(_all_gaps(k1), r2.den, 0, r2.los[0][0] * r1.den, r2.his[0][0] * r1.den):
+        return GapLemmaVerdict(False, REASON_K2_IN_GAP, t1, t2, d1, d2)
     return GapLemmaVerdict(True, REASON_OK, t1, t2, d1, d2)
 
 
@@ -131,38 +148,36 @@ def containment_walk(inner: GapTree, outer: GapTree, depth: int) -> WalkTrace:
     At a split, the outer gap is shorter than the inner gap, so the
     inner left child fits in the outer left child or the inner right
     child fits in the outer right child; when both fit the left pair
-    is taken.
+    is taken.  Both walks take the same side, so one index i names both
+    nodes, and the levels down to `depth` are full, so its children are
+    2i and 2i + 1.
     """
     _check_walk_preconditions(inner, outer, depth)
-    node_in, node_out = inner, outer
-    label_in, label_out = "", ""
+    rin, rout = inner._rows, outer._rows
+    din, dout = rin.den, rout.den
+    label, i = "", 0
     chain = []
     bounds = []
-    for _ in range(depth):
-        a = node_in.left.interval.hi  # inner gap endpoints
-        b = node_in.right.interval.lo
-        c = node_out.left.interval.hi  # outer gap endpoints
-        d = node_out.right.interval.lo
-        if a <= c:
-            node_in, node_out = node_in.left, node_out.left
-            label_in, label_out = label_in + "0", label_out + "0"
+    for d in range(1, depth + 1):
+        ilo, ihi, olo, ohi = rin.los[d], rin.his[d], rout.los[d], rout.his[d]
+        i *= 2
+        # inner gap (ihi[i], ilo[i + 1]), outer gap (ohi[i], olo[i + 1])
+        if ihi[i] * dout <= ohi[i] * din:
+            label += "0"
         else:
-            if not d <= b:
-                raise GapConditionError(
-                    len(chain), node_out.gap.length, node_in.gap.length
-                )
-            node_in, node_out = node_in.right, node_out.right
-            label_in, label_out = label_in + "1", label_out + "1"
-        if not node_out.interval.contains_interval(node_in.interval):
-            raise HullContainmentError(
-                f"containment lost at step {len(chain) + 1}"
-            )
-        chain.append((label_in, label_out))
-        bounds.append(node_out.interval.length)
+            if not olo[i + 1] * din <= ilo[i + 1] * dout:
+                gaps = Fraction(olo[i + 1] - ohi[i], dout), Fraction(ilo[i + 1] - ihi[i], din)
+                raise GapConditionError(d - 1, *gaps)
+            label += "1"
+            i += 1
+        if not (olo[i] * din <= ilo[i] * dout and ihi[i] * dout <= ohi[i] * din):
+            raise HullContainmentError(f"containment lost at step {d}")
+        chain.append((label, label))
+        bounds.append(Fraction(ohi[i] - olo[i], dout))
     return WalkTrace(
         tuple(chain),
-        node_in.interval.midpoint,
-        node_out.interval.length,
+        Fraction(rin.los[depth][i] + rin.his[depth][i], 2 * din),
+        bounds[-1],
         tuple(bounds),
     )
 
@@ -172,7 +187,8 @@ def build_tilde(tree: GapTree, depth: int, margin: RationalLike) -> GapTree:
     shorter than a quarter of the inner tree's smallest same-level gap.
 
     The quarter factor leaves slack below the 1/2 bound that
-    `perturbation_delta` certifies against.
+    `perturbation_delta` certifies against.  All nodes of a level have
+    one length, so the tree is a `symmetric_tree`.
     """
     margin = as_rational(margin)
     if margin <= 0:
@@ -181,23 +197,12 @@ def build_tilde(tree: GapTree, depth: int, margin: RationalLike) -> GapTree:
         raise InvalidParameterError(
             f"inner tree must be complete to depth {depth}, has {tree.min_depth()}"
         )
-    min_gaps = _level_gap_lengths(tree, depth, min)
-    hull = Interval(tree.interval.lo - margin, tree.interval.hi + margin)
-
-    def build(iv: Interval, level: int) -> GapTree:
-        if level == depth:
-            return GapTree(iv)
-        g = min(min_gaps[level], iv.length) / 4
-        mid = iv.midpoint
-        gap = Interval(mid - g / 2, mid + g / 2)
-        return GapTree(
-            iv,
-            gap,
-            build(Interval(iv.lo, gap.lo), level + 1),
-            build(Interval(gap.hi, iv.hi), level + 1),
-        )
-
-    return build(hull, 0)
+    lo, hi = tree.interval.lo - margin, tree.interval.hi + margin
+    lengths = [hi - lo]
+    for g in _level_gap_lengths(tree, depth, min):
+        lengths.append((lengths[-1] - min(g, lengths[-1]) / 4) / 2)
+    den, (lo, hi, *children) = on_one_denominator(lo, hi, *lengths[1:])
+    return symmetric_tree(den, lo, hi, children)
 
 
 def perturbation_delta(inner: GapTree, outer: GapTree, depth: int) -> Fraction:

@@ -41,6 +41,7 @@ from .rationals import (
     floor_rational,
     format_rational,
     frac_part,
+    on_one_denominator,
 )
 
 RationalOrEnclosure = Union[Fraction, int, str, Interval]
@@ -291,9 +292,7 @@ def point_escape_index(
         raise InvalidParameterError("the scan depth n_max must be at least 1")
     gen = _digit_generator(e, "point escape")
     x, y = as_rational(x), as_rational(y)
-    den = x.denominator * y.denominator // math.gcd(x.denominator, y.denominator)
-    ax = x.numerator * (den // x.denominator)
-    ay = y.numerator * (den // y.denominator)
+    den, (ax, ay) = on_one_denominator(x, y)
     return _escape_index(gen, ax, ay, den, n_max, e.guard)
 
 
@@ -410,9 +409,7 @@ def certify_linear_escape(
         if n is None:
             return LinearEscapeCertificate(x_box, y_box, "inconclusive")
         return LinearEscapeCertificate(x_box, y_box, "certified", n, "point")
-    ends = (x_box.lo, x_box.hi, y_box.lo, y_box.hi)
-    L = math.lcm(*(v.denominator for v in ends))
-    xl, xh, yl, yh = (v.numerator * (L // v.denominator) for v in ends)
+    L, (xl, xh, yl, yh) = on_one_denominator(x_box.lo, x_box.hi, y_box.lo, y_box.hi)
     m = gen.m
     unit = L * m
 
@@ -476,9 +473,7 @@ def validate_linear_escape(
     x_box, y_box = cert.x_box, cert.y_box
     if _box_escape_step(gen, x_box, y_box, min(n_limit, witness), e.guard) is not None:
         return True
-    ends = (x_box.lo, x_box.length, y_box.lo, y_box.length)
-    L = math.lcm(*(v.denominator for v in ends))
-    x0, sx, y0, sy = (v.numerator * (L // v.denominator) for v in ends)
+    L, (x0, sx, y0, sy) = on_one_denominator(x_box.lo, x_box.length, y_box.lo, y_box.length)
     x0, y0, den = 128 * x0, 128 * y0, 128 * L
     draws = _unit_draws(random.Random(seed))
     while samples > 0:
@@ -501,20 +496,28 @@ def _box_escape_step(
     `certify_linear_escape` takes: trajectories then move right, and the
     image's upper end at step n bounds every earlier point of every
     trajectory.  The scan gives up (None) when that upper end leaves the
-    cell guard, so that a sampling audit raises as it would have, and
-    once the image is wider than 3/m, the longest run of removed parts.
+    cell guard, so that a sampling audit raises as it would have.
     """
     if x_box.lo < 0 or x_box.hi > 1 or y_box.lo <= 0:
         return None
-    ends = (x_box.lo, x_box.hi, y_box.lo, y_box.hi)
-    L = math.lcm(*(v.denominator for v in ends))
-    xl, xh, yl, yh = (v.numerator * (L // v.denominator) for v in ends)
+    L, (xl, xh, yl, yh) = on_one_denominator(x_box.lo, x_box.hi, y_box.lo, y_box.hi)
+    return _span_escape_step(gen, xl, xh, yl, yh, L, n_max, guard)
+
+
+def _span_escape_step(
+    gen: DigitGenerator, lo: int, hi: int, dlo: int, dhi: int, L: int, n_max: int, guard: int
+) -> Optional[int]:
+    """The least n <= n_max at which the span [lo + n*dlo, hi + n*dhi]
+    over L passes `_span_escapes`, else None.  It gives up once the upper
+    end lies past cell `guard`, and once the span is wider than 3/m, the
+    longest run of removed parts: with dlo <= dhi it never narrows."""
     m = gen.m
     for n in range(1, n_max + 1):
-        lo, hi = xl + n * yl, xh + n * yh
+        lo += dlo
+        hi += dhi
         if hi // L > guard:
             return None
-        if (hi - lo) * m > 3 * L:  # wider than 3/m
+        if (hi - lo) * m > 3 * L:
             return None
         if _span_escapes(gen, lo, hi, L):
             return n
@@ -552,26 +555,15 @@ def sweep_linear_escape(
     y_range: Interval,
     x_cells: int,
     y_cells: int,
-    n_max_start: int = 16,
-    n_max_cap: int = 4096,
+    n_max: int = 4096,
 ) -> list[LinearEscapeCertificate]:
-    """Grid sweep, each box scanned to `sweep_depth(n_max_start, n_max_cap)`."""
+    """Grid sweep, each box scanned once to depth n_max."""
     if y_range.lo <= 0:
         raise InvalidParameterError("step range must be strictly positive")
-    n_max = sweep_depth(n_max_start, n_max_cap)
     return [
         certify_linear_escape(e, box_x, box_y, n_max)
         for box_x, box_y in Grid(x_range, y_range, x_cells, y_cells)
     ]
-
-
-def sweep_depth(n_max: int, n_max_cap: int) -> int:
-    """The one scan depth of a sweep from n_max up to the cap.  A
-    certificate names the first step that certifies, so doubling the
-    depth up to the cap gives the certificate of this one scan."""
-    if n_max < 1:
-        raise InvalidParameterError("the scan depth n_max must be at least 1")
-    return max(n_max, n_max_cap)
 
 
 # ---------------------------------------------------------------------------
@@ -795,8 +787,7 @@ def ell_upper_bound(
             )
     # integer grid: f scaled by the lcm D of its denominators, cofactor
     # values in units of 1/den(step), costs in units of 1/(D*den(step))
-    scale = math.lcm(*(c.denominator for c in f))
-    f_int = [c.numerator * (scale // c.denominator) for c in f]
+    scale, f_int = on_one_denominator(*f)
     unit = step.denominator
     grid = [j * step.numerator for j in range(-reach, reach + 1)]
     one = [unit]
@@ -899,8 +890,9 @@ def geometric_escape_via_log(
     The four enclosure ends go on one denominator L, the lcm of theirs
     (2^(bits+2) for computed enclosures), once per box.  Step n's span
     [n*ln(b).lo - ln(y).hi, n*ln(b).hi - ln(y).lo] is then a pair of
-    integer numerators over L, advanced by the numerators of ln(b)'s
-    ends from one step to the next.
+    integer numerators over L, scanned by `_span_escape_step`: the scan
+    stops once the span is wider than 3/m, or once its upper end lies
+    past the set's cell guard.
 
     With refine > 0 an inconclusive box is split into four children,
     each with enclosures of its own box computed at 16 more bits (never
@@ -915,16 +907,11 @@ def geometric_escape_via_log(
     gen = _digit_generator(f_set, "log escape")
     ly = log_y if log_y is not None else enclosures.ln_interval(y_box, bits)
     lb = log_b if log_b is not None else enclosures.ln_interval(b_box, bits)
-    ends = (ly.lo, ly.hi, lb.lo, lb.hi)
-    L = math.lcm(*(v.denominator for v in ends))
-    yl, yh, bl, bh = (v.numerator * (L // v.denominator) for v in ends)
-    s_lo, s_hi = -yh, -yl
-    for n in range(1, n_max + 1):
-        s_lo += bl
-        s_hi += bh
-        if _span_escapes(gen, s_lo, s_hi, L):
-            route = "point" if s_lo == s_hi else "gap"
-            return LogEscapeCertificate(y_box, b_box, "certified", n, route)
+    L, (yl, yh, bl, bh) = on_one_denominator(ly.lo, ly.hi, lb.lo, lb.hi)
+    n = _span_escape_step(gen, -yh, -yl, bl, bh, L, n_max, f_set.guard)
+    if n is not None:
+        route = "point" if yl == yh and bl == bh else "gap"
+        return LogEscapeCertificate(y_box, b_box, "certified", n, route)
     if refine > 0 and (y_box.length > 0 or b_box.length > 0):
         ym, bm = y_box.midpoint, b_box.midpoint
         children_y = (

@@ -6,6 +6,7 @@ already maintains the lowest-terms, positive-denominator invariants.
 
 from __future__ import annotations
 
+import math
 import re
 import sys
 from fractions import Fraction
@@ -65,6 +66,12 @@ def format_rational(q: Fraction) -> str:
         raise ResourceLimitError(
             f"rational too large to print within the {_digit_limit()}-digit limit"
         ) from exc
+
+
+def on_one_denominator(*values: Fraction) -> tuple[int, list[int]]:
+    """The lcm of the values' denominators and each value's numerator over it."""
+    den = math.lcm(*(v.denominator for v in values))
+    return den, [v.numerator * (den // v.denominator) for v in values]
 
 
 def floor_rational(q: Fraction) -> int:

@@ -31,6 +31,8 @@ from .intersect import (
     REASON_OK,
     REASON_THIN,
     GapLemmaVerdict,
+    _all_gaps,
+    _in_some_gap,
 )
 from .intervals import Interval, IntervalSet, ParamBox
 from .rationals import RationalLike, as_rational, format_rational
@@ -184,8 +186,8 @@ class FrameCertifier:
         self.base_thick = thickness(family.base)
         self._thick_enough = thickness_product_at_least_one(self.x_thick, self.base_thick)
         self._x, self._base = x_tree._rows, family.base._rows
-        self.x_gaps_desc = sorted(self._x.gaps(), reverse=True)
-        self.base_gaps_desc = sorted(self._base.gaps(), reverse=True)
+        self.x_gaps_desc = _all_gaps(x_tree)
+        self.base_gaps_desc = _all_gaps(family.base)
 
     def _maps(self, lam: Fraction, t: Fraction, frame: tuple[int, int]):
         """(D, sx, hx, sb, hb): X's numerator a maps to (a*sx + hx)/D under
@@ -206,9 +208,9 @@ class FrameCertifier:
 
         Thickness is affine-invariant and the hull/gap comparisons
         commute with the affine maps, so both trees stay unmaterialized;
-        gaps are scanned in decreasing length with an early exit, on
-        numerators over the common denominator of `_maps`.  Agrees with
-        check_gap_lemma on materialized trees.
+        `_in_some_gap` scans the gaps on numerators over the common
+        denominator of `_maps`.  Agrees with check_gap_lemma on
+        materialized trees.
         """
         if not self._thick_enough:
             return GapLemmaVerdict(False, REASON_THIN, self.x_thick, self.base_thick)
@@ -216,22 +218,10 @@ class FrameCertifier:
         x, base = self._x, self._base
         a0, a1 = sorted((x.los[0][0] * sx + hx, x.his[0][0] * sx + hx))
         b0, b1 = base.los[0][0] * sb + hb, base.his[0][0] * sb + hb
-        for length, lo, hi in self.base_gaps_desc:
-            if length * sb <= a1 - a0:
-                break
-            if lo * sb + hb < a0 and a1 < hi * sb + hb:
-                return GapLemmaVerdict(
-                    False, REASON_K1_IN_GAP, self.x_thick, self.base_thick
-                )
-        scale = abs(sx)
-        for length, lo, hi in self.x_gaps_desc:
-            if length * scale <= b1 - b0:
-                break
-            g0, g1 = sorted((lo * sx + hx, hi * sx + hx))
-            if g0 < b0 and b1 < g1:
-                return GapLemmaVerdict(
-                    False, REASON_K2_IN_GAP, self.x_thick, self.base_thick
-                )
+        if _in_some_gap(self.base_gaps_desc, sb, hb, a0, a1):
+            return GapLemmaVerdict(False, REASON_K1_IN_GAP, self.x_thick, self.base_thick)
+        if _in_some_gap(self.x_gaps_desc, sx, hx, b0, b1):
+            return GapLemmaVerdict(False, REASON_K2_IN_GAP, self.x_thick, self.base_thick)
         return GapLemmaVerdict(True, REASON_OK, self.x_thick, self.base_thick)
 
     def find_common_point(

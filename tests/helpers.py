@@ -18,6 +18,8 @@ from typing import Optional
 
 from erdosavoid.errors import (
     ConstructionAuditError,
+    GapConditionError,
+    HullContainmentError,
     InvalidParameterError,
     NeedsLongerWindowError,
     ResourceLimitError,
@@ -34,6 +36,9 @@ from erdosavoid.intersect import (
     REASON_OK,
     REASON_THIN,
     GapLemmaVerdict,
+    WalkTrace,
+    _check_walk_preconditions,
+    _level_gap_lengths,
 )
 from erdosavoid.enclosures import ln_interval
 from erdosavoid.intervals import Gap, Interval, IntervalSet
@@ -244,6 +249,88 @@ def reference_all_gaps(tree: GapTree) -> list[Interval]:
     if tree.gap is None:
         return []
     return [tree.gap] + reference_all_gaps(tree.left) + reference_all_gaps(tree.right)
+
+
+def reference_check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
+    """The gap-lemma verdict on the Fraction nodes: every gap of each
+    tree against the other tree's hull."""
+    t1, t2 = reference_thickness(k1), reference_thickness(k2)
+    d1, d2 = reference_min_depth(k1), reference_min_depth(k2)
+    if not thickness_product_at_least_one(t1, t2):
+        return GapLemmaVerdict(False, REASON_THIN, t1, t2, d1, d2)
+    for gap in reference_all_gaps(k2):
+        if gap.strictly_contains_interval(k1.interval):
+            return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2, d1, d2)
+    for gap in reference_all_gaps(k1):
+        if gap.strictly_contains_interval(k2.interval):
+            return GapLemmaVerdict(False, REASON_K2_IN_GAP, t1, t2, d1, d2)
+    return GapLemmaVerdict(True, REASON_OK, t1, t2, d1, d2)
+
+
+def reference_containment_walk(inner: GapTree, outer: GapTree, depth: int) -> WalkTrace:
+    """The containment walk node by node: two chains of `GapTree` nodes
+    compared on their Fraction ends, left pair first."""
+    _check_walk_preconditions(inner, outer, depth)
+    node_in, node_out = inner, outer
+    label_in, label_out = "", ""
+    chain = []
+    bounds = []
+    for _ in range(depth):
+        a = node_in.left.interval.hi  # inner gap endpoints
+        b = node_in.right.interval.lo
+        c = node_out.left.interval.hi  # outer gap endpoints
+        d = node_out.right.interval.lo
+        if a <= c:
+            node_in, node_out = node_in.left, node_out.left
+            label_in, label_out = label_in + "0", label_out + "0"
+        else:
+            if not d <= b:
+                raise GapConditionError(
+                    len(chain), node_out.gap.length, node_in.gap.length
+                )
+            node_in, node_out = node_in.right, node_out.right
+            label_in, label_out = label_in + "1", label_out + "1"
+        if not node_out.interval.contains_interval(node_in.interval):
+            raise HullContainmentError(
+                f"containment lost at step {len(chain) + 1}"
+            )
+        chain.append((label_in, label_out))
+        bounds.append(node_out.interval.length)
+    return WalkTrace(
+        tuple(chain),
+        node_in.interval.midpoint,
+        node_out.interval.length,
+        tuple(bounds),
+    )
+
+
+def reference_build_tilde(tree: GapTree, depth: int, margin: Fraction) -> GapTree:
+    """`build_tilde` node by node: a quarter of the level's smallest inner
+    gap (or of the node, if shorter), centred at each node's midpoint."""
+    margin = as_rational(margin)
+    if margin <= 0:
+        raise InvalidParameterError("margin must be positive")
+    if tree.min_depth() < depth:
+        raise InvalidParameterError(
+            f"inner tree must be complete to depth {depth}, has {tree.min_depth()}"
+        )
+    min_gaps = _level_gap_lengths(tree, depth, min)
+    hull = Interval(tree.interval.lo - margin, tree.interval.hi + margin)
+
+    def build(iv: Interval, level: int) -> GapTree:
+        if level == depth:
+            return GapTree(iv)
+        g = min(min_gaps[level], iv.length) / 4
+        mid = iv.midpoint
+        gap = Interval(mid - g / 2, mid + g / 2)
+        return GapTree(
+            iv,
+            gap,
+            build(Interval(iv.lo, gap.lo), level + 1),
+            build(Interval(gap.hi, iv.hi), level + 1),
+        )
+
+    return build(hull, 0)
 
 
 def random_interval_set(rng: random.Random, components: int, span=(0, 1)) -> IntervalSet:

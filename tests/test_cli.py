@@ -750,6 +750,17 @@ def test_config_key_no_command_takes_is_refused(tmp_path, capsys):
     assert main(argv) == 0
 
 
+def test_scan_cap_flag_and_config_key_are_gone(tmp_path):
+    # --Nmax is the one scan depth of the digit sweep
+    out = tmp_path / "sweep.csv"
+    sweep = ["certify", "digit-avoider", "--grid", "2x2", "--out", str(out)]
+    assert main([*sweep, "--Nmax-cap", "64"]) == 1
+    cfg = tmp_path / "cfg"
+    cfg.write_text("nmax_cap = 64\n")
+    assert main(["--config", str(cfg), *sweep]) == 1
+    assert not out.exists()
+
+
 def test_inputs_that_are_not_utf8_exit_one(tmp_path, capsys):
     # report, --config and --resume read text files; other bytes are refused
     out = tmp_path / "out"

@@ -212,7 +212,13 @@ def test_level_index_matches_recursive_walks(tree):
         assert list(map(id, row)) == list(map(id, reference_level_nodes(tree, d)))
     th, ref = thickness(tree), reference_thickness(tree)
     assert (th.value, th.label) == (ref.value, ref.label)
-    assert Counter(_all_gaps(tree)) == Counter(reference_all_gaps(tree))
+    gaps = _all_gaps(tree)
+    assert gaps == sorted(gaps, reverse=True)
+    den = tree._rows.den
+    assert Counter(ivl(F(lo, den), F(hi, den)) for _, lo, hi in gaps) == Counter(
+        reference_all_gaps(tree)
+    )
+    assert all(length == hi - lo for length, lo, hi in gaps)
     for d in range(depth + 1):
         expected = IntervalSet([n.interval for n in reference_level_nodes(tree, d)])
         assert to_interval_set(tree, d) == expected

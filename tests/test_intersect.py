@@ -2,18 +2,40 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from erdosavoid.errors import GapConditionError, HullContainmentError, ZeroSlackError
-from erdosavoid.gaptree import GapTree, affine_tree, from_middle_ratio, thickness, to_interval_set
+from erdosavoid.errors import (
+    ErdosAvoidError,
+    GapConditionError,
+    HullContainmentError,
+    ZeroSlackError,
+)
+from erdosavoid.gaptree import (
+    GapTree,
+    affine_tree,
+    from_middle_ratio,
+    thickness,
+    to_interval_set,
+    tree_to_json,
+)
 from erdosavoid.intersect import (
     REASON_THIN,
+    _all_gaps,
+    _in_some_gap,
     build_tilde,
     check_gap_lemma,
     containment_walk,
     perturbation_delta,
 )
 from erdosavoid.intervals import ivl
-from helpers import random_decreasing_gap_tree
+from helpers import (
+    random_decreasing_gap_tree,
+    reference_all_gaps,
+    reference_build_tilde,
+    reference_check_gap_lemma,
+    reference_containment_walk,
+)
 
 F = Fraction
 
@@ -59,6 +81,30 @@ def test_gap_lemma_hull_inside_gap():
     assert swapped.reason == "K2_inside_gap_of_K1"
 
 
+def test_gap_lemma_hull_touching_a_gap_end():
+    # a hull that shares an end with a gap is not strictly inside it
+    k2 = from_middle_ratio(1, 2)  # gap (1/3, 2/3)
+    for hull in (ivl(F(1, 3), F(1, 2)), ivl(F(1, 2), F(2, 3))):
+        k1 = from_middle_ratio(1, 2, hull)
+        assert check_gap_lemma(k1, k2).applicable
+        assert check_gap_lemma(k2, k1).applicable
+    inside = from_middle_ratio(1, 2, ivl(F(7, 20), F(1, 2)))
+    assert check_gap_lemma(inside, k2).reason == "K1_inside_gap_of_K2"
+
+
+def test_in_some_gap_maps_gap_ends_by_the_sign_of_the_scale():
+    gaps = _all_gaps(from_middle_ratio(1, 1))  # the gap (1/3, 2/3) over 3
+    assert gaps == [(1, 1, 2)]
+    # n -> 2n and n -> -2n map the gap to (2, 4) and to (-4, -2)
+    assert _in_some_gap(gaps, 2, 0, 3, 3)
+    assert _in_some_gap(gaps, -2, 0, -3, -3)
+    assert _in_some_gap(gaps, -2, 1, -2, -2)
+    assert not _in_some_gap(gaps, -2, 0, -4, -3)
+    assert not _in_some_gap(gaps, -2, 0, -3, -2)
+    # a hull as long as the gap's image stops the scan
+    assert not _in_some_gap(gaps, -2, 0, -4, -2)
+
+
 def test_gap_lemma_applicable_symmetric():
     rng = random.Random(5)
     for _ in range(20):
@@ -96,6 +142,18 @@ def growing_gap_tree(depth, gap0=F(1, 128)):
         )
 
     return build(ivl(0, 1), 0)
+
+
+def test_walk_takes_the_left_pair_when_both_fit():
+    # the inner left child [0, 1/3] fits in the outer left child [-1, 1/3]
+    # and the inner right child [2/3, 1] in the outer right child [1/2, 1]
+    inner = from_middle_ratio(1, 1)
+    outer = GapTree(
+        ivl(-1, 1), ivl(F(1, 3), F(1, 2)), GapTree(ivl(-1, F(1, 3))), GapTree(ivl(F(1, 2), 1))
+    )
+    trace = containment_walk(inner, outer, 1)
+    assert trace.chain == (("0", "0"),)
+    assert (trace.point_estimate, trace.error_bound) == (F(1, 6), F(4, 3))
 
 
 def test_walk_left_restriction_matches_labels():
@@ -200,3 +258,73 @@ def test_gap_lemma_consistent_with_walker_on_corpus():
         if verdict.applicable:
             trace = containment_walk(k, tilde, 4)
             assert trace.error_bound > 0
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except ErdosAvoidError as exc:
+        return type(exc).__name__, str(exc)
+
+
+def partial_tree(rng, iv, depth):
+    """Node-built tree whose branches stop at random depths."""
+    if depth == 0 or rng.random() < 0.3:
+        return GapTree(iv)
+    a, b, c = rng.randrange(1, 5), rng.randrange(1, 3), rng.randrange(1, 5)
+    unit = iv.length / (a + b + c)
+    gap = ivl(iv.lo + a * unit, iv.hi - c * unit)
+    return GapTree(
+        iv,
+        gap,
+        partial_tree(rng, ivl(iv.lo, gap.lo), depth - 1),
+        partial_tree(rng, ivl(gap.hi, iv.hi), depth - 1),
+    )
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    depth=st.integers(1, 4),
+    lam=st.sampled_from([F(1), F(2, 3), F(-1), F(-3, 2), F(-5, 7)]),
+    t=st.fractions(-3, 3, max_denominator=6),
+    margin=st.sampled_from([F(1, 9), F(1, 1000), F(2)]),
+)
+def test_level_array_kernels_match_fraction_oracles(seed, depth, lam, t, margin):
+    # build_tilde, containment_walk and check_gap_lemma against their
+    # node-by-node Fraction bodies: equal trees, equal traces or the same
+    # error and message, equal verdicts
+    rng = random.Random(seed)
+    inner = affine_tree(random_decreasing_gap_tree(rng, depth), lam, t)
+    tilde = build_tilde(inner, depth, margin)
+    ref = reference_build_tilde(inner, depth, margin)
+    assert tilde == ref and tree_to_json(tilde) == tree_to_json(ref)
+    assert thickness(tilde) == thickness(ref)
+
+    walks = [
+        (inner, tilde, depth),
+        (inner, ref, depth),
+        (inner, affine_tree(tilde, 1, 2 * margin), depth),
+        (inner, affine_tree(random_decreasing_gap_tree(rng, depth), lam, t), depth),
+        (inner, tilde, depth + 1),
+        (affine_tree(inner, F(1, 2), inner.interval.lo / 2), tilde, depth),
+    ]
+    for args in walks:
+        assert _outcome(containment_walk, *args) == _outcome(reference_containment_walk, *args)
+
+    # hulls inside a gap of `inner`, touching one end, both or neither
+    g = rng.choice(reference_all_gaps(inner))
+    hull = rng.choice([
+        ivl(g.lo, g.lo + g.length / 2),
+        ivl(g.hi - g.length / 3, g.hi),
+        ivl(g.lo + g.length / 4, g.hi - g.length / 4),
+        g,
+    ])
+    nested = random_decreasing_gap_tree(rng, rng.randrange(1, 4), hull)
+    flipped = affine_tree(nested, -1, hull.lo + hull.hi)  # the same hull
+    partial = partial_tree(rng, rng.choice([hull, inner.interval, ivl(-1, 1)]), depth)
+    pairs = [(inner, tilde), (nested, inner), (flipped, inner), (partial, inner), (partial, nested),
+             (partial, thin_tree())]
+    for k1, k2 in pairs:
+        assert check_gap_lemma(k1, k2) == reference_check_gap_lemma(k1, k2)
+        assert check_gap_lemma(k2, k1) == reference_check_gap_lemma(k2, k1)

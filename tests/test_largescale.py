@@ -30,7 +30,6 @@ from erdosavoid.largescale import (
     is_p_large,
     point_escape_index,
     quotient_avoider,
-    sweep_depth,
     sweep_linear_escape,
     sweep_log_escape,
     validate_linear_escape,
@@ -388,7 +387,7 @@ def test_box_settle_agrees_with_sampling_on_the_criterion_grid(monkeypatch):
                         lambda *args: settled.append(real(*args)) or settled[-1])
     grid = Grid(ivl(0, 1), ivl(F(1, 1000), 10), 100, 100)
     boxes = [grid.cell(100 * i + j) for i in range(0, 100, 13) for j in range(0, 100, 13)]
-    certs = [certify_linear_escape(e, x_box, y_box, sweep_depth(16, 4096)) for x_box, y_box in boxes]
+    certs = [certify_linear_escape(e, x_box, y_box, 4096) for x_box, y_box in boxes]
     assert len(certs) == 64 and all(c.status == "certified" for c in certs)
     verdicts = set()
     for i, cert in enumerate(certs):
@@ -528,7 +527,7 @@ def test_escape_indices_stop_after_the_first_none():
 )
 def test_one_scan_matches_doubling(m, boxes, n_max, cap, guard):
     e = PLargeSet(F(m - 2, m), 4, DigitGenerator(m), guard=guard)
-    got = _outcome(certify_linear_escape, e, *boxes, sweep_depth(n_max, cap))
+    got = _outcome(certify_linear_escape, e, *boxes, max(n_max, cap))
     assert got == _outcome(certify_linear_escape_doubling, e, *boxes, n_max, cap)
 
 
@@ -538,14 +537,14 @@ def test_one_scan_matches_doubling_when_inconclusive_or_past_the_guard():
     # the integers first escape at cell 3, beyond depth 2
     for n_max, cap in ((1, 2), (2, 1), (1, 3), (2, 64)):
         for x_box, y_box in (point, box):
-            got = _outcome(certify_linear_escape, e, x_box, y_box, sweep_depth(n_max, cap))
+            got = _outcome(certify_linear_escape, e, x_box, y_box, max(n_max, cap))
             want = _outcome(certify_linear_escape_doubling, e, x_box, y_box, n_max, cap)
             assert got == want
-    assert certify_linear_escape(e, *point, sweep_depth(1, 2)).status == "inconclusive"
+    assert certify_linear_escape(e, *point, 2).status == "inconclusive"
     # steps of 5 leave cells 0..5 at n = 2 before any escape
     far = (ivl(0, 0), ivl(5, 5))
     for n_max, cap in ((1, 1), (1, 4), (3, 64)):
-        got = _outcome(certify_linear_escape, e, *far, sweep_depth(n_max, cap))
+        got = _outcome(certify_linear_escape, e, *far, max(n_max, cap))
         assert got == _outcome(certify_linear_escape_doubling, e, *far, n_max, cap)
     assert _outcome(certify_linear_escape, e, *far, 4)[0] == "ResourceLimitError"
 
@@ -553,8 +552,6 @@ def test_one_scan_matches_doubling_when_inconclusive_or_past_the_guard():
 def test_scan_depth_below_one_is_rejected():
     e = digit_avoider(4, 8)
     for n_max in (0, -3):
-        with pytest.raises(InvalidParameterError):
-            sweep_depth(n_max, 4096)
         # the point route and a box alike, rather than "inconclusive"
         for x_box, y_box in ((ivl(0, 1), ivl(1, 2)), (ivl(0, 0), ivl(1, 1))):
             with pytest.raises(InvalidParameterError):
@@ -562,7 +559,7 @@ def test_scan_depth_below_one_is_rejected():
         with pytest.raises(InvalidParameterError):
             point_escape_index(e, 0, 1, n_max)
         with pytest.raises(InvalidParameterError):
-            sweep_linear_escape(e, ivl(0, 1), ivl(1, 2), 2, 2, n_max_start=n_max)
+            sweep_linear_escape(e, ivl(0, 1), ivl(1, 2), 2, 2, n_max=n_max)
 
 
 def test_validation_needs_a_sample():

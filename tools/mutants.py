@@ -31,10 +31,12 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+INTERSECT = "src/erdosavoid/intersect.py"
 INTERVALS = "src/erdosavoid/intervals.py"
 LARGESCALE = "src/erdosavoid/largescale.py"
 SMALLSCALE = "src/erdosavoid/smallscale.py"
 SUMSETS = "src/erdosavoid/sumsets.py"
+I = "tests/test_intersect.py::"
 T = "tests/test_intervals.py::"
 L = "tests/test_largescale.py::"
 S = "tests/test_smallscale.py::"
@@ -138,7 +140,7 @@ MUTANTS = (
     ),
     Mutant(
         "log-escape-end-pairing", LARGESCALE,
-        "s_lo, s_hi = -yh, -yl", "s_lo, s_hi = -yl, -yh",
+        "_span_escape_step(gen, -yh, -yl, bl, bh,", "_span_escape_step(gen, -yl, -yh, bl, bh,",
         (L + "test_log_escape_pairs_the_enclosure_ends",),
     ),
     Mutant(
@@ -189,6 +191,26 @@ MUTANTS = (
         (S + "test_count_last_two_run_spans_periods",),
     ),
     Mutant(
+        "in-some-gap-strict-lo", INTERSECT,
+        "if lo * s + h < a0 and a1 < hi * s + h:", "if lo * s + h <= a0 and a1 < hi * s + h:",
+        (I + "test_gap_lemma_hull_touching_a_gap_end",),
+    ),
+    Mutant(
+        "in-some-gap-negative-scale", INTERSECT,
+        "        if s < 0:\n            lo, hi = hi, lo\n", "",
+        (I + "test_in_some_gap_maps_gap_ends_by_the_sign_of_the_scale",),
+    ),
+    Mutant(
+        "walk-left-first", INTERSECT,
+        "if ihi[i] * dout <= ohi[i] * din:", "if ihi[i] * dout < ohi[i] * din:",
+        (I + "test_walk_takes_the_left_pair_when_both_fit",),
+    ),
+    Mutant(
+        "tilde-quarter-gap", INTERSECT,
+        "min(g, lengths[-1]) / 4", "min(g, lengths[-1]) / 2",
+        (I + "test_build_tilde_gap_bound",),
+    ),
+    Mutant(
         "select-frame-power-of-two", SUMSETS,
         "if p << max(-n, 0) > q << max(n, 0):", "if p << max(-n, 0) >= q << max(n, 0):",
         ("tests/test_sumsets.py::test_select_frame_examples",),
@@ -210,6 +232,12 @@ EQUIVALENT = (
         "count-level-trim", SMALLSCALE,
         "if lo > a:", "if lo >= a:",
         "at lo == a the trim adds lo - a = 0, so both forms give the same net",
+    ),
+    Equivalent(
+        "in-some-gap-early-exit", INTERSECT,
+        "if length * scale <= width:", "if length * scale < width:",
+        "a gap whose image is as long as the hull cannot hold it strictly, "
+        "nor can the gaps after it, which are no longer; the scan still answers False",
     ),
 )
 
