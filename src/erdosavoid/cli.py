@@ -7,8 +7,10 @@ runner returns a `Result`, and `_write` renders it, writes it and picks
 the exit code, so every artifact leaves the same way.
 
 Outputs are deterministic byte-for-byte given the same configuration
-and seed: files are written atomically, sweeps are resumable by box id,
-and worker parallelism (ERDOSAVOID_WORKERS) never reorders results.
+and seed, and files are written atomically.  `certify digit-avoider`
+runs its boxes in box order in one process, keeps a `.partial` journal
+and can `--resume` it, but only under the settings it was written with:
+`<out>.fingerprint` holds them beside the journal and the finished CSV.
 Exit codes: 0 = everything constructed / certified, 2 = inconclusive
 items remain (files are still written), 1 = usage, configuration or
 resource error.
@@ -17,9 +19,7 @@ resource error.
 from __future__ import annotations
 
 import argparse
-import contextlib
 import csv
-import functools
 import io
 import json
 import os
@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import NamedTuple, Optional, Sequence, Union
 
 from . import __version__, enclosures, gaptree, largescale, sequences, smallscale, sumsets
-from .errors import ErdosAvoidError, InvalidParameterError
+from .errors import ErdosAvoidError
 from .intervals import Grid, Interval, ParamBox
 from .rationals import as_rational, format_rational
 
@@ -54,6 +54,17 @@ def _parse_range(text: str) -> Interval:
 
 def _parse_int_range(text: str) -> tuple[int, int]:
     return _split_range(text, int)
+
+
+def _positive_int(text: str) -> int:
+    """An integer of at least 1, the one rule for counts and scan depths."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = None
+    if value is None or value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer of at least 1, got {text!r}")
+    return value
 
 
 def _parse_grid(text: str) -> tuple[int, int]:
@@ -129,16 +140,6 @@ def _sequence_from_args(args) -> sequences.SequenceSpec:
     return sequences.from_name(args.seq, **kwargs)
 
 
-def _workers() -> int:
-    """ERDOSAVOID_WORKERS, clamped to 1..CPU count; not an integer exits 1."""
-    text = os.environ.get("ERDOSAVOID_WORKERS", "1")
-    try:
-        requested = int(text)
-    except ValueError:
-        raise ErdosAvoidError(f"ERDOSAVOID_WORKERS must be an integer, got {text!r}") from None
-    return max(1, min(requested, os.cpu_count() or 1))
-
-
 # ---------------------------------------------------------------------------
 # construct
 
@@ -198,27 +199,23 @@ def _construct_dyadic_family(args) -> Result:
 # certify
 
 
-def _digit_sweep_rows(args, grid: Grid, box_ids: list[int]) -> list[dict]:
-    e = largescale.digit_avoider(args.m, args.window)
-    rows = []
-    for box_id in box_ids:
-        bx, by = grid.cell(box_id)
-        cert = largescale.certify_linear_escape(e, bx, by, args.nmax)
-        ok = not args.validate or largescale.validate_linear_escape(
-            e, cert, samples=args.samples, seed=args.seed * 1000003 + box_id
-        )
-        rows.append({
-            "box_id": str(box_id),
-            "x_lo": format_rational(bx.lo),
-            "x_hi": format_rational(bx.hi),
-            "y_lo": format_rational(by.lo),
-            "y_hi": format_rational(by.hi),
-            "status": cert.status if ok else "validation-failed",
-            "witness_n": str(cert.witness_index or ""),
-            "route": cert.route or "",
-            "witness_cell": "" if cert.witness_cell is None else str(cert.witness_cell),
-        })
-    return rows
+def _digit_row(e, args, grid: Grid, box_id: int) -> dict:
+    bx, by = grid.cell(box_id)
+    cert = largescale.certify_linear_escape(e, bx, by, args.nmax)
+    ok = not args.validate or largescale.validate_linear_escape(
+        e, cert, samples=args.samples, seed=args.seed * 1000003 + box_id
+    )
+    return {
+        "box_id": str(box_id),
+        "x_lo": format_rational(bx.lo),
+        "x_hi": format_rational(bx.hi),
+        "y_lo": format_rational(by.lo),
+        "y_hi": format_rational(by.hi),
+        "status": cert.status if ok else "validation-failed",
+        "witness_n": str(cert.witness_index or ""),
+        "route": cert.route or "",
+        "witness_cell": "" if cert.witness_cell is None else str(cert.witness_cell),
+    }
 
 
 _DIGIT_FIELDS = [
@@ -227,11 +224,24 @@ _DIGIT_FIELDS = [
 ]
 
 
-def _load_resume_rows(path: str, grid: Grid) -> dict[int, dict]:
-    """Rows of an earlier run of this sweep, by box id.  A row without the
-    sweep columns, or not matching its cell of `grid`, is refused."""
-    if not os.path.exists(path):
+def _fingerprint(args) -> str:
+    """The resolved settings of a run as canonical text, one `key=value`
+    line per flag or config value, file paths and `--resume` left out."""
+    skip = {"func", "config", "out", "resume"}
+    return "".join(f"{k}={v!r}\n" for k, v in sorted(vars(args).items()) if k not in skip)
+
+
+def _resume_rows(out: str, grid: Grid, fingerprint: str) -> dict[int, dict]:
+    """Rows an earlier run left, by box id: its journal's if a journal is
+    there, else its finished CSV's.  Either is refused, with no file
+    touched, unless `<out>.fingerprint` holds these settings, and so is a
+    row without the sweep columns or not matching its cell of `grid`."""
+    found = [p for p in (f"{out}.partial", out) if os.path.exists(p)]
+    if not found:
         return {}
+    path, sidecar = found[0], f"{out}.fingerprint"
+    if not os.path.exists(sidecar) or _read_text(sidecar) != fingerprint:
+        raise ErdosAvoidError(f"{path}: {sidecar} is missing or holds other settings; cannot resume")
     rows = {}
     for line, row in enumerate(csv.DictReader(io.StringIO(_read_text(path), newline="")), 2):
         box = row.get("box_id") or ""
@@ -250,46 +260,35 @@ def _load_resume_rows(path: str, grid: Grid) -> dict[int, dict]:
     return rows
 
 
-def _append_journal(path: str, rows: list[dict]) -> None:
-    fresh = not os.path.exists(path)
-    with open(path, "a", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=_DIGIT_FIELDS, lineterminator="\n")
-        if fresh:
-            writer.writeheader()
-        writer.writerows(rows)
-
-
 def _certify_digit_avoider(args) -> Result:
     grid = Grid(args.x_range, args.y_range, *args.grid)
-    if args.nmax < 1:
-        raise InvalidParameterError("--Nmax must be at least 1")
+    fingerprint = _fingerprint(args)
     journal = f"{args.out}.partial" if args.out else None
-    rows: dict[int, dict] = {}
-    if args.resume and journal:
-        rows = _load_resume_rows(args.out, grid) or _load_resume_rows(journal, grid)
+    resume = bool(args.resume and journal)
+    rows = _resume_rows(args.out, grid, fingerprint) if resume else {}
+    # a run starts its own journal unless it goes on with one of its settings
+    fresh = not (resume and os.path.exists(journal))
+    e = largescale.digit_avoider(args.m, args.window)
     todo = [b for b in range(len(grid)) if b not in rows]
-    workers = min(_workers(), max(1, len(todo)))
-    chunk = max(1, min((len(todo) + workers - 1) // workers, 256))
-    chunks = [todo[w : w + chunk] for w in range(0, len(todo), chunk)]
-    sweep = functools.partial(_digit_sweep_rows, args, grid)
-    parallel = workers > 1 and len(chunks) > 1
-    if parallel:  # imported only here, so one-worker runs never load it
-        from concurrent.futures import ProcessPoolExecutor
-    with ProcessPoolExecutor(max_workers=workers) if parallel else contextlib.nullcontext() as pool:
-        for part in (pool.map if parallel else map)(sweep, chunks):
-            if journal:
-                _append_journal(journal, part)
-            rows.update((int(row["box_id"]), row) for row in part)
+    for start in range(0, len(todo), 256):
+        part = [_digit_row(e, args, grid, b) for b in todo[start : start + 256]]
+        if journal:
+            with open(journal, "w" if fresh else "a", newline="") as fh:
+                writer = csv.DictWriter(fh, fieldnames=_DIGIT_FIELDS, lineterminator="\n")
+                if fresh:  # the old journal is gone before the new fingerprint lands
+                    writer.writeheader()
+                    write_atomic(f"{args.out}.fingerprint", fingerprint)
+                    fresh = False
+                writer.writerows(part)
+        rows.update((int(row["box_id"]), row) for row in part)
     ok = all(row["status"] == "certified" for row in rows.values())
     return Result(Table(_DIGIT_FIELDS, [rows[b] for b in sorted(rows)]), ok, journal)
 
 
 def _certify_sublacunary_avoider(args) -> Result:
     seq = _sequence_from_args(args)
-    # refuse a bad grid or scan depth before the avoider is built
+    # refuse a bad grid before the avoider is built
     boxes = smallscale.grid_boxes(args.lambda_range, args.t_range, *args.grid)
-    if args.nmax < 1:
-        raise InvalidParameterError("--Nmax must be at least 1")
     result = smallscale.build_sublacunary_avoider(seq, args.levels, args.window)
     certs = smallscale.certify_no_affine_copy(result.interval_set(), seq, boxes, args.nmax)
     rows = [
@@ -334,8 +333,6 @@ def _certify_log_escape(args) -> Result:
 
 
 def _certify_frame_intersection(args) -> Result:
-    if args.count < 1:
-        raise InvalidParameterError("--count must be at least 1")
     x_tree = gaptree.from_middle_ratio(args.x_ratio, args.depth)
     fam = sumsets.build_dyadic_family(args.ratio_n, args.depth, args.n_range, args.l_range)
     certifier = sumsets.FrameCertifier(x_tree, fam)
@@ -517,19 +514,19 @@ _FLAGS = {
     "--n-range": dict(type=_parse_int_range, default=(-1, 1)),
     "--l-range": dict(type=_parse_int_range, default=(-2, 2)),
     "--grid": dict(type=_parse_grid, default=(10, 10)),
-    "--Nmax": dict(type=int, default=64, dest="nmax"),
+    "--Nmax": dict(type=_positive_int, default=64, dest="nmax"),
     "--x-range": _interval(Fraction(0), Fraction(1)),
     "--y-range": _interval(Fraction(1, 1000), Fraction(10)),
     "--b-range": _interval(Fraction(3, 2), Fraction(3)),
     "--lambda-range": _interval(Fraction(1), Fraction(2)),
     "--t-range": _interval(Fraction(-1), Fraction(1)),
     "--validate": dict(action="store_true"),
-    "--samples": dict(type=int, default=100),
+    "--samples": dict(type=_positive_int, default=100),
     "--seed": dict(type=int, default=0),
     "--resume": dict(action="store_true"),
     "--mode": dict(choices=["points", "cells"], default="points"),
     "--format": dict(choices=["json", "csv"], default="json"),
-    "--count": dict(type=int, default=100),
+    "--count": dict(type=_positive_int, default=100),
     "--x-ratio": dict(type=int, default=2),
     "--bits": dict(type=int, default=1100),
     "--N": dict(type=int, default=100, dest="n"),

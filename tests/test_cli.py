@@ -1,19 +1,24 @@
+import contextlib
 import hashlib
+import io
 import json
 import os
 import re
 import shlex
 import subprocess
 import sys
+import tempfile
 import tomllib
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import erdosavoid
 from erdosavoid import largescale, smallscale
-from erdosavoid.cli import _leaves, _workers, build_parser, main
+from erdosavoid.cli import _leaves, build_parser, main
 from erdosavoid.errors import InvalidParameterError, ResourceLimitError
 from erdosavoid.intervals import Interval
 from erdosavoid.rationals import format_rational, parse_rational
@@ -163,21 +168,6 @@ def test_certify_digit_avoider_deterministic(tmp_path):
     assert main(argv + ["--out", b]) == 0
     assert read(a) == read(b)
     assert read(a).count("certified") == 16
-
-
-def test_certify_digit_avoider_workers_do_not_change_bytes(tmp_path):
-    a = str(tmp_path / "w1.csv")
-    b = str(tmp_path / "w2.csv")
-    argv = ["certify", "digit-avoider", "--m", "4", "--grid", "4x4",
-            "--Nmax", "32", "--seed", "3"]
-    os.environ["ERDOSAVOID_WORKERS"] = "1"
-    try:
-        assert main(argv + ["--out", a]) == 0
-        os.environ["ERDOSAVOID_WORKERS"] = "2"
-        assert main(argv + ["--out", b]) == 0
-    finally:
-        del os.environ["ERDOSAVOID_WORKERS"]
-    assert read(a) == read(b)
 
 
 def test_certify_resume_skips_completed(tmp_path):
@@ -368,26 +358,6 @@ def test_empty_grid_is_rejected(tmp_path):
         largescale.sweep_linear_escape(e, Interval(F(0), F(1)), Interval(F(1), F(2)), 3, 0)
 
 
-def test_workers_capped_at_cpu_count(monkeypatch):
-    # _workers only reads the variable; no pool is started here
-    monkeypatch.setenv("ERDOSAVOID_WORKERS", "100000")
-    assert _workers() == (os.cpu_count() or 1)
-    monkeypatch.setenv("ERDOSAVOID_WORKERS", "0")
-    assert _workers() == 1
-    monkeypatch.setenv("ERDOSAVOID_WORKERS", "-3")
-    assert _workers() == 1
-
-
-def test_malformed_worker_count_exits_1(tmp_path, monkeypatch, capsys):
-    out = tmp_path / "sweep.csv"
-    for text in ("abc", "2.5", ""):
-        monkeypatch.setenv("ERDOSAVOID_WORKERS", text)
-        assert main(["certify", "digit-avoider", "--grid", "2x2", "--out", str(out)]) == 1
-        assert "ERDOSAVOID_WORKERS" in capsys.readouterr().err
-        assert not out.exists()
-        assert not os.path.exists(str(out) + ".partial")
-
-
 def _python(*args, cwd=None):
     """A fresh interpreter on this checkout's `src/`, run to its end."""
     env = {**os.environ, "PYTHONPATH": str(Path(erdosavoid.__file__).parents[1])}
@@ -396,7 +366,7 @@ def _python(*args, cwd=None):
 
 
 def test_cli_import_leaves_process_pools_unloaded():
-    # one-worker runs never pay for the process-pool machinery
+    # a sweep runs in one process and never loads the process-pool machinery
     done = _python("-c", "import sys, erdosavoid.cli; "
                          "print('concurrent.futures.process' in sys.modules)")
     assert done.returncode == 0, done.stderr
@@ -521,6 +491,105 @@ def test_resume_refuses_rows_of_other_cells(tmp_path):
     assert main(_digit_sweep(out, "2x2", "--y-range", "1:2", "--resume")) == 1
     assert out.read_text() == finished
     assert not os.path.exists(str(out) + ".partial")
+
+
+# A small sweep, and for each flag it reads the other values of that flag.
+_SWEEP = ["certify", "digit-avoider", "--m", "4", "--window", "16", "--Nmax", "32",
+          "--samples", "3", "--seed", "1", "--grid", "2x2", "--x-range", "0:1",
+          "--y-range", "1:2"]
+
+
+def _other_range(lo, hi, a_min):
+    ends = st.tuples(st.integers(a_min, 6), st.integers(1, 6), st.integers(1, 4))
+    ends = ends.filter(lambda t: (F(t[0], t[2]), F(t[0] + t[1], t[2])) != (lo, hi))
+    return ends.map(lambda t: f"{t[0]}/{t[2]}:{t[0] + t[1]}/{t[2]}")
+
+
+def _other_int(lo, hi, base):
+    return st.integers(lo, hi).filter(lambda v: v != base).map(str)
+
+
+_OTHER_VALUES = {
+    "--m": _other_int(2, 9, 4),
+    "--window": _other_int(8, 64, 16),
+    "--Nmax": _other_int(1, 64, 32),
+    "--validate": st.none(),
+    "--samples": _other_int(1, 50, 3),
+    "--seed": _other_int(-5, 50, 1),
+    "--grid": st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda g: g != (2, 2))
+    .map(lambda g: f"{g[0]}x{g[1]}"),
+    "--x-range": _other_range(0, 1, 0),
+    "--y-range": _other_range(1, 2, 1),
+}
+
+
+@pytest.fixture(scope="module")
+def finished_sweep(tmp_path_factory):
+    """The files of a finished run of `_SWEEP`, by name."""
+    out = tmp_path_factory.mktemp("sweep") / "sweep.csv"
+    assert main([*_SWEEP, "--out", str(out)]) in (0, 2)
+    return {p.name: p.read_bytes() for p in out.parent.iterdir()}
+
+
+@pytest.mark.parametrize("flag", sorted(_OTHER_VALUES))
+@settings(max_examples=10, deadline=None)
+@given(data=st.data(), interrupted=st.booleans())
+def test_resume_refuses_changed_settings(finished_sweep, flag, data, interrupted):
+    # a finished CSV, or the journal of a killed run, under any other value
+    # of one flag the sweep reads is refused, and no file changes
+    value = data.draw(_OTHER_VALUES[flag])
+    argv = [*_SWEEP, flag] if value is None else [*_SWEEP, flag, value]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "sweep.csv"
+        for name, blob in finished_sweep.items():
+            (Path(tmp) / name).write_bytes(blob)
+        if interrupted:
+            lines = out.read_text().splitlines(keepends=True)
+            Path(f"{out}.partial").write_text("".join(lines[:3]))
+            out.unlink()
+        before = {p.name: p.read_bytes() for p in Path(tmp).iterdir()}
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main([*argv, "--out", str(out), "--resume"]) == 1
+        assert "fingerprint is missing or holds other settings" in err.getvalue()
+        assert {p.name: p.read_bytes() for p in Path(tmp).iterdir()} == before
+
+
+def test_resume_refuses_a_csv_without_its_fingerprint(tmp_path):
+    out = tmp_path / "sweep.csv"
+    assert main(_digit_sweep(out, "2x2")) == 0
+    finished = out.read_text()
+    os.unlink(f"{out}.fingerprint")
+    assert main(_digit_sweep(out, "2x2", "--resume")) == 1
+    assert out.read_text() == finished
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["sweep.csv"]
+
+
+_POSITIVE = [("digit-avoider", "--Nmax"), ("digit-avoider", "--samples"),
+             ("sublacunary-avoider", "--Nmax"), ("log-escape", "--Nmax"),
+             ("frame-intersection", "--count")]
+
+
+@pytest.mark.parametrize("target, flag", _POSITIVE)
+@pytest.mark.parametrize("via_config", [False, True])
+@settings(max_examples=10, deadline=None)
+@given(value=st.integers(max_value=0))
+@example(value=0)
+def test_positive_int_flags_refuse_zero_and_below(target, flag, via_config, value):
+    # on the command line or through --config: exit 1, and no file at all
+    small = {"sublacunary-avoider": ["--levels", "1"], "frame-intersection": ["--depth", "3"]}
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "out.csv"
+        argv = ["certify", target, *small.get(target, ["--grid", "2x2"]), "--out", str(out)]
+        if via_config:
+            cfg = Path(tmp) / "cfg"
+            cfg.write_text(f"{flag[2:].lower()} = {value}\n")
+            argv = ["--config", str(cfg), *argv]
+        else:
+            argv.append(f"{flag}={value}")
+        with contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == 1
+        assert sorted(p.name for p in Path(tmp).iterdir()) == (["cfg"] if via_config else [])
 
 
 def test_construct_cell_object_default_window(tmp_path):

@@ -1,7 +1,6 @@
 """The contract every value type and result record keeps: construction by
 position and keyword with its defaults, field equality and hashing,
-immutability, copy and pickle, and the `Name(field=...)` repr.  Sweeps
-with ERDOSAVOID_WORKERS > 1 pickle their inputs into worker processes."""
+immutability, copy and pickle, and the `Name(field=...)` repr."""
 
 import copy
 import inspect

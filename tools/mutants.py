@@ -1,4 +1,4 @@
-"""Mutation gate for the exact integer kernels.
+"""Mutation gate for the exact integer kernels and the CLI's input checks.
 
 Each mutant names a file, one exact snippet in it, the snippet's
 replacement and the tests that must fail once the replacement is made.
@@ -31,11 +31,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CLI = "src/erdosavoid/cli.py"
 INTERSECT = "src/erdosavoid/intersect.py"
 INTERVALS = "src/erdosavoid/intervals.py"
 LARGESCALE = "src/erdosavoid/largescale.py"
 SMALLSCALE = "src/erdosavoid/smallscale.py"
 SUMSETS = "src/erdosavoid/sumsets.py"
+C = "tests/test_cli.py::"
 I = "tests/test_intersect.py::"
 T = "tests/test_intervals.py::"
 L = "tests/test_largescale.py::"
@@ -209,6 +211,22 @@ MUTANTS = (
         "tilde-quarter-gap", INTERSECT,
         "min(g, lengths[-1]) / 4", "min(g, lengths[-1]) / 2",
         (I + "test_build_tilde_gap_bound",),
+    ),
+    Mutant(
+        "fingerprint-drops-a-flag", CLI,
+        'skip = {"func", "config", "out", "resume"}', 'skip = {"func", "config", "out", "resume", "m"}',
+        (C + "test_resume_refuses_changed_settings",),
+    ),
+    Mutant(
+        "fingerprint-not-compared", CLI,
+        "if not os.path.exists(sidecar) or _read_text(sidecar) != fingerprint:",
+        "if not os.path.exists(sidecar):",
+        (C + "test_resume_refuses_changed_settings",),
+    ),
+    Mutant(
+        "positive-int-admits-zero", CLI,
+        "value is None or value < 1:", "value is None or value < 0:",
+        (C + "test_positive_int_flags_refuse_zero_and_below",),
     ),
     Mutant(
         "select-frame-power-of-two", SUMSETS,
