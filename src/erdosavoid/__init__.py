@@ -42,7 +42,7 @@ _EXPORTS = {
     "smallscale": (
         "AvoiderResult", "EscapeCertificate", "PiecewiseLinearMap",
         "build_sublacunary_avoider", "certify_no_affine_copy", "embed_lacunary",
-        "grid_boxes", "kolountzakis_delta", "slope_envelope", "validate_certificate",
+        "grid_boxes", "kolountzakis_delta", "slope_envelope",
     ),
     "largescale": (
         "ClusterCheck", "CoefficientMassBound", "DigitSchedule",

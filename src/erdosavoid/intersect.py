@@ -21,7 +21,7 @@ from .errors import (
     ZeroSlackError,
 )
 from .gaptree import GapTree, Thickness, symmetric_tree, thickness, thickness_product_at_least_one
-from .rationals import RationalLike, as_rational, format_rational, on_one_denominator
+from .rationals import RationalLike, as_rational, on_one_denominator
 
 REASON_OK = "ok"
 REASON_THIN = "thickness_product_below_one"
@@ -36,14 +36,6 @@ class GapLemmaVerdict(NamedTuple):
     thickness_2: Thickness
     scanned_depth_1: int = 0
     scanned_depth_2: int = 0
-
-    def to_json(self) -> dict:
-        return {
-            "applicable": self.applicable,
-            "reason": self.reason,
-            "thickness": [str(self.thickness_1), str(self.thickness_2)],
-            "scanned_depths": [self.scanned_depth_1, self.scanned_depth_2],
-        }
 
 
 def _all_gaps(tree: GapTree) -> list[tuple[int, int, int]]:
@@ -102,13 +94,6 @@ class WalkTrace(NamedTuple):
     point_estimate: Fraction
     error_bound: Fraction
     step_bounds: tuple[Fraction, ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "chain": [[a, b] for a, b in self.chain],
-            "point": format_rational(self.point_estimate),
-            "error": format_rational(self.error_bound),
-        }
 
 
 def _level_gap_lengths(tree: GapTree, depth: int, pick) -> list[Fraction]:

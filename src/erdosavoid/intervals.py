@@ -27,6 +27,7 @@ from .errors import (
     DegenerateMapError,
     InvalidParameterError,
     MalformedIntervalError,
+    ResourceLimitError,
 )
 from .rationals import RationalLike, as_rational, format_rational
 
@@ -117,12 +118,6 @@ class Gap(Frozen):
     def __init__(self, lo: Optional[Fraction], hi: Optional[Fraction]):
         object.__setattr__(self, "lo", lo)
         object.__setattr__(self, "hi", hi)
-
-    def to_json(self) -> list:
-        return [
-            None if self.lo is None else format_rational(self.lo),
-            None if self.hi is None else format_rational(self.hi),
-        ]
 
 
 class IntervalSet:
@@ -375,12 +370,6 @@ class ParamBox(Frozen):
             for b in (self.t.lo, self.t.hi):
                 yield a, b
 
-    def to_json(self) -> dict:
-        return {
-            "lambda": [format_rational(self.lam.lo), format_rational(self.lam.hi)],
-            "t": [format_rational(self.t.lo), format_rational(self.t.hi)],
-        }
-
 
 def box_image(x: RationalLike, box: ParamBox) -> Interval:
     """Exact range {lam*x + t : (lam, t) in box}."""
@@ -388,6 +377,11 @@ def box_image(x: RationalLike, box: ParamBox) -> Interval:
     lo = min(box.lam.lo * x, box.lam.hi * x) + box.t.lo
     hi = max(box.lam.lo * x, box.lam.hi * x) + box.t.hi
     return Interval(lo, hi)
+
+
+# Cap on the cells of one grid: every sweep lists or visits all of them,
+# so a larger grid would exhaust memory or time before its first row.
+MAX_GRID_CELLS = 10**6
 
 
 class Grid(Frozen):
@@ -406,6 +400,10 @@ class Grid(Frozen):
         if x_cells < 1 or y_cells < 1:
             raise InvalidParameterError(
                 f"a grid needs at least one cell per axis, got {x_cells}x{y_cells}"
+            )
+        if x_cells * y_cells > MAX_GRID_CELLS:
+            raise ResourceLimitError(
+                f"a {x_cells}x{y_cells} grid exceeds the cap MAX_GRID_CELLS = {MAX_GRID_CELLS} cells"
             )
         for name, value in zip(self._fields, (x_range, y_range, x_cells, y_cells)):
             object.__setattr__(self, name, value)

@@ -24,7 +24,7 @@ import operator
 import random
 from fractions import Fraction
 from itertools import chain
-from typing import Callable, Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
 
 from . import enclosures, sequences
 from .errors import (
@@ -74,9 +74,6 @@ class DigitSchedule(Frozen):
             r += 1
         offset = i - c * r * (r - 1) // 2
         return offset // r
-
-    def prefix(self, count: int) -> list[int]:
-        return [self.digit(i) for i in range(count)]
 
 
 # ---------------------------------------------------------------------------
@@ -212,9 +209,6 @@ class PLargeSet:
             self._cells[k] = self.generator.cell(k)
         return self._cells[k]
 
-    def window_cells(self) -> list[IntervalSet]:
-        return [self.cell(k) for k in range(self.window)]
-
     def contains(self, x: RationalLike) -> bool:
         x = as_rational(x)
         k = floor_rational(x)
@@ -250,7 +244,7 @@ def digit_avoider(m: int, window: int) -> PLargeSet:
 def is_p_large(e: PLargeSet, p: RationalLike) -> bool:
     """Exact check that every window cell carries measure >= p."""
     p = as_rational(p)
-    return all(cell.measure() >= p for cell in e.window_cells())
+    return all(e.cell(k).measure() >= p for k in range(e.window))
 
 
 # ---------------------------------------------------------------------------
@@ -265,18 +259,6 @@ class LinearEscapeCertificate(NamedTuple):
     route: Optional[str] = None  # "point" | "containment" | "width"
     witness_cell: Optional[int] = None
     witness_part: Optional[Interval] = None
-
-    def to_json(self) -> dict:
-        return {
-            "box": {
-                "x": [format_rational(self.x_box.lo), format_rational(self.x_box.hi)],
-                "y": [format_rational(self.y_box.lo), format_rational(self.y_box.hi)],
-            },
-            "status": self.status,
-            "witness_n": self.witness_index,
-            "route": self.route,
-            "witness_cell": self.witness_cell,
-        }
 
 
 def point_escape_index(
@@ -671,31 +653,24 @@ class ClusterCheck(NamedTuple):
     """Minimal circular covering interval of the doubled dilates.
 
     `covering_length` is exact for rational inputs, a certified lower
-    bound for enclosures.  `hypothesis_excluded` echoes the optional
-    admissibility predicate supplied by the caller (None = unexamined).
+    bound for enclosures.
     """
 
     count: int
     covering_length: Fraction
     conditional: bool = False
-    hypothesis_excluded: Optional[bool] = None
 
 
-def dubickas_gap_check(
-    y: RationalOrEnclosure,
-    count: int,
-    admissible: Optional[Callable[[RationalOrEnclosure], bool]] = None,
-) -> ClusterCheck:
+def dubickas_gap_check(y: RationalOrEnclosure, count: int) -> ClusterCheck:
     """Clustering of y*2^n modulo 1.
 
     Reports the length of the shortest circular interval containing
-    all the fractional parts; admissible dilates are expected to need
-    length at least 1/2, and rational test points below that threshold
-    sit outside the hypothesis.
+    all the fractional parts; dilates meeting the hypothesis are
+    expected to need length at least 1/2, and rational test points
+    below that threshold sit outside it.
     """
     if count < 2:
         raise InvalidParameterError("need at least two samples")
-    excluded = None if admissible is None else not admissible(y)
     if isinstance(y, Interval) and y.lo != y.hi:
         if y.lo <= 0 <= y.hi:
             raise InvalidParameterError("dilate enclosure must exclude 0")
@@ -706,12 +681,12 @@ def dubickas_gap_check(
         )
         gap_ub = _circular_max_gap(mids) + 2 * max_width
         covering_lb = max(1 - gap_ub, Fraction(0))
-        return ClusterCheck(count, covering_lb, True, excluded)
+        return ClusterCheck(count, covering_lb, True)
     yq = y.lo if isinstance(y, Interval) else as_rational(y)
     if yq == 0:
         raise InvalidParameterError("dilate must be nonzero")
     fracs = [frac_part(yq * 2**n) for n in range(1, count + 1)]
-    return ClusterCheck(count, 1 - _circular_max_gap(fracs), False, excluded)
+    return ClusterCheck(count, 1 - _circular_max_gap(fracs), False)
 
 
 # ---------------------------------------------------------------------------
@@ -719,7 +694,8 @@ def dubickas_gap_check(
 
 
 class CoefficientMassBound(NamedTuple):
-    """Upper bound on the infimum of L(f*g) over admissible cofactors.
+    """Upper bound on the infimum of L(f*g) over cofactors g with
+    constant or leading coefficient 1.
 
     `value` is the exact minimum over the enumerated grid family; the
     true infimum can only be smaller.
@@ -853,18 +829,6 @@ class LogEscapeCertificate(NamedTuple):
     witness_index: Optional[int] = None
     route: Optional[str] = None  # "gap" | "point"
     refined: bool = False
-
-    def to_json(self) -> dict:
-        return {
-            "box": {
-                "y": [format_rational(self.y_box.lo), format_rational(self.y_box.hi)],
-                "b": [format_rational(self.b_box.lo), format_rational(self.b_box.hi)],
-            },
-            "status": self.status,
-            "witness_n": self.witness_index,
-            "route": self.route,
-            "refined": self.refined,
-        }
 
 
 def geometric_escape_via_log(

@@ -1,8 +1,7 @@
 """Exact monotone sequence generators.
 
-A SequenceSpec produces terms a_1, a_2, ... as exact rationals (or
-rational enclosures for the non-integer power kind), and the
-consecutive differences a_n - a_{n+1} of down sequences.
+A SequenceSpec produces terms a_1, a_2, ... as exact rationals, and
+the consecutive differences a_n - a_{n+1} of down sequences.
 """
 
 from __future__ import annotations
@@ -10,12 +9,8 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Optional, Sequence
 
-from .errors import (
-    InvalidParameterError,
-    NeedsLongerWindowError,
-    PrecisionError,
-)
-from .intervals import Frozen, Interval
+from .errors import InvalidParameterError, NeedsLongerWindowError
+from .intervals import Frozen
 from .rationals import RationalLike, as_rational
 
 DOWN = "down"
@@ -52,19 +47,6 @@ class SequenceSpec(Frozen):
                 f"term {n} requested but the sequence window has {self.length} terms"
             )
         return self._term(n)
-
-    def term_enclosure(self, n: int, bits: int = 64) -> Interval:
-        """Rational enclosure of a_n; exact kinds return a point."""
-        if self.kind == "reciprocal_power" and self.params[0].denominator != 1:
-            from .enclosures import root_enclosure
-
-            alpha = self.params[0]
-            base = root_enclosure(
-                Fraction(n ** alpha.numerator), alpha.denominator, bits
-            )
-            return Interval(1 / base.hi, 1 / base.lo)
-        t = self.term(n)
-        return Interval(t, t)
 
     def diff(self, n: int) -> Fraction:
         """a_n - a_{n+1} for down sequences (positive by monotonicity)."""
@@ -119,29 +101,18 @@ def geometric_down(r: RationalLike) -> SequenceSpec:
 
 
 def reciprocal_power(alpha: RationalLike) -> SequenceSpec:
-    """a_n = n^-alpha for rational alpha > 0.
+    """a_n = n^-k for an integer k >= 1.
 
-    Exact terms exist only for integer alpha; other exponents expose
-    enclosures via `term_enclosure` and reject exact `term` calls.
+    A non-integer exponent has irrational terms, which no exact
+    certifier can use, so it is refused.
     """
     alpha = as_rational(alpha)
-    if alpha <= 0:
-        raise InvalidParameterError("power must be positive")
-    if alpha.denominator == 1:
-        k = alpha.numerator
-        return SequenceSpec(
-            "reciprocal_power",
-            DOWN,
-            lambda n: Fraction(1, n**k),
-            params=(alpha,),
-        )
-
-    def not_exact(n: int) -> Fraction:
-        raise PrecisionError(
-            f"n^-{alpha} is irrational for n > 1; use term_enclosure"
-        )
-
-    return SequenceSpec("reciprocal_power", DOWN, not_exact, params=(alpha,))
+    if alpha <= 0 or alpha.denominator != 1:
+        raise InvalidParameterError("power must be a positive integer")
+    k = alpha.numerator
+    return SequenceSpec(
+        "reciprocal_power", DOWN, lambda n: Fraction(1, n**k), params=(alpha,)
+    )
 
 
 def linear() -> SequenceSpec:

@@ -11,7 +11,6 @@ asserted globally.
 
 from __future__ import annotations
 
-import random
 from bisect import bisect_left
 from fractions import Fraction
 from functools import reduce
@@ -352,14 +351,6 @@ class EscapeCertificate(NamedTuple):
     witness_index: Optional[int] = None
     witness_gap: Optional[Gap] = None
 
-    def to_json(self) -> dict:
-        return {
-            "box": self.box.to_json(),
-            "status": self.status,
-            "witness_n": self.witness_index,
-            "witness_gap": None if self.witness_gap is None else self.witness_gap.to_json(),
-        }
-
 
 def certify_no_affine_copy(
     e: IntervalSet,
@@ -386,29 +377,6 @@ def certify_no_affine_copy(
                 break
         out.append(cert)
     return out
-
-
-def validate_certificate(
-    e: IntervalSet,
-    seq: SequenceSpec,
-    cert: EscapeCertificate,
-    samples: int = 100,
-    seed: int = 0,
-) -> bool:
-    """Re-check a certificate on random rational parameters in its box."""
-    if samples < 1:
-        raise InvalidParameterError("validation needs at least one sample")
-    if cert.status != "certified":
-        return True
-    rng = random.Random(seed)
-    a = seq.term(cert.witness_index)
-    box = cert.box
-    for _ in range(samples):
-        lam = box.lam.lo + (box.lam.hi - box.lam.lo) * Fraction(rng.randrange(129), 128)
-        t = box.t.lo + (box.t.hi - box.t.lo) * Fraction(rng.randrange(129), 128)
-        if e.contains(lam * a + t):
-            return False
-    return True
 
 
 def grid_boxes(
@@ -471,7 +439,6 @@ def embed_lacunary(
     e: IntervalSet,
     eta: RationalLike,
     max_n: int = 40,
-    sharpen_eta: bool = False,
 ) -> PiecewiseLinearMap:
     """Piecewise-linear embedding of a quickly decreasing sequence.
 
@@ -479,10 +446,6 @@ def embed_lacunary(
     [eta*a_n, a_n]; with ratio bound delta = sup a_{n+1}/a_n and
     eta in (delta, 1) every such segment slope lies in
     [(eta - delta)/(1 - delta), (1 - eta*delta)/(1 - delta)].
-
-    `sharpen_eta` pushes the window floor toward 1 per index when e
-    permits, biasing the map toward unit slope near 0; no bound beyond
-    the base one is claimed for that mode.
     """
     eta = as_rational(eta)
     if seq.direction != DOWN:
@@ -504,13 +467,7 @@ def embed_lacunary(
             probes.append(None)
             miss_after = n
             continue
-        b = _sup(hit)
-        if sharpen_eta:
-            eta_n = eta + (1 - eta) * Fraction(n, n + 1)
-            tighter = e.intersection(IntervalSet.of((eta_n * a, a)))
-            if tighter:
-                b = _sup(tighter)
-        probes.append(b)
+        probes.append(_sup(hit))
     if probes[max_n] is None:
         raise DensityPointViolationError(
             max_n, f"window [eta*a_n, a_n] misses the set at n = {max_n}"

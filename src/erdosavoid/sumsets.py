@@ -35,7 +35,7 @@ from .intersect import (
     _in_some_gap,
 )
 from .intervals import Interval, IntervalSet, ParamBox
-from .rationals import RationalLike, as_rational, format_rational
+from .rationals import RationalLike, as_rational
 
 
 class DyadicFamily:
@@ -152,15 +152,6 @@ class FrameTrace(NamedTuple):
     verdicts: tuple[GapLemmaVerdict, ...] = ()
     witness: Optional[Fraction] = None
     children: tuple["FrameTrace", ...] = ()
-
-    def to_json(self) -> dict:
-        return {
-            "box": self.box.to_json(),
-            "frame": list(self.frame) if self.frame else None,
-            "status": self.status,
-            "witness": None if self.witness is None else format_rational(self.witness),
-            "children": [c.to_json() for c in self.children],
-        }
 
 
 class FrameCertifier:
@@ -347,34 +338,8 @@ class CoverageReport(NamedTuple):
     records: tuple[CoverageRecord, ...]
 
     @property
-    def probed(self) -> int:
-        return len(self.records)
-
-    @property
     def certified(self) -> int:
         return sum(r.covered for r in self.records)
-
-    @property
-    def failures(self) -> tuple[CoverageRecord, ...]:
-        return tuple(r for r in self.records if not r.covered)
-
-    def to_json(self) -> dict:
-        return {
-            "lambda": format_rational(self.lam),
-            "probed": self.probed,
-            "certified": self.certified,
-            "targets": [
-                {
-                    "target": format_rational(r.target),
-                    "covered": r.covered,
-                    "witness": None if r.witness is None else format_rational(r.witness),
-                    "nearest_miss": None
-                    if r.nearest_miss is None
-                    else format_rational(r.nearest_miss),
-                }
-                for r in self.records
-            ],
-        }
 
 
 def sumset_cover_probe(

@@ -523,6 +523,24 @@ def reference_validate_linear_escape(e, cert, samples=100, seed=0, n_limit=None)
     return True
 
 
+def validate_certificate(e, seq, cert, samples: int = 100, seed: int = 0) -> bool:
+    """Re-check an escape certificate on random rational parameters in
+    its box: the sampled images of its witness term must all miss e."""
+    if samples < 1:
+        raise InvalidParameterError("validation needs at least one sample")
+    if cert.status != "certified":
+        return True
+    rng = random.Random(seed)
+    a = seq.term(cert.witness_index)
+    box = cert.box
+    for _ in range(samples):
+        lam = box.lam.lo + (box.lam.hi - box.lam.lo) * Fraction(rng.randrange(129), 128)
+        t = box.t.lo + (box.t.hi - box.t.lo) * Fraction(rng.randrange(129), 128)
+        if e.contains(lam * a + t):
+            return False
+    return True
+
+
 def reference_escape_index(gen, ax: int, ay: int, den: int, n_max: int, guard: int):
     """The cell-by-cell integer scan that preceded the part-index one:
     each point is split into a cell k and an offset r/den, and the guard

@@ -8,6 +8,7 @@ import shlex
 import subprocess
 import sys
 import tempfile
+import time
 import tomllib
 from fractions import Fraction
 from pathlib import Path
@@ -440,14 +441,14 @@ PUBLIC_NAMES = """
     point_escape_index quotient_avoider reciprocal reciprocal_power
     root_enclosure select_frame slope_envelope sqrt_enclosure sumset_cover_probe
     sweep_linear_escape sweep_log_escape thickness to_interval_set tree_to_json
-    validate_certificate validate_linear_escape
+    validate_linear_escape
 """.split()
 SUBMODULES = ("enclosures errors gaptree intersect intervals largescale rationals "
               "sequences smallscale sumsets").split()
 
 
 def test_public_names_resolve():
-    assert len(PUBLIC_NAMES) == 73
+    assert len(PUBLIC_NAMES) == 72
     assert erdosavoid.__all__ == sorted(PUBLIC_NAMES + SUBMODULES)
     for name in PUBLIC_NAMES:
         value = getattr(erdosavoid, name)
@@ -576,11 +577,14 @@ _POSITIVE = [("digit-avoider", "--Nmax"), ("digit-avoider", "--samples"),
 @given(value=st.integers(max_value=0))
 @example(value=0)
 def test_positive_int_flags_refuse_zero_and_below(target, flag, via_config, value):
-    # on the command line or through --config: exit 1, and no file at all
+    # on the command line or through --config: exit 1, and no file at all;
+    # drawing no sample must not read as every box validated
     small = {"sublacunary-avoider": ["--levels", "1"], "frame-intersection": ["--depth", "3"]}
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp) / "out.csv"
         argv = ["certify", target, *small.get(target, ["--grid", "2x2"]), "--out", str(out)]
+        if flag == "--samples":
+            argv.append("--validate")
         if via_config:
             cfg = Path(tmp) / "cfg"
             cfg.write_text(f"{flag[2:].lower()} = {value}\n")
@@ -592,33 +596,23 @@ def test_positive_int_flags_refuse_zero_and_below(target, flag, via_config, valu
         assert sorted(p.name for p in Path(tmp).iterdir()) == (["cfg"] if via_config else [])
 
 
+@pytest.mark.parametrize("target", ["digit-avoider", "sublacunary-avoider", "log-escape"])
+def test_oversized_grid_exits_one_at_once(tmp_path, capsys, target):
+    # 10^12 boxes: refused before a box list, an avoider or a file is made
+    out = tmp_path / "sweep.csv"
+    start = time.perf_counter()
+    assert main(["certify", target, "--grid", "1000000x1000000", "--out", str(out)]) == 1
+    assert time.perf_counter() - start < 2
+    assert "MAX_GRID_CELLS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_construct_cell_object_default_window(tmp_path):
     out = tmp_path / "digit.json"
     assert main(["construct", "digit-avoider", "--out", str(out)]) == 0
     obj = json.loads(out.read_text())
     assert obj["window"] == 64
     assert len(obj["cells"]) == 64
-
-
-def test_scan_depth_below_one_exits_one(tmp_path):
-    # a start depth below 1 is refused even though the cap is larger;
-    # so are the other scans with no step and a frame run with no box
-    out = tmp_path / "sweep.csv"
-    for nmax in ("0", "-3"):
-        argv = ["certify", "digit-avoider", "--grid", "2x2", "--Nmax", nmax, "--out", str(out)]
-        assert main(argv) == 1
-        assert not out.exists()
-        assert not os.path.exists(str(out) + ".partial")
-    refused = [
-        ["sublacunary-avoider", "--levels", "1", "--grid", "2x2", "--Nmax", "0"],
-        ["log-escape", "--grid", "2x2", "--Nmax", "0"],
-        ["log-escape", "--grid", "2x2", "--Nmax", "-3"],
-        ["frame-intersection", "--depth", "3", "--count", "-5"],
-        ["frame-intersection", "--depth", "3", "--count", "0"],
-    ]
-    for args in refused:
-        assert main(["certify", *args, "--out", str(out)]) == 1, args
-        assert not out.exists(), args
 
 
 def test_sublacunary_refusals_build_no_avoider(tmp_path, monkeypatch):
@@ -656,15 +650,6 @@ def test_sublacunary_cli_bytes_match_merge_reference(tmp_path, monkeypatch):
     for name, argv in runs.items():
         assert main([*argv, "--out", str(tmp_path / f"ref-{name}")]) in (0, 2)
         assert read(tmp_path / f"ref-{name}") == got[name], name
-
-
-def test_validation_without_samples_exits_one(tmp_path):
-    # drawing no sample must not read as every box validated
-    out = tmp_path / "sweep.csv"
-    for samples in ("0", "-5"):
-        assert main(_digit_sweep(out, "2x2", "--validate", "--samples", samples)) == 1
-        assert not out.exists()
-        assert not os.path.exists(str(out) + ".partial")
 
 
 @pytest.fixture

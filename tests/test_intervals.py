@@ -9,9 +9,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erdosavoid.errors import DegenerateMapError, MalformedIntervalError, SchemaError
+from erdosavoid.errors import (
+    DegenerateMapError,
+    MalformedIntervalError,
+    ResourceLimitError,
+    SchemaError,
+)
 from erdosavoid.gaptree import from_middle_ratio, to_interval_set
 from erdosavoid.intervals import (
+    MAX_GRID_CELLS,
     Grid,
     Interval,
     IntervalSet,
@@ -466,7 +472,17 @@ def test_grid_cells_match_slice_formula(ends, x_cells, y_cells):
 
 
 def test_huge_grid_builds_only_the_slices_read():
-    grid = Grid(ivl(0, 1), ivl(1, 2), 1, 10**9)
-    assert grid.cell(0) == (ivl(0, 1), ivl(1, 1 + F(1, 10**9)))
-    assert grid.cell(10**9 - 1)[1] == ivl(2 - F(1, 10**9), 2)
+    grid = Grid(ivl(0, 1), ivl(1, 2), 1, MAX_GRID_CELLS)
+    assert grid.cell(0) == (ivl(0, 1), ivl(1, 1 + F(1, 10**6)))
+    assert grid.cell(10**6 - 1)[1] == ivl(2 - F(1, 10**6), 2)
     assert (len(grid._xs), len(grid._ys)) == (1, 2)
+
+
+def test_grid_cell_cap_is_inclusive():
+    # exactly MAX_GRID_CELLS cells is a grid; one more is refused
+    assert MAX_GRID_CELLS == 10**6
+    for x_cells, y_cells in ((1000, 1000), (10**6, 1), (1, 10**6)):
+        assert len(Grid(ivl(0, 1), ivl(1, 2), x_cells, y_cells)) == MAX_GRID_CELLS
+    for x_cells, y_cells in ((10**6 + 1, 1), (1, 10**6 + 1), (101, 9901), (10**6, 10**6)):
+        with pytest.raises(ResourceLimitError, match="MAX_GRID_CELLS"):
+            Grid(ivl(0, 1), ivl(1, 2), x_cells, y_cells)

@@ -64,7 +64,7 @@ F = Fraction
 
 def test_schedule_prefix_m4():
     s = DigitSchedule(4)
-    assert s.prefix(12) == [0, 1, 2, 0, 0, 1, 1, 2, 2, 0, 0, 0]
+    assert [s.digit(i) for i in range(12)] == [0, 1, 2, 0, 0, 1, 1, 2, 2, 0, 0, 0]
 
 
 def test_schedule_block_sizes():
@@ -662,9 +662,10 @@ def test_density_precision_error_on_wide_enclosure():
 
 
 def test_dubickas_excluded_rational():
-    res = dubickas_gap_check(F(1, 3), 200, admissible=lambda y: False)
+    # covering length 1/3 < 1/2: the rational dilate is outside the hypothesis
+    res = dubickas_gap_check(F(1, 3), 200)
     assert res.covering_length == F(1, 3)
-    assert res.hypothesis_excluded is True
+    assert not res.conditional
 
 
 def test_dubickas_sqrt2_lower_bound():
@@ -769,6 +770,7 @@ def test_log_escape_rational_point_boxes():
     e = digit_avoider(4, 64)
     cert = geometric_escape_via_log(e, ivl(F(3, 2), F(3, 2)), ivl(2, 2), 32)
     assert cert.status == "certified"
+    assert (cert.y_box, cert.b_box) == (ivl(F(3, 2), F(3, 2)), ivl(2, 2))
 
 
 def test_log_escape_pairs_the_enclosure_ends():

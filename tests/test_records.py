@@ -61,8 +61,7 @@ CASES = [
      {"witness_index": None, "route": None, "witness_cell": None, "witness_part": None}),
     (Mod1Profile, "largescale", (3, (F(0), F(1, 3)), F(2, 3), True, F(1, 100)),
      {"conditional": False, "slack": F(0)}),
-    (ClusterCheck, "largescale", (4, F(1, 2), True, False),
-     {"conditional": False, "hypothesis_excluded": None}),
+    (ClusterCheck, "largescale", (4, F(1, 2), True), {"conditional": False}),
     (CoefficientMassBound, "largescale", (F(5, 2), (F(1), F(-1, 2)), 1, "exact"),
      {"label": "upper_bound"}),
     (LogEscapeCertificate, "largescale", (ivl(1, 2), ivl(2, 3), "certified", 5, "gap", True),

@@ -2,11 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from erdosavoid.errors import (
-    InvalidParameterError,
-    NeedsLongerWindowError,
-    PrecisionError,
-)
+from erdosavoid.errors import InvalidParameterError, NeedsLongerWindowError
 from erdosavoid.sequences import (
     custom,
     explicit,
@@ -39,14 +35,11 @@ def test_reciprocal_power_integer_exact():
     assert seq.term(3) == F(1, 9)
 
 
-def test_reciprocal_power_fractional_enclosure_only():
-    seq = reciprocal_power(F(1, 2))
-    with pytest.raises(PrecisionError):
-        seq.term(2)
-    enc = seq.term_enclosure(2, bits=40)
-    # brackets 1/sqrt(2): squares straddle 1/2
-    assert enc.lo**2 <= F(1, 2) <= enc.hi**2
-    assert enc.hi - enc.lo < F(1, 2**30)
+def test_reciprocal_power_refuses_non_integer():
+    # n^-3/2 has no exact terms, so it is refused when it is built
+    for alpha in (F(3, 2), F(1, 2), 0, -1):
+        with pytest.raises(InvalidParameterError):
+            reciprocal_power(alpha)
 
 
 def test_explicit_monotonicity_checked():

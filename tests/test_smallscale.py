@@ -32,7 +32,6 @@ from erdosavoid.smallscale import (
     grid_boxes,
     kolountzakis_delta,
     slope_envelope,
-    validate_certificate,
 )
 
 from helpers import (
@@ -41,6 +40,7 @@ from helpers import (
     reference_punch_count,
     reference_smallest_point_at_least,
     reference_sublacunary_avoider,
+    validate_certificate,
 )
 
 F = Fraction
@@ -108,14 +108,12 @@ def test_avoider_interval_set_punches_the_last_two_levels():
 # closed-form index search of `reciprocal` reaches level 5 quickly; the
 # other kinds scan their terms one by one.  n^-2 past level 2 and n^-3
 # past level 1 need millions of punches, which the oracle lists one by
-# one, so they are checked where the 20M-punch guard fires; n^-3/2 has
-# no exact terms.
+# one, so they are checked where the 20M-punch guard fires.
 AVOIDER_CASES = (
     (reciprocal(), range(6)),
     (reciprocal_power(1), range(5)),
     (reciprocal_power(2), (0, 1, 2, 4)),
     (reciprocal_power(3), (0, 1, 3)),
-    (reciprocal_power(F(3, 2)), (0, 1)),
 )
 
 
@@ -290,6 +288,7 @@ def test_certify_direct_witness():
     e = IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
     box = ParamBox(ivl(1, 1), ivl(0, 0))
     certs = certify_no_affine_copy(e, reciprocal(), [box], 10)
+    assert certs[0].box == box
     assert certs[0].status == "certified"
     assert certs[0].witness_index == 2
     gap = certs[0].witness_gap
@@ -324,17 +323,6 @@ def test_validate_certificate_needs_a_sample():
         for cert in (certified, inconclusive):
             with pytest.raises(InvalidParameterError):
                 validate_certificate(e, reciprocal(), cert, samples=samples)
-
-
-def test_certificate_json_shape():
-    e = IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
-    box = ParamBox(ivl(1, 1), ivl(0, 0))
-    (cert,) = certify_no_affine_copy(e, reciprocal(), [box], 10)
-    obj = cert.to_json()
-    assert obj["status"] == "certified"
-    assert obj["witness_n"] == 2
-    assert obj["box"]["lambda"] == ["1", "1"]
-    assert obj["witness_gap"] == ["1/3", "2/3"]
 
 
 # --- embedding --------------------------------------------------------------
@@ -426,16 +414,6 @@ def test_embed_density_point_violation_names_index():
     with pytest.raises(DensityPointViolationError) as err:
         embed_lacunary(seq, e, F(3, 4), max_n=10)
     assert err.value.index == 10
-
-
-def test_embed_sharpen_eta_biases_up():
-    seq = geometric_down(F(1, 2))
-    e = IntervalSet.of((0, 1))
-    base = embed_lacunary(seq, e, F(3, 4), max_n=12)
-    sharp = embed_lacunary(seq, e, F(3, 4), max_n=12, sharpen_eta=True)
-    assert all(
-        ys >= yb for (_, ys), (_, yb) in zip(sharp.points, base.points)
-    )
 
 
 # --- slow-decay statistic ----------------------------------------------------

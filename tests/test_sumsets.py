@@ -107,6 +107,17 @@ def test_family_members():
         assert thickness(fam.member(*frame)).value == 1
 
 
+def test_family_descriptor_json():
+    fam = build_dyadic_family(2, 4, (-1, 1), (0, 3))
+    obj = fam.describe()
+    assert obj == {
+        "middle_ratio": 2,
+        "depth": 4,
+        "n_range": [-1, 1],
+        "l_range": [0, 3],
+    }
+
+
 def test_family_level_measure_decreasing():
     fam = build_dyadic_family(1, 6, (-1, 1), (-2, 2))
     values = [fam.level_measure(d) for d in range(7)]
@@ -148,6 +159,8 @@ def test_point_box_certification_with_witness():
     certifier = FrameCertifier(x, fam)
     tr = certifier.certify(ParamBox(ivl(1, 1), ivl(0, 0)), 10)
     assert tr.status == "certified"
+    # t = 0 falls in the left-closed-above frame (0, -1]
+    assert tr.frame == (0, -1)
     assert to_interval_set(x, 10).contains(tr.witness)
     assert member_set(fam, *tr.frame, level=10).contains(tr.witness)
 
@@ -298,6 +311,10 @@ def test_coverage_probe_endpoint_target():
     rep2 = sumset_cover_probe(x, fam, 1, [F(5)], 6)
     assert rep2.certified == 0
     assert rep2.records[0].nearest_miss > 0
+    # one verdict per target, in the order given
+    rep3 = sumset_cover_probe(x, fam, 1, [F(1), F(50)], 6)
+    assert [(r.target, r.covered) for r in rep3.records] == [(1, True), (50, False)]
+    assert rep3.records[1].nearest_miss is not None
 
 
 def test_coverage_fraction_and_failures():
@@ -305,9 +322,10 @@ def test_coverage_fraction_and_failures():
     fam = build_dyadic_family(1, 10, (-1, 1), (-2, 2))
     targets = [F(i, 25) - 2 for i in range(101)]
     rep = sumset_cover_probe(x, fam, F(3, 2), targets, 10)
-    assert 0 < rep.certified <= rep.probed
-    for rec in rep.failures:
-        assert rec.nearest_miss is not None and rec.nearest_miss > 0
+    assert 0 < rep.certified <= len(rep.records) == len(targets)
+    for rec in rep.records:
+        if not rec.covered:
+            assert rec.nearest_miss is not None and rec.nearest_miss > 0
 
 
 def test_coverage_monotone_in_depth():

@@ -88,6 +88,11 @@ MUTANTS = (
         (T + "test_find_gap_containing",),
     ),
     Mutant(
+        "grid-cell-cap", INTERVALS,
+        "if x_cells * y_cells > MAX_GRID_CELLS:", "if x_cells * y_cells >= MAX_GRID_CELLS:",
+        (T + "test_grid_cell_cap_is_inclusive",),
+    ),
+    Mutant(
         "span-escapes-upper-end", LARGESCALE,
         "while t * den < b * m:", "while t * den <= b * m:",
         (L + "test_span_escapes_over_adjacent_removed_parts",),
