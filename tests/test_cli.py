@@ -652,6 +652,15 @@ def test_sublacunary_cli_bytes_match_merge_reference(tmp_path, monkeypatch):
         assert read(tmp_path / f"ref-{name}") == got[name], name
 
 
+def test_validation_without_samples_exits_one(tmp_path):
+    # drawing no sample must not read as every box validated
+    out = tmp_path / "sweep.csv"
+    for samples in ("0", "-5"):
+        assert main(_digit_sweep(out, "2x2", "--validate", "--samples", samples)) == 1
+        assert not out.exists()
+        assert not os.path.exists(str(out) + ".partial")
+
+
 @pytest.fixture
 def digit_limit():
     """Python's default int-to-str digit limit, set for the test."""

@@ -1,76 +1,35 @@
-"""Wire-format checks for the JSON shapes each subsystem exposes."""
+"""The fields the CLI rows are built from, on the records of each subsystem."""
 
 from fractions import Fraction
 
 from erdosavoid.gaptree import from_middle_ratio
-from erdosavoid.intersect import build_tilde, check_gap_lemma, containment_walk
 from erdosavoid.intervals import ParamBox, ivl
-from erdosavoid.largescale import digit_avoider, geometric_escape_via_log, sweep_linear_escape
+from erdosavoid.largescale import digit_avoider, geometric_escape_via_log
 from erdosavoid.sumsets import FrameCertifier, build_dyadic_family, sumset_cover_probe
 
 F = Fraction
 
 
-def test_walk_trace_json_shape():
-    k = from_middle_ratio(1, 3)
-    tilde = build_tilde(k, 3, F(1, 10))
-    trace = containment_walk(k, tilde, 3)
-    obj = trace.to_json()
-    assert set(obj) == {"chain", "point", "error"}
-    assert len(obj["chain"]) == 3
-    assert all(len(pair) == 2 for pair in obj["chain"])
-    assert "/" in obj["point"] or obj["point"].lstrip("-").isdigit()
-
-
-def test_gap_lemma_verdict_json():
-    k = from_middle_ratio(1, 2)
-    obj = check_gap_lemma(k, k).to_json()
-    assert obj["applicable"] is True
-    assert obj["reason"] == "ok"
-
-
-def test_linear_escape_certificate_json():
-    e = digit_avoider(4, 16)
-    certs = sweep_linear_escape(e, ivl(0, 1), ivl(1, 2), 2, 2)
-    obj = certs[0].to_json()
-    assert set(obj) == {"box", "status", "witness_n", "route", "witness_cell"}
-    assert obj["status"] == "certified"
-
-
 def test_log_escape_certificate_json():
     e = digit_avoider(4, 16)
     cert = geometric_escape_via_log(e, ivl(F(3, 2), F(3, 2)), ivl(2, 2), 32)
-    obj = cert.to_json()
-    assert obj["status"] == "certified"
-    assert obj["box"]["b"] == ["2", "2"]
+    assert cert.status == "certified"
+    assert (cert.y_box, cert.b_box) == (ivl(F(3, 2), F(3, 2)), ivl(2, 2))
 
 
 def test_frame_trace_json():
     fam = build_dyadic_family(1, 6, (-1, 1), (-2, 2))
     certifier = FrameCertifier(from_middle_ratio(2, 6), fam)
     trace = certifier.certify(ParamBox(ivl(1, 1), ivl(0, 0)), 6)
-    obj = trace.to_json()
-    assert obj["status"] == "certified"
+    assert trace.status == "certified"
     # t = 0 falls in the left-closed-above frame (0, -1]
-    assert obj["frame"] == [0, -1]
-    assert obj["witness"] is not None
+    assert trace.frame == (0, -1)
+    assert trace.witness is not None
 
 
 def test_coverage_report_json_per_target():
     fam = build_dyadic_family(1, 6, (0, 0), (0, 0))
     rep = sumset_cover_probe(from_middle_ratio(1, 6), fam, 1, [F(1), F(50)], 6)
-    obj = rep.to_json()
-    assert obj["probed"] == 2
-    assert [t["covered"] for t in obj["targets"]] == [True, False]
-    assert obj["targets"][1]["nearest_miss"] is not None
-
-
-def test_family_descriptor_json():
-    fam = build_dyadic_family(2, 4, (-1, 1), (0, 3))
-    obj = fam.describe()
-    assert obj == {
-        "middle_ratio": 2,
-        "depth": 4,
-        "n_range": [-1, 1],
-        "l_range": [0, 3],
-    }
+    # one verdict per target, in the order given
+    assert [(r.target, r.covered) for r in rep.records] == [(1, True), (50, False)]
+    assert rep.records[1].nearest_miss is not None

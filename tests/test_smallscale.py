@@ -288,7 +288,6 @@ def test_certify_direct_witness():
     e = IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
     box = ParamBox(ivl(1, 1), ivl(0, 0))
     certs = certify_no_affine_copy(e, reciprocal(), [box], 10)
-    assert certs[0].box == box
     assert certs[0].status == "certified"
     assert certs[0].witness_index == 2
     gap = certs[0].witness_gap
@@ -323,6 +322,17 @@ def test_validate_certificate_needs_a_sample():
         for cert in (certified, inconclusive):
             with pytest.raises(InvalidParameterError):
                 validate_certificate(e, reciprocal(), cert, samples=samples)
+
+
+def test_certificate_json_shape():
+    # the fields the CLI rows are built from: status, witness, gap and box
+    e = IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
+    box = ParamBox(ivl(1, 1), ivl(0, 0))
+    (cert,) = certify_no_affine_copy(e, reciprocal(), [box], 10)
+    assert cert.status == "certified"
+    assert cert.witness_index == 2
+    assert cert.box == box
+    assert (cert.witness_gap.lo, cert.witness_gap.hi) == (F(1, 3), F(2, 3))
 
 
 # --- embedding --------------------------------------------------------------
