@@ -270,15 +270,16 @@ def point_escape_index(
     every cell containing it; integer points are checked against both
     neighboring cells.  Runs on plain integers.
     """
-    if n_max < 1:
-        raise InvalidParameterError("the scan depth n_max must be at least 1")
-    gen = _digit_generator(e, "point escape")
+    gen = _digit_generator(e, "point escape", n_max)
     x, y = as_rational(x), as_rational(y)
     den, (ax, ay) = on_one_denominator(x, y)
     return _escape_index(gen, ax, ay, den, n_max, e.guard)
 
 
-def _digit_generator(e: PLargeSet, what: str) -> DigitGenerator:
+def _digit_generator(e: PLargeSet, what: str, n_max: int = 1) -> DigitGenerator:
+    """The digit generator of e, for a scan to depth n_max >= 1."""
+    if n_max < 1:
+        raise InvalidParameterError("the scan depth n_max must be at least 1")
     gen = e.generator
     if not isinstance(gen, DigitGenerator):
         raise InvalidParameterError(f"{what} needs a digit-style set")
@@ -379,9 +380,7 @@ def certify_linear_escape(
     are tried left to right, which is cell by cell and, within a cell,
     the scheduled part before the top one.
     """
-    if n_max < 1:
-        raise InvalidParameterError("the scan depth n_max must be at least 1")
-    gen = _digit_generator(e, "escape certification")
+    gen = _digit_generator(e, "escape certification", n_max)
     if x_box.lo < 0 or x_box.hi > 1:
         raise InvalidParameterError("offset box must sit inside [0, 1]")
     if y_box.lo <= 0:
@@ -436,24 +435,23 @@ def validate_linear_escape(
     Sample (a, b) is x = x_lo + wx*a/128, y = y_lo + wy*b/128, with a and
     b drawn by `_unit_draws`, x first.
 
-    A box whose whole image escapes at some step up to the limit and the
-    witness step (`_box_escape_step`) passes without sampling: every
-    sample would escape by then, so the sampled verdict is True.  The
-    other boxes are put once on integer numerators over den = 128*lcm of
-    the denominators of x_lo, wx, y_lo and wy, and scanned by
-    `_escape_indices` in blocks of at most _BLOCK samples, so memory does
-    not grow with `samples`.
+    A box that `_cover_escape_step` settles within the limit, processing
+    at most `samples` pieces, passes without sampling: every trajectory
+    of the closed box escapes by then, so every sample would, and the
+    sampled verdict is True.  The other boxes are put once on integer
+    numerators over den = 128*lcm of the denominators of x_lo, wx, y_lo
+    and wy, and scanned by `_escape_indices` in blocks of at most _BLOCK
+    samples, so memory does not grow with `samples`.
     """
     if samples < 1:
         raise InvalidParameterError("validation needs at least one sample")
     if cert.status != "certified":
         return True
     gen = _digit_generator(e, "escape validation")
-    witness = cert.witness_index or 1
     if n_limit is None:
-        n_limit = max(4096, 8 * witness)
+        n_limit = max(4096, 8 * (cert.witness_index or 1))
     x_box, y_box = cert.x_box, cert.y_box
-    if _box_escape_step(gen, x_box, y_box, min(n_limit, witness), e.guard) is not None:
+    if _cover_escape_step(gen, x_box, y_box, n_limit, e.guard, samples) is not None:
         return True
     L, (x0, sx, y0, sy) = on_one_denominator(x_box.lo, x_box.length, y_box.lo, y_box.length)
     x0, y0, den = 128 * x0, 128 * y0, 128 * L
@@ -467,23 +465,84 @@ def validate_linear_escape(
     return True
 
 
-def _box_escape_step(
-    gen: DigitGenerator, x_box: Interval, y_box: Interval, n_max: int, guard: int
+def _cover_escape_step(
+    gen: DigitGenerator, x_box: Interval, y_box: Interval, n_max: int, guard: int, budget: int
 ) -> Optional[int]:
-    """The least n <= n_max at which the whole image
-    [x_lo + n*y_lo, x_hi + n*y_hi] of the box passes `_span_escapes`, so
-    that every trajectory of the box escapes by step n; None otherwise.
+    """A step n <= n_max by which every trajectory x + n*y of the closed
+    box has escaped, or None.  Only for x_box inside [0, 1] and y_lo > 0,
+    where trajectories move right: an image's upper end bounds them.
 
-    Only for x_box inside [0, 1] and y_lo > 0, the boxes that
-    `certify_linear_escape` takes: trajectories then move right, and the
-    image's upper end at step n bounds every earlier point of every
-    trajectory.  The scan gives up (None) when that upper end leaves the
-    cell guard, so that a sampling audit raises as it would have.
+    No-jump: a step y <= 1/m cannot cross a cell's top part
+    [k + (m-1)/m, k + 1), which escapes, so the box below y = 1/m escapes
+    by step ceil(2/y_lo).  The rest is a strip cover (Sutherland and
+    Hodgman, "Reentrant polygon clipping", CACM 1974): at step n a piece
+    whose image passes `_span_escapes` is dropped, and any other is
+    clipped to each maximal run of closed kept parts its image meets.
+    Pieces are convex polygons, zero-area ones too, of integer vertices
+    (X, Y, W) for (X/W, Y/W), W > 0.  None once an image's upper end
+    passes cell `guard`, so that sampling raises as it would have, or
+    once more than `budget` pieces, summed over the steps, were processed.
     """
     if x_box.lo < 0 or x_box.hi > 1 or y_box.lo <= 0:
         return None
+    m = gen.m
     L, (xl, xh, yl, yh) = on_one_denominator(x_box.lo, x_box.hi, y_box.lo, y_box.hi)
-    return _span_escape_step(gen, xl, xh, yl, yh, L, n_max, guard)
+    piece = [(xl, yl, L), (xh, yl, L), (xh, yh, L), (xl, yh, L)]
+    settled = 0
+    if yl * m <= L:  # no-jump, the part with y <= 1/m
+        settled = -(-2 * L // yl)
+        if settled > n_max or (xh * m + settled * min(yh * m, L)) // (L * m) > guard:
+            return None
+        piece = _clip(piece, 0, m, -1)
+    pieces = [piece] if piece else []
+    n = 0
+    while pieces:
+        n += 1
+        budget -= len(pieces)
+        if n > n_max or budget < 0:
+            return None
+        kept = []
+        for piece in pieces:
+            D = math.lcm(*(W for _, _, W in piece))
+            image = [(X + n * Y) * (D // W) for X, Y, W in piece]
+            a, b = min(image), max(image)
+            if b // D > guard:
+                return None
+            if _span_escapes(gen, a, b, D):
+                continue
+            t1 = b * m // D
+            run = None  # the first part of the current run of kept parts
+            for t in range(-(-a * m // D) - 1, t1 + 2):  # parts meeting [a/D, b/D], then one
+                k, j = divmod(t, m)
+                if t <= t1 and j != m - 1 and j != gen.scheduled_digit(k):
+                    run = t if run is None else run
+                elif run is not None:
+                    part = piece if run * D <= a * m else _clip(piece, m, m * n, -run)
+                    part = part if t * D >= b * m else _clip(part, -m, -m * n, t)
+                    kept.append(part)  # not empty: the run meets the image
+                    if len(kept) > budget:
+                        return None
+                    run = None
+        pieces = kept
+    return max(settled, n)
+
+
+def _clip(piece: list, a: int, b: int, c: int) -> list:
+    """One Sutherland-Hodgman pass: the part of the convex polygon `piece`
+    where a*X + b*Y + c*W >= 0.  Vertices on the line stay."""
+    out = []
+    X0, Y0, W0 = piece[-1]
+    f0 = a * X0 + b * Y0 + c * W0
+    for X1, Y1, W1 in piece:
+        f1 = a * X1 + b * Y1 + c * W1
+        if f0 < 0 < f1 or f1 < 0 < f0:  # the edge crosses the line
+            X, Y, W = f1 * X0 - f0 * X1, f1 * Y0 - f0 * Y1, f1 * W0 - f0 * W1
+            g = math.gcd(X, Y, W) if W > 0 else -math.gcd(X, Y, W)
+            out.append((X // g, Y // g, W // g))
+        if f1 >= 0:
+            out.append((X1, Y1, W1))
+        X0, Y0, W0, f0 = X1, Y1, W1, f1
+    return out
 
 
 def _span_escape_step(
@@ -866,9 +925,7 @@ def geometric_escape_via_log(
         raise InvalidParameterError("dilate box must be strictly positive")
     if b_box.lo <= 1:
         raise InvalidParameterError("base box must exceed 1")
-    if n_max < 1:
-        raise InvalidParameterError("the scan depth n_max must be at least 1")
-    gen = _digit_generator(f_set, "log escape")
+    gen = _digit_generator(f_set, "log escape", n_max)
     ly = log_y if log_y is not None else enclosures.ln_interval(y_box, bits)
     lb = log_b if log_b is not None else enclosures.ln_interval(b_box, bits)
     L, (yl, yh, bl, bh) = on_one_denominator(ly.lo, ly.hi, lb.lo, lb.hi)

@@ -523,6 +523,75 @@ def reference_validate_linear_escape(e, cert, samples=100, seed=0, n_limit=None)
     return True
 
 
+def reference_clip(piece, f):
+    """One Sutherland-Hodgman pass in Fraction arithmetic: the part of
+    the convex polygon `piece`, a list of (x, y) vertices, where the
+    affine function f(x, y) is at least 0.  Vertices on the line stay."""
+    out = []
+    p, fp = piece[-1], f(*piece[-1])
+    for q in piece:
+        fq = f(*q)
+        if fp * fq < 0:
+            s = fp / (fp - fq)
+            out.append((p[0] + s * (q[0] - p[0]), p[1] + s * (q[1] - p[1])))
+        if fq >= 0:
+            out.append(q)
+        p, fp = q, fq
+    return out
+
+
+def reference_kept_runs(e, lo: Fraction, hi: Fraction) -> list[Interval]:
+    """The maximal runs of closed kept parts of the digit set that meet
+    [lo, hi]: each cell's parts other than its removed ones, merged."""
+    m = e.generator.m
+    parts = []
+    for k in range(floor_rational(lo) - 1, floor_rational(hi) + 1):
+        removed = reference_removed_parts(e, k)
+        parts += [
+            Interval(k + Fraction(j, m), k + Fraction(j + 1, m))
+            for j in range(m)
+            if Interval(Fraction(j, m), Fraction(j + 1, m)) not in removed
+        ]
+    return [r for r in reference_normalize(parts) if r.lo <= hi and lo <= r.hi]
+
+
+def reference_cover_escape_step(e, x_box: Interval, y_box: Interval, n_max: int, budget: int):
+    """The no-jump rule and the strip cover on Fraction vertices: every
+    piece is clipped to every run its image meets by both of the run's
+    lines, and a run's cuts are made even where they cut nothing."""
+    m = e.generator.m
+    piece = [(x_box.lo, y_box.lo), (x_box.hi, y_box.lo), (x_box.hi, y_box.hi), (x_box.lo, y_box.hi)]
+    settled = 0
+    if y_box.lo <= Fraction(1, m):
+        settled = math.ceil(2 / y_box.lo)
+        top = x_box.hi + settled * min(y_box.hi, Fraction(1, m))
+        if settled > n_max or floor_rational(top) > e.guard:
+            return None
+        piece = reference_clip(piece, lambda x, y: y - Fraction(1, m))
+    pieces = [piece] if piece else []
+    n = 0
+    while pieces:
+        n += 1
+        budget -= len(pieces)
+        if n > n_max or budget < 0:
+            return None
+        kept = []
+        for piece in pieces:
+            image = [x + n * y for x, y in piece]
+            lo, hi = min(image), max(image)
+            if floor_rational(hi) > e.guard:
+                return None
+            if reference_span_escapes(e, lo, hi):
+                continue
+            for run in reference_kept_runs(e, lo, hi):
+                part = reference_clip(piece, lambda x, y: x + n * y - run.lo)
+                part = reference_clip(part, lambda x, y: run.hi - x - n * y)
+                if part:
+                    kept.append(part)
+        pieces = kept
+    return max(settled, n)
+
+
 def validate_certificate(e, seq, cert, samples: int = 100, seed: int = 0) -> bool:
     """Re-check an escape certificate on random rational parameters in
     its box: the sampled images of its witness term must all miss e."""

@@ -33,7 +33,7 @@ from erdosavoid.largescale import (
     sweep_linear_escape,
     sweep_log_escape,
     validate_linear_escape,
-    _box_escape_step,
+    _cover_escape_step,
     _escape_index,
     _escape_indices,
     _span_escapes,
@@ -47,6 +47,7 @@ from helpers import (
     interval_image,
     poly_mul,
     reference_certify_linear_escape,
+    reference_cover_escape_step,
     reference_ell_upper_bound,
     reference_escape_index,
     reference_geometric_escape_via_log,
@@ -353,8 +354,8 @@ def test_box_settle_stops_at_the_sampling_limit():
     # the settle fires at n_limit = 3 and sampling decides n_limit = 2
     e = digit_avoider(4, 8)
     x_box, y_box = ivl(0, F(1, 12)), ivl(F(167, 192), F(33, 32))
-    assert _box_escape_step(e.generator, x_box, y_box, 64, e.guard) == 3
-    assert _box_escape_step(e.generator, x_box, y_box, 2, e.guard) is None
+    assert _cover_escape_step(e.generator, x_box, y_box, 64, e.guard, 100) == 3
+    assert _cover_escape_step(e.generator, x_box, y_box, 2, e.guard, 100) is None
     cert = LinearEscapeCertificate(x_box, y_box, "certified", 64, "width")
     for n_limit, want in ((3, True), (2, False)):
         assert reference_validate_linear_escape(e, cert, samples=20, n_limit=n_limit) == want
@@ -366,8 +367,8 @@ def test_box_settle_falls_through_past_the_guard():
     # guard of 2: sampling runs and raises where it always did
     e = PLargeSet(F(1, 2), 4, DigitGenerator(4), guard=2)
     x_box, y_box = ivl(0, F(1, 8)), ivl(F(169, 64), 3)
-    assert _box_escape_step(e.generator, x_box, y_box, 64, 10**6) == 1
-    assert _box_escape_step(e.generator, x_box, y_box, 64, e.guard) is None
+    assert _cover_escape_step(e.generator, x_box, y_box, 64, 10**6, 100) == 1
+    assert _cover_escape_step(e.generator, x_box, y_box, 64, e.guard, 100) is None
     cert = LinearEscapeCertificate(x_box, y_box, "certified", 1, "width")
     for validate in (validate_linear_escape, reference_validate_linear_escape):
         with pytest.raises(ResourceLimitError, match="at n = 1"):
@@ -377,13 +378,14 @@ def test_box_settle_falls_through_past_the_guard():
 def test_box_settle_agrees_with_sampling_on_the_criterion_grid(monkeypatch):
     # an 8x8 grid of criterion 06's boxes, every 13th along each axis:
     # settled boxes and sampled ones alike give the Fraction reference's
-    # verdict, at the default limit and at limits short enough to fail
+    # verdict, at the default limit and at limits 1 and 2, too short for
+    # the cover, so that sampling runs and fails some boxes
     import erdosavoid.largescale as largescale
 
     e = digit_avoider(4, 200)
     settled = []
-    real = largescale._box_escape_step
-    monkeypatch.setattr(largescale, "_box_escape_step",
+    real = largescale._cover_escape_step
+    monkeypatch.setattr(largescale, "_cover_escape_step",
                         lambda *args: settled.append(real(*args)) or settled[-1])
     grid = Grid(ivl(0, 1), ivl(F(1, 1000), 10), 100, 100)
     boxes = [grid.cell(100 * i + j) for i in range(0, 100, 13) for j in range(0, 100, 13)]
@@ -398,6 +400,97 @@ def test_box_settle_agrees_with_sampling_on_the_criterion_grid(monkeypatch):
     assert verdicts == {True, False}
     fired = sum(n is not None for n in settled)
     assert 0 < fired < len(settled)
+
+
+@pytest.mark.parametrize("cells", [24, 100])
+def test_cover_settles_every_box_of_the_criterion_grids(cells):
+    # perfbench's 24x24 grid and criterion 06's 100x100 one: every box
+    # settles with at most 20 pieces, so the audit samples none of them
+    e = digit_avoider(4, 200)
+    grid = Grid(ivl(0, 1), ivl(F(1, 1000), 10), cells, cells)
+    steps = [_cover_escape_step(e.generator, x, y, 4096, e.guard, 20) for x, y in grid]
+    assert None not in steps
+
+
+def test_cover_takes_the_no_jump_bound_on_the_line():
+    # y_lo = 1/4 = 1/m: the segment y = 1/4 takes the no-jump bound
+    # ceil(2/y_lo) = 8, past the step 4 that settles the box just above
+    e = digit_avoider(4, 8)
+    x_box = ivl(0, F(1, 8))
+    assert _cover_escape_step(e.generator, x_box, ivl(F(1, 4), F(3, 10)), 64, e.guard, 100) == 8
+    assert _cover_escape_step(e.generator, x_box, ivl(F(1, 4), F(3, 10)), 7, e.guard, 100) is None
+    assert _cover_escape_step(e.generator, x_box, ivl(F(26, 100), F(3, 10)), 64, e.guard, 100) == 4
+
+
+def test_cover_keeps_a_piece_that_only_touches_a_run():
+    # the segment x in [0, 1/2], y = 3/2 has image [3/2, 2] at step 1,
+    # whose end 2 meets cell 2's kept part 0 in that one point: the point
+    # piece stays, since x = 1/2 escapes only at step 4
+    e = digit_avoider(4, 8)
+    segment = ivl(0, F(1, 2)), ivl(F(3, 2), F(3, 2))
+    assert _cover_escape_step(e.generator, *segment, 64, e.guard, 100) == 4
+    assert point_escape_index(e, F(1, 2), F(3, 2), 64) == 4
+
+
+@st.composite
+def cover_boxes(draw):
+    """Boxes in [0, 1] x (0, 7/2] on small denominators, so that images
+    end on integers and part boundaries, often resting on or crossing
+    y = 1/m; the digit set's m and a guard small enough to trip."""
+    m = draw(st.integers(3, 7))
+    guard = draw(st.sampled_from([2, 6, 1_000_000]))
+    e = PLargeSet(F(m - 2, m), 4, DigitGenerator(m), guard=guard)
+    den = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, m, 2 * m, 4 * m]))
+    xs = sorted(F(draw(st.integers(0, den)), den) for _ in range(2))
+    y_lo = draw(st.one_of(
+        st.just(F(1, m)),
+        st.fractions(min_value=F(1, 3 * m), max_value=F(2, m), max_denominator=4 * m),
+        st.fractions(min_value=F(1, 3 * m), max_value=3, max_denominator=48),
+    ))
+    y_hi = y_lo + draw(st.one_of(
+        st.just(F(0)),
+        st.fractions(min_value=0, max_value=F(1, 2), max_denominator=4 * m),
+    ))
+    return e, ivl(*xs), ivl(y_lo, y_hi)
+
+
+@settings(max_examples=300, deadline=None)
+@given(cover_boxes(), st.integers(1, 40), st.integers(0, 40))
+def test_cover_matches_the_fraction_clipper(case, n_max, budget):
+    e, x_box, y_box = case
+    got = _cover_escape_step(e.generator, x_box, y_box, n_max, e.guard, budget)
+    assert got == reference_cover_escape_step(e, x_box, y_box, n_max, budget)
+
+
+def _box_points(x_box, y_box, step, m):
+    """Corners, the 3x3 inner points of a 4x4 subdivision, and the edge
+    points whose image at some step up to `step` is a part boundary t/m."""
+    xs, ys = (x_box.lo, x_box.hi), (y_box.lo, y_box.hi)
+    points = {(x, y) for x in xs for y in ys}
+    points |= {(x_box.lo + x_box.length * F(i, 4), y_box.lo + y_box.length * F(j, 4))
+               for i in range(1, 4) for j in range(1, 4)}
+    for n in range(1, step + 1):
+        for x in xs:  # vertical edges: x + n*y = t/m
+            for t in range(math.ceil((x + n * y_box.lo) * m), math.floor((x + n * y_box.hi) * m) + 1):
+                points.add((x, (F(t, m) - x) / n))
+        for y in ys:  # horizontal edges
+            for t in range(math.ceil((x_box.lo + n * y) * m), math.floor((x_box.hi + n * y) * m) + 1):
+                points.add((F(t, m) - n * y, y))
+    return points
+
+
+@settings(max_examples=200, deadline=None)
+@given(cover_boxes(), st.integers(0, 60))
+def test_cover_is_sound_on_boundary_points(case, budget):
+    # every corner, edge point on a part boundary and interior lattice
+    # point of a settled box escapes by the returned step
+    e, x_box, y_box = case
+    e.guard = 1_000_000
+    step = _cover_escape_step(e.generator, x_box, y_box, 64, e.guard, budget)
+    if step is None:
+        return
+    for x, y in _box_points(x_box, y_box, step, e.generator.m):
+        assert point_escape_index(e, x, y, step) is not None, (x, y, step)
 
 
 def test_validation_memory_does_not_grow_with_samples():
@@ -781,6 +874,15 @@ def test_log_escape_pairs_the_enclosure_ends():
         e, ivl(1, 1), ivl(3, 3), 16, log_y=ivl(0, F(1, 2)), log_b=ivl(1, 1)
     )
     assert (cert.status, cert.witness_index, cert.route) == ("certified", 3, "gap")
+
+
+def test_log_escape_stops_at_the_cell_guard():
+    # the span [n, n] first escapes at the integer 3 (cell 3 removes its
+    # part 0), which lies past a guard of 2: the scan gives up there
+    for guard, want in ((2, ("inconclusive", None)), (3, ("certified", 3))):
+        e = PLargeSet(F(1, 2), 4, DigitGenerator(4), guard=guard)
+        cert = geometric_escape_via_log(e, ivl(1, 1), ivl(3, 3), 16, log_y=ivl(0, 0), log_b=ivl(1, 1))
+        assert (cert.status, cert.witness_index) == want
 
 
 def test_log_escape_refinement_takes_enclosures_of_the_children():

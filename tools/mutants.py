@@ -131,13 +131,33 @@ MUTANTS = (
     ),
     Mutant(
         "box-settle-guard", LARGESCALE,
-        "        if hi // L > guard:\n            return None\n", "",
+        "            if b // D > guard:\n                return None\n", "",
         (L + "test_box_settle_falls_through_past_the_guard",),
     ),
     Mutant(
         "box-settle-limit", LARGESCALE,
-        "min(n_limit, witness)", "min(n_limit, witness) + 1",
+        "_cover_escape_step(gen, x_box, y_box, n_limit,", "_cover_escape_step(gen, x_box, y_box, n_limit + 1,",
         (L + "test_box_settle_stops_at_the_sampling_limit",),
+    ),
+    Mutant(
+        "cover-half-plane-sign", LARGESCALE,
+        "if f1 >= 0:", "if f1 <= 0:",
+        (L + "test_cover_settles_every_box_of_the_criterion_grids",),
+    ),
+    Mutant(
+        "cover-zero-area-keep", LARGESCALE,
+        "if f1 >= 0:", "if f1 > 0:",
+        (L + "test_cover_keeps_a_piece_that_only_touches_a_run",),
+    ),
+    Mutant(
+        "no-jump-bound", LARGESCALE,
+        "if yl * m <= L:", "if yl * m < L:",
+        (L + "test_cover_takes_the_no_jump_bound_on_the_line",),
+    ),
+    Mutant(
+        "span-scan-guard", LARGESCALE,
+        "        if hi // L > guard:\n            return None\n", "",
+        (L + "test_log_escape_stops_at_the_cell_guard",),
     ),
     Mutant(
         "log-escape-refinement-enclosures", LARGESCALE,
