@@ -10,8 +10,9 @@ Two membership razors coexist by design.  Materialized cells remove the
 larger set and keeps cell measures exact.  Escape verdicts instead use
 the construction's set-difference semantics: a trajectory point escapes
 when, in every cell containing it, its offset lies inside a *closed*
-removed part.  `_escape_indices` decides this along trajectories and
-`_span_escapes` for a closed span, both on integer numerators.
+removed part.  `_escape_indices` decides this along trajectories,
+`_span_escapes` for a closed span and `_cover_escape_step` for a box of
+trajectories, all on integer numerators.
 Certificates therefore witness escape from the constructed set, while
 the conservative closure is what p-largeness is audited on; the
 closure is never smaller.
@@ -435,13 +436,13 @@ def validate_linear_escape(
     Sample (a, b) is x = x_lo + wx*a/128, y = y_lo + wy*b/128, with a and
     b drawn by `_unit_draws`, x first.
 
-    A box that `_cover_escape_step` settles within the limit, processing
-    at most `samples` pieces, passes without sampling: every trajectory
-    of the closed box escapes by then, so every sample would, and the
-    sampled verdict is True.  The other boxes are put once on integer
-    numerators over den = 128*lcm of the denominators of x_lo, wx, y_lo
-    and wy, and scanned by `_escape_indices` in blocks of at most _BLOCK
-    samples, so memory does not grow with `samples`.
+    A box that `_cover_escape_step` settles within the limit passes
+    without sampling: every trajectory of the closed box escapes by then,
+    so every sample would, and the sampled verdict is True.  The box goes
+    once on integer numerators over L = lcm of the denominators of x_lo,
+    wx, y_lo and wy, which the cover takes too; the other boxes are
+    scanned on den = 128*L by `_escape_indices` in blocks of at most
+    _BLOCK samples, so memory does not grow with `samples`.
     """
     if samples < 1:
         raise InvalidParameterError("validation needs at least one sample")
@@ -451,9 +452,10 @@ def validate_linear_escape(
     if n_limit is None:
         n_limit = max(4096, 8 * (cert.witness_index or 1))
     x_box, y_box = cert.x_box, cert.y_box
-    if _cover_escape_step(gen, x_box, y_box, n_limit, e.guard, samples) is not None:
-        return True
     L, (x0, sx, y0, sy) = on_one_denominator(x_box.lo, x_box.length, y_box.lo, y_box.length)
+    step = _cover_escape_step(gen, x0, x0 + sx, y0, y0 + sy, L, n_limit, e.guard, COVER_BUDGET)
+    if step is not None:
+        return True
     x0, y0, den = 128 * x0, 128 * y0, 128 * L
     draws = _unit_draws(random.Random(seed))
     while samples > 0:
@@ -465,28 +467,40 @@ def validate_linear_escape(
     return True
 
 
+# Pieces the strip cover may process, summed over its steps, before it
+# gives up.  The most one box has needed: 15 on criterion 06's 100x100
+# digit grid, 17 on perfbench's 24x24 one, 98 on a `certify log-escape
+# --mode cells` sweep on its defaults.
+COVER_BUDGET = 1000
+
+
 def _cover_escape_step(
-    gen: DigitGenerator, x_box: Interval, y_box: Interval, n_max: int, guard: int, budget: int
+    gen: DigitGenerator,
+    xl: int, xh: int, yl: int, yh: int, L: int,
+    n_max: int, guard: int, budget: int,
 ) -> Optional[int]:
     """A step n <= n_max by which every trajectory x + n*y of the closed
-    box has escaped, or None.  Only for x_box inside [0, 1] and y_lo > 0,
-    where trajectories move right: an image's upper end bounds them.
+    box [xl/L, xh/L] x [yl/L, yh/L] has escaped, or None.  Any offsets,
+    but only y_lo > 0, where trajectories move right: an image's upper
+    end bounds them.  This is the one box-escape kernel: the digit
+    sweep's audit calls it on its box, log escape on its enclosure
+    rectangle.
 
     No-jump: a step y <= 1/m cannot cross a cell's top part
-    [k + (m-1)/m, k + 1), which escapes, so the box below y = 1/m escapes
-    by step ceil(2/y_lo).  The rest is a strip cover (Sutherland and
-    Hodgman, "Reentrant polygon clipping", CACM 1974): at step n a piece
-    whose image passes `_span_escapes` is dropped, and any other is
+    [k + (m-1)/m, k + 1), which escapes.  The first whole top part ahead
+    of x ends by floor(x) + 2, so the box below y = 1/m escapes by step
+    ceil(2/y_lo) for every offset.  The rest is a strip cover (Sutherland
+    and Hodgman, "Reentrant polygon clipping", CACM 1974): at step n a
+    piece whose image passes `_span_escapes` is dropped, and any other is
     clipped to each maximal run of closed kept parts its image meets.
     Pieces are convex polygons, zero-area ones too, of integer vertices
     (X, Y, W) for (X/W, Y/W), W > 0.  None once an image's upper end
     passes cell `guard`, so that sampling raises as it would have, or
     once more than `budget` pieces, summed over the steps, were processed.
     """
-    if x_box.lo < 0 or x_box.hi > 1 or y_box.lo <= 0:
+    if yl <= 0:
         return None
     m = gen.m
-    L, (xl, xh, yl, yh) = on_one_denominator(x_box.lo, x_box.hi, y_box.lo, y_box.hi)
     piece = [(xl, yl, L), (xh, yl, L), (xh, yh, L), (xl, yh, L)]
     settled = 0
     if yl * m <= L:  # no-jump, the part with y <= 1/m
@@ -503,7 +517,7 @@ def _cover_escape_step(
             return None
         kept = []
         for piece in pieces:
-            D = math.lcm(*(W for _, _, W in piece))
+            D = math.lcm(*[W for _, _, W in piece])
             image = [(X + n * Y) * (D // W) for X, Y, W in piece]
             a, b = min(image), max(image)
             if b // D > guard:
@@ -543,26 +557,6 @@ def _clip(piece: list, a: int, b: int, c: int) -> list:
             out.append((X1, Y1, W1))
         X0, Y0, W0, f0 = X1, Y1, W1, f1
     return out
-
-
-def _span_escape_step(
-    gen: DigitGenerator, lo: int, hi: int, dlo: int, dhi: int, L: int, n_max: int, guard: int
-) -> Optional[int]:
-    """The least n <= n_max at which the span [lo + n*dlo, hi + n*dhi]
-    over L passes `_span_escapes`, else None.  It gives up once the upper
-    end lies past cell `guard`, and once the span is wider than 3/m, the
-    longest run of removed parts: with dlo <= dhi it never narrows."""
-    m = gen.m
-    for n in range(1, n_max + 1):
-        lo += dlo
-        hi += dhi
-        if hi // L > guard:
-            return None
-        if (hi - lo) * m > 3 * L:
-            return None
-        if _span_escapes(gen, lo, hi, L):
-            return n
-    return None
 
 
 # samples per `_escape_indices` call, and 32-bit words per block of draws
@@ -882,6 +876,11 @@ def _min_mass_dp(f: list[int], allowed: list[list[int]]) -> tuple[int, list[int]
 
 
 class LogEscapeCertificate(NamedTuple):
+    """Escape of y*b^-n from exp(-F) for every (y, b) in the box: every
+    parameter has escaped by step `witness_index`.  `refined` marks a box
+    that certified only on the sweep's retry, with enclosures of 32
+    more bits."""
+
     y_box: Interval
     b_box: Interval
     status: str
@@ -898,28 +897,23 @@ def geometric_escape_via_log(
     log_y: Optional[Interval] = None,
     log_b: Optional[Interval] = None,
     bits: int = 64,
-    refine: int = 0,
 ) -> LogEscapeCertificate:
     """Certify that y*b^-n leaves the exponential image of an avoider.
 
     The term y*b^-n belongs to exp(-F) exactly when n*ln(b) - ln(y)
-    belongs to F, so the check runs in log coordinates on rational
-    enclosures with outward rounding: an enclosure whose every point
-    escapes F (`_span_escapes`) certifies escape for every parameter in
-    the box.  The route is "point" when the enclosure has width zero,
-    as with exact (injected) logs in the integer-sequence case, and
-    "gap" otherwise.
+    belongs to F: the trajectory x + n*s with offset x = -ln(y) and step
+    s = ln(b).  The exact (x, s) image of the box lies inside the
+    enclosure rectangle [-ln(y).hi, -ln(y).lo] x [ln(b).lo, ln(b).hi]
+    (rational, outward rounded), so `_cover_escape_step` on that
+    rectangle certifies escape for every parameter in the box, by the
+    step it returns.  The route is "point" when the rectangle is a
+    point, as with exact (injected) logs in the integer-sequence case,
+    and "gap" otherwise.
 
     The four enclosure ends go on one denominator L, the lcm of theirs
-    (2^(bits+2) for computed enclosures), once per box.  Step n's span
-    [n*ln(b).lo - ln(y).hi, n*ln(b).hi - ln(y).lo] is then a pair of
-    integer numerators over L, scanned by `_span_escape_step`: the scan
-    stops once the span is wider than 3/m, or once its upper end lies
-    past the set's cell guard.
-
-    With refine > 0 an inconclusive box is split into four children,
-    each with enclosures of its own box computed at 16 more bits (never
-    the injected ones); the box certifies when all children do.
+    (2^(bits+2) for computed enclosures), once per box.  The cover gives
+    up, inconclusive, past n_max steps, past COVER_BUDGET pieces, or once
+    an image's upper end lies past the set's cell guard.
     """
     if y_box.lo <= 0:
         raise InvalidParameterError("dilate box must be strictly positive")
@@ -929,35 +923,11 @@ def geometric_escape_via_log(
     ly = log_y if log_y is not None else enclosures.ln_interval(y_box, bits)
     lb = log_b if log_b is not None else enclosures.ln_interval(b_box, bits)
     L, (yl, yh, bl, bh) = on_one_denominator(ly.lo, ly.hi, lb.lo, lb.hi)
-    n = _span_escape_step(gen, -yh, -yl, bl, bh, L, n_max, f_set.guard)
-    if n is not None:
-        route = "point" if yl == yh and bl == bh else "gap"
-        return LogEscapeCertificate(y_box, b_box, "certified", n, route)
-    if refine > 0 and (y_box.length > 0 or b_box.length > 0):
-        ym, bm = y_box.midpoint, b_box.midpoint
-        children_y = (
-            [Interval(y_box.lo, ym), Interval(ym, y_box.hi)]
-            if y_box.length > 0
-            else [y_box]
-        )
-        children_b = (
-            [Interval(b_box.lo, bm), Interval(bm, b_box.hi)]
-            if b_box.length > 0
-            else [b_box]
-        )
-        indices = []
-        for cy in children_y:
-            for cb in children_b:
-                sub = geometric_escape_via_log(
-                    f_set, cy, cb, n_max, bits=bits + 16, refine=refine - 1
-                )
-                if sub.status != "certified":
-                    return LogEscapeCertificate(y_box, b_box, "inconclusive")
-                indices.append(sub.witness_index)
-        return LogEscapeCertificate(
-            y_box, b_box, "certified", max(indices), "gap", refined=True
-        )
-    return LogEscapeCertificate(y_box, b_box, "inconclusive")
+    n = _cover_escape_step(gen, -yh, -yl, bl, bh, L, n_max, f_set.guard, COVER_BUDGET)
+    if n is None:
+        return LogEscapeCertificate(y_box, b_box, "inconclusive")
+    route = "point" if yl == yh and bl == bh else "gap"
+    return LogEscapeCertificate(y_box, b_box, "certified", n, route)
 
 
 def sweep_log_escape(
@@ -968,18 +938,17 @@ def sweep_log_escape(
     b_cells: int,
     n_max: int = 64,
     bits: int = 64,
-    refine: int = 1,
     mode: str = "points",
 ) -> tuple[list[LogEscapeCertificate], dict]:
     """Grid sweep in (dilate, base) space.
 
     `points` mode certifies the grid of cell-center parameters, each
-    carried as a log-enclosure box; refinement then means tighter
-    enclosures.  Each row's and each column's center gets its point box
-    and its log enclosure once, and the first pass hands them to every
-    box of that row or column.  `cells` mode certifies whole grid cells
-    and refinement bisects them; cells containing a parameter whose log
-    trajectory pins a part boundary can stay inconclusive at every depth.
+    carried as a log-enclosure box; `cells` mode certifies whole grid
+    cells.  Each row's and each column's center gets its point box and
+    its log enclosure once, and the first pass hands them to every box
+    of that row or column.  A box the first pass leaves inconclusive is
+    tried once more with enclosures of bits + 32 bits; one that certifies
+    then is marked `refined`.
     """
     if mode not in ("points", "cells"):
         raise InvalidParameterError(f"unknown sweep mode {mode!r}")
@@ -997,14 +966,9 @@ def sweep_log_escape(
         if cert.status == "certified":
             first_pass += 1
         else:
-            split = refine if mode == "cells" else 0
-            cert = geometric_escape_via_log(
-                f_set, y_box, b_box, n_max, bits=bits + 32, refine=split
-            )
+            cert = geometric_escape_via_log(f_set, y_box, b_box, n_max, bits=bits + 32)
             if cert.status == "certified":
-                cert = LogEscapeCertificate(
-                    y_box, b_box, "certified", cert.witness_index, cert.route, True
-                )
+                cert = cert._replace(refined=True)
         certs.append(cert)
     certified = sum(c.status == "certified" for c in certs)
     stats = {

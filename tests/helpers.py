@@ -43,6 +43,7 @@ from erdosavoid.intersect import (
 from erdosavoid.enclosures import ln_interval
 from erdosavoid.intervals import Gap, Interval, IntervalSet
 from erdosavoid.largescale import (
+    COVER_BUDGET,
     LinearEscapeCertificate,
     LogEscapeCertificate,
     certify_linear_escape,
@@ -388,35 +389,18 @@ def reference_span_escapes(e, lo: Fraction, hi: Fraction) -> bool:
 
 def reference_geometric_escape_via_log(
     e, y_box: Interval, b_box: Interval, n_max: int,
-    log_y=None, log_b=None, bits: int = 64, refine: int = 0,
+    log_y=None, log_b=None, bits: int = 64,
 ):
-    """The log-escape scan on Fraction spans n*ln(b).lo - ln(y).hi ..
-    n*ln(b).hi - ln(y).lo, each checked by `reference_span_escapes`,
-    with the same four-way refinement, whose children take enclosures
-    of their own boxes."""
+    """Log escape as `reference_cover_escape_step` on the enclosure
+    rectangle [-ln(y).hi, -ln(y).lo] x [ln(b).lo, ln(b).hi]: offset
+    -ln(y), step ln(b)."""
     ly = log_y if log_y is not None else ln_interval(y_box, bits)
     lb = log_b if log_b is not None else ln_interval(b_box, bits)
-    for n in range(1, n_max + 1):
-        s_lo = n * lb.lo - ly.hi
-        s_hi = n * lb.hi - ly.lo
-        if reference_span_escapes(e, s_lo, s_hi):
-            route = "point" if s_lo == s_hi else "gap"
-            return LogEscapeCertificate(y_box, b_box, "certified", n, route)
-    if refine > 0 and (y_box.length > 0 or b_box.length > 0):
-        ym, bm = y_box.midpoint, b_box.midpoint
-        ys = [Interval(y_box.lo, ym), Interval(ym, y_box.hi)] if y_box.length > 0 else [y_box]
-        bs = [Interval(b_box.lo, bm), Interval(bm, b_box.hi)] if b_box.length > 0 else [b_box]
-        indices = []
-        for cy in ys:
-            for cb in bs:
-                sub = reference_geometric_escape_via_log(
-                    e, cy, cb, n_max, bits=bits + 16, refine=refine - 1
-                )
-                if sub.status != "certified":
-                    return LogEscapeCertificate(y_box, b_box, "inconclusive")
-                indices.append(sub.witness_index)
-        return LogEscapeCertificate(y_box, b_box, "certified", max(indices), "gap", refined=True)
-    return LogEscapeCertificate(y_box, b_box, "inconclusive")
+    n = reference_cover_escape_step(e, Interval(-ly.hi, -ly.lo), lb, n_max, COVER_BUDGET)
+    if n is None:
+        return LogEscapeCertificate(y_box, b_box, "inconclusive")
+    route = "point" if ly.length == lb.length == 0 else "gap"
+    return LogEscapeCertificate(y_box, b_box, "certified", n, route)
 
 
 def _reference_atanh_series(z: Fraction, err_target: Fraction) -> Interval:
@@ -559,6 +543,8 @@ def reference_cover_escape_step(e, x_box: Interval, y_box: Interval, n_max: int,
     """The no-jump rule and the strip cover on Fraction vertices: every
     piece is clipped to every run its image meets by both of the run's
     lines, and a run's cuts are made even where they cut nothing."""
+    if y_box.lo <= 0:
+        return None
     m = e.generator.m
     piece = [(x_box.lo, y_box.lo), (x_box.hi, y_box.lo), (x_box.hi, y_box.hi), (x_box.lo, y_box.hi)]
     settled = 0

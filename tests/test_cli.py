@@ -75,6 +75,9 @@ GOLDEN = [
                   "--y-range", "1:2", "--b-range", "3/2:3", "--format", "csv"], 0,
                  "aa847d420aa206c23c5bdaaea26339806c809d92b93a3329bffdf83f65ef402a",
                  id="certify-log-escape-csv"),
+    pytest.param(["certify", "log-escape", "--mode", "cells"], 0,
+                 "f910d2a57a9a56d8d2879f5e2519845e5bfe8a20733691a115e7228ac9208496",
+                 id="certify-log-escape-cells"),
     pytest.param(["certify", "frame-intersection", "--count", "5", "--depth", "6",
                   "--lambda-range", "1/8:8", "--t-range=-4:4", "--seed", "1"], 0,
                  "a07dc8b89314d4af78f8fa5eada232a2d0143884130b837067d5c7753514ec80",

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from erdosavoid.enclosures import ln_interval, sqrt_enclosure
+from erdosavoid.enclosures import sqrt_enclosure
 from erdosavoid.errors import (
     InvalidParameterError,
     PrecisionError,
@@ -39,6 +39,7 @@ from erdosavoid.largescale import (
     _span_escapes,
     _unit_draws,
 )
+from erdosavoid.rationals import on_one_denominator
 from erdosavoid.sequences import linear
 
 from helpers import (
@@ -206,6 +207,13 @@ def span_escapes(gen, lo: F, hi: F, scale: int = 1) -> bool:
     )
 
 
+def cover_step(gen, x_box, y_box, n_max: int, guard: int, budget: int):
+    """`_cover_escape_step` on a box of Fraction ends, put on the lcm of
+    their denominators."""
+    L, nums = on_one_denominator(x_box.lo, x_box.hi, y_box.lo, y_box.hi)
+    return _cover_escape_step(gen, *nums, L, n_max, guard, budget)
+
+
 @settings(max_examples=600, deadline=None)
 @given(span=digit_spans(), scale=st.integers(1, 6))
 def test_span_escapes_matches_fraction_reference(span, scale):
@@ -354,8 +362,8 @@ def test_box_settle_stops_at_the_sampling_limit():
     # the settle fires at n_limit = 3 and sampling decides n_limit = 2
     e = digit_avoider(4, 8)
     x_box, y_box = ivl(0, F(1, 12)), ivl(F(167, 192), F(33, 32))
-    assert _cover_escape_step(e.generator, x_box, y_box, 64, e.guard, 100) == 3
-    assert _cover_escape_step(e.generator, x_box, y_box, 2, e.guard, 100) is None
+    assert cover_step(e.generator, x_box, y_box, 64, e.guard, 100) == 3
+    assert cover_step(e.generator, x_box, y_box, 2, e.guard, 100) is None
     cert = LinearEscapeCertificate(x_box, y_box, "certified", 64, "width")
     for n_limit, want in ((3, True), (2, False)):
         assert reference_validate_linear_escape(e, cert, samples=20, n_limit=n_limit) == want
@@ -367,8 +375,8 @@ def test_box_settle_falls_through_past_the_guard():
     # guard of 2: sampling runs and raises where it always did
     e = PLargeSet(F(1, 2), 4, DigitGenerator(4), guard=2)
     x_box, y_box = ivl(0, F(1, 8)), ivl(F(169, 64), 3)
-    assert _cover_escape_step(e.generator, x_box, y_box, 64, 10**6, 100) == 1
-    assert _cover_escape_step(e.generator, x_box, y_box, 64, e.guard, 100) is None
+    assert cover_step(e.generator, x_box, y_box, 64, 10**6, 100) == 1
+    assert cover_step(e.generator, x_box, y_box, 64, e.guard, 100) is None
     cert = LinearEscapeCertificate(x_box, y_box, "certified", 1, "width")
     for validate in (validate_linear_escape, reference_validate_linear_escape):
         with pytest.raises(ResourceLimitError, match="at n = 1"):
@@ -402,13 +410,27 @@ def test_box_settle_agrees_with_sampling_on_the_criterion_grid(monkeypatch):
     assert 0 < fired < len(settled)
 
 
+def test_box_settle_budget_does_not_follow_samples(monkeypatch):
+    # box 3133 of criterion 06's grid needs more than 10 pieces: audited
+    # with 5 samples it still settles by the cover, and none is drawn
+    import erdosavoid.largescale as largescale
+
+    e = digit_avoider(4, 200)
+    x_box, y_box = Grid(ivl(0, 1), ivl(F(1, 1000), 10), 100, 100).cell(3133)
+    assert cover_step(e.generator, x_box, y_box, 4096, e.guard, 10) is None
+    cert = certify_linear_escape(e, x_box, y_box, 4096)
+    assert cert.status == "certified"
+    monkeypatch.setattr(largescale, "_unit_draws", lambda rng: pytest.fail("sampled"))
+    assert validate_linear_escape(e, cert, samples=5)
+
+
 @pytest.mark.parametrize("cells", [24, 100])
 def test_cover_settles_every_box_of_the_criterion_grids(cells):
     # perfbench's 24x24 grid and criterion 06's 100x100 one: every box
     # settles with at most 20 pieces, so the audit samples none of them
     e = digit_avoider(4, 200)
     grid = Grid(ivl(0, 1), ivl(F(1, 1000), 10), cells, cells)
-    steps = [_cover_escape_step(e.generator, x, y, 4096, e.guard, 20) for x, y in grid]
+    steps = [cover_step(e.generator, x, y, 4096, e.guard, 20) for x, y in grid]
     assert None not in steps
 
 
@@ -417,9 +439,9 @@ def test_cover_takes_the_no_jump_bound_on_the_line():
     # ceil(2/y_lo) = 8, past the step 4 that settles the box just above
     e = digit_avoider(4, 8)
     x_box = ivl(0, F(1, 8))
-    assert _cover_escape_step(e.generator, x_box, ivl(F(1, 4), F(3, 10)), 64, e.guard, 100) == 8
-    assert _cover_escape_step(e.generator, x_box, ivl(F(1, 4), F(3, 10)), 7, e.guard, 100) is None
-    assert _cover_escape_step(e.generator, x_box, ivl(F(26, 100), F(3, 10)), 64, e.guard, 100) == 4
+    assert cover_step(e.generator, x_box, ivl(F(1, 4), F(3, 10)), 64, e.guard, 100) == 8
+    assert cover_step(e.generator, x_box, ivl(F(1, 4), F(3, 10)), 7, e.guard, 100) is None
+    assert cover_step(e.generator, x_box, ivl(F(26, 100), F(3, 10)), 64, e.guard, 100) == 4
 
 
 def test_cover_keeps_a_piece_that_only_touches_a_run():
@@ -428,20 +450,22 @@ def test_cover_keeps_a_piece_that_only_touches_a_run():
     # piece stays, since x = 1/2 escapes only at step 4
     e = digit_avoider(4, 8)
     segment = ivl(0, F(1, 2)), ivl(F(3, 2), F(3, 2))
-    assert _cover_escape_step(e.generator, *segment, 64, e.guard, 100) == 4
+    assert cover_step(e.generator, *segment, 64, e.guard, 100) == 4
     assert point_escape_index(e, F(1, 2), F(3, 2), 64) == 4
 
 
 @st.composite
 def cover_boxes(draw):
-    """Boxes in [0, 1] x (0, 7/2] on small denominators, so that images
+    """Boxes in [-3, 3] x (0, 7/2] on small denominators, so that images
     end on integers and part boundaries, often resting on or crossing
-    y = 1/m; the digit set's m and a guard small enough to trip."""
+    y = 1/m; offsets below 0 and above 1 are those of log escape's
+    rectangles.  The digit set's m and a guard small enough to trip."""
     m = draw(st.integers(3, 7))
     guard = draw(st.sampled_from([2, 6, 1_000_000]))
     e = PLargeSet(F(m - 2, m), 4, DigitGenerator(m), guard=guard)
     den = draw(st.sampled_from([1, 2, 3, 4, 6, 8, 12, m, 2 * m, 4 * m]))
-    xs = sorted(F(draw(st.integers(0, den)), den) for _ in range(2))
+    lo = draw(st.sampled_from([0, 0, -1, -3, 1]))
+    xs = sorted(F(draw(st.integers(lo * den, (lo + 2) * den)), den) for _ in range(2))
     y_lo = draw(st.one_of(
         st.just(F(1, m)),
         st.fractions(min_value=F(1, 3 * m), max_value=F(2, m), max_denominator=4 * m),
@@ -458,7 +482,7 @@ def cover_boxes(draw):
 @given(cover_boxes(), st.integers(1, 40), st.integers(0, 40))
 def test_cover_matches_the_fraction_clipper(case, n_max, budget):
     e, x_box, y_box = case
-    got = _cover_escape_step(e.generator, x_box, y_box, n_max, e.guard, budget)
+    got = cover_step(e.generator, x_box, y_box, n_max, e.guard, budget)
     assert got == reference_cover_escape_step(e, x_box, y_box, n_max, budget)
 
 
@@ -486,7 +510,7 @@ def test_cover_is_sound_on_boundary_points(case, budget):
     # point of a settled box escapes by the returned step
     e, x_box, y_box = case
     e.guard = 1_000_000
-    step = _cover_escape_step(e.generator, x_box, y_box, 64, e.guard, budget)
+    step = cover_step(e.generator, x_box, y_box, 64, e.guard, budget)
     if step is None:
         return
     for x, y in _box_points(x_box, y_box, step, e.generator.m):
@@ -867,13 +891,15 @@ def test_log_escape_rational_point_boxes():
 
 def test_log_escape_pairs_the_enclosure_ends():
     # step n's span is [n*ln(b).lo - ln(y).hi, n*ln(b).hi - ln(y).lo]:
-    # here [n - 1/2, n], which first escapes at n = 3 (cell 2 removes
-    # parts 2 and 3, and cell 3 part 0 holds the integer end)
+    # with ln(y) in [0, 1/2] it is [n - 1/2, n], which first escapes at
+    # n = 3 (cell 2 removes parts 2 and 3, and cell 3 part 0 holds the
+    # integer end); with ln(y) in [1/4, 1/2] it is [n - 1/2, n - 1/4],
+    # also first escaping at n = 3, where the offset +ln(y) would give
+    # [n + 1/4, n + 1/2], which escapes at n = 1 (cell 1 removes part 1)
     e = digit_avoider(4, 40)
-    cert = geometric_escape_via_log(
-        e, ivl(1, 1), ivl(3, 3), 16, log_y=ivl(0, F(1, 2)), log_b=ivl(1, 1)
-    )
-    assert (cert.status, cert.witness_index, cert.route) == ("certified", 3, "gap")
+    for log_y in (ivl(0, F(1, 2)), ivl(F(1, 4), F(1, 2))):
+        cert = geometric_escape_via_log(e, ivl(1, 1), ivl(3, 3), 16, log_y=log_y, log_b=ivl(1, 1))
+        assert (cert.status, cert.witness_index, cert.route) == ("certified", 3, "gap"), log_y
 
 
 def test_log_escape_stops_at_the_cell_guard():
@@ -885,25 +911,11 @@ def test_log_escape_stops_at_the_cell_guard():
         assert (cert.status, cert.witness_index) == want
 
 
-def test_log_escape_refinement_takes_enclosures_of_the_children():
-    # injected logs 1/10 wider than the 64-bit enclosures never certify
-    # the box itself; its children must enclose their own boxes afresh
-    e = digit_avoider(4, 40)
-    y_box, b_box = ivl(F(11, 10), 2), ivl(3, F(33, 10))
-    logs = {
-        name: ivl(v.lo - F(1, 10), v.hi + F(1, 10))
-        for name, v in (("log_y", ln_interval(y_box, 64)), ("log_b", ln_interval(b_box, 64)))
-    }
-    assert geometric_escape_via_log(e, y_box, b_box, 16, **logs).status == "inconclusive"
-    cert = geometric_escape_via_log(e, y_box, b_box, 16, refine=3, **logs)
-    assert (cert.status, cert.witness_index, cert.refined) == ("certified", 15, True)
-
-
 @st.composite
 def log_escape_cases(draw):
     """Point and cell boxes with computed enclosures at low precision,
     or injected logs on a 1/(4m) lattice, so that spans end on part
-    boundaries and exact logs take the point route; refine 0 or 1."""
+    boundaries and exact logs take the point route."""
     m = draw(st.sampled_from([3, 4, 5]))
     e = digit_avoider(m, 8)
 
@@ -925,19 +937,16 @@ def log_escape_cases(draw):
         if logs["log_b"].lo <= 0:
             logs["log_b"] = ivl(F(1, m), F(1, m) + logs["log_b"].length)
     n_max = draw(st.integers(1, 12))
-    bits = draw(st.integers(4, 40))
-    return e, y_box, b_box, n_max, logs, bits, draw(st.integers(0, 1))
+    bits = draw(st.integers(1, 40))  # at 1 bit, ln(9/8) encloses as [0, ...]
+    return e, y_box, b_box, n_max, logs, bits
 
 
 @settings(max_examples=300, deadline=None)
 @given(log_escape_cases())
 def test_log_escape_matches_fraction_reference(case):
-    e, y_box, b_box, n_max, logs, bits, refine = case
-    got = geometric_escape_via_log(e, y_box, b_box, n_max, bits=bits, refine=refine, **logs)
-    want = reference_geometric_escape_via_log(
-        e, y_box, b_box, n_max, bits=bits, refine=refine, **logs
-    )
-    assert got == want
+    e, y_box, b_box, n_max, logs, bits = case
+    got = geometric_escape_via_log(e, y_box, b_box, n_max, bits=bits, **logs)
+    assert got == reference_geometric_escape_via_log(e, y_box, b_box, n_max, bits=bits, **logs)
 
 
 def test_log_sweep_points_build_each_log_once(monkeypatch):
@@ -985,14 +994,14 @@ def test_log_sweep_cell_mode_reports_structure():
     _, stats = sweep_log_escape(
         e, ivl(1, 2), ivl(F(3, 2), 3), 10, 10, mode="cells"
     )
-    assert stats["certified"] >= 85
+    assert stats["certified"] == stats["boxes"] == 100
 
 
 def test_log_refinement_failures_monotone():
     # finer base boxes cannot certify fewer cells
     e = digit_avoider(4, 64)
-    _, coarse = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 5, 5, mode="cells", refine=0)
-    _, fine = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 10, 10, mode="cells", refine=0)
+    _, coarse = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 5, 5, mode="cells")
+    _, fine = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 10, 10, mode="cells")
     coarse_failures = coarse["boxes"] - coarse["certified"]
     fine_failures_rate = (fine["boxes"] - fine["certified"]) / fine["boxes"]
     assert fine_failures_rate <= coarse_failures / coarse["boxes"]

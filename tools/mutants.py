@@ -136,7 +136,7 @@ MUTANTS = (
     ),
     Mutant(
         "box-settle-limit", LARGESCALE,
-        "_cover_escape_step(gen, x_box, y_box, n_limit,", "_cover_escape_step(gen, x_box, y_box, n_limit + 1,",
+        "y0 + sy, L, n_limit, e.guard,", "y0 + sy, L, n_limit + 1, e.guard,",
         (L + "test_box_settle_stops_at_the_sampling_limit",),
     ),
     Mutant(
@@ -155,19 +155,8 @@ MUTANTS = (
         (L + "test_cover_takes_the_no_jump_bound_on_the_line",),
     ),
     Mutant(
-        "span-scan-guard", LARGESCALE,
-        "        if hi // L > guard:\n            return None\n", "",
-        (L + "test_log_escape_stops_at_the_cell_guard",),
-    ),
-    Mutant(
-        "log-escape-refinement-enclosures", LARGESCALE,
-        "f_set, cy, cb, n_max, bits=bits + 16, refine=refine - 1",
-        "f_set, cy, cb, n_max, log_y, log_b, bits + 16, refine - 1",
-        (L + "test_log_escape_refinement_takes_enclosures_of_the_children",),
-    ),
-    Mutant(
-        "log-escape-end-pairing", LARGESCALE,
-        "_span_escape_step(gen, -yh, -yl, bl, bh,", "_span_escape_step(gen, -yl, -yh, bl, bh,",
+        "log-escape-offset-sign", LARGESCALE,
+        "_cover_escape_step(gen, -yh, -yl, bl, bh,", "_cover_escape_step(gen, yl, yh, bl, bh,",
         (L + "test_log_escape_pairs_the_enclosure_ends",),
     ),
     Mutant(
