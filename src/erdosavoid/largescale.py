@@ -10,7 +10,7 @@ Two membership razors coexist by design.  Materialized cells remove the
 larger set and keeps cell measures exact.  Escape verdicts instead use
 the construction's set-difference semantics: a trajectory point escapes
 when, in every cell containing it, its offset lies inside a *closed*
-removed part.  `_escape_indices` decides this along trajectories,
+removed part.  `_escape_index` decides this along a trajectory,
 `_span_escapes` for a closed span and `_cover_escape_step` for a box of
 trajectories, all on integer numerators.
 Certificates therefore witness escape from the constructed set, while
@@ -24,8 +24,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from itertools import chain
-from typing import Iterable, Iterator, NamedTuple, Optional, Sequence, Union
+from typing import Iterable, NamedTuple, Optional, Sequence, Union
 
 from . import enclosures, sequences
 from .errors import (
@@ -290,50 +289,30 @@ def _digit_generator(e: PLargeSet, what: str, n_max: int = 1) -> DigitGenerator:
 def _escape_index(
     gen: DigitGenerator, ax: int, ay: int, den: int, n_max: int, guard: int
 ) -> Optional[int]:
-    """Least n <= n_max with (ax + n*ay)/den escaping: `_escape_indices`
-    for one start."""
-    return _escape_indices(gen, ((ax, ay),), den, n_max, guard)[0]
-
-
-def _escape_indices(
-    gen: DigitGenerator,
-    starts: Iterable[tuple[int, int]],
-    den: int,
-    n_max: int,
-    guard: int,
-) -> list[Optional[int]]:
-    """For each (ax, ay) in turn, the least n <= n_max with
-    (ax + n*ay)/den escaping, or None; the list stops right after the
-    first None.  This is the one scan of x + n*y and the one escape rule.
-    `den` > 0 need not be the lowest common denominator.  Point s/den
-    lies in part t = k*m + j of cell k, where t, r = divmod(s*m, den).
-    It escapes when j is the top part or the scheduled one, or when
-    r = 0 and part j - 1 is the scheduled one (at an integer j = 0, and
-    cell k-1's top part always holds it).  A cell beyond the guard
-    raises."""
+    """Least n <= n_max with (ax + n*ay)/den escaping, or None.  This is
+    the one scan of x + n*y and the one escape rule.  `den` > 0 need not
+    be the lowest common denominator.  Point s/den lies in part
+    t = k*m + j of cell k, where t, r = divmod(s*m, den).  It escapes
+    when j is the top part or the scheduled one, or when r = 0 and part
+    j - 1 is the scheduled one (at an integer j = 0, and cell k-1's top
+    part always holds it).  A cell beyond the guard raises."""
     m = gen.m
     top = m - 1
     digits = gen._digits
     t_lo, t_hi = -guard * m, (guard + 1) * m  # parts of cells -guard..guard
-    found: list[Optional[int]] = []
-    for ax, ay in starts:
-        s, step = ax * m, ay * m
-        for n in range(1, n_max + 1):
-            s += step
-            t, r = divmod(s, den)
-            if not t_lo <= t < t_hi:
-                raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
-            k, j = divmod(t, m)
-            if j == top:
-                break
-            digit = digits[k] if k in digits else gen.scheduled_digit(k)
-            if j == digit or (r == 0 and j - 1 == digit):
-                break
-        else:
-            found.append(None)
-            return found
-        found.append(n)
-    return found
+    s, step = ax * m, ay * m
+    for n in range(1, n_max + 1):
+        s += step
+        t, r = divmod(s, den)
+        if not t_lo <= t < t_hi:
+            raise ResourceLimitError(f"trajectory left the cell guard at n = {n}")
+        k, j = divmod(t, m)
+        if j == top:
+            return n
+        digit = digits[k] if k in digits else gen.scheduled_digit(k)
+        if j == digit or (r == 0 and j - 1 == digit):
+            return n
+    return None
 
 
 def _span_escapes(gen: DigitGenerator, a: int, b: int, den: int) -> bool:
@@ -434,15 +413,16 @@ def validate_linear_escape(
     Samples are interior rationals; each must reach a removed part
     within the limit (default: generous multiple of the witness step).
     Sample (a, b) is x = x_lo + wx*a/128, y = y_lo + wy*b/128, with a and
-    b drawn by `_unit_draws`, x first.
+    b drawn by `randrange(1, 128)`, x first; the first sample that fails
+    decides, before any later one is scanned.
 
-    A box that `_cover_escape_step` settles within the limit passes
-    without sampling: every trajectory of the closed box escapes by then,
-    so every sample would, and the sampled verdict is True.  The box goes
-    once on integer numerators over L = lcm of the denominators of x_lo,
-    wx, y_lo and wy, which the cover takes too; the other boxes are
-    scanned on den = 128*L by `_escape_indices` in blocks of at most
-    _BLOCK samples, so memory does not grow with `samples`.
+    Every sample lies in the hull of the sample lattice,
+    [x_lo + wx/128, x_lo + 127*wx/128] x [y_lo + wy/128, y_lo + 127*wy/128].
+    A hull that `_cover_escape_step` settles within the limit passes
+    without sampling: every trajectory of the hull escapes by then, so
+    every sample would, and the sampled verdict is True.  The hull and
+    the samples go on integer numerators over 128*L, where L is the lcm
+    of the denominators of x_lo, wx, y_lo and wy.
     """
     if samples < 1:
         raise InvalidParameterError("validation needs at least one sample")
@@ -453,16 +433,15 @@ def validate_linear_escape(
         n_limit = max(4096, 8 * (cert.witness_index or 1))
     x_box, y_box = cert.x_box, cert.y_box
     L, (x0, sx, y0, sy) = on_one_denominator(x_box.lo, x_box.length, y_box.lo, y_box.length)
-    step = _cover_escape_step(gen, x0, x0 + sx, y0, y0 + sy, L, n_limit, e.guard, COVER_BUDGET)
-    if step is not None:
-        return True
     x0, y0, den = 128 * x0, 128 * y0, 128 * L
-    draws = _unit_draws(random.Random(seed))
-    while samples > 0:
-        block = min(samples, _BLOCK)
-        samples -= block
-        starts = [(x0 + a * sx, y0 + b * sy) for _, a, b in zip(range(block), draws, draws)]
-        if _escape_indices(gen, starts, den, n_limit, e.guard)[-1] is None:
+    hull = (x0 + sx, x0 + 127 * sx, y0 + sy, y0 + 127 * sy)
+    if _cover_escape_step(gen, *hull, den, n_limit, e.guard, COVER_BUDGET) is not None:
+        return True
+    rng = random.Random(seed)
+    for _ in range(samples):
+        ax = x0 + rng.randrange(1, 128) * sx
+        ay = y0 + rng.randrange(1, 128) * sy
+        if _escape_index(gen, ax, ay, den, n_limit, e.guard) is None:
             return False
     return True
 
@@ -483,8 +462,8 @@ def _cover_escape_step(
     box [xl/L, xh/L] x [yl/L, yh/L] has escaped, or None.  Any offsets,
     but only y_lo > 0, where trajectories move right: an image's upper
     end bounds them.  This is the one box-escape kernel: the digit
-    sweep's audit calls it on its box, log escape on its enclosure
-    rectangle.
+    sweep's audit calls it on the hull of a box's samples, log escape on
+    its enclosure rectangle.
 
     No-jump: a step y <= 1/m cannot cross a cell's top part
     [k + (m-1)/m, k + 1), which escapes.  The first whole top part ahead
@@ -557,31 +536,6 @@ def _clip(piece: list, a: int, b: int, c: int) -> list:
             out.append((X1, Y1, W1))
         X0, Y0, W0, f0 = X1, Y1, W1, f1
     return out
-
-
-# samples per `_escape_indices` call, and 32-bit words per block of draws
-_BLOCK = 512
-
-
-def _unit_draws(rng: random.Random) -> Iterator[int]:
-    """The values of rng.randrange(1, 128), from the same bits, without
-    its calls.
-
-    randrange(1, 128) is 1 + getrandbits(7), drawn again on 127, and
-    getrandbits(7) is the top 7 bits of one 32-bit output word.
-    getrandbits(32*B) puts B such words in order from the least
-    significant end, so in its little-endian bytes word i's top byte is
-    byte 4*i + 3.  Each such byte c gives (c >> 1) + 1, and c >= 254 (the
-    draw 127) is skipped."""
-
-    def block() -> bytes:
-        words = rng.getrandbits(32 * _BLOCK).to_bytes(4 * _BLOCK, "little")
-        return words[3::4].translate(_DRAW_OF_BYTE, b"\xfe\xff")
-
-    return chain.from_iterable(iter(block, None))
-
-
-_DRAW_OF_BYTE = bytes((c >> 1) + 1 for c in range(256))
 
 
 def sweep_linear_escape(

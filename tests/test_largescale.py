@@ -2,7 +2,6 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
-from itertools import islice
 
 import pytest
 from hypothesis import given, settings
@@ -35,9 +34,7 @@ from erdosavoid.largescale import (
     validate_linear_escape,
     _cover_escape_step,
     _escape_index,
-    _escape_indices,
     _span_escapes,
-    _unit_draws,
 )
 from erdosavoid.rationals import on_one_denominator
 from erdosavoid.sequences import linear
@@ -52,6 +49,7 @@ from helpers import (
     reference_ell_upper_bound,
     reference_escape_index,
     reference_geometric_escape_via_log,
+    reference_point_escape_index,
     reference_point_escapes,
     reference_removed_parts,
     reference_span_escapes,
@@ -324,37 +322,41 @@ def test_validate_matches_reference_on_passing_and_failing_boxes():
     assert {(2, True), (2, False), (4, True), (4, False)} <= verdicts
 
 
-def test_unit_draws_are_the_randrange_values():
-    # the validator's samples are those of randrange(1, 128); 600 draws
-    # cross from the first block of 512 words into the second, and most
-    # seeds meet a 127 that is drawn again
-    for seed in range(1000):
-        rng = random.Random(seed)
-        want = [rng.randrange(1, 128) for _ in range(600)]
-        assert list(islice(_unit_draws(random.Random(seed)), 600)) == want, seed
+def _sample_outcomes(e, cert, samples, seed, n_limit):
+    """Each sample's escape step by the Fraction reference, None when it
+    does not escape by n_limit, "guard" when it leaves the cell guard;
+    the samples are those of `reference_validate_linear_escape`."""
+    rng = random.Random(seed)
+    outcomes = []
+    for _ in range(samples):
+        x = cert.x_box.lo + cert.x_box.length * F(rng.randrange(1, 128), 128)
+        y = cert.y_box.lo + cert.y_box.length * F(rng.randrange(1, 128), 128)
+        try:
+            outcomes.append(reference_point_escape_index(e, x, y, n_limit))
+        except ResourceLimitError:
+            outcomes.append("guard")
+    return outcomes
 
 
-class _RejectedFirstBlock:
-    """A generator whose first getrandbits call gives all-ones words, so
-    that every draw of the first block is a 127; later calls go to
-    random.Random(seed)."""
-
-    def __init__(self, seed):
-        self.rest = random.Random(seed)
-        self.first = True
-
-    def getrandbits(self, k):
-        if self.first:
-            self.first = False
-            return (1 << k) - 1
-        return self.rest.getrandbits(k)
+def test_validate_stops_at_the_first_failing_sample():
+    # guard 4, limit 2: seed 5 fails its second sample before its fourth
+    # leaves the guard, and seed 11 leaves the guard at its third sample
+    # before its fourth fails; whichever comes first decides
+    e = PLargeSet(F(1, 2), 4, DigitGenerator(4), guard=4)
+    cert = LinearEscapeCertificate(ivl(0, 1), ivl(F(1, 2), 3), "certified", 1, "width")
+    assert _sample_outcomes(e, cert, 4, 5, 2) == [1, None, 1, "guard"]
+    assert _sample_outcomes(e, cert, 4, 11, 2) == [1, 1, "guard", None]
+    for validate in (validate_linear_escape, reference_validate_linear_escape):
+        assert validate(e, cert, 4, 5, 2) is False
+        with pytest.raises(ResourceLimitError, match="at n = 2"):
+            validate(e, cert, 4, 11, 2)
 
 
-def test_unit_draws_pass_over_a_wholly_rejected_block():
-    for seed in range(20):
-        rng = random.Random(seed)
-        want = [rng.randrange(1, 128) for _ in range(600)]
-        assert list(islice(_unit_draws(_RejectedFirstBlock(seed)), 600)) == want, seed
+def _no_sampling(monkeypatch):
+    """Make drawing any sample in `validate_linear_escape` fail the test."""
+    import erdosavoid.largescale as largescale
+
+    monkeypatch.setattr(largescale.random, "Random", lambda seed: pytest.fail("sampled"))
 
 
 def test_box_settle_stops_at_the_sampling_limit():
@@ -413,15 +415,41 @@ def test_box_settle_agrees_with_sampling_on_the_criterion_grid(monkeypatch):
 def test_box_settle_budget_does_not_follow_samples(monkeypatch):
     # box 3133 of criterion 06's grid needs more than 10 pieces: audited
     # with 5 samples it still settles by the cover, and none is drawn
-    import erdosavoid.largescale as largescale
-
     e = digit_avoider(4, 200)
     x_box, y_box = Grid(ivl(0, 1), ivl(F(1, 1000), 10), 100, 100).cell(3133)
     assert cover_step(e.generator, x_box, y_box, 4096, e.guard, 10) is None
     cert = certify_linear_escape(e, x_box, y_box, 4096)
     assert cert.status == "certified"
-    monkeypatch.setattr(largescale, "_unit_draws", lambda rng: pytest.fail("sampled"))
+    _no_sampling(monkeypatch)
     assert validate_linear_escape(e, cert, samples=5)
+
+
+def test_audit_settles_boxes_on_the_sample_hull(monkeypatch):
+    # the bottom row of a 100x100 grid on y 1/100000:10: y_lo = 1/100000
+    # puts the no-jump bound ceil(2/y_lo) past the limit 4096, so the
+    # cover cannot settle these boxes, but the sample hull starts at
+    # y_lo + wy/128 and settles every one of them
+    e = digit_avoider(4, 200)
+    grid = Grid(ivl(0, 1), ivl(F(1, 100000), 10), 100, 100)
+    certs = [certify_linear_escape(e, *grid.cell(100 * i), 4096) for i in range(100)]
+    assert all(c.status == "certified" for c in certs)
+    assert all(cover_step(e.generator, c.x_box, c.y_box, 4096, e.guard, 1000) is None
+               for c in certs)
+    # box 3915 of criterion 06's grid: its hull escapes at step 1, but
+    # the box, and the hull stretched to the box's upper x end, only by 4
+    x_box, y_box = Grid(ivl(0, 1), ivl(F(1, 1000), 10), 100, 100).cell(3915)
+    assert cover_step(e.generator, x_box, y_box, 4096, e.guard, 1000) == 4
+    lattice_hull = (ivl(x_box.lo + x_box.length / 128, x_box.lo + x_box.length * F(127, 128)),
+                    ivl(y_box.lo + y_box.length / 128, y_box.lo + y_box.length * F(127, 128)))
+    assert cover_step(e.generator, *lattice_hull, 1, e.guard, 1000) == 1
+    assert cover_step(e.generator, ivl(lattice_hull[0].lo, x_box.hi), lattice_hull[1],
+                      4096, e.guard, 1000) == 4
+    box_cert = certify_linear_escape(e, x_box, y_box, 4096)
+    assert reference_validate_linear_escape(e, box_cert, 100, 0, 1)
+    _no_sampling(monkeypatch)
+    for i, cert in enumerate(certs):
+        assert validate_linear_escape(e, cert, samples=100, seed=100 * i)
+    assert validate_linear_escape(e, box_cert, samples=100, n_limit=1)
 
 
 @pytest.mark.parametrize("cells", [24, 100])
@@ -519,7 +547,7 @@ def test_cover_is_sound_on_boundary_points(case, budget):
 
 def test_validation_memory_does_not_grow_with_samples():
     # a million samples on a box that fails at n_limit = 1: the first
-    # block decides, and no list of all samples is built
+    # failing sample decides, and no list of all samples is built
     e = digit_avoider(4, 8)
     cert = LinearEscapeCertificate(ivl(0, F(1, 2)), ivl(1, 2), "certified", 1, "width")
     tracemalloc.start()
@@ -592,46 +620,6 @@ def test_escape_index_on_boundaries_and_integers():
     for s, want in cases:
         for kernel in (_escape_index, reference_escape_index):
             assert kernel(gen, s, 0, 8, 1, 10) == want, (kernel.__name__, s)
-
-
-def reference_escape_indices(gen, starts, den, n_max, guard):
-    """`reference_escape_index` for each start in turn, cut after the
-    first None."""
-    found = []
-    for ax, ay in starts:
-        found.append(reference_escape_index(gen, ax, ay, den, n_max, guard))
-        if found[-1] is None:
-            break
-    return found
-
-
-@st.composite
-def batched_trajectories(draw):
-    """Arguments of `_escape_indices`: one generator, denominator, depth
-    and guard (as in `trajectories`) with up to six starts."""
-    gen, ax, ay, den, n_max, guard = draw(trajectories())
-    more = draw(st.lists(
-        st.tuples(st.integers(-6 * den, 6 * den), st.integers(-3 * den, 3 * den)), max_size=5
-    ))
-    starts = [(ax, ay), *more]
-    return gen, draw(st.permutations(starts)), den, n_max, guard
-
-
-@settings(max_examples=400, deadline=None)
-@given(scan=batched_trajectories())
-def test_escape_indices_match_one_scan_per_start(scan):
-    # the same steps, cut after the first None, or the same guard error
-    assert _outcome(_escape_indices, *scan) == _outcome(reference_escape_indices, *scan)
-
-
-def test_escape_indices_stop_after_the_first_none():
-    # m = 4: the integer 1 never escapes with step 0, and a step of 40
-    # leaves a guard of 5 at once; the scan stops at the None before it
-    gen = DigitGenerator(4)
-    assert _escape_indices(gen, [(12, 0), (4, 0), (0, 40)], 4, 3, 5) == [1, None]
-    with pytest.raises(ResourceLimitError, match="at n = 1"):
-        _escape_indices(gen, [(12, 0), (0, 40), (4, 0)], 4, 3, 5)
-    assert _escape_indices(gen, [(4, 0), (12, 0)], 4, 3, 5) == [None]
 
 
 @settings(max_examples=200, deadline=None)

@@ -99,15 +99,9 @@ MUTANTS = (
     ),
     Mutant(
         "escape-index-step-count", LARGESCALE,
-        "        for n in range(1, n_max + 1):\n            s += step\n",
-        "        for n in range(1, n_max):\n            s += step\n",
+        "    for n in range(1, n_max + 1):\n        s += step\n",
+        "    for n in range(1, n_max):\n        s += step\n",
         (L + "test_escape_index_on_boundaries_and_integers",),
-    ),
-    Mutant(
-        "escape-indices-early-stop", LARGESCALE,
-        "found.append(None)\n            return found\n",
-        "found.append(None)\n            continue\n",
-        (L + "test_escape_indices_stop_after_the_first_none",),
     ),
     Mutant(
         "escape-index-interior-point", LARGESCALE,
@@ -125,9 +119,15 @@ MUTANTS = (
         (L + "test_escape_index_on_boundaries_and_integers",),
     ),
     Mutant(
-        "unit-draws-redraw", LARGESCALE,
-        'translate(_DRAW_OF_BYTE, b"\\xfe\\xff")', 'translate(_DRAW_OF_BYTE, b"\\xff")',
-        (L + "test_unit_draws_are_the_randrange_values",),
+        "sample-hull-end", LARGESCALE,
+        "x0 + 127 * sx", "x0 + 128 * sx",
+        (L + "test_audit_settles_boxes_on_the_sample_hull",),
+    ),
+    Mutant(
+        "validate-first-failure", LARGESCALE,
+        "is None:\n            return False\n    return True\n",
+        "is None:\n            samples = 0\n    return samples > 0\n",
+        (L + "test_validate_stops_at_the_first_failing_sample",),
     ),
     Mutant(
         "box-settle-guard", LARGESCALE,
@@ -136,7 +136,7 @@ MUTANTS = (
     ),
     Mutant(
         "box-settle-limit", LARGESCALE,
-        "y0 + sy, L, n_limit, e.guard,", "y0 + sy, L, n_limit + 1, e.guard,",
+        "*hull, den, n_limit, e.guard,", "*hull, den, n_limit + 1, e.guard,",
         (L + "test_box_settle_stops_at_the_sampling_limit",),
     ),
     Mutant(
