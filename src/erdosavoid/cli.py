@@ -32,7 +32,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 
 from . import __version__, enclosures, gaptree, largescale, sequences, smallscale, sumsets
 from .errors import ErdosAvoidError
-from .intervals import Grid, Interval, ParamBox
+from .intervals import Grid, Interval
 from .rationals import as_rational, format_rational
 
 EXIT_OK = 0
@@ -343,12 +343,12 @@ def _certify_frame_intersection(args) -> Result:
         if rng.random() < 0.5:
             lam = -lam
         t = args.t_range.lo + args.t_range.length * Fraction(rng.randrange(0, 257), 256)
-        trace = certifier.certify(ParamBox(Interval(lam, lam), Interval(t, t)), args.depth)
+        trace = certifier.certify(lam, t, args.depth)
         rows.append({
             "box_id": str(box_id),
             "lambda": format_rational(lam),
             "t": format_rational(t),
-            "frame": f"{trace.frame[0]}|{trace.frame[1]}" if trace.frame else "",
+            "frame": f"{trace.frame[0]}|{trace.frame[1]}",
             "status": trace.status,
             "witness": format_rational(trace.witness) if trace.witness is not None else "",
         })

@@ -65,19 +65,24 @@ def check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
     """Check the hypotheses of the thickness gap lemma.
 
     Applicable iff the thickness product is at least 1 and neither hull
-    sits strictly inside a recorded gap of the other tree.  The gap
-    scan covers all materialized gaps, so the containment verdict is
-    depth-limited; scanned depths are reported alongside.  The scans
-    put both trees' numerators on den1*den2.
+    sits strictly inside a gap of the other tree, the two unbounded gaps
+    included: disjoint hulls are not applicable (`REASON_K1_IN_GAP`).
+    The bounded-gap scan covers all materialized gaps, so the
+    containment verdict is depth-limited; scanned depths are reported
+    alongside.  The hulls and the scans put both trees' numerators on
+    den1*den2.
     """
     t1, t2 = thickness(k1), thickness(k2)
     d1, d2 = k1.min_depth(), k2.min_depth()
     if not thickness_product_at_least_one(t1, t2):
         return GapLemmaVerdict(False, REASON_THIN, t1, t2, d1, d2)
     r1, r2 = k1._rows, k2._rows
-    if _in_some_gap(_all_gaps(k2), r1.den, 0, r1.los[0][0] * r2.den, r1.his[0][0] * r2.den):
+    a0, a1 = r1.los[0][0] * r2.den, r1.his[0][0] * r2.den
+    b0, b1 = r2.los[0][0] * r1.den, r2.his[0][0] * r1.den
+    # hulls wholly beside each other: k1 lies in an unbounded gap of k2
+    if a1 < b0 or b1 < a0 or _in_some_gap(_all_gaps(k2), r1.den, 0, a0, a1):
         return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2, d1, d2)
-    if _in_some_gap(_all_gaps(k1), r2.den, 0, r2.los[0][0] * r1.den, r2.his[0][0] * r1.den):
+    if _in_some_gap(_all_gaps(k1), r2.den, 0, b0, b1):
         return GapLemmaVerdict(False, REASON_K2_IN_GAP, t1, t2, d1, d2)
     return GapLemmaVerdict(True, REASON_OK, t1, t2, d1, d2)
 

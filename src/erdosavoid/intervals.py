@@ -365,11 +365,6 @@ class ParamBox(Frozen):
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "t", t)
 
-    def corners(self) -> Iterator[tuple[Fraction, Fraction]]:
-        for a in (self.lam.lo, self.lam.hi):
-            for b in (self.t.lo, self.t.hi):
-                yield a, b
-
 
 def box_image(x: RationalLike, box: ParamBox) -> Interval:
     """Exact range {lam*x + t : (lam, t) in box}."""

@@ -4,7 +4,8 @@ The family members 2^n (K + l) tile all scales and positions: an affine
 copy lam*X + t selects the unique frame (n, l) with |lam| in
 (2^(n-1), 2^n] and t in (l 2^n, (l+1) 2^n], and the thickness gap
 lemma applies to the pair whenever the thickness product clears 1 and
-neither hull hides inside a gap of the other.  Whether the lemma's
+neither hull hides inside a gap of the other, the two unbounded gaps
+included: disjoint hulls are not applicable.  Whether the lemma's
 conditions hold and whether a common point is exhibited at finite depth
 are reported separately: the first is a verified hypothesis, the second
 a constructive witness.
@@ -16,7 +17,7 @@ from bisect import bisect_right
 from fractions import Fraction
 from typing import NamedTuple, Optional, Sequence
 
-from .errors import InvalidParameterError, ResourceLimitError
+from .errors import InvalidParameterError
 from .gaptree import (
     GapTree,
     affine_tree,
@@ -34,7 +35,7 @@ from .intersect import (
     _all_gaps,
     _in_some_gap,
 )
-from .intervals import Interval, IntervalSet, ParamBox
+from .intervals import IntervalSet
 from .rationals import RationalLike, as_rational
 
 
@@ -144,14 +145,14 @@ def _frame_map(n: int, l: int) -> tuple[Fraction, Fraction]:
 
 
 class FrameTrace(NamedTuple):
-    """Outcome of one framed intersection attempt."""
+    """Outcome of one framed intersection attempt at the parameter (lam, t)."""
 
-    box: ParamBox
-    frame: Optional[tuple[int, int]]
-    status: str  # "certified" | "applicable_unwitnessed" | "not_applicable" | "split"
-    verdicts: tuple[GapLemmaVerdict, ...] = ()
+    lam: Fraction
+    t: Fraction
+    frame: tuple[int, int]
+    status: str  # "certified" | "applicable_unwitnessed" | "not_applicable"
+    verdict: GapLemmaVerdict
     witness: Optional[Fraction] = None
-    children: tuple["FrameTrace", ...] = ()
 
 
 class FrameCertifier:
@@ -162,7 +163,7 @@ class FrameCertifier:
     commutes with affine maps, so the base analyses (thickness, the gaps
     of both trees as integer (length, lo, hi) numerator triples sorted
     by decreasing length, the deepest level both trees reach) are
-    computed once.  Per box, the map lam*x + t on X and the frame map on
+    computed once.  Per point, the map lam*x + t on X and the frame map on
     the base become integer (scale, shift) pairs over one common
     denominator, and the checks and the descent run on numerators.  No
     member tree, member level set or node is built on the certification
@@ -198,10 +199,11 @@ class FrameCertifier:
         """Gap-lemma verdict for lam*X + t against the framed member.
 
         Thickness is affine-invariant and the hull/gap comparisons
-        commute with the affine maps, so both trees stay unmaterialized;
-        `_in_some_gap` scans the gaps on numerators over the common
-        denominator of `_maps`.  Agrees with check_gap_lemma on
-        materialized trees.
+        commute with the affine maps, so both trees stay unmaterialized.
+        Disjoint hulls are not applicable: each lies in an unbounded gap
+        of the other.  `_in_some_gap` scans the bounded gaps on
+        numerators over the common denominator of `_maps`.  Agrees with
+        check_gap_lemma on materialized trees.
         """
         if not self._thick_enough:
             return GapLemmaVerdict(False, REASON_THIN, self.x_thick, self.base_thick)
@@ -209,7 +211,8 @@ class FrameCertifier:
         x, base = self._x, self._base
         a0, a1 = sorted((x.los[0][0] * sx + hx, x.his[0][0] * sx + hx))
         b0, b1 = base.los[0][0] * sb + hb, base.his[0][0] * sb + hb
-        if _in_some_gap(self.base_gaps_desc, sb, hb, a0, a1):
+        # hulls wholly beside each other: X lies in an unbounded gap of the member
+        if a1 < b0 or b1 < a0 or _in_some_gap(self.base_gaps_desc, sb, hb, a0, a1):
             return GapLemmaVerdict(False, REASON_K1_IN_GAP, self.x_thick, self.base_thick)
         if _in_some_gap(self.x_gaps_desc, sx, hx, b0, b1):
             return GapLemmaVerdict(False, REASON_K2_IN_GAP, self.x_thick, self.base_thick)
@@ -259,65 +262,24 @@ class FrameCertifier:
         hit = dfs(0, 0, 0)
         return None if hit is None else Fraction(hit, den)
 
-    def certify(self, box: ParamBox, depth: int, split_budget: int = 16) -> FrameTrace:
-        """Frame an affine copy of X against the family and try to meet it.
+    def certify(self, lam: Fraction, t: Fraction, depth: int) -> FrameTrace:
+        """Frame the affine copy lam*X + t against the family and try to meet it.
 
-        The frame must be constant on the box (the box splits automatically
-        up to a budget).  Gap-lemma applicability is checked at the four
-        corners, and a constructive common point is sought at the box
-        center by exact descent through the level sets.  Certified traces
-        carry an exact common point; applicable-but-unwitnessed means the
-        hypotheses hold but this depth exhibited no common component.
+        The gap-lemma verdict is taken against the selected member, and a
+        constructive common point is sought by exact descent through the
+        level sets.  Certified traces carry an exact common point;
+        applicable-but-unwitnessed means the hypotheses hold but this
+        depth exhibited no common component.
         """
-        corners = list(box.corners())
-        # one frame and one verdict per distinct corner: a point box has one
-        corner_frames = {c: select_frame(*c) for c in dict.fromkeys(corners)}
-        frames = set(corner_frames.values())
-        # the midpoint frame is tried first even when corners disagree:
-        # the corner checks carry the soundness, so a member that passes
-        # them certifies the whole box without splitting
-        mid = (box.lam.midpoint, box.t.midpoint)
-        frame = corner_frames[mid] if mid in corner_frames else select_frame(*mid)
+        frame = select_frame(lam, t)
         if not self.family.in_range(frame):
-            raise InvalidParameterError(
-                f"frame {frame} outside the family ranges"
-            )
-        verdict = {c: self.corner_verdict(frame, *c) for c in corner_frames}
-        verdicts = tuple(verdict[c] for c in corners)
-        if not all(v.applicable for v in verdicts):
-            if len(frames) > 1:
-                if split_budget <= 0:
-                    raise ResourceLimitError(
-                        "split budget exhausted before a constant frame"
-                    )
-                if box.lam.length >= box.t.length:
-                    mid = box.lam.midpoint
-                    parts = [
-                        ParamBox(Interval(box.lam.lo, mid), box.t),
-                        ParamBox(Interval(mid, box.lam.hi), box.t),
-                    ]
-                else:
-                    mid = box.t.midpoint
-                    parts = [
-                        ParamBox(box.lam, Interval(box.t.lo, mid)),
-                        ParamBox(box.lam, Interval(mid, box.t.hi)),
-                    ]
-                children = tuple(
-                    self.certify(part, depth, split_budget - 2) for part in parts
-                )
-                status = (
-                    "certified"
-                    if all(c.status == "certified" for c in children)
-                    else "split"
-                )
-                return FrameTrace(box, None, status, children=children)
-            return FrameTrace(box, frame, "not_applicable", verdicts)
-        witness = self.find_common_point(
-            box.lam.midpoint, box.t.midpoint, frame, depth
-        )
-        if witness is not None:
-            return FrameTrace(box, frame, "certified", verdicts, witness)
-        return FrameTrace(box, frame, "applicable_unwitnessed", verdicts)
+            raise InvalidParameterError(f"frame {frame} outside the family ranges")
+        verdict = self.corner_verdict(frame, lam, t)
+        if not verdict.applicable:
+            return FrameTrace(lam, t, frame, "not_applicable", verdict)
+        witness = self.find_common_point(lam, t, frame, depth)
+        status = "applicable_unwitnessed" if witness is None else "certified"
+        return FrameTrace(lam, t, frame, status, verdict, witness)
 
 
 # ---------------------------------------------------------------------------

@@ -196,10 +196,15 @@ def reference_affine_tree(tree: GapTree, lam: Fraction, t: Fraction) -> GapTree:
     return rec(tree)
 
 
+def _beside(hull1: Interval, hull2: Interval) -> bool:
+    """Whether the hulls are disjoint, so each lies in an unbounded gap of the other."""
+    return hull1.hi < hull2.lo or hull2.hi < hull1.lo
+
+
 def reference_corner_verdict(certifier, frame, lam: Fraction, t: Fraction) -> GapLemmaVerdict:
-    """The framed gap-lemma verdict on the Fraction nodes: every gap of
-    each tree, mapped by `interval_image`, against the other
-    tree's mapped hull."""
+    """The framed gap-lemma verdict on the Fraction nodes: the two
+    mapped hulls against each other, then every gap of each tree,
+    mapped by `interval_image`, against the other tree's mapped hull."""
     x, base = certifier.x_tree, certifier.family.base
     t1, t2 = reference_thickness(x), reference_thickness(base)
     if not thickness_product_at_least_one(t1, t2):
@@ -207,8 +212,8 @@ def reference_corner_verdict(certifier, frame, lam: Fraction, t: Fraction) -> Ga
     ms, mt = _frame_map(*frame)
     hull1 = interval_image(x.interval, lam, t)
     hull2 = interval_image(base.interval, ms, mt)
-    if any(interval_image(g, ms, mt).strictly_contains_interval(hull1)
-           for g in reference_all_gaps(base)):
+    if _beside(hull1, hull2) or any(interval_image(g, ms, mt).strictly_contains_interval(hull1)
+                                    for g in reference_all_gaps(base)):
         return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2)
     if any(interval_image(g, lam, t).strictly_contains_interval(hull2)
            for g in reference_all_gaps(x)):
@@ -253,12 +258,15 @@ def reference_all_gaps(tree: GapTree) -> list[Interval]:
 
 
 def reference_check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
-    """The gap-lemma verdict on the Fraction nodes: every gap of each
-    tree against the other tree's hull."""
+    """The gap-lemma verdict on the Fraction nodes: the two hulls
+    against each other, then every gap of each tree against the other
+    tree's hull."""
     t1, t2 = reference_thickness(k1), reference_thickness(k2)
     d1, d2 = reference_min_depth(k1), reference_min_depth(k2)
     if not thickness_product_at_least_one(t1, t2):
         return GapLemmaVerdict(False, REASON_THIN, t1, t2, d1, d2)
+    if _beside(k1.interval, k2.interval):
+        return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2, d1, d2)
     for gap in reference_all_gaps(k2):
         if gap.strictly_contains_interval(k1.interval):
             return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2, d1, d2)

@@ -10,7 +10,7 @@ from fractions import Fraction
 from erdosavoid.enclosures import sqrt_enclosure
 from erdosavoid.gaptree import affine_tree, from_middle_ratio, thickness, to_interval_set
 from erdosavoid.intersect import build_tilde, containment_walk
-from erdosavoid.intervals import IntervalSet, ParamBox, ivl
+from erdosavoid.intervals import IntervalSet, ivl
 from erdosavoid.largescale import (
     density_mod1,
     digit_avoider,
@@ -91,7 +91,7 @@ def test_criterion_03_gap_lemma_pipeline():
         if rng.random() < 0.5:
             lam = -lam
         t = F(rng.randrange(-512, 513), 128)
-        trace = certifier.certify(ParamBox(ivl(lam, lam), ivl(t, t)), 12)
+        trace = certifier.certify(lam, t, 12)
         if trace.status in ("certified", "applicable_unwitnessed"):
             applicable += 1
         if trace.status == "certified":

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erdosavoid.errors import (
@@ -20,6 +20,7 @@ from erdosavoid.gaptree import (
     tree_to_json,
 )
 from erdosavoid.intersect import (
+    REASON_K1_IN_GAP,
     REASON_THIN,
     _all_gaps,
     _in_some_gap,
@@ -29,6 +30,7 @@ from erdosavoid.intersect import (
     perturbation_delta,
 )
 from erdosavoid.intervals import ivl
+from erdosavoid.sumsets import FrameCertifier, build_dyadic_family
 from helpers import (
     random_decreasing_gap_tree,
     reference_all_gaps,
@@ -90,6 +92,43 @@ def test_gap_lemma_hull_touching_a_gap_end():
         assert check_gap_lemma(k2, k1).applicable
     inside = from_middle_ratio(1, 2, ivl(F(7, 20), F(1, 2)))
     assert check_gap_lemma(inside, k2).reason == "K1_inside_gap_of_K2"
+
+
+def test_gap_lemma_refuses_disjoint_hulls():
+    # a hull wholly beside the other lies in one of its unbounded gaps;
+    # these sets are disjoint although both are thick and no bounded gap
+    # holds either hull
+    k = from_middle_ratio(2, 6)  # thickness 2, on [0, 1]
+    shifted = affine_tree(k, 1, 5)  # on [5, 6]
+    for k1, k2 in ((k, shifted), (shifted, k)):
+        assert check_gap_lemma(k1, k2)[:2] == (False, REASON_K1_IN_GAP)
+    # hulls sharing an end meet there
+    assert check_gap_lemma(k, affine_tree(k, 1, 1)).applicable
+    # the framed verdict: lam*X + t on [t, t + 1] against the member on [0, 1]
+    certifier = FrameCertifier(k, build_dyadic_family(2, 6, (0, 0), (0, 0)))
+    for t in (F(5), F(-5)):
+        assert certifier.corner_verdict((0, 0), F(1), t)[:2] == (False, REASON_K1_IN_GAP)
+    assert certifier.corner_verdict((0, 0), F(1), F(1)).applicable
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+    st.fractions(F(1, 8), 8, max_denominator=16), st.booleans(),
+    st.fractions(-4, 4, max_denominator=16), st.booleans(),
+)
+@example(2, 6, 2, 6, F(1), False, F(5), False)
+@example(2, 6, 2, 6, F(1), False, F(5), True)
+def test_applicable_gap_lemma_means_level_sets_meet(r1, d1, r2, d2, scale, negative, t, swap):
+    """The gap lemma: an applicable verdict means the two sets meet, so
+    their level sets do at every depth both trees reach."""
+    k1 = from_middle_ratio(r1, d1)
+    k2 = affine_tree(from_middle_ratio(r2, d2), -scale if negative else scale, t)
+    if swap:
+        k1, k2 = k2, k1
+    if check_gap_lemma(k1, k2).applicable:
+        for depth in range(min(d1, d2) + 1):
+            assert to_interval_set(k1, depth).intersection(to_interval_set(k2, depth))
 
 
 def test_in_some_gap_maps_gap_ends_by_the_sign_of_the_scale():

@@ -67,9 +67,8 @@ CASES = [
     (LogEscapeCertificate, "largescale", (ivl(1, 2), ivl(2, 3), "certified", 5, "gap", True),
      {"witness_index": None, "route": None, "refined": False}),
     (Thickness, "gaptree", (F(2), "exact"), {"label": "upper_bound"}),
-    (FrameTrace, "sumsets",
-     (BOX, (0, -1), "split", (VERDICT,), F(1, 3), (FrameTrace(BOX, None, "not_applicable"),)),
-     {"verdicts": (), "witness": None, "children": ()}),
+    (FrameTrace, "sumsets", (F(3, 2), F(-1, 4), (1, -1), "certified", VERDICT, F(1, 3)),
+     {"witness": None}),
     (CoverageRecord, "sumsets", (F(1), False, None, F(1, 8)),
      {"witness": None, "nearest_miss": None}),
     (CoverageReport, "sumsets", (F(1), (RECORD,)), {}),

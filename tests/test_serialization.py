@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 from erdosavoid.gaptree import from_middle_ratio
-from erdosavoid.intervals import ParamBox, ivl
+from erdosavoid.intervals import ivl
 from erdosavoid.largescale import digit_avoider, geometric_escape_via_log
 from erdosavoid.sumsets import FrameCertifier, build_dyadic_family, sumset_cover_probe
 
@@ -20,7 +20,7 @@ def test_log_escape_certificate_json():
 def test_frame_trace_json():
     fam = build_dyadic_family(1, 6, (-1, 1), (-2, 2))
     certifier = FrameCertifier(from_middle_ratio(2, 6), fam)
-    trace = certifier.certify(ParamBox(ivl(1, 1), ivl(0, 0)), 6)
+    trace = certifier.certify(F(1), F(0), 6)
     assert trace.status == "certified"
     # t = 0 falls in the left-closed-above frame (0, -1]
     assert trace.frame == (0, -1)

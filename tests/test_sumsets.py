@@ -25,7 +25,7 @@ from erdosavoid.gaptree import (
     to_interval_set,
 )
 from erdosavoid.intersect import REASON_THIN, check_gap_lemma
-from erdosavoid.intervals import ParamBox, ivl
+from erdosavoid.intervals import ivl
 from erdosavoid.sumsets import (
     FrameCertifier,
     _frame_map,
@@ -83,20 +83,19 @@ def test_select_frame_matches_fraction_reference(case):
     assert select_frame(lam, t) == reference_select_frame(lam, t)
 
 
-def test_certify_computes_one_verdict_per_distinct_corner():
+def test_certify_computes_one_verdict_per_point():
     x = from_middle_ratio(2, 8)
     fam = build_dyadic_family(1, 8, (-3, 3), (-34, 34))
     certifier = FrameCertifier(x, fam)
     seen = []
     real = certifier.corner_verdict
-    certifier.corner_verdict = lambda frame, lam, t: seen.append((lam, t)) or real(frame, lam, t)
-    point = certifier.certify(ParamBox(ivl(F(3, 2), F(3, 2)), ivl(F(1, 4), F(1, 4))), 8)
-    assert len(seen) == 1 and len(point.verdicts) == 4
-    assert len(set(point.verdicts)) == 1
-    seen.clear()
-    box = certifier.certify(ParamBox(ivl(F(5, 4), F(3, 2)), ivl(F(1, 4), F(1, 4))), 8)
-    assert len(seen) == 2 and len(box.verdicts) == 4
-    assert box.verdicts == tuple(real(box.frame, lam, t) for lam, t in box.box.corners())
+    certifier.corner_verdict = lambda frame, lam, t: seen.append((frame, lam, t)) or real(frame, lam, t)
+    for lam, t in ((F(3, 2), F(1, 4)), (F(-5, 4), F(7, 3))):
+        seen.clear()
+        tr = certifier.certify(lam, t, 8)
+        assert seen == [(select_frame(lam, t), lam, t)]
+        assert (tr.lam, tr.t, tr.frame) == (lam, t, select_frame(lam, t))
+        assert tr.verdict == real(tr.frame, lam, t)
 
 
 def test_family_members():
@@ -157,7 +156,7 @@ def test_point_box_certification_with_witness():
     x = from_middle_ratio(2, 10)
     fam = build_dyadic_family(1, 10, (-3, 3), (-34, 34))
     certifier = FrameCertifier(x, fam)
-    tr = certifier.certify(ParamBox(ivl(1, 1), ivl(0, 0)), 10)
+    tr = certifier.certify(F(1), F(0), 10)
     assert tr.status == "certified"
     assert to_interval_set(x, 10).contains(tr.witness)
     assert member_set(fam, *tr.frame, level=10).contains(tr.witness)
@@ -171,25 +170,16 @@ def test_sweep_all_applicable_and_witnessed():
     for _ in range(60):
         lam = F(rng.randrange(1, 65), 8) * (1 if rng.random() < 0.5 else -1)
         t = F(rng.randrange(-32, 33), 8)
-        tr = certifier.certify(ParamBox(ivl(lam, lam), ivl(t, t)), 12)
+        tr = certifier.certify(lam, t, 12)
         assert tr.status == "certified"
-        assert all(v.applicable for v in tr.verdicts)
-
-
-def test_frame_boundary_box_still_certifies():
-    x = from_middle_ratio(2, 8)
-    fam = build_dyadic_family(1, 8, (-3, 3), (-34, 34))
-    tr = FrameCertifier(x, fam).certify(
-        ParamBox(ivl(F(3, 2), F(5, 2)), ivl(F(1, 4), F(1, 4))), 8
-    )
-    assert tr.status == "certified"
+        assert tr.verdict.applicable
 
 
 def test_unit_thickness_product_still_certifies():
     # thickness 1 against the unit family: the product is exactly one
     x = from_middle_ratio(1, 4)
     fam = build_dyadic_family(1, 4, (-3, 3), (-34, 34))
-    tr = FrameCertifier(x, fam).certify(ParamBox(ivl(1, 1), ivl(0, 0)), 4)
+    tr = FrameCertifier(x, fam).certify(F(1), F(0), 4)
     assert tr.status == "certified"
 
 
@@ -200,11 +190,10 @@ def test_thin_tree_not_applicable():
     fam = build_dyadic_family(1, 4, (-3, 3), (-34, 34))
     certifier = FrameCertifier(x, fam)
     lam, t = F(3, 4), F(1, 2)
-    tr = certifier.certify(ParamBox(ivl(lam, lam), ivl(t, t)), 4)
+    tr = certifier.certify(lam, t, 4)
     assert tr.status == "not_applicable"
     assert tr.witness is None
-    assert len(tr.verdicts) == 4
-    assert all(v.reason == REASON_THIN for v in tr.verdicts)
+    assert tr.verdict.reason == REASON_THIN
     generic = check_gap_lemma(affine_tree(x, lam, t), fam.member(*tr.frame))
     assert not generic.applicable and generic.reason == REASON_THIN
 
@@ -265,40 +254,54 @@ shifts = st.one_of(
     st.tuples(st.integers(-3, 3), st.integers(-8, 8)).map(lambda p: F(2) ** p[0] * p[1]),
     st.fractions(min_value=-4, max_value=4, max_denominator=64),
 )
-widths = st.one_of(st.just(F(0)), st.fractions(min_value=0, max_value=2, max_denominator=8))
 
 
 @settings(max_examples=300, deadline=None)
 @given(
-    st.sampled_from(CERTIFIERS), scales, st.booleans(), widths, shifts, widths,
+    st.sampled_from(CERTIFIERS), scales, st.booleans(), shifts,
     st.integers(0, 6), st.integers(0, len(CERT_FAMILY.frames()) - 1),
 )
 # the image of X touches the framed member at one end point only
-@example(CERTIFIERS[0], F(1), False, F(0), F(1), F(0), 5, 0)
-@example(CERTIFIERS[0], F(1), True, F(0), F(0), F(0), 5, CERT_FAMILY.frames().index((0, 0)))
+@example(CERTIFIERS[0], F(1), False, F(1), 5, 0)
+@example(CERTIFIERS[0], F(1), True, F(0), 5, CERT_FAMILY.frames().index((0, 0)))
 # one hull fills the closure of a gap of the other up to one end (first
 # X in a member gap, then a member in a gap of X): not strictly inside
-@example(CERTIFIERS[0], F(1), False, F(0), F(4, 3), F(0), 5, CERT_FAMILY.frames().index((2, 0)))
-@example(CERTIFIERS[0], F(5, 4), False, F(0), F(0), F(0), 5, CERT_FAMILY.frames().index((-3, 4)))
+@example(CERTIFIERS[0], F(1), False, F(4, 3), 5, CERT_FAMILY.frames().index((2, 0)))
+@example(CERTIFIERS[0], F(5, 4), False, F(0), 5, CERT_FAMILY.frames().index((-3, 4)))
 # X strictly inside a member gap
-@example(CERTIFIERS[0], F(1), False, F(0), F(3, 2), F(0), 5, CERT_FAMILY.frames().index((2, 0)))
+@example(CERTIFIERS[0], F(1), False, F(3, 2), 5, CERT_FAMILY.frames().index((2, 0)))
+# X wholly right of the picked member: inside its unbounded gap
+@example(CERTIFIERS[0], F(1), False, F(2), 5, CERT_FAMILY.frames().index((0, 0)))
 def test_frame_certifier_matches_fraction_reference(
-    certifier, scale, negative, lam_width, t_lo, t_width, depth, frame_pick
+    certifier, scale, negative, t, depth, frame_pick
 ):
-    sign = -1 if negative else 1
-    lam_lo, lam_hi = sorted((sign * scale, sign * (scale + lam_width)))
-    box = ParamBox(ivl(lam_lo, lam_hi), ivl(t_lo, t_lo + t_width))
-    lam, t = box.lam.midpoint, box.t.midpoint
+    lam = -scale if negative else scale
     frame, picked = select_frame(lam, t), CERT_FAMILY.frames()[frame_pick]
-    for corner_lam, corner_t in box.corners():
-        for f in (frame, select_frame(corner_lam, corner_t), picked):
-            assert certifier.corner_verdict(f, corner_lam, corner_t) == reference_corner_verdict(
-                certifier, f, corner_lam, corner_t
-            )
     for f in (frame, picked):
+        assert certifier.corner_verdict(f, lam, t) == reference_corner_verdict(certifier, f, lam, t)
         assert certifier.find_common_point(lam, t, f, depth) == reference_find_common_point(
             certifier, lam, t, f, depth
         )
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.integers(1, 6), st.integers(1, 6), st.integers(1, 6), st.integers(1, 6),
+    scales, st.booleans(), shifts, st.integers(-2, 2), st.integers(-3, 3),
+)
+# X on [5, 6] or [-5, -4] beside the member on [0, 1]
+@example(2, 6, 2, 6, F(1), False, F(5), 0, 0)
+@example(2, 6, 2, 6, F(1), False, F(-5), 0, 0)
+def test_applicable_frame_verdict_has_common_point(
+    x_ratio, x_depth, ratio, depth, scale, negative, t, n, l
+):
+    """The gap lemma: an applicable verdict means lam*X + t meets the
+    member, so the level sets share a point at the deepest level."""
+    lam = -scale if negative else scale
+    fam = build_dyadic_family(ratio, depth, (n, n), (l, l))
+    certifier = FrameCertifier(from_middle_ratio(x_ratio, x_depth), fam)
+    if certifier.corner_verdict((n, l), lam, t).applicable:
+        assert certifier.find_common_point(lam, t, (n, l), certifier.max_depth) is not None
 
 
 def test_coverage_probe_endpoint_target():

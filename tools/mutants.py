@@ -217,6 +217,11 @@ MUTANTS = (
         (I + "test_in_some_gap_maps_gap_ends_by_the_sign_of_the_scale",),
     ),
     Mutant(
+        "gap-lemma-hull-link", INTERSECT,
+        "if a1 < b0 or b1 < a0 or _in_some_gap(", "if a1 < b0 or _in_some_gap(",
+        (I + "test_gap_lemma_refuses_disjoint_hulls",),
+    ),
+    Mutant(
         "walk-left-first", INTERSECT,
         "if ihi[i] * dout <= ohi[i] * din:", "if ihi[i] * dout < ohi[i] * din:",
         (I + "test_walk_takes_the_left_pair_when_both_fit",),
@@ -246,6 +251,11 @@ MUTANTS = (
         "select-frame-power-of-two", SUMSETS,
         "if p << max(-n, 0) > q << max(n, 0):", "if p << max(-n, 0) >= q << max(n, 0):",
         ("tests/test_sumsets.py::test_select_frame_examples",),
+    ),
+    Mutant(
+        "frame-verdict-hull-link", SUMSETS,
+        "if a1 < b0 or b1 < a0 or _in_some_gap(", "if a1 < b0 or _in_some_gap(",
+        (I + "test_gap_lemma_refuses_disjoint_hulls",),
     ),
 )
 
