@@ -411,7 +411,7 @@ def validate_linear_escape(
     """Audit: every sampled trajectory in the box must escape.
 
     Samples are interior rationals; each must reach a removed part
-    within the limit (default: generous multiple of the witness step).
+    within the limit (default: max(AUDIT_STEPS, 8 * witness step)).
     Sample (a, b) is x = x_lo + wx*a/128, y = y_lo + wy*b/128, with a and
     b drawn by `randrange(1, 128)`, x first; the first sample that fails
     decides, before any later one is scanned.
@@ -430,7 +430,7 @@ def validate_linear_escape(
         return True
     gen = _digit_generator(e, "escape validation")
     if n_limit is None:
-        n_limit = max(4096, 8 * (cert.witness_index or 1))
+        n_limit = max(AUDIT_STEPS, 8 * (cert.witness_index or 1))
     x_box, y_box = cert.x_box, cert.y_box
     L, (x0, sx, y0, sy) = on_one_denominator(x_box.lo, x_box.length, y_box.lo, y_box.length)
     x0, y0, den = 128 * x0, 128 * y0, 128 * L
@@ -445,6 +445,27 @@ def validate_linear_escape(
             return False
     return True
 
+
+def audit_range(e: PLargeSet, x_range: Interval, y_range: Interval) -> bool:
+    """Whether `_cover_escape_step` settles the whole closed range
+    x_range x y_range within AUDIT_STEPS steps and COVER_BUDGET pieces.
+
+    If it does, `validate_linear_escape` passes the certificate of every
+    box inside the range, whatever its samples and seed.  Each sample lies
+    in its box, and so in the range, and escapes by the settling step,
+    which is at most AUDIT_STEPS and so within every box's limit.  The cover
+    gives up, rather than settle, once an image leaves the cell guard, so
+    no sample scan could have raised either.  False proves nothing: the
+    boxes are then audited one by one.
+    """
+    gen = _digit_generator(e, "escape validation")
+    L, ends = on_one_denominator(x_range.lo, x_range.hi, y_range.lo, y_range.hi)
+    return _cover_escape_step(gen, *ends, L, AUDIT_STEPS, e.guard, COVER_BUDGET) is not None
+
+
+# The least step limit of the audit: `validate_linear_escape` scans to
+# max(AUDIT_STEPS, 8 * witness), and `audit_range` settles within it.
+AUDIT_STEPS = 4096
 
 # Pieces the strip cover may process, summed over its steps, before it
 # gives up.  The most one box has needed: 15 on criterion 06's 100x100
@@ -462,8 +483,8 @@ def _cover_escape_step(
     box [xl/L, xh/L] x [yl/L, yh/L] has escaped, or None.  Any offsets,
     but only y_lo > 0, where trajectories move right: an image's upper
     end bounds them.  This is the one box-escape kernel: the digit
-    sweep's audit calls it on the hull of a box's samples, log escape on
-    its enclosure rectangle.
+    sweep's audit calls it on the sweep's whole range and on the hull of
+    a box's samples, log escape on its enclosure rectangle.
 
     No-jump: a step y <= 1/m cannot cross a cell's top part
     [k + (m-1)/m, k + 1), which escapes.  The first whole top part ahead
@@ -475,7 +496,12 @@ def _cover_escape_step(
     Pieces are convex polygons, zero-area ones too, of integer vertices
     (X, Y, W) for (X/W, Y/W), W > 0.  None once an image's upper end
     passes cell `guard`, so that sampling raises as it would have, or
-    once more than `budget` pieces, summed over the steps, were processed.
+    once the pieces processed, summed over the steps, would pass `budget`.
+    Each step first walks every piece's image for the runs it meets, and
+    clips only once the walk is done.  The walk stops as soon as the runs
+    found, each a piece of the next step, would pass the budget, so a
+    cover that cannot settle gives up before its last step's clipping,
+    and a wide image costs no more than the budget allows.
     """
     if yl <= 0:
         return None
@@ -494,7 +520,7 @@ def _cover_escape_step(
         budget -= len(pieces)
         if n > n_max or budget < 0:
             return None
-        kept = []
+        cuts = []  # (piece, D, a, b, first part, part past the last) per run
         for piece in pieces:
             D = math.lcm(*[W for _, _, W in piece])
             image = [(X + n * Y) * (D // W) for X, Y, W in piece]
@@ -510,13 +536,15 @@ def _cover_escape_step(
                 if t <= t1 and j != m - 1 and j != gen.scheduled_digit(k):
                     run = t if run is None else run
                 elif run is not None:
-                    part = piece if run * D <= a * m else _clip(piece, m, m * n, -run)
-                    part = part if t * D >= b * m else _clip(part, -m, -m * n, t)
-                    kept.append(part)  # not empty: the run meets the image
-                    if len(kept) > budget:
+                    cuts.append((piece, D, a, b, run, t))
+                    if len(cuts) > budget:  # give up before clipping
                         return None
                     run = None
-        pieces = kept
+        pieces = []
+        for piece, D, a, b, run, t in cuts:
+            part = piece if run * D <= a * m else _clip(piece, m, m * n, -run)
+            part = part if t * D >= b * m else _clip(part, -m, -m * n, t)
+            pieces.append(part)  # not empty: the run meets the image
     return max(settled, n)
 
 

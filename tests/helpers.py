@@ -16,6 +16,8 @@ from fractions import Fraction
 from operator import attrgetter
 from typing import Optional
 
+from hypothesis import strategies as st
+
 from erdosavoid.errors import (
     ConstructionAuditError,
     GapConditionError,
@@ -1034,3 +1036,19 @@ def reference_ell_upper_bound(f_coeffs, max_deg, step, bound):
         if cand[0] < best[0]:
             best = cand
     return best
+
+
+@st.composite
+def audit_sweeps(draw):
+    """Digit sweeps for the range audit: m in {3, 4, 5}, an x sub-range of
+    [0, 1], a y range that straddles 1/m or starts tiny, and a grid of at
+    most 3x3 boxes."""
+    m = draw(st.sampled_from([3, 4, 5]))
+    xs = sorted(draw(st.fractions(0, 1, max_denominator=12)) for _ in range(2))
+    y_lo = draw(st.one_of(
+        st.sampled_from([Fraction(1, 1000), Fraction(1, 2048), Fraction(2, 4097), Fraction(1, m)]),
+        st.fractions(min_value=Fraction(1, 3 * m), max_value=Fraction(2, m), max_denominator=4 * m),
+    ))
+    y_hi = y_lo + draw(st.fractions(min_value=0, max_value=10, max_denominator=8))
+    grid = draw(st.tuples(st.integers(1, 3), st.integers(1, 3)))
+    return m, Interval(*xs), Interval(y_lo, y_hi), grid

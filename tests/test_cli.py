@@ -12,6 +12,7 @@ import time
 import tomllib
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,7 +25,7 @@ from erdosavoid.errors import InvalidParameterError, ResourceLimitError
 from erdosavoid.intervals import Interval
 from erdosavoid.rationals import format_rational, parse_rational
 
-from helpers import reference_sublacunary_avoider
+from helpers import audit_sweeps, reference_sublacunary_avoider
 
 F = Fraction
 
@@ -322,22 +323,70 @@ def test_report_two_disjoint_sweeps_additive(tmp_path):
 
 def test_config_store_true_flag_parses_true_and_false(tmp_path, monkeypatch):
     calls = []
+    ranges = []
 
     def fake_validate(e, cert, samples=100, seed=0):
         calls.append(seed)
         return True
 
+    def declining_range(e, x_range, y_range):
+        ranges.append((x_range, y_range))
+        return False  # so that every box is audited on its own
+
     monkeypatch.setattr(largescale, "validate_linear_escape", fake_validate)
+    monkeypatch.setattr(largescale, "audit_range", declining_range)
     cfg = tmp_path / "cfg"
     argv = ["--config", str(cfg), "certify", "digit-avoider", "--grid", "2x2", "--Nmax", "32"]
     cfg.write_text("validate = false\n")
     assert main(argv) == 0
-    assert calls == []
+    assert calls == [] and ranges == []
     cfg.write_text("validate = true\n")
     assert main(argv) == 0
-    assert len(calls) == 4
+    assert len(calls) == 4 and len(ranges) == 1
     cfg.write_text("validate = maybe\n")
     assert main(argv) == 1
+
+
+def _sweep_output(argv) -> tuple[int, str, str]:
+    """Exit code, stdout and stderr of one in-process CLI run."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=40, deadline=None)
+@given(audit_sweeps(), st.sampled_from(["1", "8", "64"]), st.integers(0, 50))
+def test_range_audit_leaves_the_sweep_bytes_unchanged(sweep, nmax, seed):
+    # the same rows, exit code and messages whether the whole range goes
+    # through the cover first or every box is audited on its own
+    m, x_range, y_range, grid = sweep
+    argv = [
+        "certify", "digit-avoider", "--m", str(m), "--window", "16", "--validate",
+        "--Nmax", nmax, "--samples", "20", "--seed", str(seed), "--grid", f"{grid[0]}x{grid[1]}",
+        f"--x-range={format_rational(x_range.lo)}:{format_rational(x_range.hi)}",
+        f"--y-range={format_rational(y_range.lo)}:{format_rational(y_range.hi)}",
+    ]
+    with_range = _sweep_output(argv)
+    with mock.patch.object(largescale, "audit_range", lambda e, x_range, y_range: False):
+        assert _sweep_output(argv) == with_range
+
+
+def test_unsettled_range_audits_every_box(monkeypatch):
+    # y 100:1000 passes the cover's piece budget as one range, so each of
+    # the nine boxes still goes through the per-box audit
+    verdicts, calls = [], []
+    real_range, real_validate = largescale.audit_range, largescale.validate_linear_escape
+    monkeypatch.setattr(largescale, "audit_range",
+                        lambda *args: verdicts.append(real_range(*args)) or verdicts[-1])
+    monkeypatch.setattr(largescale, "validate_linear_escape",
+                        lambda *args, **kw: calls.append(kw["seed"]) or real_validate(*args, **kw))
+    argv = ["certify", "digit-avoider", "--m", "4", "--window", "2000", "--y-range", "100:1000",
+            "--Nmax", "64", "--validate", "--samples", "20", "--grid", "3x3"]
+    code, out, _ = _sweep_output(argv)
+    assert code == 0 and out.count("certified") == 9
+    assert verdicts == [False]
+    assert calls == list(range(9))  # seed 0: box b samples on seed b
 
 
 def test_config_values_take_the_flag_type(tmp_path, capsys):

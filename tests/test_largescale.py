@@ -15,6 +15,7 @@ from erdosavoid.errors import (
 )
 from erdosavoid.intervals import Grid, Interval, IntervalSet, ivl
 from erdosavoid.largescale import (
+    AUDIT_STEPS,
     DigitGenerator,
     DigitSchedule,
     LinearEscapeCertificate,
@@ -35,11 +36,13 @@ from erdosavoid.largescale import (
     _cover_escape_step,
     _escape_index,
     _span_escapes,
+    audit_range,
 )
 from erdosavoid.rationals import on_one_denominator
 from erdosavoid.sequences import linear
 
 from helpers import (
+    audit_sweeps,
     certify_linear_escape_doubling,
     coefficient_mass,
     interval_image,
@@ -480,6 +483,42 @@ def test_cover_keeps_a_piece_that_only_touches_a_run():
     segment = ivl(0, F(1, 2)), ivl(F(3, 2), F(3, 2))
     assert cover_step(e.generator, *segment, 64, e.guard, 100) == 4
     assert point_escape_index(e, F(1, 2), F(3, 2), 64) == 4
+
+
+def test_cover_settles_on_its_exact_piece_budget():
+    # x 0:1, y 1:2 settles at step 8 after 40 pieces in all, the last
+    # ones kept at step 7: a budget of 40 is enough, 39 gives up
+    e = digit_avoider(4, 8)
+    x_box, y_box = ivl(0, 1), ivl(1, 2)
+    for budget, want in ((40, 8), (39, None)):
+        assert cover_step(e.generator, x_box, y_box, 4096, e.guard, budget) == want
+        assert reference_cover_escape_step(e, x_box, y_box, 4096, budget) == want
+
+
+def test_range_audit_stops_at_the_audit_steps():
+    # below y = 1/m only the no-jump bound ceil(2/y_lo) settles a range:
+    # 4096 = AUDIT_STEPS at y_lo = 2/4096, one step too many at 2/4097
+    e = digit_avoider(4, 200)
+    assert AUDIT_STEPS == 4096
+    assert audit_range(e, ivl(0, 1), ivl(F(2, 4096), F(1, 8)))
+    assert not audit_range(e, ivl(0, 1), ivl(F(2, 4097), F(1, 8)))
+    # criterion 06's whole range settles; y 100:1000 passes the budget
+    assert audit_range(e, ivl(0, 1), ivl(F(1, 1000), 10))
+    assert not audit_range(digit_avoider(4, 2000), ivl(0, 1), ivl(100, 1000))
+
+
+@settings(max_examples=40, deadline=None)
+@given(audit_sweeps(), st.integers(0, 10**6))
+def test_settled_range_passes_every_box_audit(case, seed):
+    # a range the cover settles holds no box whose certificate fails the
+    # Fraction audit, at the witness of a 64-step scan
+    m, x_range, y_range, (x_cells, y_cells) = case
+    e = digit_avoider(m, 16)
+    if not audit_range(e, x_range, y_range):
+        return
+    for i, (x_box, y_box) in enumerate(Grid(x_range, y_range, x_cells, y_cells)):
+        cert = certify_linear_escape(e, x_box, y_box, 64)
+        assert reference_validate_linear_escape(e, cert, samples=20, seed=seed + i), cert
 
 
 @st.composite

@@ -140,6 +140,16 @@ MUTANTS = (
         (L + "test_box_settle_stops_at_the_sampling_limit",),
     ),
     Mutant(
+        "range-audit-limit", LARGESCALE,
+        "*ends, L, AUDIT_STEPS, e.guard,", "*ends, L, AUDIT_STEPS + 1, e.guard,",
+        (L + "test_range_audit_stops_at_the_audit_steps",),
+    ),
+    Mutant(
+        "cover-run-count", LARGESCALE,
+        "if len(cuts) > budget:", "if len(cuts) >= budget:",
+        (L + "test_cover_settles_on_its_exact_piece_budget",),
+    ),
+    Mutant(
         "cover-half-plane-sign", LARGESCALE,
         "if f1 >= 0:", "if f1 <= 0:",
         (L + "test_cover_settles_every_box_of_the_criterion_grids",),
