@@ -314,10 +314,9 @@ def _certify_sublacunary_avoider(args) -> Result:
 
 
 def _certify_log_escape(args) -> Result:
-    e = largescale.digit_avoider(args.m, args.window)
-    certs, stats = largescale.sweep_log_escape(
-        e, args.y_range, args.b_range, *args.grid, n_max=args.nmax, mode=args.mode
-    )
+    e = largescale.digit_avoider(args.m, 1)  # log escape reads no cell: any window will do
+    certs, stats = largescale.sweep_log_escape(e, args.y_range, args.b_range, *args.grid,
+                                               n_max=args.nmax)
     ok = stats["certified"] == stats["boxes"]
     if args.format == "json":
         return Result({"target": args.target, "stats": stats}, ok)
@@ -530,7 +529,6 @@ _FLAGS = {
     "--samples": dict(type=_positive_int, default=100),
     "--seed": dict(type=int, default=0),
     "--resume": dict(action="store_true"),
-    "--mode": dict(choices=["points", "cells"], default="points"),
     "--format": dict(choices=["json", "csv"], default="json"),
     "--count": dict(type=_positive_int, default=100),
     "--x-ratio": dict(type=int, default=2),
@@ -558,8 +556,7 @@ _TARGETS = {
                           "--x-range --y-range --validate --samples --seed --resume"),
         "sublacunary-avoider": (_certify_sublacunary_avoider, "--seq --ratio --base --levels "
                                 "--window --grid --Nmax --lambda-range --t-range"),
-        "log-escape": (_certify_log_escape,
-                       "--m --window --grid --Nmax --y-range --b-range --mode --format"),
+        "log-escape": (_certify_log_escape, "--m --grid --Nmax --y-range --b-range --format"),
         "frame-intersection": (_certify_frame_intersection,
                                "--count --x-ratio --ratio-n --depth=12 --n-range=-3:3 "
                                "--l-range=-34:34 --lambda-range --t-range --seed --format"),

@@ -258,7 +258,6 @@ class LinearEscapeCertificate(NamedTuple):
     witness_index: Optional[int] = None
     route: Optional[str] = None  # "point" | "containment" | "width"
     witness_cell: Optional[int] = None
-    witness_part: Optional[Interval] = None
 
 
 def point_escape_index(
@@ -378,11 +377,6 @@ def certify_linear_escape(
         k, j = divmod(t, m)
         return j == m - 1 or j == gen.scheduled_digit(k)
 
-    def certificate(n: int, route: str, t: int) -> LinearEscapeCertificate:
-        k, j = divmod(t, m)
-        part = Interval(Fraction(j, m), Fraction(j + 1, m))
-        return LinearEscapeCertificate(x_box, y_box, "certified", n, route, k, part)
-
     for n in range(1, n_max + 1):
         lo = (xl + n * yl) * m  # the image of step n, in units of 1/(L*m)
         hi = (xh + n * yh) * m
@@ -391,12 +385,12 @@ def certify_linear_escape(
         # the only part that can hold the image in its interior
         t, rest = divmod(lo, L)
         if rest and hi < (t + 1) * L and removed(t):
-            return certificate(n, "containment", t)
+            return LinearEscapeCertificate(x_box, y_box, "certified", n, "containment", t // m)
         if hi - lo >= unit:
             t = -(-lo // L)  # leftmost part starting inside the image
             while (t + 1) * L <= hi:
                 if removed(t):
-                    return certificate(n, "width", t)
+                    return LinearEscapeCertificate(x_box, y_box, "certified", n, "width", t // m)
                 t += 1
     return LinearEscapeCertificate(x_box, y_box, "inconclusive")
 
@@ -469,8 +463,8 @@ AUDIT_STEPS = 4096
 
 # Pieces the strip cover may process, summed over its steps, before it
 # gives up.  The most one box has needed: 15 on criterion 06's 100x100
-# digit grid, 17 on perfbench's 24x24 one, 98 on a `certify log-escape
-# --mode cells` sweep on its defaults.
+# digit grid, 17 on perfbench's 24x24 one, 98 on a `certify log-escape`
+# sweep on its defaults.
 COVER_BUDGET = 1000
 
 
@@ -859,16 +853,13 @@ def _min_mass_dp(f: list[int], allowed: list[list[int]]) -> tuple[int, list[int]
 
 class LogEscapeCertificate(NamedTuple):
     """Escape of y*b^-n from exp(-F) for every (y, b) in the box: every
-    parameter has escaped by step `witness_index`.  `refined` marks a box
-    that certified only on the sweep's retry, with enclosures of 32
-    more bits."""
+    parameter has escaped by step `witness_index`."""
 
     y_box: Interval
     b_box: Interval
     status: str
     witness_index: Optional[int] = None
     route: Optional[str] = None  # "gap" | "point"
-    refined: bool = False
 
 
 def geometric_escape_via_log(
@@ -920,54 +911,32 @@ def sweep_log_escape(
     b_cells: int,
     n_max: int = 64,
     bits: int = 64,
-    mode: str = "points",
 ) -> tuple[list[LogEscapeCertificate], dict]:
-    """Grid sweep in (dilate, base) space.
-
-    `points` mode certifies the grid of cell-center parameters, each
-    carried as a log-enclosure box; `cells` mode certifies whole grid
-    cells.  Each row's and each column's center gets its point box and
-    its log enclosure once, and the first pass hands them to every box
-    of that row or column.  A box the first pass leaves inconclusive is
-    tried once more with enclosures of bits + 32 bits; one that certifies
-    then is marked `refined`.
+    """Grid sweep in (dilate, base) space: each certificate proves escape
+    for every (y, b) of its whole grid cell.  Each row's and each
+    column's slice gets its log enclosure once, shared by every cell of
+    that row or column.  The stats keep `first_pass` (equal to
+    `certified`) and `resolved_by_refinement` (always 0), which criterion
+    10 and perfbench read.
     """
-    if mode not in ("points", "cells"):
-        raise InvalidParameterError(f"unknown sweep mode {mode!r}")
-    certs = []
-    first_pass = 0
     rows: dict = {}
     cols: dict = {}
+    certs = []
     for box_id, (y_box, b_box) in enumerate(Grid(y_range, b_range, y_cells, b_cells)):
-        ly = lb = None
-        if mode == "points":
-            i, j = divmod(box_id, b_cells)
-            y_box, ly = _log_point(rows, i, y_box, bits)
-            b_box, lb = _log_point(cols, j, b_box, bits)
-        cert = geometric_escape_via_log(f_set, y_box, b_box, n_max, ly, lb, bits)
-        if cert.status == "certified":
-            first_pass += 1
-        else:
-            cert = geometric_escape_via_log(f_set, y_box, b_box, n_max, bits=bits + 32)
-            if cert.status == "certified":
-                cert = cert._replace(refined=True)
-        certs.append(cert)
+        i, j = divmod(box_id, b_cells)
+        ly = _slice_log(rows, i, y_box, bits)
+        lb = _slice_log(cols, j, b_box, bits)
+        certs.append(geometric_escape_via_log(f_set, y_box, b_box, n_max, ly, lb, bits))
     certified = sum(c.status == "certified" for c in certs)
-    stats = {
-        "boxes": len(certs),
-        "certified": certified,
-        "first_pass": first_pass,
-        "resolved_by_refinement": certified - first_pass,
-    }
+    stats = {"boxes": len(certs), "certified": certified, "first_pass": certified,
+             "resolved_by_refinement": 0}
     return certs, stats
 
 
-def _log_point(memo: dict, i: int, box: Interval, bits: int):
-    """The point box at the center of grid slice i and its log enclosure,
-    kept in `memo`.  A center at or below 0 gets no enclosure, so that
-    `geometric_escape_via_log` refuses its box with its own message."""
+def _slice_log(memo: dict, i: int, box: Interval, bits: int) -> Optional[Interval]:
+    """The log enclosure of grid slice i, kept in `memo`.  A slice whose
+    lower end is at or below 0 gets none, so that
+    `geometric_escape_via_log` refuses its cell with its own message."""
     if i not in memo:
-        v = box.midpoint
-        point = Interval(v, v)
-        memo[i] = point, (enclosures.ln_interval(point, bits) if v > 0 else None)
+        memo[i] = enclosures.ln_interval(box, bits) if box.lo > 0 else None
     return memo[i]

@@ -487,7 +487,7 @@ def reference_certify_linear_escape(e, x_box: Interval, y_box: Interval, n_max: 
                 shifted = interval_image(part, 1, k)
                 if shifted.lo < img.lo and img.hi < shifted.hi:
                     return LinearEscapeCertificate(
-                        x_box, y_box, "certified", n, "containment", k, part
+                        x_box, y_box, "certified", n, "containment", k
                     )
         if img.length >= 1:
             for k in range(k_lo, k_hi + 1):
@@ -495,7 +495,7 @@ def reference_certify_linear_escape(e, x_box: Interval, y_box: Interval, n_max: 
                     shifted = interval_image(part, 1, k)
                     if img.lo <= shifted.lo and shifted.hi <= img.hi:
                         return LinearEscapeCertificate(
-                            x_box, y_box, "certified", n, "width", k, part
+                            x_box, y_box, "certified", n, "width", k
                         )
     return LinearEscapeCertificate(x_box, y_box, "inconclusive")
 

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import hashlib
 import io
 import json
@@ -20,7 +21,7 @@ from hypothesis import strategies as st
 
 import erdosavoid
 from erdosavoid import largescale, smallscale
-from erdosavoid.cli import _leaves, build_parser, main
+from erdosavoid.cli import _FLAGS, _TARGETS, _leaves, build_parser, main
 from erdosavoid.errors import InvalidParameterError, ResourceLimitError
 from erdosavoid.intervals import Interval
 from erdosavoid.rationals import format_rational, parse_rational
@@ -74,9 +75,9 @@ GOLDEN = [
                  id="certify-log-escape"),
     pytest.param(["certify", "log-escape", "--m", "4", "--grid", "3x3",
                   "--y-range", "1:2", "--b-range", "3/2:3", "--format", "csv"], 0,
-                 "aa847d420aa206c23c5bdaaea26339806c809d92b93a3329bffdf83f65ef402a",
+                 "1b588c6154c809acd36d6fe35f3ced84c9179d9024b2aca4ddd51e7aa155753f",
                  id="certify-log-escape-csv"),
-    pytest.param(["certify", "log-escape", "--mode", "cells"], 0,
+    pytest.param(["certify", "log-escape"], 0,
                  "f910d2a57a9a56d8d2879f5e2519845e5bfe8a20733691a115e7228ac9208496",
                  id="certify-log-escape-cells"),
     pytest.param(["certify", "frame-intersection", "--count", "5", "--depth", "6",
@@ -226,6 +227,23 @@ def test_certify_log_escape_points(tmp_path, capsys):
     assert obj["stats"]["certified"] == 25
 
 
+def test_certify_log_escape_rows_are_whole_cells(capsys):
+    # each csv row proves its grid cell, not the cell's centre
+    assert main(["certify", "log-escape", "--grid", "2x3", "--format", "csv"]) == 0
+    rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+    assert len(rows) == 6
+    for row in rows:
+        y_lo, y_hi, b_lo, b_hi = (parse_rational(row[k]) for k in ["y_lo", "y_hi", "b_lo", "b_hi"])
+        assert y_lo < y_hi and b_lo < b_hi, row
+
+
+def test_certify_log_escape_takes_no_window(tmp_path):
+    # log escape reads no cell of the digit set, so it has no window to set
+    out = tmp_path / "log.json"
+    assert main(["certify", "log-escape", "--window", "5", "--out", str(out)]) == 1
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_certify_frame_intersection(tmp_path, capsys):
     code = main([
         "certify", "frame-intersection", "--count", "20", "--depth", "10",
@@ -258,7 +276,7 @@ def test_report_counts_inconclusive_json_items(tmp_path):
                  "--y-range", "1:2", "--out", log]) == 2
     frame = tmp_path / "frame.json"
     frame.write_text(json.dumps({"target": "frame-intersection", "count": 5, "certified": 3}))
-    for path, inconclusive in ((log, 5), (str(frame), 2)):
+    for path, inconclusive in ((log, 9), (str(frame), 2)):
         rep = str(tmp_path / "r.json")
         assert main(["report", path, "--out", rep]) == 2
         assert json.loads(read(rep))["inconclusive"] == inconclusive
@@ -818,6 +836,17 @@ def test_a_parse_builds_only_the_flags_of_its_target():
     # --config walks every target, so that each key is checked
     assert len(list(_leaves(parser))) == 15
     assert all(len(leaf._actions) > 2 for leaf in _leaves(parser))
+
+
+def test_every_flag_spec_is_taken_by_some_target():
+    # build_parser gives every command --out; no spec outlives its flag
+    taken = {"--out"} | {
+        flag.partition("=")[0]
+        for _, targets in _TARGETS.values()
+        for _, flags in targets.values()
+        for flag in flags.split()
+    }
+    assert taken == set(_FLAGS)
 
 
 def test_help_exits_0(capsys):

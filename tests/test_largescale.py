@@ -976,9 +976,9 @@ def test_log_escape_matches_fraction_reference(case):
     assert got == reference_geometric_escape_via_log(e, y_box, b_box, n_max, bits=bits, **logs)
 
 
-def test_log_sweep_points_build_each_log_once(monkeypatch):
-    # 5x4 point boxes: one enclosure per row and per column on the first
-    # pass, and the certificates of the per-box enclosures
+def test_log_sweep_builds_each_log_once(monkeypatch):
+    # 5x4 cells: one enclosure per row and one per column, and each
+    # certificate that of its whole cell
     import erdosavoid.enclosures as enclosures
 
     e = digit_avoider(4, 64)
@@ -986,17 +986,15 @@ def test_log_sweep_points_build_each_log_once(monkeypatch):
     real = enclosures.ln_interval
     monkeypatch.setattr(enclosures, "ln_interval", lambda iv, bits: calls.append(bits) or real(iv, bits))
     certs, stats = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 5, 4, n_max=8)
-    assert calls.count(64) == 5 + 4
+    assert calls == [64] * (5 + 4)
     want = [
         reference_geometric_escape_via_log(e, y_box, b_box, 8)
-        for y_box, b_box in (
-            (ivl(y.midpoint, y.midpoint), ivl(b.midpoint, b.midpoint))
-            for y, b in Grid(ivl(1, 2), ivl(F(3, 2), 3), 5, 4)
-        )
+        for y_box, b_box in Grid(ivl(1, 2), ivl(F(3, 2), 3), 5, 4)
     ]
-    first = [c for c, w in zip(certs, want) if w.status == "certified"]
-    assert first == [w for w in want if w.status == "certified"]
-    assert stats["first_pass"] == len(first)
+    assert certs == want
+    certified = sum(w.status == "certified" for w in want)
+    assert stats == {"boxes": 20, "certified": certified, "first_pass": certified,
+                     "resolved_by_refinement": 0}
 
 
 def test_log_escape_rejects_bad_ranges():
@@ -1010,25 +1008,18 @@ def test_log_escape_rejects_bad_ranges():
             geometric_escape_via_log(e, ivl(1, 1), ivl(2, 2), n_max)
 
 
-def test_log_sweep_point_mode_full():
+def test_log_sweep_certifies_every_cell():
     e = digit_avoider(4, 64)
     certs, stats = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 10, 10)
     assert stats["certified"] == stats["boxes"] == 100
-
-
-def test_log_sweep_cell_mode_reports_structure():
-    e = digit_avoider(4, 64)
-    _, stats = sweep_log_escape(
-        e, ivl(1, 2), ivl(F(3, 2), 3), 10, 10, mode="cells"
-    )
-    assert stats["certified"] == stats["boxes"] == 100
+    assert all(c.y_box.lo < c.y_box.hi and c.b_box.lo < c.b_box.hi for c in certs)
 
 
 def test_log_refinement_failures_monotone():
     # finer base boxes cannot certify fewer cells
     e = digit_avoider(4, 64)
-    _, coarse = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 5, 5, mode="cells")
-    _, fine = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 10, 10, mode="cells")
+    _, coarse = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 5, 5)
+    _, fine = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 10, 10)
     coarse_failures = coarse["boxes"] - coarse["certified"]
     fine_failures_rate = (fine["boxes"] - fine["certified"]) / fine["boxes"]
     assert fine_failures_rate <= coarse_failures / coarse["boxes"]

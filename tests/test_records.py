@@ -57,15 +57,15 @@ CASES = [
     (EscapeCertificate, "smallscale", (BOX, "certified", 2, GAP),
      {"witness_index": None, "witness_gap": None}),
     (LinearEscapeCertificate, "largescale",
-     (ivl(0, 1), ivl(1, 2), "certified", 3, "containment", 2, ivl(F(1, 4), F(1, 2))),
-     {"witness_index": None, "route": None, "witness_cell": None, "witness_part": None}),
+     (ivl(0, 1), ivl(1, 2), "certified", 3, "containment", 2),
+     {"witness_index": None, "route": None, "witness_cell": None}),
     (Mod1Profile, "largescale", (3, (F(0), F(1, 3)), F(2, 3), True, F(1, 100)),
      {"conditional": False, "slack": F(0)}),
     (ClusterCheck, "largescale", (4, F(1, 2), True), {"conditional": False}),
     (CoefficientMassBound, "largescale", (F(5, 2), (F(1), F(-1, 2)), 1, "exact"),
      {"label": "upper_bound"}),
-    (LogEscapeCertificate, "largescale", (ivl(1, 2), ivl(2, 3), "certified", 5, "gap", True),
-     {"witness_index": None, "route": None, "refined": False}),
+    (LogEscapeCertificate, "largescale", (ivl(1, 2), ivl(2, 3), "certified", 5, "gap"),
+     {"witness_index": None, "route": None}),
     (Thickness, "gaptree", (F(2), "exact"), {"label": "upper_bound"}),
     (FrameTrace, "sumsets", (F(3, 2), F(-1, 4), (1, -1), "certified", VERDICT, F(1, 3)),
      {"witness": None}),

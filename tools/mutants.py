@@ -170,6 +170,11 @@ MUTANTS = (
         (L + "test_log_escape_pairs_the_enclosure_ends",),
     ),
     Mutant(
+        "log-sweep-column-memo-key", LARGESCALE,
+        "_slice_log(cols, j, b_box, bits)", "_slice_log(cols, i, b_box, bits)",
+        (L + "test_log_sweep_builds_each_log_once",),
+    ),
+    Mutant(
         "dp-tie-break", LARGESCALE,
         "if prev is None or ncost < prev:", "if prev is None or ncost <= prev:",
         (L + "test_ell_tie_keeps_the_state_reached_first",),
