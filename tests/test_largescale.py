@@ -1008,7 +1008,19 @@ def test_log_escape_rejects_bad_ranges():
             geometric_escape_via_log(e, ivl(1, 1), ivl(2, 2), n_max)
 
 
-def test_log_sweep_certifies_every_cell():
+def test_log_sweep_point_mode_full():
+    # the point certificate at every cell midpoint of the 10x10 grid
+    e = digit_avoider(4, 64)
+    certs = [
+        geometric_escape_via_log(e, ivl(y.midpoint, y.midpoint), ivl(b.midpoint, b.midpoint), 64)
+        for y, b in Grid(ivl(1, 2), ivl(F(3, 2), 3), 10, 10)
+    ]
+    assert len(certs) == 100
+    assert all(c.status == "certified" for c in certs)
+
+
+def test_log_sweep_cell_mode_reports_structure():
+    # every certificate of the sweep covers a proper cell, not a point
     e = digit_avoider(4, 64)
     certs, stats = sweep_log_escape(e, ivl(1, 2), ivl(F(3, 2), 3), 10, 10)
     assert stats["certified"] == stats["boxes"] == 100
