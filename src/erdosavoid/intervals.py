@@ -171,7 +171,7 @@ class IntervalSet:
 
     def __iter__(self) -> Iterator[Interval]:
         den, los, his = self._view
-        return (Interval(Fraction(lo, den), Fraction(hi, den)) for lo, hi in zip(los, his))
+        return _intervals(den, los, his)
 
     def __len__(self) -> int:
         return len(self._view[1])
@@ -207,9 +207,9 @@ class IntervalSet:
     __contains__ = contains
 
     def gaps(self) -> list[Interval]:
-        """Bounded open complement components, as endpoint pairs."""
+        """The closures of the bounded open complement components, in order."""
         den, los, his = self._view
-        return [Interval(Fraction(a, den), Fraction(b, den)) for a, b in zip(his, los[1:])]
+        return list(_intervals(den, his, los[1:]))
 
     def find_gap_containing(self, iv: Interval) -> Optional[Gap]:
         """Complement component strictly containing iv, if any: the gap
@@ -258,6 +258,8 @@ class IntervalSet:
         # a.hi >= b.lo[0] iff a.hi >= ceil(b.lo[0]*da/db), and likewise
         i0, i1 = bisect_left(ahi, -(-blo[0] * da // db)), bisect_right(alo, bhi[-1] * da // db)
         j0, j1 = bisect_left(bhi, -(-alo[0] * db // da)), bisect_right(blo, ahi[-1] * db // da)
+        if i0 >= i1 or j0 >= j1:  # no member meets the other set's hull
+            return IntervalSet._from_lattice(den, los, his)
         ka, kb = den // da, den // db
         a_lo = [n * ka for n in alo[i0:i1]]
         a_hi = [n * ka for n in ahi[i0:i1]]
@@ -338,6 +340,16 @@ class IntervalSet:
 
     def to_json(self) -> dict:
         return {"intervals": [[format_rational(iv.lo), format_rational(iv.hi)] for iv in self]}
+
+
+def _intervals(den: int, los: Iterable[int], his: Iterable[int]) -> Iterator[Interval]:
+    """The intervals [los[i]/den, his[i]/den] of a canonical view, whose
+    invariant already orders every pair, built without revalidation."""
+    for lo, hi in zip(los, his):
+        iv = object.__new__(Interval)
+        object.__setattr__(iv, "lo", Fraction(lo, den))
+        object.__setattr__(iv, "hi", Fraction(hi, den))
+        yield iv
 
 
 def _merge(pairs: Iterable[tuple[int, int]]) -> tuple[list[int], list[int]]:

@@ -316,8 +316,11 @@ def sumset_cover_probe(
     A target r is covered exactly when (r - lam*M) meets the level set
     of X, i.e. when some member interval meets T = (r - X)/lam; the check
     walks the X components with a binary search into the member union,
-    so no affine image is materialized per target.  The witness is an
-    exact common point; misses report their nearest-miss distance.
+    so no affine image is materialized per target.  A target whose hull
+    of T lies in one gap of the union is decided by one bisection of
+    that hull, since every component then has the same nearest gap ends.
+    The witness is an exact common point; misses report their
+    nearest-miss distance.
 
     Everything runs on the lattice views of the two level sets.  With
     lam = p/q and r = a/b, the ends of T over den_t = b*den_x*|p| have
@@ -343,21 +346,32 @@ def sumset_cover_probe(
         step = sign * q * r.denominator
         witness = None
         best: Optional[int] = None
-        for n_lo, n_hi in ends:
-            t_lo = base - n_lo * step
-            t_hi = base - n_hi * step
-            # last member with m_lo <= t_hi, as m_lo is an integer numerator
-            i = bisect_right(m_los, t_hi * den_m // den_t) - 1
-            if i >= 0:
-                d = t_lo * den_m - m_his[i] * den_t
-                if d <= 0:
-                    mm = max(t_lo * den_m, m_los[i] * den_t)
-                    witness = r - lam * Fraction(mm, den_t * den_m)
-                    break
-                best = d if best is None else min(best, d)
+        # T's hull runs between the images of X's two outermost ends; when
+        # it lies in one gap of the union, every component misses and the
+        # gap's ends give the nearest miss of them all
+        h_lo, h_hi = sorted((base - x_los[0] * step, base - x_his[-1] * step))
+        i = bisect_right(m_los, h_hi * den_m // den_t) - 1
+        if i < 0 or m_his[i] * den_t < h_lo * den_m:
+            sides = [h_lo * den_m - m_his[i] * den_t] if i >= 0 else []
             if i + 1 < len(m_los):
-                d = m_los[i + 1] * den_t - t_hi * den_m
-                best = d if best is None else min(best, d)
+                sides.append(m_los[i + 1] * den_t - h_hi * den_m)
+            best = min(sides, default=None)
+        else:
+            for n_lo, n_hi in ends:
+                t_lo = base - n_lo * step
+                t_hi = base - n_hi * step
+                # last member with m_lo <= t_hi, as m_lo is an integer numerator
+                i = bisect_right(m_los, t_hi * den_m // den_t) - 1
+                if i >= 0:
+                    d = t_lo * den_m - m_his[i] * den_t
+                    if d <= 0:
+                        mm = max(t_lo * den_m, m_los[i] * den_t)
+                        witness = r - lam * Fraction(mm, den_t * den_m)
+                        break
+                    best = d if best is None else min(best, d)
+                if i + 1 < len(m_los):
+                    d = m_los[i + 1] * den_t - t_hi * den_m
+                    best = d if best is None else min(best, d)
         if witness is not None:
             records.append(CoverageRecord(r, True, witness))
         else:

@@ -6,7 +6,7 @@ from fractions import Fraction
 from functools import lru_cache
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erdosavoid.errors import (
@@ -203,6 +203,9 @@ def test_affine_matches_fraction_reference(s, lam, t):
 
 @settings(max_examples=300, deadline=None)
 @given(canonical_sets(), canonical_sets(), nonzero_rationals, small_rationals)
+# disjoint hulls, and a hull inside a gap of the other set: both empty
+@example(IntervalSet.of((0, 1), (2, 3)), IntervalSet.of((F(7, 2), 4)), F(1), F(0))
+@example(IntervalSet.of((0, 1), (4, 5)), IntervalSet.of((2, 3)), F(-1), F(1, 2))
 def test_intersection_matches_fraction_reference(a, b, lam, t):
     # an affine image carries only its lattice view, on either side
     image, ref_image = a.affine(lam, t), reference_affine(a, lam, t)
@@ -338,6 +341,29 @@ def test_measure_and_contains_match_fraction_reference(case):
     s, points = case
     assert s.measure() == reference_measure(s)
     assert [s.contains(x) for x in points] == [reference_contains(s, x) for x in points]
+
+
+@settings(max_examples=300, deadline=None)
+@given(member_queries())
+def test_gaps_match_validated_intervals(case):
+    s, _ = case
+    den, los, his = s._lattice()
+    want = [Interval(Fraction(a, den), Fraction(b, den)) for a, b in zip(his, los[1:])]
+    got = s.gaps()
+    assert got == want and [hash(g) for g in got] == [hash(g) for g in want]
+    assert all(g.lo < g.hi for g in got)
+    assert list(s) == [Interval(Fraction(a, den), Fraction(b, den)) for a, b in zip(los, his)]
+    for gap in got:
+        for back in (copy.copy(gap), pickle.loads(pickle.dumps(gap))):
+            assert back == gap and hash(back) == hash(gap)
+    if len(s) <= 1:
+        assert got == []
+
+
+def test_gaps_of_empty_and_one_member_sets():
+    for s in (IntervalSet(), IntervalSet.of((0, 1)), IntervalSet.of((2, 2)), IntervalSet._from_lattice(6, [], [])):
+        assert s.gaps() == []
+    assert IntervalSet.of((0, 1), (2, 3)).gaps() == [ivl(1, 2)]
 
 
 @settings(max_examples=150, deadline=None)

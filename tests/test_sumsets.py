@@ -27,6 +27,7 @@ from erdosavoid.gaptree import (
 from erdosavoid.intersect import REASON_THIN, check_gap_lemma
 from erdosavoid.intervals import ivl
 from erdosavoid.sumsets import (
+    CoverageRecord,
     FrameCertifier,
     _frame_map,
     build_dyadic_family,
@@ -421,6 +422,58 @@ def test_coverage_probe_matches_fraction_reference(
         assert [r.covered for r in rep.records] == [False, True]
     else:
         assert rep.records[1].covered
+
+
+# PROBE_TREES[0] has the hull [0, 1], so T = (r - X)/lam has the hull
+# [(r - 1)/lam, r/lam], and r = lam*h + (1 if lam > 0 else 0) puts its
+# lower end at h; scales of size 8 keep the hull 1/8 long
+PROBE_SCALES = (F(8), F(-8))
+
+
+def _target_with_hull_lo(lam, h):
+    return lam * h + (1 if lam > 0 else 0)
+
+
+def test_coverage_probe_hull_touching_a_member_end():
+    # the hull's lower end is a member's upper end and the rest of it
+    # lies in the gap after: the end component touches, so it is covered
+    gap = max(PROBE_GAPS, key=lambda g: g.length)
+    x = PROBE_TREES[0]
+    for lam in PROBE_SCALES:
+        target = _target_with_hull_lo(lam, gap.lo)
+        rep = sumset_cover_probe(x, PROBE_FAMILY, lam, [target], 5)
+        assert rep.records[0].covered
+        assert rep.records[0].witness == target - lam * gap.lo
+        assert rep == reference_sumset_cover_probe(x, PROBE_FAMILY, lam, [target], 5)
+
+
+@pytest.mark.parametrize("side", ["left", "right"])
+def test_coverage_probe_hull_beyond_the_union(side):
+    # a hull in the unbounded gap left of the first member (or right of
+    # the last) has one nearest gap end only
+    members = PROBE_FAMILY.union_set(5).intervals
+    x = PROBE_TREES[0]
+    h_lo = members[0].lo - 1 if side == "left" else members[-1].hi + 1
+    for lam in PROBE_SCALES:
+        target = _target_with_hull_lo(lam, h_lo)
+        rep = sumset_cover_probe(x, PROBE_FAMILY, lam, [target], 5)
+        miss = (members[0].lo - (h_lo + F(1, 8))) * 8 if side == "left" else 8
+        assert rep.records == (CoverageRecord(target, False, None, miss),)
+        assert rep == reference_sumset_cover_probe(x, PROBE_FAMILY, lam, [target], 5)
+
+
+def test_coverage_probe_hull_straddling_members_of_a_missed_union():
+    # X = [0, 1/10] u [9/10, 1] and the union [0, 1/3] u [2/3, 1]: the hull
+    # of T = (r - X)/lam spans a member while both components of T lie
+    # in gaps, so the per-component walk decides
+    x = GapTree(ivl(0, 1), ivl(F(1, 10), F(9, 10)), GapTree(ivl(0, F(1, 10))), GapTree(ivl(F(9, 10), 1)))
+    fam = build_dyadic_family(1, 1, (0, 0), (0, 0))
+    for lam, target in ((F(1), F(1, 2)), (F(-1), F(-1, 2))):
+        hull = sorted(((target - 1) / lam, target / lam))
+        assert any(hull[0] < m.lo and m.hi < hull[1] for m in fam.union_set(1))
+        rep = sumset_cover_probe(x, fam, lam, [target], 1)
+        assert rep.records == (CoverageRecord(target, False, None, F(1, 15)),)
+        assert rep == reference_sumset_cover_probe(x, fam, lam, [target], 1)
 
 
 def test_zero_scale_rejected():

@@ -268,6 +268,11 @@ MUTANTS = (
         ("tests/test_sumsets.py::test_select_frame_examples",),
     ),
     Mutant(
+        "probe-hull-gap", SUMSETS,
+        "if i < 0 or m_his[i] * den_t < h_lo * den_m:", "if i < 0 or m_his[i] * den_t <= h_lo * den_m:",
+        ("tests/test_sumsets.py::test_coverage_probe_hull_touching_a_member_end",),
+    ),
+    Mutant(
         "frame-verdict-hull-link", SUMSETS,
         "if a1 < b0 or b1 < a0 or _in_some_gap(", "if a1 < b0 or _in_some_gap(",
         (I + "test_gap_lemma_refuses_disjoint_hulls",),
