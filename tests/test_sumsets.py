@@ -457,7 +457,7 @@ def test_coverage_probe_hull_beyond_the_union(side):
     for lam in PROBE_SCALES:
         target = _target_with_hull_lo(lam, h_lo)
         rep = sumset_cover_probe(x, PROBE_FAMILY, lam, [target], 5)
-        miss = (members[0].lo - (h_lo + F(1, 8))) * 8 if side == "left" else 8
+        miss = (members[0].lo - h_lo - F(1, 8) if side == "left" else h_lo - members[-1].hi) * 8
         assert rep.records == (CoverageRecord(target, False, None, miss),)
         assert rep == reference_sumset_cover_probe(x, PROBE_FAMILY, lam, [target], 5)
 
