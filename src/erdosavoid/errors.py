@@ -75,4 +75,5 @@ class ConstructionAuditError(ErdosAvoidError):
 
 
 class ResourceLimitError(ErdosAvoidError):
-    """A guarded resource budget (cells, splits, refinements) was exhausted."""
+    """A guarded resource budget (cell guard, grid cells, tree nodes,
+    punches, DP work, enclosure bits, printable digits) was exhausted."""

@@ -6,7 +6,8 @@ exhibits a point.  The containment walker produces an explicit chain of
 nested node pairs, hence a point estimate with a rigorous error bound.
 Both run on the level arrays (`gaptree._Rows`), comparing two trees'
 ends by cross-multiplication; `_all_gaps` and `_in_some_gap` are the one
-gap scan, which the frame certifier in `sumsets` shares.
+gap scan, and `_hull_reason` the one hull verdict built on it, which the
+frame certifier in `sumsets` shares.
 """
 
 from __future__ import annotations
@@ -61,6 +62,20 @@ def _in_some_gap(gaps: list[tuple[int, int, int]], s: int, h: int, a0: int, a1: 
     return False
 
 
+def _hull_reason(x_rows, x_gaps, sx: int, hx: int, b_rows, b_gaps, sb: int, hb: int) -> str:
+    """The gap-lemma reason from the hulls and gaps (by `_all_gaps`) of two
+    trees' level arrays, X's numerator a mapped to a*sx + hx and B's b to
+    b*sb + hb (sb > 0) on one denominator."""
+    a0, a1 = sorted((x_rows.los[0][0] * sx + hx, x_rows.his[0][0] * sx + hx))
+    b0, b1 = b_rows.los[0][0] * sb + hb, b_rows.his[0][0] * sb + hb
+    # hulls wholly beside each other: X lies in an unbounded gap of B
+    if a1 < b0 or b1 < a0 or _in_some_gap(b_gaps, sb, hb, a0, a1):
+        return REASON_K1_IN_GAP
+    if _in_some_gap(x_gaps, sx, hx, b0, b1):
+        return REASON_K2_IN_GAP
+    return REASON_OK
+
+
 def check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
     """Check the hypotheses of the thickness gap lemma.
 
@@ -69,22 +84,15 @@ def check_gap_lemma(k1: GapTree, k2: GapTree) -> GapLemmaVerdict:
     included: disjoint hulls are not applicable (`REASON_K1_IN_GAP`).
     The bounded-gap scan covers all materialized gaps, so the
     containment verdict is depth-limited; scanned depths are reported
-    alongside.  The hulls and the scans put both trees' numerators on
-    den1*den2.
+    alongside.  `_hull_reason` puts both trees' numerators on den1*den2.
     """
     t1, t2 = thickness(k1), thickness(k2)
     d1, d2 = k1.min_depth(), k2.min_depth()
     if not thickness_product_at_least_one(t1, t2):
         return GapLemmaVerdict(False, REASON_THIN, t1, t2, d1, d2)
     r1, r2 = k1._rows, k2._rows
-    a0, a1 = r1.los[0][0] * r2.den, r1.his[0][0] * r2.den
-    b0, b1 = r2.los[0][0] * r1.den, r2.his[0][0] * r1.den
-    # hulls wholly beside each other: k1 lies in an unbounded gap of k2
-    if a1 < b0 or b1 < a0 or _in_some_gap(_all_gaps(k2), r1.den, 0, a0, a1):
-        return GapLemmaVerdict(False, REASON_K1_IN_GAP, t1, t2, d1, d2)
-    if _in_some_gap(_all_gaps(k1), r2.den, 0, b0, b1):
-        return GapLemmaVerdict(False, REASON_K2_IN_GAP, t1, t2, d1, d2)
-    return GapLemmaVerdict(True, REASON_OK, t1, t2, d1, d2)
+    reason = _hull_reason(r1, _all_gaps(k1), r2.den, 0, r2, _all_gaps(k2), r1.den, 0)
+    return GapLemmaVerdict(reason == REASON_OK, reason, t1, t2, d1, d2)
 
 
 class WalkTrace(NamedTuple):

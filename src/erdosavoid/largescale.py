@@ -24,7 +24,7 @@ import math
 import operator
 import random
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Optional, Sequence, Union
 
 from . import enclosures, sequences
 from .errors import (
@@ -598,7 +598,7 @@ def quotient_avoider(
     for _ in range(max_refine):
         gen = QuotientGenerator(y, 1 - pprime)
         candidate = PLargeSet(p, window, gen)
-        if all(candidate.cell(k).measure() >= p for k in range(window)):
+        if is_p_large(candidate, p):
             return candidate
         pprime /= 2
     raise InfeasibleParametersError(
@@ -630,19 +630,21 @@ class Mod1Profile(NamedTuple):
         }
 
 
-def _enclosure_fractions(
-    y: Interval, factors: Iterable[Union[int, Fraction]], hint: str = ""
-) -> tuple[list[Fraction], Fraction]:
+def _enclosure_fractions(y: Interval, factors: Sequence[Fraction]) -> tuple[list[Fraction], Fraction]:
     """Midpoints of the fractional parts of y*a over the factors a (n = 1,
-    2, ...) and the widest width; PrecisionError if one straddles an integer."""
+    2, ...) and the widest width; PrecisionError if one straddles an
+    integer, naming roughly the bits that resolve the last factor a_N:
+    bitlen(floor(a_N)) + 59."""
     mids = []
     max_width = Fraction(0)
     for n, a in enumerate(factors, 1):
         lo, hi = y.lo * a, y.hi * a
         f = floor_rational(lo)
         if f != floor_rational(hi):
+            bits = floor_rational(factors[-1]).bit_length() + 59
             raise PrecisionError(
-                f"enclosure too wide to resolve the fractional part at n = {n}{hint}"
+                f"enclosure too wide to resolve the fractional part at n = {n}; "
+                f"supply roughly {bits} bits"
             )
         mids.append((lo - f + hi - f) / 2)
         max_width = max(max_width, hi - lo)
@@ -668,9 +670,7 @@ def density_mod1(
     if seq.direction != sequences.UP:
         raise InvalidParameterError("density probes take increasing sequences")
     if isinstance(y, Interval) and y.lo != y.hi:
-        mids, max_width = _enclosure_fractions(
-            y, (seq.term(n) for n in range(1, count + 1))
-        )
+        mids, max_width = _enclosure_fractions(y, [seq.term(n) for n in range(1, count + 1)])
         gap = _circular_max_gap(mids) + 2 * max_width
         return Mod1Profile(count, tuple(sorted(mids)), min(gap, Fraction(1)), True, max_width)
     yq = y.lo if isinstance(y, Interval) else as_rational(y)
@@ -703,19 +703,10 @@ def dubickas_gap_check(y: RationalOrEnclosure, count: int) -> ClusterCheck:
     if isinstance(y, Interval) and y.lo != y.hi:
         if y.lo <= 0 <= y.hi:
             raise InvalidParameterError("dilate enclosure must exclude 0")
-        mids, max_width = _enclosure_fractions(
-            y,
-            (2**n for n in range(1, count + 1)),
-            f"; supply roughly {count + 60} bits",
-        )
-        gap_ub = _circular_max_gap(mids) + 2 * max_width
-        covering_lb = max(1 - gap_ub, Fraction(0))
-        return ClusterCheck(count, covering_lb, True)
-    yq = y.lo if isinstance(y, Interval) else as_rational(y)
-    if yq == 0:
+    elif (y.lo if isinstance(y, Interval) else as_rational(y)) == 0:
         raise InvalidParameterError("dilate must be nonzero")
-    fracs = [frac_part(yq * 2**n) for n in range(1, count + 1)]
-    return ClusterCheck(count, 1 - _circular_max_gap(fracs), False)
+    prof = density_mod1(sequences.geometric_up(2), y, count)
+    return ClusterCheck(count, 1 - prof.max_gap, prof.conditional)
 
 
 # ---------------------------------------------------------------------------
@@ -913,30 +904,20 @@ def sweep_log_escape(
     bits: int = 64,
 ) -> tuple[list[LogEscapeCertificate], dict]:
     """Grid sweep in (dilate, base) space: each certificate proves escape
-    for every (y, b) of its whole grid cell.  Each row's and each
-    column's slice gets its log enclosure once, shared by every cell of
-    that row or column.  The stats keep `first_pass` (equal to
-    `certified`) and `resolved_by_refinement` (always 0), which criterion
-    10 and perfbench read.
+    for every (y, b) of its whole grid cell.  Each slice `Grid` hands out
+    gets its log enclosure once (none if its lower end is at or below 0,
+    so that `geometric_escape_via_log` refuses the cell).  The stats keep
+    `first_pass` (equal to `certified`) and `resolved_by_refinement`
+    (always 0), which criterion 10 and perfbench read.
     """
-    rows: dict = {}
-    cols: dict = {}
+    logs: dict = {}
     certs = []
-    for box_id, (y_box, b_box) in enumerate(Grid(y_range, b_range, y_cells, b_cells)):
-        i, j = divmod(box_id, b_cells)
-        ly = _slice_log(rows, i, y_box, bits)
-        lb = _slice_log(cols, j, b_box, bits)
-        certs.append(geometric_escape_via_log(f_set, y_box, b_box, n_max, ly, lb, bits))
+    for y_box, b_box in Grid(y_range, b_range, y_cells, b_cells):
+        for box in (y_box, b_box):
+            if box not in logs:
+                logs[box] = enclosures.ln_interval(box, bits) if box.lo > 0 else None
+        certs.append(geometric_escape_via_log(f_set, y_box, b_box, n_max, logs[y_box], logs[b_box], bits))
     certified = sum(c.status == "certified" for c in certs)
     stats = {"boxes": len(certs), "certified": certified, "first_pass": certified,
              "resolved_by_refinement": 0}
     return certs, stats
-
-
-def _slice_log(memo: dict, i: int, box: Interval, bits: int) -> Optional[Interval]:
-    """The log enclosure of grid slice i, kept in `memo`.  A slice whose
-    lower end is at or below 0 gets none, so that
-    `geometric_escape_via_log` refuses its cell with its own message."""
-    if i not in memo:
-        memo[i] = enclosures.ln_interval(box, bits) if box.lo > 0 else None
-    return memo[i]

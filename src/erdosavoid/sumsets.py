@@ -26,15 +26,7 @@ from .gaptree import (
     thickness_product_at_least_one,
     to_interval_set,
 )
-from .intersect import (
-    REASON_K1_IN_GAP,
-    REASON_K2_IN_GAP,
-    REASON_OK,
-    REASON_THIN,
-    GapLemmaVerdict,
-    _all_gaps,
-    _in_some_gap,
-)
+from .intersect import REASON_OK, REASON_THIN, GapLemmaVerdict, _all_gaps, _hull_reason
 from .intervals import IntervalSet
 from .rationals import RationalLike, as_rational
 
@@ -134,13 +126,9 @@ def select_frame(lam: RationalLike, t: RationalLike) -> tuple[int, int]:
     return n, ((t.numerator << max(-n, 0)) - 1) // (t.denominator << max(n, 0))
 
 
-def _pow2(n: int) -> Fraction:
-    return Fraction(2**n) if n >= 0 else Fraction(1, 2**-n)
-
-
 def _frame_map(n: int, l: int) -> tuple[Fraction, Fraction]:
     """Scale and shift of the map x -> 2^n x + 2^n l onto frame (n, l)."""
-    scale = _pow2(n)
+    scale = Fraction(2) ** n
     return scale, scale * l
 
 
@@ -200,23 +188,17 @@ class FrameCertifier:
 
         Thickness is affine-invariant and the hull/gap comparisons
         commute with the affine maps, so both trees stay unmaterialized.
-        Disjoint hulls are not applicable: each lies in an unbounded gap
-        of the other.  `_in_some_gap` scans the bounded gaps on
-        numerators over the common denominator of `_maps`.  Agrees with
-        check_gap_lemma on materialized trees.
+        Disjoint hulls are not applicable.  `intersect._hull_reason`
+        compares the hulls and scans the bounded gaps on numerators over
+        the common denominator of `_maps`, as check_gap_lemma does on
+        materialized trees.
         """
         if not self._thick_enough:
             return GapLemmaVerdict(False, REASON_THIN, self.x_thick, self.base_thick)
         _, sx, hx, sb, hb = self._maps(lam, t, frame)
-        x, base = self._x, self._base
-        a0, a1 = sorted((x.los[0][0] * sx + hx, x.his[0][0] * sx + hx))
-        b0, b1 = base.los[0][0] * sb + hb, base.his[0][0] * sb + hb
-        # hulls wholly beside each other: X lies in an unbounded gap of the member
-        if a1 < b0 or b1 < a0 or _in_some_gap(self.base_gaps_desc, sb, hb, a0, a1):
-            return GapLemmaVerdict(False, REASON_K1_IN_GAP, self.x_thick, self.base_thick)
-        if _in_some_gap(self.x_gaps_desc, sx, hx, b0, b1):
-            return GapLemmaVerdict(False, REASON_K2_IN_GAP, self.x_thick, self.base_thick)
-        return GapLemmaVerdict(True, REASON_OK, self.x_thick, self.base_thick)
+        reason = _hull_reason(self._x, self.x_gaps_desc, sx, hx,
+                              self._base, self.base_gaps_desc, sb, hb)
+        return GapLemmaVerdict(reason == REASON_OK, reason, self.x_thick, self.base_thick)
 
     def find_common_point(
         self, lam: Fraction, t: Fraction, frame: tuple[int, int], depth: int

@@ -822,6 +822,18 @@ def test_oversize_cofactor_search_exits_1(argv, monkeypatch, tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("target", ["mod1", "dubickas"])
+def test_oversize_bit_counts_exit_1_at_once(target, tmp_path, capsys):
+    # two million bits ran for more than a minute before the cap
+    start = time.perf_counter()
+    code = main(["probe", target, "--y", "sqrt2", "--bits", "2000000", "--N", "10",
+                 "--out", str(tmp_path / "out")])
+    assert time.perf_counter() - start < 1
+    assert code == 1
+    assert "MAX_BITS" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_parse_builds_only_the_flags_of_its_target():
     parser = build_parser()
     parser.parse_args(["probe", "ell-bound", "--step", "1/4"])

@@ -2,10 +2,11 @@ import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from erdosavoid.enclosures import (
+    MAX_BITS,
     _iroot,
     ln2_enclosure,
     ln_enclosure,
@@ -13,7 +14,7 @@ from erdosavoid.enclosures import (
     root_enclosure,
     sqrt_enclosure,
 )
-from erdosavoid.errors import InvalidParameterError
+from erdosavoid.errors import InvalidParameterError, ResourceLimitError
 from erdosavoid.intervals import Interval, ivl
 
 from helpers import reference_ln_enclosure
@@ -121,6 +122,15 @@ def test_negative_bit_counts_are_refused(enclose):
     assert enclose(0).lo <= enclose(64).lo <= enclose(64).hi <= enclose(0).hi
 
 
+def test_bit_counts_above_the_cap_are_refused():
+    enc = sqrt_enclosure(2, MAX_BITS)
+    assert enc.hi - enc.lo == F(1, 2**MAX_BITS)
+    with pytest.raises(ResourceLimitError):
+        sqrt_enclosure(2, MAX_BITS + 1)
+    with pytest.raises(ResourceLimitError):
+        ln_enclosure(F(3), MAX_BITS + 1)
+
+
 @st.composite
 def log_arguments(draw):
     """Positive rationals of small and large size, on and next to the
@@ -140,6 +150,9 @@ def log_arguments(draw):
 
 @settings(max_examples=400, deadline=None)
 @given(q=log_arguments(), bits=st.sampled_from([0, 1, 7, 32, 64, 96, 130]))
+@example(q=F(1), bits=64)  # exact [0, 0] through the e * ln 2 path with e = 0
+@example(q=F(5, 4), bits=64)  # in [3/4, 3/2): e = 0
+@example(q=F(5, 4), bits=0)
 def test_ln_enclosure_matches_fraction_series(q, bits):
     assert ln_enclosure.__wrapped__(q, bits) == reference_ln_enclosure(q, bits)
 

@@ -805,6 +805,14 @@ def test_density_precision_error_on_wide_enclosure():
         density_mod1(linear(), wide, 50)
 
 
+def test_precision_errors_name_a_bit_count():
+    # roughly bitlen(floor(a_N)) + 59 bits: N + 60 for a_N = 2^N
+    with pytest.raises(PrecisionError, match=r"at n = 64; supply roughly 1060 bits$"):
+        dubickas_gap_check(sqrt_enclosure(2, 64), 1000)
+    with pytest.raises(PrecisionError, match=r"at n = 12; supply roughly 66 bits$"):
+        density_mod1(linear(), sqrt_enclosure(2, 8), 100)
+
+
 def test_dubickas_excluded_rational():
     # covering length 1/3 < 1/2: the rational dilate is outside the hypothesis
     res = dubickas_gap_check(F(1, 3), 200)
@@ -995,6 +1003,23 @@ def test_log_sweep_builds_each_log_once(monkeypatch):
     certified = sum(w.status == "certified" for w in want)
     assert stats == {"boxes": 20, "certified": certified, "first_pass": certified,
                      "resolved_by_refinement": 0}
+
+
+def test_log_sweep_shares_equal_slices_across_axes(monkeypatch):
+    # y and b on the same range: the 2x2 grid's two y slices are its two
+    # b slices, so two enclosures serve all four cells
+    import erdosavoid.enclosures as enclosures
+
+    e = digit_avoider(4, 64)
+    calls = []
+    real = enclosures.ln_interval
+    monkeypatch.setattr(enclosures, "ln_interval", lambda iv, bits: calls.append(iv) or real(iv, bits))
+    certs, _ = sweep_log_escape(e, ivl(2, 3), ivl(2, 3), 2, 2, n_max=8)
+    assert calls == [ivl(2, F(5, 2)), ivl(F(5, 2), 3)]
+    assert certs == [
+        reference_geometric_escape_via_log(e, y_box, b_box, 8)
+        for y_box, b_box in Grid(ivl(2, 3), ivl(2, 3), 2, 2)
+    ]
 
 
 def test_log_escape_rejects_bad_ranges():

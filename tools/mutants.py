@@ -32,6 +32,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "src/erdosavoid/cli.py"
+ENCLOSURES = "src/erdosavoid/enclosures.py"
 INTERSECT = "src/erdosavoid/intersect.py"
 INTERVALS = "src/erdosavoid/intervals.py"
 LARGESCALE = "src/erdosavoid/largescale.py"
@@ -170,8 +171,8 @@ MUTANTS = (
         (L + "test_log_escape_pairs_the_enclosure_ends",),
     ),
     Mutant(
-        "log-sweep-column-memo-key", LARGESCALE,
-        "_slice_log(cols, j, b_box, bits)", "_slice_log(cols, i, b_box, bits)",
+        "log-sweep-slice-memo", LARGESCALE,
+        "if box not in logs:", "if True:",
         (L + "test_log_sweep_builds_each_log_once",),
     ),
     Mutant(
@@ -273,9 +274,9 @@ MUTANTS = (
         ("tests/test_sumsets.py::test_coverage_probe_hull_touching_a_member_end",),
     ),
     Mutant(
-        "frame-verdict-hull-link", SUMSETS,
-        "if a1 < b0 or b1 < a0 or _in_some_gap(", "if a1 < b0 or _in_some_gap(",
-        (I + "test_gap_lemma_refuses_disjoint_hulls",),
+        "enclosure-bits-cap", ENCLOSURES,
+        "if bits > MAX_BITS:", "if bits >= MAX_BITS:",
+        ("tests/test_enclosures.py::test_bit_counts_above_the_cap_are_refused",),
     ),
 )
 
