@@ -32,7 +32,7 @@ _EXPORTS = {
         "containment_walk", "perturbation_delta",
     ),
     "enclosures": (
-        "ln2_enclosure", "ln_enclosure", "ln_interval", "root_enclosure", "sqrt_enclosure",
+        "ln2_enclosure", "ln_enclosure", "ln_interval", "sqrt_enclosure",
     ),
     "rationals": ("as_rational", "format_rational", "parse_rational"),
     "sequences": (

@@ -1,6 +1,6 @@
 """Outward-rounded rational enclosures of irrational quantities.
 
-Roots come from integer root extraction at a dyadic scale; logarithms
+Square roots come from `math.isqrt` at a dyadic scale; logarithms
 from the atanh series 2*sum z^(2j+1)/(2j+1) with the explicit geometric
 remainder bound |R| <= 2|z|^(2J+1) / ((2J+1)(1-z^2)).  Every enclosure
 endpoint is rounded outward to a dyadic rational so downstream
@@ -18,10 +18,10 @@ from .intervals import Interval
 from .rationals import RationalLike, as_rational
 
 
-# Cap on an enclosure's bit count: the cost of integer roots and of the
-# atanh series grows faster than linearly in it, and a probe at two
-# million bits ran for more than a minute.  On a 2-CPU VM
-# sqrt_enclosure(2, 2**16) took 0.17 s and ln_enclosure(3, 2**16) 1.6 s
+# Cap on an enclosure's bit count: the cost of integer square roots and
+# of the atanh series grows faster than linearly in it, and a probe at
+# two million bits ran for more than a minute.  On a 2-CPU VM
+# sqrt_enclosure(2, 2**16) took 0.03 s and ln_enclosure(3, 2**16) 1.6 s
 # (ln 2 included).
 MAX_BITS = 2**16
 
@@ -33,41 +33,18 @@ def _check_bits(bits: int) -> None:
         raise ResourceLimitError(f"bit count {bits} exceeds the cap MAX_BITS = {MAX_BITS}")
 
 
-def _iroot(n: int, k: int) -> int:
-    """Floor of the integer k-th root."""
-    if n < 0:
-        raise InvalidParameterError("integer root of a negative number")
-    if n == 0:
-        return 0
-    # Newton's step on integers decreases strictly from any start at or
-    # above the root until it reaches the floor root
-    r = 1 << -(-n.bit_length() // k)
-    while True:
-        s = ((k - 1) * r + n // r ** (k - 1)) // k
-        if s >= r:
-            return r
-        r = s
-
-
-def root_enclosure(q: RationalLike, k: int, bits: int = 64) -> Interval:
-    """Enclosure of q**(1/k) of width 2**-bits for rational q >= 0."""
+def sqrt_enclosure(q: RationalLike, bits: int = 64) -> Interval:
+    """Enclosure of the square root of rational q >= 0, of width 2**-bits."""
     q = as_rational(q)
     if q < 0:
         raise InvalidParameterError("roots of negative rationals are not real")
-    if k < 1:
-        raise InvalidParameterError("root order must be >= 1")
     _check_bits(bits)
     scale = 1 << bits
-    t = (q.numerator * scale**k) // q.denominator
-    r = _iroot(t, k)
+    r = math.isqrt((q.numerator << 2 * bits) // q.denominator)
     lo = Fraction(r, scale)
-    if lo**k == q:
+    if lo * lo == q:
         return Interval(lo, lo)
     return Interval(lo, Fraction(r + 1, scale))
-
-
-def sqrt_enclosure(q: RationalLike, bits: int = 64) -> Interval:
-    return root_enclosure(q, 2, bits)
 
 
 def _atanh_series(a: int, b: int, err_bits: int) -> tuple[int, int, int]:

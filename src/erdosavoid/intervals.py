@@ -1,18 +1,16 @@
 """Exact algebra of finite unions of closed rational intervals.
 
-Closed-interval semantics throughout: set difference returns the
-closure of the pointwise difference (boundary points that are limits of
-the difference are kept), and touching intervals merge during
+Closed-interval semantics throughout: touching intervals merge during
 normalization so each point set has one canonical representation.
 
 An `IntervalSet` stores only its lattice view: every endpoint written
 as an integer numerator over one shared denominator.  A set built from
 members takes the lcm of their denominators and is sorted and merged
 once on integers; a set built by a kernel (`affine`, `intersection`,
-`union`, `difference`) or handed over as a view, like the sublacunary
-avoider and a gap tree's level sets, keeps the denominator it was made
-on.  Every kernel, and the sumset coverage probe in `sumsets`, runs on
-the views; `Interval` members are built from the view only when read.
+`union`) or handed over as a view, like the sublacunary avoider and a
+gap tree's level sets, keeps the denominator it was made on.  Every
+kernel, and the sumset coverage probe in `sumsets`, runs on the views;
+`Interval` members are built from the view only when read.
 No floating point is used on any code path in this module.
 """
 
@@ -277,46 +275,6 @@ class IntervalSet:
             else:
                 j += 1
         return IntervalSet._from_lattice(den, los, his)
-
-    def difference(self, other: "IntervalSet") -> "IntervalSet":
-        """Closure of the pointwise difference self minus other, cut on
-        the lcm of the two view denominators.
-
-        Interior points of `other` are cut out; endpoints that remain
-        limits of the difference are kept, so removing [a, b] from a
-        longer interval behaves like removing the open (a, b).
-        Degenerate members of self survive iff they avoid other.
-        """
-        da, alo, ahi = self._view
-        db, blo, bhi = other._view
-        den = lcm(da, db)
-        ka, kb = den // da, den // db
-        b_lo = [n * kb for n in blo]
-        b_hi = [n * kb for n in bhi]
-        pieces: list[tuple[int, int]] = []
-        j = 0
-        for lo, hi in zip(alo, ahi):
-            lo, hi = lo * ka, hi * ka
-            while j < len(b_lo) and b_hi[j] < lo:
-                j += 1
-            if lo == hi:
-                # the point avoids other iff no cut from j on starts at or before it
-                if j == len(b_lo) or b_lo[j] > lo:
-                    pieces.append((lo, hi))
-                continue
-            cur = lo
-            k = j
-            while k < len(b_lo) and b_lo[k] <= hi:
-                if b_lo[k] > cur:
-                    pieces.append((cur, b_lo[k]))
-                cur = max(cur, b_hi[k])
-                if cur >= hi:
-                    break
-                k += 1
-            if cur < hi:
-                pieces.append((cur, hi))
-        # pieces cut either side of a point of other touch and merge again
-        return IntervalSet._from_lattice(den, *_merge(pieces))
 
     def affine(self, lam: RationalLike, t: RationalLike) -> "IntervalSet":
         """Image under x -> lam*x + t, computed on the lattice view.

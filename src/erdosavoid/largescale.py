@@ -611,16 +611,14 @@ def quotient_avoider(
 
 
 class Mod1Profile(NamedTuple):
-    """Fractional parts of y*a_n for n <= count, with the largest
-    circular gap.  For enclosure inputs the gap is an upper bound
+    """Largest circular gap of the fractional parts of y*a_n for
+    n <= count.  For enclosure inputs the gap is an upper bound
     (midpoint gap widened by twice the largest enclosure width) and the
     profile is flagged enclosure-conditional."""
 
     count: int
-    fracs: tuple[Fraction, ...]
     max_gap: Fraction
     conditional: bool = False
-    slack: Fraction = Fraction(0)
 
     def to_json(self) -> dict:
         return {
@@ -672,10 +670,10 @@ def density_mod1(
     if isinstance(y, Interval) and y.lo != y.hi:
         mids, max_width = _enclosure_fractions(y, [seq.term(n) for n in range(1, count + 1)])
         gap = _circular_max_gap(mids) + 2 * max_width
-        return Mod1Profile(count, tuple(sorted(mids)), min(gap, Fraction(1)), True, max_width)
+        return Mod1Profile(count, min(gap, Fraction(1)), True)
     yq = y.lo if isinstance(y, Interval) else as_rational(y)
     fracs = [frac_part(yq * seq.term(n)) for n in range(1, count + 1)]
-    return Mod1Profile(count, tuple(sorted(fracs)), _circular_max_gap(fracs))
+    return Mod1Profile(count, _circular_max_gap(fracs))
 
 
 class ClusterCheck(NamedTuple):

@@ -35,7 +35,6 @@ class AvoiderLevel(NamedTuple):
     k: int
     index: int
     term: Fraction
-    next_term: Fraction
     delta: Fraction  # punch width k * (a_n - a_{n+1})
     parts: int  # number of kept components of this level alone
     removed: Fraction  # parts * delta, the level's removal budget
@@ -155,9 +154,7 @@ def build_sublacunary_avoider(
             raise InvalidParameterError(
                 f"level {k} removal {removed} exceeds its budget {budget}"
             )
-        level_records.append(
-            AvoiderLevel(k, n, a, seq.term(n + 1), delta, parts, removed, budget)
-        )
+        level_records.append(AvoiderLevel(k, n, a, delta, parts, removed, budget))
         halves.append((parts, delta / 2))
 
     lower_bound = 1 - sum((Fraction(2, 4**k) for k in range(1, levels + 1)), Fraction(0))
@@ -391,24 +388,22 @@ def grid_boxes(
 
 
 class PiecewiseLinearMap(Frozen):
-    """Increasing piecewise-linear map given by its breakpoints.
+    """Increasing piecewise-linear map given by two or more breakpoints.
 
-    Outside the breakpoint span the map continues with slope 1.
+    Strictly increasing breakpoints make every slope positive; `slopes()`
+    lists them.  Outside the breakpoint span the map continues with
+    slope 1.
     """
 
-    __slots__ = _fields = ("points", "slope_lo", "slope_hi")
+    __slots__ = _fields = ("points",)
 
-    def __init__(
-        self, points: tuple[tuple[Fraction, Fraction], ...], slope_lo: Fraction, slope_hi: Fraction
-    ):
+    def __init__(self, points: tuple[tuple[Fraction, Fraction], ...]):
+        if len(points) < 2:
+            raise InvalidParameterError("a piecewise-linear map needs at least two breakpoints")
         for (x1, y1), (x2, y2) in zip(points, points[1:]):
             if not (x1 < x2 and y1 < y2):
                 raise InvalidParameterError("breakpoints must strictly increase")
-        if slope_lo <= 0:
-            raise InvalidParameterError("lower slope bound must be positive")
         object.__setattr__(self, "points", points)
-        object.__setattr__(self, "slope_lo", slope_lo)
-        object.__setattr__(self, "slope_hi", slope_hi)
 
     def __call__(self, x: RationalLike) -> Fraction:
         x = as_rational(x)
@@ -450,6 +445,8 @@ def embed_lacunary(
     eta = as_rational(eta)
     if seq.direction != DOWN:
         raise InvalidParameterError("embedding applies to decreasing sequences")
+    if max_n < 1:
+        raise InvalidParameterError("the scan depth max_n must be at least 1")
     delta = max(seq.term(n + 1) / seq.term(n) for n in range(1, max_n + 1))
     if not delta < eta < 1:
         raise InvalidParameterError(
@@ -500,12 +497,7 @@ def embed_lacunary(
         points.extend(head)
     if e.contains(0):
         points.insert(0, (Fraction(0), Fraction(0)))
-
-    slopes = [
-        (y2 - y1) / (x2 - x1)
-        for (x1, y1), (x2, y2) in zip(points, points[1:])
-    ]
-    return PiecewiseLinearMap(tuple(points), min(slopes), max(slopes))
+    return PiecewiseLinearMap(tuple(points))
 
 
 def _sup(e: IntervalSet) -> Fraction:

@@ -674,36 +674,6 @@ def reference_union(*sets) -> tuple[Interval, ...]:
     return reference_normalize([iv for s in sets for iv in s])
 
 
-def reference_difference(a, b) -> tuple[Interval, ...]:
-    """Closure of a minus b by a Fraction sweep over the members of
-    canonical inputs: each member of a is cut at the members of b that
-    meet it, and an isolated point survives iff it avoids b."""
-    out = []
-    b = tuple(b)
-    j = 0
-    for iv in a:
-        while j < len(b) and b[j].hi < iv.lo:
-            j += 1
-        if iv.lo == iv.hi:
-            if j >= len(b) or not b[j].contains(iv.lo):
-                out.append(iv)
-            continue
-        cur = iv.lo
-        k = j
-        while k < len(b) and b[k].lo <= iv.hi:
-            cut = b[k]
-            if cut.lo > cur:
-                out.append(Interval(cur, cut.lo))
-            if cut.hi > cur:
-                cur = cut.hi
-            if cur >= iv.hi:
-                break
-            k += 1
-        if cur < iv.hi:
-            out.append(Interval(cur, iv.hi))
-    return reference_normalize(out)
-
-
 def reference_intersection(a, b) -> tuple[Interval, ...]:
     """Two-pointer merge of the members of two canonical inputs (an
     IntervalSet or a member sequence each) in Fraction arithmetic,
@@ -834,7 +804,7 @@ def reference_sublacunary_avoider(seq, levels: int, window: int = 1_000_000):
         removed, budget = parts * delta, Fraction(2, 4**k)
         if removed > budget:
             raise InvalidParameterError(f"level {k} removal exceeds its budget")
-        records.append(AvoiderLevel(k, n, a, seq.term(n + 1), delta, parts, removed, budget))
+        records.append(AvoiderLevel(k, n, a, delta, parts, removed, budget))
         lattices.append((parts, delta / 2))
 
     # every level's parameters are checked before any punch is listed

@@ -509,7 +509,7 @@ PUBLIC_NAMES = """
     grid_boxes is_p_large ivl kolountzakis_delta linear ln2_enclosure
     ln_enclosure ln_interval parse_rational perturbation_delta
     point_escape_index quotient_avoider reciprocal reciprocal_power
-    root_enclosure select_frame slope_envelope sqrt_enclosure sumset_cover_probe
+    select_frame slope_envelope sqrt_enclosure sumset_cover_probe
     sweep_linear_escape sweep_log_escape thickness to_interval_set tree_to_json
     validate_linear_escape
 """.split()
@@ -518,7 +518,7 @@ SUBMODULES = ("enclosures errors gaptree intersect intervals largescale rational
 
 
 def test_public_names_resolve():
-    assert len(PUBLIC_NAMES) == 72
+    assert len(PUBLIC_NAMES) == 71
     assert erdosavoid.__all__ == sorted(PUBLIC_NAMES + SUBMODULES)
     for name in PUBLIC_NAMES:
         value = getattr(erdosavoid, name)

@@ -7,11 +7,9 @@ from hypothesis import strategies as st
 
 from erdosavoid.enclosures import (
     MAX_BITS,
-    _iroot,
     ln2_enclosure,
     ln_enclosure,
     ln_interval,
-    root_enclosure,
     sqrt_enclosure,
 )
 from erdosavoid.errors import InvalidParameterError, ResourceLimitError
@@ -32,12 +30,6 @@ def test_sqrt_brackets_and_width():
 def test_sqrt_exact_square():
     enc = sqrt_enclosure(F(9, 4), 32)
     assert enc.lo == enc.hi == F(3, 2)
-
-
-def test_root_enclosure_cube():
-    enc = root_enclosure(F(2), 3, 48)
-    assert enc.lo**3 <= 2 <= enc.hi**3
-    assert root_enclosure(F(27), 3, 48).lo == 3
 
 
 def test_ln_exact_at_one_and_sign():
@@ -87,27 +79,15 @@ def test_root_enclosure_high_precision_returns_quickly():
     # a float-seeded root search hangs at 96 bits and overflows at 400
     for bits in (96, 400):
         start = time.perf_counter()
-        enc = root_enclosure(F(2), 3, bits)
+        enc = sqrt_enclosure(F(2), bits)
         assert time.perf_counter() - start < 1
-        assert enc.lo**3 <= 2 <= enc.hi**3
+        assert enc.lo**2 <= 2 <= enc.hi**2
         assert enc.hi - enc.lo == F(1, 2**bits)
-
-
-@settings(max_examples=300, deadline=None)
-@given(n=st.integers(0, 2**1500), k=st.integers(1, 12))
-def test_integer_root_brackets(n, k):
-    r = _iroot(n, k)
-    assert r**k <= n < (r + 1) ** k
-    # a perfect power and its predecessor sit on either side of a root step
-    p = (r + 1) ** k
-    assert _iroot(p, k) == r + 1
-    assert _iroot(p - 1, k) == r
 
 
 @pytest.mark.parametrize(
     "enclose",
     [
-        lambda bits: root_enclosure(F(2), 3, bits),
         lambda bits: sqrt_enclosure(F(2), bits),
         lambda bits: ln_enclosure(F(3), bits),
         lambda bits: ln_interval(ivl(1, 2), bits),

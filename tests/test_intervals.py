@@ -35,7 +35,6 @@ from helpers import (
     random_decreasing_gap_tree,
     reference_affine,
     reference_contains,
-    reference_difference,
     reference_find_gap_containing,
     reference_grid_slice,
     reference_intersection,
@@ -116,23 +115,6 @@ def test_intersection_example():
     assert a.intersection(b) == IntervalSet.of((F(1, 2), 1))
     # members that only touch meet in a point
     assert a.intersection(IntervalSet.of((1, 2))) == IntervalSet.of((1, 1))
-
-
-def test_difference_keeps_endpoints():
-    a = IntervalSet.of((0, 1))
-    b = IntervalSet.of((F(1, 3), F(2, 3)))
-    assert a.difference(b) == IntervalSet.of((0, F(1, 3)), (F(2, 3), 1))
-
-
-def test_difference_degenerate_points():
-    a = IntervalSet.of((0, 0), (1, 2))
-    b = IntervalSet.of((0, 0), (F(3, 2), F(3, 2)))
-    d = a.difference(b)
-    # the isolated point is removed; the interior cut keeps its endpoints
-    assert d == IntervalSet.of((1, 2))
-    # a point cut from an interval leaves its closure: one piece
-    cut = IntervalSet.of((0, 1)).difference(IntervalSet.of((F(1, 2), F(1, 2))))
-    assert len(cut) == 1 and cut == IntervalSet.of((0, 1))
 
 
 def test_set_ops_against_grid_oracle():
@@ -364,24 +346,6 @@ def test_gaps_of_empty_and_one_member_sets():
     assert IntervalSet.of((0, 1), (2, 3)).gaps() == [ivl(1, 2)]
 
 
-@settings(max_examples=150, deadline=None)
-@given(intervals_strategy(), intervals_strategy())
-def test_difference_measure_identity(raw_a, raw_b):
-    a, b = IntervalSet(raw_a), IntervalSet(raw_b)
-    # closures add only measure zero, so the identity is exact
-    assert a.difference(b).measure() == a.measure() - a.intersection(b).measure()
-
-
-@settings(max_examples=150, deadline=None)
-@given(intervals_strategy(), intervals_strategy())
-def test_difference_disjoint_from_interior(raw_a, raw_b):
-    a, b = IntervalSet(raw_a), IntervalSet(raw_b)
-    d = a.difference(b)
-    # the difference never meets the open interior of the subtrahend
-    inner = d.intersection(b)
-    assert inner.measure() == 0
-
-
 def member_lists(max_count=8):
     """Raw members in any order with mixed denominators: random
     intervals, single points and chains of members touching end to end."""
@@ -422,30 +386,6 @@ def test_constructor_matches_fraction_reference(raw):
 def test_union_matches_fraction_reference(sets):
     got = sets[0].union(*sets[1:])
     assert got.intervals == reference_union(*sets)
-    assert got == IntervalSet(got.intervals)
-
-
-@st.composite
-def difference_cases(draw):
-    """Two sets; the subtrahend is either another set or made of points
-    and members on the first set's endpoints, so cuts land on member
-    ends and isolated points."""
-    a = draw(view_sets())
-    if draw(st.booleans()):
-        return a, draw(view_sets())
-    ends = [v for iv in a for v in (iv.lo, iv.hi)] or [F(0)]
-    on_ends = st.lists(st.sampled_from(ends), min_size=1, max_size=2).map(
-        lambda xs: Interval(min(xs), max(xs))
-    )
-    return a, IntervalSet(draw(st.lists(on_ends, max_size=4)))
-
-
-@settings(max_examples=200, deadline=None)
-@given(difference_cases())
-def test_difference_matches_fraction_reference(case):
-    a, b = case
-    got = a.difference(b)
-    assert got.intervals == reference_difference(a, b)
     assert got == IntervalSet(got.intervals)
 
 

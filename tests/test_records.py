@@ -52,15 +52,14 @@ CASES = [
     (DigitSchedule, "largescale", (4,), {}),
     (SequenceSpec, "sequences", ("custom", DOWN, _halves, 50, (F(1, 2),)),
      {"length": None, "params": ()}),
-    (PiecewiseLinearMap, "smallscale", (((F(0), F(0)), (F(1), F(2))), F(1), F(2)), {}),
-    (AvoiderLevel, "smallscale", (1, 3, F(1, 3), F(1, 4), F(1, 12), 3, F(1, 4), F(1, 2)), {}),
+    (PiecewiseLinearMap, "smallscale", (((F(0), F(0)), (F(1), F(2))),), {}),
+    (AvoiderLevel, "smallscale", (1, 3, F(1, 3), F(1, 12), 3, F(1, 4), F(1, 2)), {}),
     (EscapeCertificate, "smallscale", (BOX, "certified", 2, GAP),
      {"witness_index": None, "witness_gap": None}),
     (LinearEscapeCertificate, "largescale",
      (ivl(0, 1), ivl(1, 2), "certified", 3, "containment", 2),
      {"witness_index": None, "route": None, "witness_cell": None}),
-    (Mod1Profile, "largescale", (3, (F(0), F(1, 3)), F(2, 3), True, F(1, 100)),
-     {"conditional": False, "slack": F(0)}),
+    (Mod1Profile, "largescale", (3, F(2, 3), True), {"conditional": False}),
     (ClusterCheck, "largescale", (4, F(1, 2), True), {"conditional": False}),
     (CoefficientMassBound, "largescale", (F(5, 2), (F(1), F(-1, 2)), 1, "exact"),
      {"label": "upper_bound"}),

@@ -22,6 +22,7 @@ from erdosavoid.sequences import (
 )
 from erdosavoid.smallscale import (
     EscapeCertificate,
+    PiecewiseLinearMap,
     _count_last_two,
     _punch_level,
     _smallest_point_at_least,
@@ -416,6 +417,17 @@ def test_set_point_readers_match_fraction_reference(pairs, lam, shift, t):
 def test_embed_eta_out_of_range():
     with pytest.raises(InvalidParameterError):
         embed_lacunary(geometric_down(F(1, 2)), IntervalSet.of((0, 1)), F(1, 3))
+
+
+def test_embed_refuses_a_map_without_two_breakpoints():
+    seq = geometric_down(F(1, 2))
+    # no scan depth, and a scan that yields one breakpoint and no slope
+    with pytest.raises(InvalidParameterError, match="max_n must be at least 1"):
+        embed_lacunary(seq, IntervalSet.of((0, 1)), F(3, 4), max_n=0)
+    with pytest.raises(InvalidParameterError, match="at least two breakpoints"):
+        embed_lacunary(seq, IntervalSet.of((F(1, 4), 1)), F(3, 4), max_n=1)
+    with pytest.raises(InvalidParameterError, match="at least two breakpoints"):
+        PiecewiseLinearMap(((F(0), F(0)),))
 
 
 def test_embed_density_point_violation_names_index():

@@ -61,11 +61,6 @@ MUTANTS = (
         (T + "test_normalize_touching_merge",),
     ),
     Mutant(
-        "difference-isolated-point", INTERVALS,
-        "if j == len(b_lo) or b_lo[j] > lo:", "if j == len(b_lo) or b_lo[j] >= lo:",
-        (T + "test_difference_degenerate_points",),
-    ),
-    Mutant(
         "intersection-closed", INTERVALS,
         "hi = min(a_hi[i], b_hi[j])\n            if lo <= hi:",
         "hi = min(a_hi[i], b_hi[j])\n            if lo < hi:",
@@ -221,6 +216,11 @@ MUTANTS = (
         "count-run-full-periods", SMALLSCALE,
         "full = y // period - x // period", "full = (y - x) // period",
         (S + "test_count_last_two_run_spans_periods",),
+    ),
+    Mutant(
+        "map-breakpoint-count", SMALLSCALE,
+        "if len(points) < 2:", "if len(points) < 1:",
+        (S + "test_embed_refuses_a_map_without_two_breakpoints",),
     ),
     Mutant(
         "in-some-gap-strict-lo", INTERSECT,
