@@ -12,7 +12,8 @@ the construction's set-difference semantics: a trajectory point escapes
 when, in every cell containing it, its offset lies inside a *closed*
 removed part.  `_escape_index` decides this along a trajectory,
 `_span_escapes` for a closed span and `_cover_escape_step` for a box of
-trajectories, all on integer numerators.
+trajectories, all on integer numerators.  Which parts are removed is
+`DigitGenerator.removed`; `_escape_index` keeps its own copy for speed.
 Certificates therefore witness escape from the constructed set, while
 the conservative closure is what p-largeness is audited on; the
 closure is never smaller.
@@ -65,15 +66,11 @@ class DigitSchedule(Frozen):
     def digit(self, i: int) -> int:
         if i < 0:
             raise InvalidParameterError("schedule indices start at 0")
+        # block r starts at c*r*(r-1)/2, so i lies in the last block r with
+        # r*(r-1) <= 2*i/c; as r*(r-1) is even, that is r*(r-1) <= 2*(i//c)
         c = self.m - 1
         r = (1 + math.isqrt(1 + 8 * (i // c))) // 2
-        r = max(r, 1)
-        while r * (r - 1) * c > 2 * i:
-            r -= 1
-        while r * (r + 1) * c <= 2 * i:
-            r += 1
-        offset = i - c * r * (r - 1) // 2
-        return offset // r
+        return (i - c * r * (r - 1) // 2) // r
 
 
 # ---------------------------------------------------------------------------
@@ -122,6 +119,11 @@ class DigitGenerator:
     def removed_digits(self, k: int) -> tuple[int, int]:
         return self.scheduled_digit(k), self.m - 1
 
+    def removed(self, t: int) -> bool:
+        """Whether part t = k*m + j is removed: j is the top or cell k's scheduled part."""
+        k, j = divmod(t, self.m)
+        return j == self.m - 1 or j == self.scheduled_digit(k)
+
     def cell(self, k: int) -> IntervalSet:
         m = self.m
         removed = set(self.removed_digits(k))
@@ -169,8 +171,6 @@ class QuotientGenerator:
         for j in range(j_min, j_max + 1):
             lo = self.y_hi * j  # inner approximation over the enclosure
             hi = self.y_lo * (j + self.q)
-            if lo > hi:
-                continue
             lo, hi = max(lo - k, Fraction(0)), min(hi - k, Fraction(1))
             if lo <= hi:
                 pieces.append(Interval(lo, hi))
@@ -209,15 +209,6 @@ class PLargeSet:
             self._cells[k] = self.generator.cell(k)
         return self._cells[k]
 
-    def contains(self, x: RationalLike) -> bool:
-        x = as_rational(x)
-        k = floor_rational(x)
-        if self.cell(k).contains(x - k):
-            return True
-        if x == k and self.cell(k - 1).contains(Fraction(1)):
-            return True
-        return False
-
     def to_json(self) -> dict:
         return {
             "p": format_rational(self.p),
@@ -236,9 +227,8 @@ def fractional_set(p: RationalLike, window: int) -> PLargeSet:
 def digit_avoider(m: int, window: int) -> PLargeSet:
     """Scheduled two-part removal: every cell drops the top part and
     the block-scheduled part, keeping measure (m-2)/m exactly."""
-    if m < 3:
-        raise InvalidParameterError("need m >= 3 parts")
-    return PLargeSet(Fraction(m - 2, m), window, DigitGenerator(m))
+    gen = DigitGenerator(m)  # refuses m < 3 before Fraction(m - 2, m) sees m = 0
+    return PLargeSet(Fraction(m - 2, m), window, gen)
 
 
 def is_p_large(e: PLargeSet, p: RationalLike) -> bool:
@@ -294,7 +284,8 @@ def _escape_index(
     t = k*m + j of cell k, where t, r = divmod(s*m, den).  It escapes
     when j is the top part or the scheduled one, or when r = 0 and part
     j - 1 is the scheduled one (at an integer j = 0, and cell k-1's top
-    part always holds it).  A cell beyond the guard raises."""
+    part always holds it).  A cell beyond the guard raises.  The first test
+    is `DigitGenerator.removed` inlined: the call doubles a long scan's time."""
     m = gen.m
     top = m - 1
     digits = gen._digits
@@ -328,8 +319,7 @@ def _span_escapes(gen: DigitGenerator, a: int, b: int, den: int) -> bool:
     m = gen.m
     t = a * m // den  # the part whose interior holds a, or that starts at a
     while t * den < b * m:
-        k, j = divmod(t, m)
-        if j != m - 1 and j != gen.scheduled_digit(k):
+        if not gen.removed(t):
             return False
         t += 1
     return True
@@ -372,11 +362,6 @@ def certify_linear_escape(
     L, (xl, xh, yl, yh) = on_one_denominator(x_box.lo, x_box.hi, y_box.lo, y_box.hi)
     m = gen.m
     unit = L * m
-
-    def removed(t: int) -> bool:
-        k, j = divmod(t, m)
-        return j == m - 1 or j == gen.scheduled_digit(k)
-
     for n in range(1, n_max + 1):
         lo = (xl + n * yl) * m  # the image of step n, in units of 1/(L*m)
         hi = (xh + n * yh) * m
@@ -384,12 +369,12 @@ def certify_linear_escape(
             raise ResourceLimitError(f"image left the cell guard at n = {n}")
         # the only part that can hold the image in its interior
         t, rest = divmod(lo, L)
-        if rest and hi < (t + 1) * L and removed(t):
+        if rest and hi < (t + 1) * L and gen.removed(t):
             return LinearEscapeCertificate(x_box, y_box, "certified", n, "containment", t // m)
         if hi - lo >= unit:
             t = -(-lo // L)  # leftmost part starting inside the image
             while (t + 1) * L <= hi:
-                if removed(t):
+                if gen.removed(t):
                     return LinearEscapeCertificate(x_box, y_box, "certified", n, "width", t // m)
                 t += 1
     return LinearEscapeCertificate(x_box, y_box, "inconclusive")
@@ -526,8 +511,7 @@ def _cover_escape_step(
             t1 = b * m // D
             run = None  # the first part of the current run of kept parts
             for t in range(-(-a * m // D) - 1, t1 + 2):  # parts meeting [a/D, b/D], then one
-                k, j = divmod(t, m)
-                if t <= t1 and j != m - 1 and j != gen.scheduled_digit(k):
+                if t <= t1 and not gen.removed(t):
                     run = t if run is None else run
                 elif run is not None:
                     cuts.append((piece, D, a, b, run, t))
@@ -569,8 +553,6 @@ def sweep_linear_escape(
     n_max: int = 4096,
 ) -> list[LinearEscapeCertificate]:
     """Grid sweep, each box scanned once to depth n_max."""
-    if y_range.lo <= 0:
-        raise InvalidParameterError("step range must be strictly positive")
     return [
         certify_linear_escape(e, box_x, box_y, n_max)
         for box_x, box_y in Grid(x_range, y_range, x_cells, y_cells)
@@ -698,11 +680,9 @@ def dubickas_gap_check(y: RationalOrEnclosure, count: int) -> ClusterCheck:
     """
     if count < 2:
         raise InvalidParameterError("need at least two samples")
-    if isinstance(y, Interval) and y.lo != y.hi:
-        if y.lo <= 0 <= y.hi:
-            raise InvalidParameterError("dilate enclosure must exclude 0")
-    elif (y.lo if isinstance(y, Interval) else as_rational(y)) == 0:
-        raise InvalidParameterError("dilate must be nonzero")
+    lo, hi = (y.lo, y.hi) if isinstance(y, Interval) else (as_rational(y),) * 2
+    if lo <= 0 <= hi:  # a rational is its own two ends
+        raise InvalidParameterError("the dilate, or its enclosure, must exclude 0")
     prof = density_mod1(sequences.geometric_up(2), y, count)
     return ClusterCheck(count, 1 - prof.max_gap, prof.conditional)
 

@@ -57,8 +57,8 @@ class SequenceSpec(Frozen):
     ) -> int:
         """Least n >= start with (a_n - a_{n+1})/a_n <= bound.
 
-        Uses a closed form for the reciprocal kind and a linear scan
-        capped at `window` otherwise.
+        Uses a closed form for the reciprocal and geometric-down kinds and
+        a linear scan capped at `window` otherwise.
         """
         bound = as_rational(bound)
         if bound <= 0:
@@ -69,6 +69,13 @@ class SequenceSpec(Frozen):
 
             n = ceil_rational(1 / bound - 1)
             return max(start, max(n, 1))
+        if self.kind == "geometric_down":
+            ratio = 1 - self.params[0]  # the same for every n, so no window helps
+            if ratio <= bound:
+                return start
+            raise NeedsLongerWindowError(
+                f"the difference ratio of r^n is 1 - r = {ratio} for every n, above {bound}"
+            )
         limit = window if self.length is None else min(window, self.length - 1)
         for n in range(start, limit + 1):
             a = self.term(n)

@@ -447,12 +447,7 @@ def embed_lacunary(
         raise InvalidParameterError("embedding applies to decreasing sequences")
     if max_n < 1:
         raise InvalidParameterError("the scan depth max_n must be at least 1")
-    delta = max(seq.term(n + 1) / seq.term(n) for n in range(1, max_n + 1))
-    if not delta < eta < 1:
-        raise InvalidParameterError(
-            f"window floor eta must lie strictly between the ratio bound "
-            f"{delta} and 1, got {eta}"
-        )
+    _check_slope_window(eta, max(seq.term(n + 1) / seq.term(n) for n in range(1, max_n + 1)))
 
     probes: list[Optional[Fraction]] = [None]  # 1-indexed
     miss_after = 0
@@ -514,9 +509,17 @@ def _smallest_point_at_least(e: IntervalSet, t: Fraction) -> Optional[Fraction]:
 
 
 def slope_envelope(eta: RationalLike, delta: RationalLike) -> tuple[Fraction, Fraction]:
-    """The guaranteed slope window [(eta-delta)/(1-delta), (1-eta*delta)/(1-delta)]."""
+    """The guaranteed slope window [(eta-delta)/(1-delta), (1-eta*delta)/(1-delta)]
+    of a window floor eta over a ratio bound delta, 0 < delta < eta < 1."""
     eta, delta = as_rational(eta), as_rational(delta)
+    _check_slope_window(eta, delta)
     return (eta - delta) / (1 - delta), (1 - eta * delta) / (1 - delta)
+
+
+def _check_slope_window(eta: Fraction, delta: Fraction) -> None:
+    """Refuse a window floor eta and ratio bound delta unless 0 < delta < eta < 1."""
+    if not 0 < delta < eta < 1:
+        raise InvalidParameterError(f"need 0 < delta < eta < 1, got delta = {delta}, eta = {eta}")
 
 
 # ---------------------------------------------------------------------------

@@ -685,6 +685,21 @@ def test_construct_cell_object_default_window(tmp_path):
     assert len(obj["cells"]) == 64
 
 
+def test_geometric_down_avoider_refuses_a_constant_ratio_at_once(tmp_path, capsys):
+    # r^n has difference ratio 1 - r = 1/10 for every n, above level 2's
+    # bound 1/64: refused at once, not scanned out to --window
+    out = tmp_path / "avoider.json"
+    argv = ["construct", "sublacunary-avoider", "--seq", "geometric-down", "--ratio", "9/10",
+            "--out", str(out)]
+    start = time.perf_counter()
+    assert main(argv + ["--levels", "2"]) == 1
+    assert time.perf_counter() - start < 5
+    assert "1 - r = 1/10 for every n" in capsys.readouterr().err
+    assert not out.exists()
+    assert main(argv + ["--levels", "1"]) == 0
+    assert json.loads(out.read_text())["log"]["levels"][0]["index"] == 1
+
+
 def test_sublacunary_refusals_build_no_avoider(tmp_path, monkeypatch):
     # a bad scan depth or grid is refused before the avoider is built
     def no_build(*args, **kwargs):
@@ -782,6 +797,20 @@ def test_version_flag_reads_the_one_version_source(capsys):
         ["construct", "middle-cantor", "--depth", "x"],
         ["probe", "mod1", "--y", "sqrt2", "--bits", "-3"],
         ["probe", "dubickas", "--y", "sqrt2", "--bits", "-3"],
+        ["certify", "digit-avoider", "--m", "2"],
+        ["construct", "digit-avoider", "--m", "2"],
+        ["certify", "log-escape", "--m", "2"],
+        ["certify", "digit-avoider", "--x-range", "0:2"],
+        ["certify", "digit-avoider", "--y-range", "0:1"],
+        ["construct", "dyadic-family", "--n-range", "2:1"],
+        ["probe", "ell-bound", "--f", "0"],
+        ["probe", "ell-bound", "--step", "0"],
+        ["probe", "mod1", "--N", "1"],
+        ["probe", "dubickas", "--y", "0"],
+        ["probe", "kolountzakis", "--N", "1"],
+        ["construct", "sublacunary-avoider", "--seq", "bogus"],
+        ["construct", "sublacunary-avoider", "--seq", "geometric-down", "--ratio", "3/2"],
+        ["probe", "mod1", "--seq", "geometric-down"],
     ],
 )
 def test_usage_errors_exit_1(argv, capsys):

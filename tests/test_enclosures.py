@@ -92,6 +92,7 @@ def test_root_enclosure_high_precision_returns_quickly():
         lambda bits: ln_enclosure(F(3), bits),
         lambda bits: ln_interval(ivl(1, 2), bits),
     ],
+    ids=["sqrt_enclosure", "ln_enclosure", "ln_interval"],
 )
 def test_negative_bit_counts_are_refused(enclose):
     # a negative count would be a negative shift; zero bits is a valid,

@@ -95,6 +95,15 @@ def test_digit_cell_zero_shape():
     assert e.cell(0) == IntervalSet.of((0, 0), (F(1, 4), F(3, 4)), (1, 1))
 
 
+def test_removed_parts_are_the_top_and_the_scheduled_one():
+    # part t = k*m + j is removed exactly when j is one of cell k's removed digits
+    for m in (3, 4, 5):
+        gen = digit_avoider(m, 1).generator
+        for t in range(-6 * m, 6 * m):
+            k, j = divmod(t, m)
+            assert gen.removed(t) == (j in gen.removed_digits(k)), (m, t)
+
+
 def test_fractional_set_largeness_is_sharp():
     e = fractional_set(F(1, 2), 10)
     assert is_p_large(e, F(1, 2))

@@ -51,6 +51,23 @@ def test_explicit_monotonicity_checked():
         seq.term(4)
 
 
+def test_geometric_down_ratio_closed_form_matches_scan():
+    # the difference ratio of r^n is 1 - r for every n: the least index is
+    # the start when 1 - r meets the bound, and no window holds one otherwise
+    for r in (F(1, 2), F(9, 10), F(99, 100)):
+        fast, slow = geometric_down(r), custom(lambda n, r=r: r**n, "down")
+        for bound in (F(1, 4), F(1, 64)):
+            for start in (1, 5):
+                if 1 - r <= bound:
+                    assert fast.first_index_with_ratio_at_most(bound, start) == start
+                    assert slow.first_index_with_ratio_at_most(bound, start, window=50) == start
+                else:
+                    with pytest.raises(NeedsLongerWindowError, match=f"1 - r = {1 - r} for every n"):
+                        fast.first_index_with_ratio_at_most(bound, start)
+                    with pytest.raises(NeedsLongerWindowError):
+                        slow.first_index_with_ratio_at_most(bound, start, window=50)
+
+
 def test_first_index_with_ratio_closed_form_matches_scan():
     fast = reciprocal()
     slow = custom(lambda n: F(1, n), "down")

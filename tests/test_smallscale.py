@@ -356,6 +356,17 @@ def test_embed_envelope_values():
     assert slope_envelope(F(3, 4), F(1, 2)) == (F(1, 2), F(5, 4))
 
 
+@pytest.mark.parametrize(
+    "eta, delta",
+    [(F(3, 4), F(1)), (F(3, 4), F(5, 4)), (F(1, 4), F(1, 2))],
+    ids=["delta-one", "delta-above-one", "eta-below-delta"],
+)
+def test_slope_envelope_refuses_windows_outside_its_domain(eta, delta):
+    # delta = 1 divides by zero; delta above 1 or eta at most delta inverts the window
+    with pytest.raises(InvalidParameterError, match="0 < delta < eta < 1"):
+        slope_envelope(eta, delta)
+
+
 def test_embed_full_interval_identity_like():
     f = embed_lacunary(geometric_down(F(1, 2)), IntervalSet.of((0, 1)), F(3, 4))
     assert set(f.slopes()) == {F(1)}

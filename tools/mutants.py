@@ -89,6 +89,16 @@ MUTANTS = (
         (T + "test_grid_cell_cap_is_inclusive",),
     ),
     Mutant(
+        "schedule-closed-form", LARGESCALE,
+        "1 + 8 * (i // c)", "9 + 8 * (i // c)",
+        (L + "test_schedule_prefix_m4",),
+    ),
+    Mutant(
+        "removed-top-part", LARGESCALE,
+        "j == self.m - 1", "j == self.m - 2",
+        (L + "test_removed_parts_are_the_top_and_the_scheduled_one",),
+    ),
+    Mutant(
         "span-escapes-upper-end", LARGESCALE,
         "while t * den < b * m:", "while t * den <= b * m:",
         (L + "test_span_escapes_over_adjacent_removed_parts",),
