@@ -33,7 +33,7 @@ from typing import NamedTuple, Optional, Sequence, Union
 from . import __version__, enclosures, gaptree, largescale, sequences, smallscale, sumsets
 from .errors import ErdosAvoidError
 from .intervals import Grid, Interval
-from .rationals import as_rational, format_rational
+from .rationals import as_rational, format_rational, on_one_denominator
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -342,12 +342,14 @@ def _certify_frame_intersection(args) -> Result:
     fam = sumsets.build_dyadic_family(args.ratio_n, args.depth, args.n_range, args.l_range)
     certifier = sumsets.FrameCertifier(x_tree, fam)
     rng = random.Random(args.seed)
+    # lo + length * k/256, drawn as one integer numerator over 256 * lcm(denominators)
+    L, (l0, lw) = on_one_denominator(args.lambda_range.lo, args.lambda_range.length)
+    T, (t0, tw) = on_one_denominator(args.t_range.lo, args.t_range.length)
     rows = []
     for box_id in range(args.count):
-        lam = args.lambda_range.lo + args.lambda_range.length * Fraction(rng.randrange(1, 257), 256)
-        if rng.random() < 0.5:
-            lam = -lam
-        t = args.t_range.lo + args.t_range.length * Fraction(rng.randrange(0, 257), 256)
+        lam = 256 * l0 + lw * rng.randrange(1, 257)
+        lam = Fraction(-lam if rng.random() < 0.5 else lam, 256 * L)
+        t = Fraction(256 * t0 + tw * rng.randrange(0, 257), 256 * T)
         trace = certifier.certify(lam, t, args.depth)
         rows.append({
             "box_id": str(box_id),

@@ -275,9 +275,12 @@ def symmetric_tree(den: int, lo: int, hi: int, children: list[int], self_similar
     into [a, a + c] and [b - c, b], c = children[d] below (b - a)/2."""
     los, his = [[lo]], [[hi]]
     for c in children:
-        nodes = list(zip(los[-1], his[-1]))
-        los.append([x for a, b in nodes for x in (a, b - c)])
-        his.append([x for a, b in nodes for x in (a + c, b)])
+        a, b = los[-1], his[-1]
+        lo_row, hi_row = a * 2, b * 2
+        lo_row[::2], lo_row[1::2] = a, [x - c for x in b]
+        hi_row[::2], hi_row[1::2] = [x + c for x in a], b
+        los.append(lo_row)
+        his.append(hi_row)
     return _Rows(den, los, his, [None] * len(children), self_similar).node(0, 0)
 
 

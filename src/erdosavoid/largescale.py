@@ -882,19 +882,22 @@ def sweep_log_escape(
     bits: int = 64,
 ) -> tuple[list[LogEscapeCertificate], dict]:
     """Grid sweep in (dilate, base) space: each certificate proves escape
-    for every (y, b) of its whole grid cell.  Each slice `Grid` hands out
-    gets its log enclosure once (none if its lower end is at or below 0,
-    so that `geometric_escape_via_log` refuses the cell).  The stats keep
-    `first_pass` (equal to `certified`) and `resolved_by_refinement`
-    (always 0), which criterion 10 and perfbench read.
+    for every (y, b) of its whole grid cell.  Each slice gets its log
+    enclosure once, kept by its `Grid` index (none if its lower end is at
+    or below 0, so that `geometric_escape_via_log` refuses the cell);
+    equal axes share theirs.  The stats keep `first_pass` (equal to
+    `certified`) and `resolved_by_refinement` (always 0), which
+    criterion 10 and perfbench read.
     """
-    logs: dict = {}
+    y_logs: dict[int, Optional[Interval]] = {}
+    b_logs = y_logs if (y_range, y_cells) == (b_range, b_cells) else {}
     certs = []
-    for y_box, b_box in Grid(y_range, b_range, y_cells, b_cells):
-        for box in (y_box, b_box):
-            if box not in logs:
-                logs[box] = enclosures.ln_interval(box, bits) if box.lo > 0 else None
-        certs.append(geometric_escape_via_log(f_set, y_box, b_box, n_max, logs[y_box], logs[b_box], bits))
+    for box_id, (y_box, b_box) in enumerate(Grid(y_range, b_range, y_cells, b_cells)):
+        i, j = divmod(box_id, b_cells)
+        for logs, k, box in ((y_logs, i, y_box), (b_logs, j, b_box)):
+            if k not in logs:
+                logs[k] = enclosures.ln_interval(box, bits) if box.lo > 0 else None
+        certs.append(geometric_escape_via_log(f_set, y_box, b_box, n_max, y_logs[i], b_logs[j], bits))
     certified = sum(c.status == "certified" for c in certs)
     stats = {"boxes": len(certs), "certified": certified, "first_pass": certified,
              "resolved_by_refinement": 0}

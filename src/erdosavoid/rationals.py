@@ -59,9 +59,8 @@ def parse_rational(s: str) -> Fraction:
 
 def format_rational(q: Fraction) -> str:
     """Lowest-terms string, 'p/q' or 'p' when integral."""
-    q = Fraction(q)
     try:
-        return str(q)
+        return str(q if type(q) is Fraction else Fraction(q))
     except ValueError as exc:  # a numerator or denominator past the digit limit
         raise ResourceLimitError(
             f"rational too large to print within the {_digit_limit()}-digit limit"

@@ -4,6 +4,7 @@ import hashlib
 import io
 import json
 import os
+import random
 import re
 import shlex
 import subprocess
@@ -252,6 +253,51 @@ def test_certify_frame_intersection(tmp_path, capsys):
     assert code == 0
     obj = json.loads(capsys.readouterr().out)
     assert obj["certified"] == 20
+
+
+def _fraction_formula_draws(lam_range, t_range, seed, count):
+    """(lambda, t) as lo + (hi - lo) * k/256 in Fraction arithmetic, with
+    the random calls in the CLI's order: k for lambda, its sign, k for t."""
+    rng = random.Random(seed)
+    draws = []
+    for _ in range(count):
+        lam = lam_range.lo + lam_range.length * F(rng.randrange(1, 257), 256)
+        if rng.random() < 0.5:
+            lam = -lam
+        t = t_range.lo + t_range.length * F(rng.randrange(0, 257), 256)
+        draws.append((str(lam), str(t)))
+    return draws
+
+
+def _frame_csv_draws(lam_range, t_range, seed, count):
+    code, out, _ = _sweep_output([
+        "certify", "frame-intersection", "--format", "csv", "--count", str(count), "--depth", "3",
+        f"--lambda-range={lam_range.lo}:{lam_range.hi}", f"--t-range={t_range.lo}:{t_range.hi}",
+        "--seed", str(seed),
+    ])
+    assert code in (0, 2)
+    return [(row["lambda"], row["t"]) for row in csv.DictReader(io.StringIO(out))]
+
+
+def test_frame_draws_match_the_fraction_formula():
+    # non-dyadic ends with a nonzero lower end, so every part of the
+    # integer numerator 256*lo + length*k over 256*lcm is exercised
+    lam_range, t_range = Interval(F(3, 7), F(5, 3)), Interval(F(-2, 3), F(5, 4))
+    assert _frame_csv_draws(lam_range, t_range, 11, 12) == _fraction_formula_draws(lam_range, t_range, 11, 12)
+
+
+_scale_ends = st.fractions(min_value=F(1, 8), max_value=8, max_denominator=12)
+_shift_ends = st.fractions(min_value=-4, max_value=4, max_denominator=12)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_scale_ends, min_size=2, max_size=2), st.booleans(),
+       st.lists(_shift_ends, min_size=2, max_size=2), st.integers(0, 10**6))
+def test_frame_draws_match_the_fraction_formula_everywhere(scale_ends, negative, shift_ends, seed):
+    # a scale range of either sign that excludes 0, inside the default frames
+    lo, hi = sorted(-x if negative else x for x in scale_ends)
+    lam_range, t_range = Interval(lo, hi), Interval(*sorted(shift_ends))
+    assert _frame_csv_draws(lam_range, t_range, seed, 4) == _fraction_formula_draws(lam_range, t_range, seed, 4)
 
 
 def test_report_aggregates_and_is_idempotent(tmp_path):
@@ -774,9 +820,15 @@ def test_rationals_past_the_digit_limit_are_resource_limits(digit_limit):
         with pytest.raises(ResourceLimitError):
             parse_rational(literal)
     assert parse_rational(f"1e{digit_limit}") == 10**digit_limit
-    with pytest.raises(ResourceLimitError):
-        format_rational(Fraction(1, 10**digit_limit))
+    for value in (Fraction(1, 10**digit_limit), 10**digit_limit):
+        with pytest.raises(ResourceLimitError):
+            format_rational(value)
     assert format_rational(Fraction(10 ** (digit_limit - 1))) == "1" + "0" * (digit_limit - 1)
+
+
+@given(st.one_of(st.integers(-10**30, 10**30), st.fractions(max_denominator=10**20)))
+def test_format_rational_prints_as_the_fraction_does(q):
+    assert format_rational(q) == str(Fraction(q))
 
 
 def test_version_flag_reads_the_one_version_source(capsys):

@@ -33,6 +33,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CLI = "src/erdosavoid/cli.py"
 ENCLOSURES = "src/erdosavoid/enclosures.py"
+GAPTREE = "src/erdosavoid/gaptree.py"
 INTERSECT = "src/erdosavoid/intersect.py"
 INTERVALS = "src/erdosavoid/intervals.py"
 LARGESCALE = "src/erdosavoid/largescale.py"
@@ -177,7 +178,7 @@ MUTANTS = (
     ),
     Mutant(
         "log-sweep-slice-memo", LARGESCALE,
-        "if box not in logs:", "if True:",
+        "if k not in logs:", "if True:",
         (L + "test_log_sweep_builds_each_log_once",),
     ),
     Mutant(
@@ -287,6 +288,16 @@ MUTANTS = (
         "enclosure-bits-cap", ENCLOSURES,
         "if bits > MAX_BITS:", "if bits >= MAX_BITS:",
         ("tests/test_enclosures.py::test_bit_counts_above_the_cap_are_refused",),
+    ),
+    Mutant(
+        "symmetric-tree-right-child", GAPTREE,
+        "[x - c for x in b]", "[x + c for x in b]",
+        ("tests/test_gaptree.py::test_middle_thirds_level_one",),
+    ),
+    Mutant(
+        "frame-draw-numerator", CLI,
+        "lam = 256 * l0 + lw", "lam = 255 * l0 + lw",
+        (C + "test_frame_draws_match_the_fraction_formula",),
     ),
 )
 
